@@ -16,6 +16,7 @@ The density mode decides the target-location term:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -35,7 +36,13 @@ from .density import kmeans_offsets
 from .evaluation import MatchRule, evaluate_triplets, report_json, report_text
 from .features import FeatureMap, SyntheticFeatureProvider
 from .geometry import Box, decode_rel, encode_rel
-from .inference import InferenceConfig, infer, read_predictions, write_predictions
+from .inference import (
+    InferenceConfig,
+    InferStats,
+    infer,
+    read_predictions,
+    write_predictions,
+)
 from .model import HeadConfig, forward_human, load_checkpoint
 from .trainer import Phase, Quotas, Schedule, TrainingDiverged, train
 
@@ -262,10 +269,17 @@ def read_proposals(path) -> dict:
         raise CliError("io", f"cannot read proposals: {exc}")
     except json.JSONDecodeError as exc:
         raise CliError("data", f"proposals file is not valid JSON: {exc}")
-    return {
-        int(i): [Box(*b) for b in boxes]
-        for i, boxes in doc["proposals"].items()
-    }
+    try:
+        items = doc["proposals"].items()
+    except (AttributeError, KeyError, TypeError):
+        raise CliError("data", "proposals file has no 'proposals' mapping")
+    out = {}
+    for i, boxes in items:
+        try:
+            out[int(i)] = [Box(*(float(v) for v in b)) for b in boxes]
+        except (TypeError, ValueError) as exc:
+            raise CliError("data", f"proposals for image {i}: {exc}")
+    return out
 
 
 def _write_json(path, doc) -> None:
@@ -286,6 +300,10 @@ def _load_world(cfg):
         raise CliError("data", str(exc))
     maps = read_feature_maps(cfg["features"])
     proposals = read_proposals(cfg["proposals"])
+    unmapped = sorted(set(proposals) - set(maps))
+    if unmapped:
+        raise CliError("data", f"proposals for image {unmapped[0]} have no "
+                               f"feature map in {cfg['features']}")
     provider = SyntheticFeatureProvider(maps)
     return ds, provider, proposals
 
@@ -408,10 +426,12 @@ def _run_inference(cfg, ds, provider, proposals, params, head_cfg,
     )
     all_triplets = []
     overlay = {}
+    totals = InferStats()
     for image_id in sorted(proposals):
-        triplets, _ = infer(image_id, proposals[image_id], provider, params,
-                            head_cfg, registry, ds.categories, icfg,
-                            baseline_centers=centers)
+        triplets, stats = infer(image_id, proposals[image_id], provider,
+                                params, head_cfg, registry, ds.categories,
+                                icfg, baseline_centers=centers)
+        totals.add(stats)
         all_triplets.extend(triplets)
         if cfg.get("overlay"):
             overlay[str(image_id)] = [
@@ -420,6 +440,8 @@ def _run_inference(cfg, ds, provider, proposals, params, head_cfg,
             ]
     pred_path = os.path.join(out, "predictions.jsonl")
     write_predictions(pred_path, all_triplets)
+    _write_json(os.path.join(out, "infer_stats.json"),
+                {"scenes": len(proposals), **dataclasses.asdict(totals)})
     if cfg.get("overlay"):
         _write_json(os.path.join(out, "overlay.json"),
                     {"config": cfg, "images": overlay})

@@ -19,6 +19,11 @@ Also here: the smooth L1 regression loss for mean-only training, and a
 seeded k-means over observed offsets that serves as the
 non-instance-aware baseline (score = max over cluster centers of the
 fixed-width compatibility).
+
+The compatibility functions take one offset or a ``(..., 4)`` array of
+them, broadcasting against the density parameters, so the cascade scores
+every (candidate, action) pair of a human in one call. One offset and
+many go through the same arithmetic and give the same bits.
 """
 
 from __future__ import annotations
@@ -73,42 +78,56 @@ class DensityParams:
         return self.weights[a], self.mus[a], self.sigmas[a]
 
 
-def _vec4(x) -> np.ndarray:
-    arr = np.asarray(getattr(x, "as_tuple", lambda: x)(), dtype=np.float64).ravel()
-    if arr.size != 4:
-        raise ValueError(f"expected a 4-vector, got size {arr.size}")
+def _offsets(x) -> np.ndarray:
+    """(..., 4) float array of offsets; a RelOffset becomes (4,)."""
+    arr = np.asarray(getattr(x, "as_tuple", lambda: x)(), dtype=np.float64)
+    if arr.ndim == 0 or arr.shape[-1] != 4:
+        raise ValueError(f"expected (..., 4) offsets, got shape {arr.shape}")
     return arr
 
 
-def gaussian_compat(b_rel, mu, sigma: float = DEFAULT_SIGMA) -> float:
+def _scalar_or_array(out: np.ndarray):
+    return float(out) if out.ndim == 0 else out
+
+
+def gaussian_compat(b_rel, mu, sigma: float = DEFAULT_SIGMA):
     """Unnormalized isotropic compatibility in (0, 1].
 
     Equals 1 exactly when the offset sits at the predicted mean and
-    decays with squared distance at scale sigma.
+    decays with squared distance at scale sigma. Offsets and means
+    broadcast over leading axes; a single pair gives a float. The
+    squared distance is a stacked (1, 4) @ (4, 1) product, which numpy
+    evaluates as the same dot product for one pair or many.
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    d = _vec4(b_rel) - _vec4(mu)
-    return float(np.exp(-float(d @ d) / (2.0 * sigma * sigma)))
+    d = _offsets(b_rel) - _offsets(mu)
+    sq = (d[..., None, :] @ d[..., :, None])[..., 0, 0]
+    return _scalar_or_array(np.exp(-sq / (2.0 * sigma * sigma)))
 
 
-def component_log_densities(b_rel, mus: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
+def component_log_densities(b_rel, mus, sigmas) -> np.ndarray:
     """Log of the normalized diagonal Gaussian density of each component.
 
-    mus, sigmas: (M, 4). Returns (M,).
+    b_rel: (..., 4); mus, sigmas: (..., M, 4). Returns (..., M).
     """
-    b = _vec4(b_rel)
-    mus = np.asarray(mus, dtype=np.float64).reshape(-1, 4)
-    sigmas = np.asarray(sigmas, dtype=np.float64).reshape(-1, 4)
-    z = (b[None, :] - mus) / sigmas
-    return -2.0 * LOG_2PI - np.log(sigmas).sum(axis=1) - 0.5 * (z * z).sum(axis=1)
+    b = _offsets(b_rel)
+    mus, sigmas = (np.asarray(x, dtype=np.float64) for x in (mus, sigmas))
+    if mus.ndim < 2:
+        mus, sigmas = mus.reshape(-1, 4), sigmas.reshape(-1, 4)
+    z = (b[..., None, :] - mus) / sigmas
+    return -2.0 * LOG_2PI - np.log(sigmas).sum(axis=-1) - 0.5 * (z * z).sum(axis=-1)
 
 
-def mixture_compat(b_rel, weights, mus, sigmas) -> float:
-    """Normalized mixture density sum_m w_m N(b_rel | mu_m, diag(sigma_m^2))."""
-    w = np.asarray(weights, dtype=np.float64).ravel()
+def mixture_compat(b_rel, weights, mus, sigmas):
+    """Normalized mixture density sum_m w_m N(b_rel | mu_m, diag(sigma_m^2)).
+
+    weights: (..., M); broadcasts like :func:`component_log_densities`;
+    a single offset gives a float.
+    """
+    w = np.asarray(weights, dtype=np.float64)
     logs = component_log_densities(b_rel, mus, sigmas)
-    return float(np.sum(w * np.exp(logs)))
+    return _scalar_or_array(np.sum(w * np.exp(logs), axis=-1))
 
 
 def mdn_nll(b_rel, weights, mus, sigmas) -> float:
@@ -130,7 +149,7 @@ def mdn_nll_grad(b_rel, w_logits, mus, raw_sigmas,
 
     Returns (nll, d_logits (M,), d_mus (M, 4), d_raw_sigmas (M, 4)).
     """
-    b = _vec4(b_rel)
+    b = _offsets(b_rel)
     logits = np.asarray(w_logits, dtype=np.float64).ravel()
     mus = np.asarray(mus, dtype=np.float64).reshape(-1, 4)
     raw = np.asarray(raw_sigmas, dtype=np.float64).reshape(-1, 4)
@@ -155,7 +174,7 @@ def mdn_nll_grad(b_rel, w_logits, mus, raw_sigmas,
 def smooth_l1(pred, target) -> float:
     """Sum over the 4 coordinates of the Huber-style loss:
     0.5 d^2 for |d| < 1, |d| - 0.5 otherwise."""
-    d = _vec4(pred) - _vec4(target)
+    d = _offsets(pred) - _offsets(target)
     a = np.abs(d)
     per = np.where(a < 1.0, 0.5 * d * d, a - 0.5)
     return float(per.sum())
@@ -163,7 +182,7 @@ def smooth_l1(pred, target) -> float:
 
 def smooth_l1_grad(pred, target) -> np.ndarray:
     """Gradient of :func:`smooth_l1` w.r.t. ``pred``: d clipped to [-1, 1]."""
-    d = _vec4(pred) - _vec4(target)
+    d = _offsets(pred) - _offsets(target)
     return np.clip(d, -1.0, 1.0)
 
 
@@ -242,8 +261,11 @@ def kmeans_offsets(offsets: np.ndarray, k: int, seed: int,
     return centers
 
 
-def kmeans_compat(b_rel, centers: np.ndarray, sigma: float = DEFAULT_SIGMA) -> float:
+def kmeans_compat(b_rel, centers: np.ndarray, sigma: float = DEFAULT_SIGMA):
     """Baseline compatibility: max over cluster centers of the
-    fixed-width Gaussian score, i.e. distance to the nearest mode."""
+    fixed-width Gaussian score, i.e. distance to the nearest mode.
+    Offsets broadcast over leading axes; a single one gives a float."""
     centers = np.asarray(centers, dtype=np.float64).reshape(-1, 4)
-    return max(gaussian_compat(b_rel, c, sigma) for c in centers)
+    b = _offsets(b_rel)
+    return _scalar_or_array(
+        np.max(gaussian_compat(b[..., None, :], centers, sigma), axis=-1))

@@ -5,6 +5,12 @@ features from dense feature maps with a simplified RoIAlign (one
 bilinear sample per output bin), and sources those maps either from the
 synthetic scene generator or from precomputed feature files.
 
+Pooling is array-native: :func:`pool_boxes` takes an ``(N, 4)`` box
+array and samples every bin of every box in one vectorised bilinear
+gather. :func:`roi_align` is its one-box form, and
+:class:`SyntheticFeatureProvider` pools all memo misses of a call in one
+such gather, so a scene's boxes cost one gather, not one per box.
+
 Feature file format ("HOIF"): little-endian binary with header
 ``magic b"HOIF" | version u32 | feature dim u32 | entry count u64``
 followed by ``entry count`` records of ``key u64 | dim * f32``.
@@ -101,39 +107,50 @@ def _bilinear(data: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 
 
 def roi_align(fmap: FeatureMap, box: Box, pooled: int = 7) -> RoiFeature:
-    """Pool a box into a pooled x pooled grid, one bilinear sample per bin.
+    """Pool one box into a pooled x pooled grid; see :func:`pool_boxes`."""
+    values, outside = pool_boxes(fmap, np.array([box.as_tuple()]), pooled)
+    return RoiFeature(values[0], out_of_bounds=bool(outside[0]))
 
-    The box is converted to feature-map coordinates (divide by stride)
-    and clipped to the map extent; each bin is sampled at its center. A
-    box entirely outside the map yields an all-zero feature flagged
-    ``out_of_bounds``.
+
+def pool_boxes(fmap: FeatureMap, boxes: np.ndarray, pooled: int = 7):
+    """Pool (N, 4) boxes, one bilinear sample per bin, in one gather.
+
+    Each box is converted to feature-map coordinates (divide by stride)
+    and clipped to the map extent; each bin is sampled at its center.
+    Returns the (N, channels * pooled * pooled) channel-major features
+    and an (N,) ``out_of_bounds`` mask: a box entirely outside the map
+    yields an all-zero row.
     """
     if pooled < 1:
         raise ValueError("pooled resolution must be >= 1")
-    fx1 = box.x1 / fmap.stride
-    fy1 = box.y1 / fmap.stride
-    fx2 = box.x2 / fmap.stride
-    fy2 = box.y2 / fmap.stride
-    if fx2 <= 0 or fy2 <= 0 or fx1 >= fmap.width or fy1 >= fmap.height:
-        return RoiFeature(np.zeros(fmap.channels * pooled * pooled), out_of_bounds=True)
-    fx1 = max(fx1, 0.0)
-    fy1 = max(fy1, 0.0)
-    fx2 = min(fx2, float(fmap.width))
-    fy2 = min(fy2, float(fmap.height))
-    bw = (fx2 - fx1) / pooled
-    bh = (fy2 - fy1) / pooled
-    centers_x = fx1 + (np.arange(pooled) + 0.5) * bw
-    centers_y = fy1 + (np.arange(pooled) + 0.5) * bh
-    gx, gy = np.meshgrid(centers_x, centers_y)
-    samples = _bilinear(fmap.data, gx.ravel(), gy.ravel())  # (C, P*P)
-    return RoiFeature(samples.reshape(fmap.channels, pooled, pooled).ravel())
+    f = np.asarray(boxes, dtype=np.float64).reshape(-1, 4) / fmap.stride
+    outside = ((f[:, 2] <= 0) | (f[:, 3] <= 0) | (f[:, 0] >= fmap.width)
+               | (f[:, 1] >= fmap.height))
+    out = np.zeros((len(f), fmap.channels * pooled * pooled))
+    f = f[~outside]
+    if len(f):
+        x1 = np.maximum(f[:, 0], 0.0)
+        y1 = np.maximum(f[:, 1], 0.0)
+        x2 = np.minimum(f[:, 2], float(fmap.width))
+        y2 = np.minimum(f[:, 3], float(fmap.height))
+        steps = np.arange(pooled) + 0.5
+        cx = x1[:, None] + steps * ((x2 - x1) / pooled)[:, None]
+        cy = y1[:, None] + steps * ((y2 - y1) / pooled)[:, None]
+        # bin (i, j) of a box sits at (cx[j], cy[i]), row-major
+        grid = (len(f), pooled, pooled)
+        xs = np.broadcast_to(cx[:, None, :], grid).reshape(len(f), -1)
+        ys = np.broadcast_to(cy[:, :, None], grid).reshape(len(f), -1)
+        samples = _bilinear(fmap.data, xs, ys)  # (C, n, P*P)
+        out[~outside] = samples.transpose(1, 0, 2).reshape(len(f), -1)
+    return out, outside
 
 
 class SyntheticFeatureProvider:
     """Pools features from per-scene synthetic feature maps.
 
     Pooled vectors are memoized per (scene id, box) since scenes are
-    immutable; the provider is a pure function of its inputs.
+    immutable; the provider is a pure function of its inputs. Boxes are
+    given as Box sequences or (N, 4) arrays.
     """
 
     def __init__(self, maps: dict[int, FeatureMap], pooled: int = 5):
@@ -144,18 +161,25 @@ class SyntheticFeatureProvider:
         self.feature_dim = (first.channels * pooled * pooled) if first else 0
 
     def pooled_feature(self, scene_id: int, box: Box) -> np.ndarray:
-        key = (scene_id, box.as_tuple())
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        feat = roi_align(self.maps[scene_id], box, self.pooled).values
-        self._cache[key] = feat
-        return feat
+        return self._rows(scene_id, [box])[0]
 
-    def pooled_matrix(self, scene_id: int, boxes: list[Box]) -> np.ndarray:
-        if not boxes:
+    def pooled_matrix(self, scene_id: int, boxes) -> np.ndarray:
+        if len(boxes) == 0:
             return np.zeros((0, self.feature_dim))
-        return np.stack([self.pooled_feature(scene_id, b) for b in boxes])
+        return np.stack(self._rows(scene_id, boxes))
+
+    def _rows(self, scene_id: int, boxes) -> list[np.ndarray]:
+        """Memoized rows; the distinct misses are pooled in one gather."""
+        corners = (boxes.tolist() if isinstance(boxes, np.ndarray)
+                   else [b.as_tuple() for b in boxes])
+        keys = [(scene_id, tuple(c)) for c in corners]
+        misses = list(dict.fromkeys(k for k in keys if k not in self._cache))
+        if misses:
+            values, _ = pool_boxes(self.maps[scene_id],
+                                   np.array([k[1] for k in misses]),
+                                   self.pooled)
+            self._cache.update(zip(misses, values))
+        return [self._cache[k] for k in keys]
 
 
 def write_feature_file(path, entries: dict[int, np.ndarray], dim: int) -> None:

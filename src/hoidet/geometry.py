@@ -3,13 +3,25 @@ box encoding that expresses a target box in the coordinate frame of a
 person box.
 
 Boxes are stored as corner pairs (x1, y1, x2, y2) in image pixels;
-centers and sizes are always derived, never stored.
+centers and sizes are always derived, never stored. ``Box`` is the
+single-box form used at I/O; sets of boxes in the inference hot path
+are ``(N, 4)`` float arrays of the same corners (:func:`box_array`).
+The array functions repeat the scalar arithmetic operation for
+operation, so both forms agree bit for bit; logs and exps go through
+``math`` element by element because numpy's vectorised ``log`` and
+``exp`` round differently on a few inputs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
+
+# Detectron / Fast R-CNN bound on predicted log size ratios, so that a
+# wild regression output cannot overflow exp or collapse a box
+BBOX_XFORM_CLIP = math.log(1000.0 / 16.0)
 
 
 @dataclass(frozen=True)
@@ -88,26 +100,49 @@ def iou(a: Box, b: Box) -> float:
     return inter / (a.area + b.area - inter)
 
 
-def nms(dets: list[Detection], iou_thresh: float) -> list[Detection]:
-    """Greedy score-descending suppression, run independently per category.
+def box_array(boxes) -> np.ndarray:
+    """(N, 4) corner array of a sequence of boxes (or of an array)."""
+    if isinstance(boxes, np.ndarray):
+        return boxes.astype(np.float64, copy=False).reshape(-1, 4)
+    return np.array([b.as_tuple() for b in boxes],
+                    dtype=np.float64).reshape(-1, 4)
 
-    The output is sorted by descending score; ties are broken by input
-    index so the result does not depend on input order beyond scores.
-    No two survivors of the same category overlap above ``iou_thresh``.
+
+def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pairwise :func:`iou` of (N, 4) and (M, 4) corner arrays -> (N, M)."""
+    a, b = a[:, None, :], b[None, :, :]
+    iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
+    ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
+    inter = iw * ih
+    _, _, aw, ah = _center_size(a)
+    _, _, bw, bh = _center_size(b)
+    return np.divide(inter, aw * ah + bw * bh - inter,
+                     out=np.zeros(inter.shape), where=(iw > 0.0) & (ih > 0.0))
+
+
+def nms(boxes: np.ndarray, scores: np.ndarray, labels: np.ndarray,
+        iou_thresh: float) -> np.ndarray:
+    """Greedy score-descending suppression, run independently per label.
+
+    Returns the indices of the survivors sorted by descending score;
+    ties are broken by index so the result does not depend on input
+    order beyond scores. No two survivors with the same label overlap
+    above ``iou_thresh``.
     """
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
-    suppressed = [False] * len(dets)
-    keep: list[Detection] = []
-    for pos, i in enumerate(order):
-        if suppressed[i]:
-            continue
-        keep.append(dets[i])
-        for j in order[pos + 1:]:
-            if suppressed[j] or dets[j].category != dets[i].category:
-                continue
-            if iou(dets[i].box, dets[j].box) > iou_thresh:
-                suppressed[j] = True
-    return keep
+    boxes = box_array(boxes)
+    labels = np.asarray(labels)
+    order = np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
+    keep = np.zeros(len(order), dtype=bool)
+    for label in np.unique(labels):
+        pos = np.flatnonzero(labels[order] == label)
+        idx = order[pos]
+        over = iou_matrix(boxes[idx], boxes[idx]) > iou_thresh
+        alive = np.ones(len(idx), dtype=bool)
+        for p in range(len(idx)):
+            if alive[p]:
+                alive[p + 1:] &= ~over[p, p + 1:]
+        keep[pos] = alive
+    return order[keep]
 
 
 def encode_rel(b_o: Box, b_h: Box) -> RelOffset:
@@ -121,16 +156,52 @@ def encode_rel(b_o: Box, b_h: Box) -> RelOffset:
     )
 
 
+def encode_rels(b_o: np.ndarray, b_h: np.ndarray) -> np.ndarray:
+    """:func:`encode_rel` over broadcasting (..., 4) corner arrays."""
+    ocx, ocy, ow, oh = _center_size(b_o)
+    hcx, hcy, hw, hh = _center_size(b_h)
+    return np.stack([(ocx - hcx) / hw, (ocy - hcy) / hh,
+                     _per_element(math.log, ow / hw),
+                     _per_element(math.log, oh / hh)], axis=-1)
+
+
 def decode_rel(t, b_h: Box) -> Box:
-    """Exact inverse of :func:`encode_rel`. Accepts a RelOffset or any
-    4-sequence (tx, ty, tw, th)."""
+    """Inverse of :func:`encode_rel` while the log size ratios lie within
+    +-``BBOX_XFORM_CLIP``; larger magnitudes are clamped to it. Accepts a
+    RelOffset or any 4-sequence (tx, ty, tw, th)."""
     if not isinstance(t, RelOffset):
         t = RelOffset(*(float(v) for v in t))
     cx = b_h.cx + t.tx * b_h.w
     cy = b_h.cy + t.ty * b_h.h
-    w = b_h.w * math.exp(t.tw)
-    h = b_h.h * math.exp(t.th)
+    w = b_h.w * math.exp(min(max(t.tw, -BBOX_XFORM_CLIP), BBOX_XFORM_CLIP))
+    h = b_h.h * math.exp(min(max(t.th, -BBOX_XFORM_CLIP), BBOX_XFORM_CLIP))
     return Box(cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0)
+
+
+def decode_rels(t: np.ndarray, b_h: np.ndarray) -> np.ndarray:
+    """:func:`decode_rel` over broadcasting (..., 4) arrays -> corners."""
+    hcx, hcy, hw, hh = _center_size(b_h)
+    cx = hcx + t[..., 0] * hw
+    cy = hcy + t[..., 1] * hh
+    wh = np.clip(t[..., 2:], -BBOX_XFORM_CLIP, BBOX_XFORM_CLIP)
+    w = hw * _per_element(math.exp, wh[..., 0])
+    h = hh * _per_element(math.exp, wh[..., 1])
+    return np.stack([cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0],
+                    axis=-1)
+
+
+def _center_size(b: np.ndarray):
+    """Center x, center y, width and height of (..., 4) corners, with the
+    arithmetic of the ``Box`` properties."""
+    return ((b[..., 0] + b[..., 2]) / 2.0, (b[..., 1] + b[..., 3]) / 2.0,
+            b[..., 2] - b[..., 0], b[..., 3] - b[..., 1])
+
+
+def _per_element(fn, x: np.ndarray) -> np.ndarray:
+    """Scalar ``math`` function applied to every element of ``x``."""
+    x = np.asarray(x)
+    return np.array([fn(v) for v in x.ravel().tolist()],
+                    dtype=np.float64).reshape(x.shape)
 
 
 def clip_box(x1: float, y1: float, x2: float, y2: float,

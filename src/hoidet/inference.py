@@ -11,6 +11,16 @@ the target for each (human, action) is the candidate maximizing
 which equals the full triplet-score argmax since the human's own terms
 are constant within the group. Ties go to the lowest candidate index.
 
+The hot path is array-native. Proposals and detections enter it as
+``(N, 4)`` box arrays: decoding, per-class NMS and RoI pooling run on
+arrays. Then, for each human, the offsets of all candidates, every
+action's compat and the interaction scores come out as ``(candidates,
+actions)`` arrays, and one argmax over candidates picks every action's
+target. ``Box``/``Detection`` objects appear only in the inputs and in
+the returned triplets. Every array step repeats the arithmetic of the
+scalar functions in ``geometry`` and ``density``, so the picks and
+scores are the same bits as a pair-by-pair evaluation.
+
 Self-pairs are excluded: a human box is never its own target, but other
 detected people are legitimate candidates.
 
@@ -21,13 +31,13 @@ the evaluator's input.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .dataset import PERSON_CATEGORY, ROLE_NONE, ActionRegistry
 from .density import gaussian_compat, kmeans_compat, mixture_compat
-from .geometry import Box, Detection, decode_rel, encode_rel, nms
+from .geometry import Box, Detection, box_array, decode_rels, encode_rels, nms
 from .model import (
     HeadConfig,
     forward_human,
@@ -82,43 +92,37 @@ class InferStats:
     per_roi_forwards: int = 0
     num_pairs_scored: int = 0
 
+    def add(self, other: InferStats) -> None:
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+
 
 def detect_objects(probs: np.ndarray, deltas: np.ndarray, proposals,
                    categories, score_threshold: float = SCORE_THRESHOLD,
                    nms_threshold: float = NMS_THRESHOLD) -> list[Detection]:
-    """Decode per-class boxes, drop low scores, per-class NMS."""
-    dets = []
-    for i, prop in enumerate(proposals):
-        for c, name in enumerate(categories, start=1):
-            s = float(probs[i, c])
-            if s <= score_threshold:
-                continue
-            dets.append(Detection(box=decode_rel(deltas[i, c], prop),
-                                  category=name, score=s))
-    return nms(dets, nms_threshold)
+    """Decode the (proposal, class) pairs scoring above the threshold,
+    then per-class NMS; decoded boxes of zero extent are dropped."""
+    scores = probs[:, 1:len(categories) + 1]
+    i, c = np.nonzero(scores > score_threshold)
+    boxes = decode_rels(deltas[i, c + 1], box_array(proposals)[i])
+    valid = (boxes[:, 2] > boxes[:, 0]) & (boxes[:, 3] > boxes[:, 1])
+    boxes, c, scores = boxes[valid], c[valid], scores[i, c][valid]
+    keep = nms(boxes, scores, c, nms_threshold)
+    return [Detection(box=Box(*boxes[k].tolist()), category=categories[c[k]],
+                      score=float(scores[k])) for k in keep]
 
 
 def select_object(s_o: np.ndarray, inter: np.ndarray, compat: np.ndarray):
-    """Index of the candidate maximizing the product, or None if empty.
+    """Index along axis 0 (the candidates) maximizing the product, per
+    column for 2-d input; None if there are no candidates.
 
     np.argmax keeps the first maximum, which is the tie-break rule.
     """
-    if len(s_o) == 0:
+    score = np.asarray(s_o) * np.asarray(inter) * np.asarray(compat)
+    if len(score) == 0:
         return None
-    return int(np.argmax(np.asarray(s_o) * np.asarray(inter)
-                         * np.asarray(compat)))
-
-
-def _compat_fn(hum, h, a, cfg: HeadConfig, baseline_centers):
-    """Closure evaluating the target-location term for one (human, action)."""
-    if baseline_centers is not None:
-        centers = baseline_centers[a]
-        return lambda rel: kmeans_compat(rel, centers, cfg.sigma)
-    if cfg.use_mdn:
-        w, mu, sg = hum.weights[h, a], hum.mus[h, a], hum.sigmas[h, a]
-        return lambda rel: mixture_compat(rel, w, mu, sg)
-    mu = hum.mus[h, a, 0]
-    return lambda rel: gaussian_compat(rel, mu, cfg.sigma)
+    best = np.argmax(score, axis=0)
+    return int(best) if best.ndim == 0 else best
 
 
 def infer(scene_id: int, proposals, provider, params, cfg: HeadConfig,
@@ -145,6 +149,22 @@ def infer(scene_id: int, proposals, provider, params, cfg: HeadConfig,
     return [triplets[i] for i in order[: icfg.max_triplets]], stats
 
 
+def _compat(rels: np.ndarray, hum, h: int, cfg: HeadConfig,
+            baseline_centers, targeted) -> np.ndarray:
+    """(candidates, actions) target-location term of human ``h`` for the
+    candidates' (C, 4) offsets; only the ``targeted`` actions' columns
+    are filled for the k-means baseline."""
+    if baseline_centers is not None:
+        out = np.zeros((len(rels), cfg.num_actions))
+        for a in targeted:
+            out[:, a] = kmeans_compat(rels, baseline_centers[a], cfg.sigma)
+        return out
+    if cfg.use_mdn:
+        return mixture_compat(rels[:, None, :], hum.weights[h], hum.mus[h],
+                              hum.sigmas[h])
+    return gaussian_compat(rels[:, None, :], hum.mus[h, :, 0], cfg.sigma)
+
+
 def score_detections(scene_id: int, detections, provider, params,
                      cfg: HeadConfig, registry: ActionRegistry,
                      stats: InferStats | None = None,
@@ -156,7 +176,9 @@ def score_detections(scene_id: int, detections, provider, params,
     if not detections:
         return []
 
-    det_feats = provider.pooled_matrix(scene_id, [d.box for d in detections])
+    boxes = box_array([d.box for d in detections])
+    det_scores = np.array([d.score for d in detections])
+    det_feats = provider.pooled_matrix(scene_id, boxes)
     # one cascade-stage pass per surviving box: caches action scores,
     # density parameters, and both interaction-side quantities
     hum = forward_human(det_feats, params, cfg)
@@ -164,28 +186,26 @@ def score_detections(scene_id: int, detections, provider, params,
         logit_h = interaction_human_logits(hum.hidden, params, cfg)
         logit_o, hidden_o = interaction_object_logits(det_feats, params, cfg)
     stats.per_roi_forwards += len(detections)
+    targeted = [a for a, e in enumerate(registry) if e.role != ROLE_NONE]
 
     triplets = []
     for h, hdet in enumerate(detections):
         if hdet.category != PERSON_CATEGORY:
             continue
-        cand = [j for j in range(len(detections)) if j != h]
-        rels = [
-            np.array(encode_rel(detections[j].box, hdet.box).as_tuple())
-            for j in cand
-        ]
-        inter_all = None
-        if cand and cfg.use_interaction_branch:
-            if cfg.pairwise_mode == "logit_sum":
-                inter_all = pair_scores(
-                    np.tile(logit_h[h], (len(cand), 1)), logit_o[cand],
-                    None, None, params, cfg)
+        # every other detection is a candidate: (C,) indices, (C, A) terms
+        cand = np.delete(np.arange(len(detections)), h)
+        if len(cand):
+            if cfg.use_interaction_branch:
+                inter = pair_scores(logit_h[h], logit_o[cand], hum.hidden[h],
+                                    hidden_o[cand], params, cfg)
+                stats.num_pairs_scored += len(cand)
             else:
-                zeros = np.zeros((len(cand), cfg.num_actions))
-                inter_all = pair_scores(
-                    zeros, zeros, np.tile(hum.hidden[h], (len(cand), 1)),
-                    hidden_o[cand], params, cfg)
-            stats.num_pairs_scored += len(cand)
+                inter = np.broadcast_to(hum.action_scores[h],
+                                        (len(cand), cfg.num_actions))
+            compat = _compat(encode_rels(boxes[cand], boxes[h]), hum, h, cfg,
+                             baseline_centers, targeted)
+            s_o = det_scores[cand]
+            best = select_object(s_o[:, None], inter, compat)
         for a, entry in enumerate(registry):
             act = float(hum.action_scores[h, a])
             if entry.role == ROLE_NONE:
@@ -195,22 +215,15 @@ def score_detections(scene_id: int, detections, provider, params,
                     action_score=act, compat=None,
                     score=hdet.score * act))
                 continue
-            if not cand:
+            if not len(cand):
                 continue
-            inter = (inter_all[:, a] if inter_all is not None
-                     else np.full(len(cand), act))
-            g_of = _compat_fn(hum, h, a, cfg, baseline_centers)
-            compat = np.array([g_of(rel) for rel in rels])
-            s_o = np.array([detections[j].score for j in cand])
-            best = select_object(s_o, inter, compat)
-            j = cand[best]
+            j = best[a]
+            so, ia, g = float(s_o[j]), float(inter[j, a]), float(compat[j, a])
             triplets.append(ScoredTriplet(
                 image_id=scene_id, human=hdet, action=entry.name,
-                role=entry.role, object=detections[j], s_h=hdet.score,
-                s_o=float(s_o[best]), action_score=float(inter[best]),
-                compat=float(compat[best]),
-                score=hdet.score * float(s_o[best]) * float(inter[best])
-                * float(compat[best])))
+                role=entry.role, object=detections[cand[j]], s_h=hdet.score,
+                s_o=so, action_score=ia, compat=g,
+                score=hdet.score * so * ia * g))
     return triplets
 
 

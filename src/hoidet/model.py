@@ -320,14 +320,21 @@ def interaction_object_logits(feat, params, cfg: HeadConfig):
 
 def pair_scores(logit_h, logit_o, hidden_h, hidden_o, params,
                 cfg: HeadConfig) -> np.ndarray:
-    """Combine cached per-RoI quantities into the pairwise action scores."""
+    """Combine cached per-RoI quantities into the pairwise action scores.
+
+    One human's row broadcasts against many objects' rows; only the
+    mode's own inputs are read (logits for logit_sum, trunk outputs for
+    concat_mlp).
+    """
     if cfg.pairwise_mode == "logit_sum":
         p, _ = _clip_sigmoid(np.asarray(logit_h) + np.asarray(logit_o))
         return p
-    z = np.concatenate([np.atleast_2d(hidden_h), np.atleast_2d(hidden_o)], axis=1)
+    hh, ho = np.atleast_2d(hidden_h), np.atleast_2d(hidden_o)
+    z = np.concatenate([np.broadcast_to(hh, (len(ho), hh.shape[1])), ho],
+                       axis=1)
     mlp = _relu(z @ params["cm_fc1_w"] + params["cm_fc1_b"])
     p, _ = _clip_sigmoid(mlp @ params["cm_fc2_w"] + params["cm_fc2_b"])
-    return p[0] if np.ndim(logit_h) == 1 else p
+    return p[0] if np.ndim(hidden_o) == 1 else p
 
 
 def forward_interaction(feat_h, feat_o, params, cfg: HeadConfig) -> np.ndarray:

@@ -1,11 +1,20 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from hoidet.cli import CliError, main, resolve_config
-from hoidet.dataset import load_annotations
-from hoidet.inference import read_predictions
+from hoidet.cli import (
+    CliError,
+    main,
+    read_feature_maps,
+    read_proposals,
+    resolve_config,
+)
+from hoidet.dataset import ActionRegistry, load_annotations
+from hoidet.features import SyntheticFeatureProvider
+from hoidet.inference import infer, read_predictions
+from hoidet.model import load_checkpoint
 
 
 def _run(*argv):
@@ -162,6 +171,25 @@ class TestInferCommand:
         ids = {t.image_id for t in preds}
         assert ids <= set(range(6))
 
+        # infer_stats.json totals are the per-scene InferStats summed
+        ckpt = load_checkpoint(run / "checkpoint.bin")
+        ds = load_annotations(data / "annotations.json", schema="hico_like")
+        provider = SyntheticFeatureProvider(
+            read_feature_maps(data / "features.npz"))
+        proposals = read_proposals(data / "proposals.json")
+        want = {"scenes": len(proposals), "num_proposals": 0,
+                "num_detections": 0, "per_roi_forwards": 0,
+                "num_pairs_scored": 0}
+        for image_id in sorted(proposals):
+            _, stats = infer(image_id, proposals[image_id], provider,
+                             ckpt.params, ckpt.config,
+                             ActionRegistry.from_json(ckpt.actions),
+                             ds.categories)
+            for key, value in dataclasses.asdict(stats).items():
+                want[key] += value
+        assert want["num_pairs_scored"] > 0
+        assert json.loads((out / "infer_stats.json").read_text()) == want
+
     def test_overlay_output(self, tmp_path):
         data = _synth(tmp_path)
         run = _train(tmp_path, data)
@@ -184,6 +212,37 @@ class TestInferCommand:
                     "--proposals", str(data / "proposals.json"))
         assert code == 1
         assert capsys.readouterr().err.startswith("error: io:")
+
+
+    def _infer_err(self, tmp_path, capsys, data, proposals):
+        run = _train(tmp_path, data)
+        path = tmp_path / "bad_proposals.json"
+        path.write_text(json.dumps(proposals))
+        capsys.readouterr()
+        code = _run("infer", "--out", str(tmp_path / "o"),
+                    "--checkpoint", str(run / "checkpoint.bin"),
+                    "--annotations", str(data / "annotations.json"),
+                    "--features", str(data / "features.npz"),
+                    "--proposals", str(path))
+        assert code == 1
+        return capsys.readouterr().err
+
+    def test_zero_area_proposal_is_data_error(self, tmp_path, capsys):
+        data = _synth(tmp_path)
+        doc = json.loads((data / "proposals.json").read_text())
+        doc["proposals"]["2"][0] = [5.0, 5.0, 5.0, 9.0]
+        err = self._infer_err(tmp_path, capsys, data, doc)
+        assert err == ("error: data: proposals for image 2: degenerate box: "
+                       "(5.0, 5.0, 5.0, 9.0)\n")
+
+    def test_proposals_without_feature_map_are_data_error(self, tmp_path,
+                                                          capsys):
+        data = _synth(tmp_path)
+        doc = json.loads((data / "proposals.json").read_text())
+        doc["proposals"]["99"] = [[1.0, 1.0, 9.0, 9.0]]
+        err = self._infer_err(tmp_path, capsys, data, doc)
+        assert err == (f"error: data: proposals for image 99 have no feature "
+                       f"map in {data / 'features.npz'}\n")
 
 
 class TestEvalCommand:

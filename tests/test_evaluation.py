@@ -301,9 +301,9 @@ class TestRoleTpImpliesAgentTp:
                 else:
                     hb, ob = _rand_box(rng), _rand_box(rng)
                 raw.append((hb, ob, float(rng.uniform(0.1, 1.0))))
-            kept_h = nms([Detection(hb, PERSON_CATEGORY, s)
-                          for hb, _, s in raw], 0.3)
-            kept_keys = {(d.box.as_tuple(), d.score) for d in kept_h}
+            kept = nms([hb for hb, _, _ in raw], [s for _, _, s in raw],
+                       [PERSON_CATEGORY] * len(raw), 0.3)
+            kept_keys = {(raw[k][0].as_tuple(), raw[k][2]) for k in kept}
             preds = [_triplet(0, hb, ob, "cut", "instrument", s)
                      for hb, ob, s in raw
                      if (hb.as_tuple(), s) in kept_keys]

@@ -59,11 +59,18 @@ class TestIou:
                 assert iou(a, b) < 1.0
 
 
+def _nms(dets, thresh):
+    """The detections that :func:`nms` keeps, in its order."""
+    keep = nms([d.box for d in dets], [d.score for d in dets],
+               [d.category for d in dets], thresh)
+    return [dets[k] for k in keep]
+
+
 class TestNms:
     def test_full_overlap(self):
         b = Box(0, 0, 10, 10)
         dets = [Detection(b, "cup", 0.8), Detection(b, "cup", 0.9)]
-        out = nms(dets, 0.3)
+        out = _nms(dets, 0.3)
         assert len(out) == 1 and out[0].score == 0.9
 
     def test_disjoint_survive(self):
@@ -71,7 +78,7 @@ class TestNms:
             Detection(Box(0, 0, 10, 10), "cup", 0.2),
             Detection(Box(50, 50, 60, 60), "cup", 0.9),
         ]
-        out = nms(dets, 0.3)
+        out = _nms(dets, 0.3)
         assert len(out) == 2
         assert [d.score for d in out] == [0.9, 0.2]
 
@@ -84,13 +91,13 @@ class TestNms:
         assert iou(a, c) == pytest.approx(0.0, abs=1e-12)
         assert iou(b, c) == pytest.approx(40.0 / 560.0)
         dets = [Detection(a, "x", 0.9), Detection(b, "x", 0.8), Detection(c, "x", 0.7)]
-        out = nms(dets, 0.3)
+        out = _nms(dets, 0.3)
         assert [d.box for d in out] == [a, c]
 
     def test_per_category_independent(self):
         b = Box(0, 0, 10, 10)
         dets = [Detection(b, "cup", 0.9), Detection(b, "dog", 0.8)]
-        assert len(nms(dets, 0.3)) == 2
+        assert len(_nms(dets, 0.3)) == 2
 
     def test_subset_and_order_invariance(self):
         rng = np.random.default_rng(11)
@@ -98,10 +105,10 @@ class TestNms:
             Detection(random_box(rng), rng.choice(["a", "b"]), float(rng.uniform()))
             for _ in range(30)
         ]
-        out = nms(dets, 0.4)
+        out = _nms(dets, 0.4)
         assert all(d in dets for d in out)
         perm = [dets[i] for i in rng.permutation(len(dets))]
-        out_perm = nms(perm, 0.4)
+        out_perm = _nms(perm, 0.4)
         assert out == out_perm
         # no surviving same-category pair above the threshold
         for i, d in enumerate(out):
@@ -110,7 +117,7 @@ class TestNms:
                     assert iou(d.box, e.box) <= 0.4
 
     def test_empty(self):
-        assert nms([], 0.3) == []
+        assert _nms([], 0.3) == []
 
 
 class TestRelEncoding:
@@ -138,6 +145,15 @@ class TestRelEncoding:
         got = decode_rel(RelOffset(1.0, 1.0, math.log(2), math.log(2)), Box(0, 0, 10, 10))
         for g, e in zip(got.as_tuple(), (5, 5, 25, 25)):
             assert g == pytest.approx(e, abs=1e-12)
+
+    def test_huge_size_deltas_are_clamped(self):
+        ref = Box(0.0, 0.0, 10.0, 20.0)
+        big = decode_rel((0.0, 0.0, 800.0, 800.0), ref)
+        assert all(math.isfinite(v) for v in big.as_tuple())
+        assert big.w == pytest.approx(10.0 * 1000.0 / 16.0)
+        assert big.h == pytest.approx(20.0 * 1000.0 / 16.0)
+        small = decode_rel((0.0, 0.0, -800.0, -800.0), ref)
+        assert small.w == pytest.approx(10.0 * 16.0 / 1000.0)
 
     def test_round_trip_random(self):
         rng = np.random.default_rng(12)

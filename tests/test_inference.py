@@ -93,6 +93,18 @@ class TestDetectObjects:
         assert len(dets) == 1
         assert np.allclose(dets[0].box.as_tuple(), want.as_tuple())
 
+    def test_huge_delta_gives_finite_box(self):
+        prop = Box(10.0, 10.0, 30.0, 40.0)
+        c = len(CATEGORIES)
+        probs = np.zeros((1, c + 1))
+        probs[0, 2] = 0.7
+        deltas = np.zeros((1, c + 1, 4))
+        deltas[0, 2] = [0.0, 0.0, 800.0, 800.0]
+        dets = detect_objects(probs, deltas, [prop], CATEGORIES)
+        assert len(dets) == 1
+        assert all(np.isfinite(dets[0].box.as_tuple()))
+        assert dets[0].box.w == pytest.approx(20.0 * 1000.0 / 16.0)
+
     def test_nms_is_per_class(self):
         b = Box(0.0, 0.0, 10.0, 10.0)
         c = len(CATEGORIES)
