@@ -22,8 +22,10 @@ fixed-width compatibility).
 
 The compatibility functions take one offset or a ``(..., 4)`` array of
 them, broadcasting against the density parameters, so the cascade scores
-every (candidate, action) pair of a human in one call. One offset and
-many go through the same arithmetic and give the same bits.
+every (candidate, action) pair of a human in one call. The training
+losses (:func:`smooth_l1`, :func:`mdn_nll_grad`) broadcast the same way,
+so a training step takes all of its regression rows in one call. One
+offset and many go through the same arithmetic and give the same bits.
 """
 
 from __future__ import annotations
@@ -148,36 +150,41 @@ def mdn_nll_grad(b_rel, w_logits, mus, raw_sigmas,
     are ``sigma_floor + softplus(raw_sigmas)``.
 
     Returns (nll, d_logits (M,), d_mus (M, 4), d_raw_sigmas (M, 4)).
+    Offsets of shape (..., 4) with parameters (..., M) and (..., M, 4)
+    give one row per offset: nll (...,) and gradients with the same
+    leading axes, each row equal to its single-offset call.
     """
     b = _offsets(b_rel)
-    logits = np.asarray(w_logits, dtype=np.float64).ravel()
-    mus = np.asarray(mus, dtype=np.float64).reshape(-1, 4)
-    raw = np.asarray(raw_sigmas, dtype=np.float64).reshape(-1, 4)
+    lead = b.shape[:-1]
+    logits = np.asarray(w_logits, dtype=np.float64).reshape(lead + (-1,))
+    mus = np.asarray(mus, dtype=np.float64).reshape(lead + (-1, 4))
+    raw = np.asarray(raw_sigmas, dtype=np.float64).reshape(lead + (-1, 4))
     w = softmax(logits)
     sigmas = sigma_floor + softplus(raw)
 
     log_comp = component_log_densities(b, mus, sigmas)
     score = np.log(w) + log_comp
-    peak = score.max()
-    lse = peak + np.log(np.exp(score - peak).sum())
-    nll = -lse
+    peak = score.max(axis=-1, keepdims=True)
+    lse = peak + np.log(np.exp(score - peak).sum(axis=-1, keepdims=True))
+    nll = -lse[..., 0]
     resp = np.exp(score - lse)  # posterior responsibilities, sums to 1
 
     d_logits = w - resp
-    diff = mus - b[None, :]
-    d_mus = resp[:, None] * diff / (sigmas * sigmas)
-    d_sigmas = resp[:, None] * (1.0 / sigmas - diff * diff / sigmas**3)
+    diff = mus - b[..., None, :]
+    d_mus = resp[..., None] * diff / (sigmas * sigmas)
+    d_sigmas = resp[..., None] * (1.0 / sigmas - diff * diff / sigmas**3)
     d_raw = d_sigmas * _sigmoid(raw)
-    return float(nll), d_logits, d_mus, d_raw
+    return _scalar_or_array(nll), d_logits, d_mus, d_raw
 
 
-def smooth_l1(pred, target) -> float:
+def smooth_l1(pred, target):
     """Sum over the 4 coordinates of the Huber-style loss:
-    0.5 d^2 for |d| < 1, |d| - 0.5 otherwise."""
+    0.5 d^2 for |d| < 1, |d| - 0.5 otherwise. Rows of (..., 4) arrays
+    give one loss each; a single pair gives a float."""
     d = _offsets(pred) - _offsets(target)
     a = np.abs(d)
     per = np.where(a < 1.0, 0.5 * d * d, a - 0.5)
-    return float(per.sum())
+    return _scalar_or_array(per.sum(axis=-1))
 
 
 def smooth_l1_grad(pred, target) -> np.ndarray:

@@ -278,10 +278,20 @@ def write_predictions(path, triplets) -> None:
 
 
 def read_predictions(path) -> list[ScoredTriplet]:
+    """Triplets of a predictions file; a line that is not JSON, lacks a
+    key or holds a value of the wrong type raises ValueError naming the
+    line (1-based)."""
     out = []
     with open(path) as f:
-        for line in f:
+        for number, line in enumerate(f, 1):
             line = line.strip()
-            if line:
+            if not line:
+                continue
+            try:
                 out.append(triplet_from_json(json.loads(line)))
+            except KeyError as exc:
+                raise ValueError(
+                    f"predictions line {number}: missing key {exc}") from exc
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"predictions line {number}: {exc}") from exc
     return out

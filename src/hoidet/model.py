@@ -191,6 +191,15 @@ def check_params(params, cfg: HeadConfig):
         raise ConfigError(f"unexpected parameters {sorted(extra)}")
 
 
+def first_non_finite(tensors, cfg: HeadConfig) -> str | None:
+    """Name of the first tensor, in parameter order, holding a NaN or an
+    infinity; None when every tensor is finite."""
+    for name, _, _ in _param_specs(cfg):
+        if not np.isfinite(tensors[name]).all():
+            return name
+    return None
+
+
 def _relu(x):
     return np.maximum(x, 0.0)
 
@@ -403,37 +412,60 @@ def zero_grads(params):
     return {k: np.zeros_like(v) for k, v in params.items()}
 
 
-def _backward_object(img, params, cfg, grads, cls_scale, reg_scale):
-    feats = _as_matrix(img.object_feats, cfg.feature_dim)
+def _stack(images, name) -> np.ndarray:
+    return np.concatenate([np.asarray(getattr(img, name)) for img in images])
+
+
+def _stack_feats(images, name, dim):
+    """One section's feature rows of every image, and each image's count."""
+    mats = [_as_matrix(getattr(img, name), dim) for img in images]
+    return np.concatenate(mats), np.array([len(m) for m in mats])
+
+
+def _row_weights(counts, k) -> np.ndarray:
+    """1/(k c_i) for each of the c_i rows of image i."""
+    counts = np.asarray(counts)
+    return np.repeat(1.0 / (k * np.maximum(counts, 1)), counts)
+
+
+def _bce_rows(p, targets) -> np.ndarray:
+    """Binary cross-entropy of each row, summed over the actions."""
+    return np.sum(-(targets * np.log(p) + (1 - targets) * np.log(1 - p)),
+                  axis=1)
+
+
+def _backward_object(images, params, cfg, grads, cls_scale, reg_scale):
+    feats, counts = _stack_feats(images, "object_feats", cfg.feature_dim)
     n = len(feats)
     if n == 0:
         return 0.0, 0.0
-    labels = np.asarray(img.object_labels, dtype=int)
+    w = _row_weights(counts, len(images))
+    labels = _stack(images, "object_labels").astype(int)
+    rows = np.arange(n)
     z2, cache = _trunk_forward(feats, params, "obj")
     logits = z2 @ params["obj_cls_w"] + params["obj_cls_b"]
     inside = np.abs(logits) < LOGIT_CLIP
     probs = _softmax_rows(logits)
-    p_true = probs[np.arange(n), labels]
+    p_true = probs[rows, labels]
     clamped = p_true < PROB_EPS
-    cls_loss = float(np.mean(-np.log(np.maximum(p_true, PROB_EPS))))
+    cls_loss = float(w @ -np.log(np.maximum(p_true, PROB_EPS)))
 
     d_logits = probs.copy()
-    d_logits[np.arange(n), labels] -= 1.0
+    d_logits[rows, labels] -= 1.0
     d_logits[clamped] = 0.0
     d_logits *= inside
-    d_logits *= cls_scale / n
+    d_logits *= (cls_scale * w)[:, None]
 
     reg_pre = z2 @ params["obj_reg_w"] + params["obj_reg_b"]
     deltas = reg_pre.reshape(n, cfg.num_object_classes + 1, 4)
-    reg_mask = np.asarray(img.object_reg_mask, dtype=bool)
-    reg_loss = 0.0
+    reg = np.flatnonzero(_stack(images, "object_reg_mask").astype(bool))
+    pred = deltas[reg, labels[reg]]
+    target = _stack(images, "object_reg_targets").reshape(n, 4)[reg]
+    reg_loss = float(w[reg] @ smooth_l1(pred, target))
     d_deltas = np.zeros_like(deltas)
-    for i in np.flatnonzero(reg_mask):
-        c = labels[i]
-        reg_loss += smooth_l1(deltas[i, c], img.object_reg_targets[i])
-        d_deltas[i, c] = smooth_l1_grad(deltas[i, c], img.object_reg_targets[i])
-    reg_loss /= n
-    d_reg_pre = d_deltas.reshape(n, -1) * (reg_scale / n)
+    d_deltas[reg, labels[reg]] = (smooth_l1_grad(pred, target)
+                                  * (reg_scale * w[reg])[:, None])
+    d_reg_pre = d_deltas.reshape(n, -1)
 
     grads["obj_cls_w"] += z2.T @ d_logits
     grads["obj_cls_b"] += d_logits.sum(axis=0)
@@ -444,51 +476,56 @@ def _backward_object(img, params, cfg, grads, cls_scale, reg_scale):
     return cls_loss, reg_loss
 
 
-def _backward_human(img, params, cfg, grads, act_scale, loc_scale):
-    feats = _as_matrix(img.human_feats, cfg.feature_dim)
+def _backward_human(images, params, cfg, grads, act_scale, loc_scale):
+    feats, counts = _stack_feats(images, "human_feats", cfg.feature_dim)
     n = len(feats)
     if n == 0:
         return 0.0, 0.0
+    k = len(images)
     a, m = cfg.num_actions, cfg.density_M
-    targets = np.asarray(img.human_action_targets, dtype=np.float64)
+    w = _row_weights(counts, k)
+    targets = _stack(images, "human_action_targets").astype(np.float64)
     z2, cache = _trunk_forward(feats, params, "hum")
 
     logits = z2 @ params["act_w"] + params["act_b"]
     p, mask = _clip_sigmoid(logits)
-    act_loss = float(
-        np.mean(np.sum(-(targets * np.log(p) + (1 - targets) * np.log(1 - p)),
-                       axis=1))
-    )
-    d_logits = (p - targets) * mask * (act_scale / n)
+    act_loss = float(w @ _bce_rows(p, targets))
+    d_logits = (p - targets) * mask * (act_scale * w)[:, None]
     grads["act_w"] += z2.T @ d_logits
     grads["act_b"] += d_logits.sum(axis=0)
     d_z2 = d_logits @ params["act_w"].T
 
-    loc_mask = np.asarray(img.human_target_mask, dtype=bool)
-    count = int(loc_mask.sum())
+    # the defined (row, action) offsets, image by image
+    ii, jj, offsets, loc_counts = [], [], [], []
+    for img, start in zip(images, np.cumsum(counts) - counts):
+        r, c = np.nonzero(np.asarray(img.human_target_mask, dtype=bool))
+        ii.append(r + start)
+        jj.append(c)
+        offsets.append(np.asarray(img.human_target_offsets)[r, c])
+        loc_counts.append(len(r))
+    ii, jj = np.concatenate(ii), np.concatenate(jj)
     loc_loss = 0.0
-    mu_pre = z2 @ params["mu_w"] + params["mu_b"]
-    mus = mu_pre.reshape(n, a, m, 4)
-    d_mus = np.zeros_like(mus)
-    if count:
+    if len(ii):
+        offsets = np.concatenate(offsets)
+        v = _row_weights(loc_counts, k)
+        scale = loc_scale * v
+        mus = (z2 @ params["mu_w"] + params["mu_b"]).reshape(n, a, m, 4)
+        d_mus = np.zeros_like(mus)
         if cfg.use_mdn:
-            wlog_pre = z2 @ params["wlog_w"] + params["wlog_b"]
-            wlogs = wlog_pre.reshape(n, a, m)
-            sig_pre = z2 @ params["sig_w"] + params["sig_b"]
-            raws = sig_pre.reshape(n, a, m, 4)
+            wlogs = (z2 @ params["wlog_w"] + params["wlog_b"]).reshape(n, a, m)
+            raws = (z2 @ params["sig_w"] + params["sig_b"]).reshape(n, a, m, 4)
+            nll, d_lg, d_mu, d_rw = mdn_nll_grad(
+                offsets, wlogs[ii, jj], mus[ii, jj], raws[ii, jj],
+                sigma_floor=cfg.sigma_floor,
+            )
+            loc_loss = float(v @ nll)
             d_wlogs = np.zeros_like(wlogs)
             d_raws = np.zeros_like(raws)
-            for i, j in np.argwhere(loc_mask):
-                nll, d_lg, d_mu, d_rw = mdn_nll_grad(
-                    img.human_target_offsets[i, j], wlogs[i, j], mus[i, j],
-                    raws[i, j], sigma_floor=cfg.sigma_floor,
-                )
-                loc_loss += nll
-                d_wlogs[i, j] = d_lg
-                d_mus[i, j] = d_mu
-                d_raws[i, j] = d_rw
-            d_wlog_pre = d_wlogs.reshape(n, -1) * (loc_scale / count)
-            d_sig_pre = d_raws.reshape(n, -1) * (loc_scale / count)
+            d_wlogs[ii, jj] = d_lg * scale[:, None]
+            d_mus[ii, jj] = d_mu * scale[:, None, None]
+            d_raws[ii, jj] = d_rw * scale[:, None, None]
+            d_wlog_pre = d_wlogs.reshape(n, -1)
+            d_sig_pre = d_raws.reshape(n, -1)
             grads["wlog_w"] += z2.T @ d_wlog_pre
             grads["wlog_b"] += d_wlog_pre.sum(axis=0)
             grads["sig_w"] += z2.T @ d_sig_pre
@@ -496,13 +533,10 @@ def _backward_human(img, params, cfg, grads, act_scale, loc_scale):
             d_z2 += d_wlog_pre @ params["wlog_w"].T
             d_z2 += d_sig_pre @ params["sig_w"].T
         else:
-            for i, j in np.argwhere(loc_mask):
-                loc_loss += smooth_l1(mus[i, j, 0], img.human_target_offsets[i, j])
-                d_mus[i, j, 0] = smooth_l1_grad(
-                    mus[i, j, 0], img.human_target_offsets[i, j]
-                )
-        loc_loss /= count
-        d_mu_pre = d_mus.reshape(n, -1) * (loc_scale / count)
+            pred = mus[ii, jj, 0]
+            loc_loss = float(v @ smooth_l1(pred, offsets))
+            d_mus[ii, jj, 0] = smooth_l1_grad(pred, offsets) * scale[:, None]
+        d_mu_pre = d_mus.reshape(n, -1)
         grads["mu_w"] += z2.T @ d_mu_pre
         grads["mu_b"] += d_mu_pre.sum(axis=0)
         d_z2 += d_mu_pre @ params["mu_w"].T
@@ -511,15 +545,18 @@ def _backward_human(img, params, cfg, grads, act_scale, loc_scale):
     return act_loss, loc_loss
 
 
-def _backward_interaction(img, params, cfg, grads, scale):
-    feats_h = _as_matrix(img.interaction_h_feats, cfg.feature_dim)
-    feats_o = _as_matrix(img.interaction_o_feats, cfg.feature_dim)
+def _backward_interaction(images, params, cfg, grads, scale):
+    feats_h, counts = _stack_feats(images, "interaction_h_feats",
+                                   cfg.feature_dim)
+    feats_o, counts_o = _stack_feats(images, "interaction_o_feats",
+                                     cfg.feature_dim)
     n = len(feats_h)
     if n == 0 or not cfg.use_interaction_branch:
         return 0.0
-    if len(feats_o) != n:
+    if not np.array_equal(counts, counts_o):
         raise ConfigError("interaction feature pair counts differ")
-    targets = np.asarray(img.interaction_action_targets, dtype=np.float64)
+    w = _row_weights(counts, len(images))
+    targets = _stack(images, "interaction_action_targets").astype(np.float64)
     z2h, cache_h = _trunk_forward(feats_h, params, "hum")
     z2o, cache_o = _trunk_forward(feats_o, params, "int")
 
@@ -529,11 +566,8 @@ def _backward_interaction(img, params, cfg, grads, scale):
         lh = z2h @ params[h_key[0]] + params[h_key[1]]
         lo = z2o @ params["int_o_w"] + params["int_o_b"]
         p, mask = _clip_sigmoid(lh + lo)
-        loss = float(
-            np.mean(np.sum(-(targets * np.log(p) + (1 - targets) * np.log(1 - p)),
-                           axis=1))
-        )
-        d_sum = (p - targets) * mask * (scale / n)
+        loss = float(w @ _bce_rows(p, targets))
+        d_sum = (p - targets) * mask * (scale * w)[:, None]
         grads[h_key[0]] += z2h.T @ d_sum
         grads[h_key[1]] += d_sum.sum(axis=0)
         grads["int_o_w"] += z2o.T @ d_sum
@@ -546,11 +580,8 @@ def _backward_interaction(img, params, cfg, grads, scale):
         hid = _relu(pre1)
         logits = hid @ params["cm_fc2_w"] + params["cm_fc2_b"]
         p, mask = _clip_sigmoid(logits)
-        loss = float(
-            np.mean(np.sum(-(targets * np.log(p) + (1 - targets) * np.log(1 - p)),
-                           axis=1))
-        )
-        d_logits = (p - targets) * mask * (scale / n)
+        loss = float(w @ _bce_rows(p, targets))
+        d_logits = (p - targets) * mask * (scale * w)[:, None]
         grads["cm_fc2_w"] += hid.T @ d_logits
         grads["cm_fc2_b"] += d_logits.sum(axis=0)
         d_hid = d_logits @ params["cm_fc2_w"].T
@@ -567,33 +598,27 @@ def _backward_interaction(img, params, cfg, grads, scale):
 
 
 def backward(batch, params, cfg: HeadConfig, weights: LossWeights = LossWeights()):
-    """Average the multi-task loss over the batch's images and return
-    exact gradients for every parameter plus the loss breakdown."""
+    """Mean over the batch's images of each image's multi-task loss, with
+    exact gradients for every parameter plus the loss breakdown.
+
+    Each branch stacks the rows of all k images and runs one forward and
+    backward pass. A row of image i weighs 1/(k n_i), n_i being the
+    image's rows in that section, and a defined target offset weighs
+    1/(k count_i), count_i being the image's defined offsets: every term
+    is the mean over images of the per-image mean, and an image with an
+    empty section adds nothing to that term.
+    """
     images = list(batch)
     if not images:
         raise ConfigError("backward needs at least one image")
-    k = len(images)
     grads = zero_grads(params)
     report = LossReport()
-    for img in images:
-        cls_l, reg_l = _backward_object(
-            img, params, cfg, grads,
-            cls_scale=weights.object_cls / k,
-            reg_scale=weights.object_reg / k,
-        )
-        report.object_cls_loss += cls_l / k
-        report.object_reg_loss += reg_l / k
-        act_l, loc_l = _backward_human(
-            img, params, cfg, grads,
-            act_scale=weights.action_cls / k,
-            loc_scale=weights.target_loc / k,
-        )
-        report.action_cls_loss += act_l / k
-        report.target_loc_loss += loc_l / k
-        int_l = _backward_interaction(
-            img, params, cfg, grads, scale=weights.interaction_cls / k
-        )
-        report.interaction_cls_loss += int_l / k
+    report.object_cls_loss, report.object_reg_loss = _backward_object(
+        images, params, cfg, grads, weights.object_cls, weights.object_reg)
+    report.action_cls_loss, report.target_loc_loss = _backward_human(
+        images, params, cfg, grads, weights.action_cls, weights.target_loc)
+    report.interaction_cls_loss = _backward_interaction(
+        images, params, cfg, grads, weights.interaction_cls)
     report.compute_total(weights)
     for name, value in report.as_dict().items():
         if not np.isfinite(value):

@@ -12,10 +12,14 @@ entry with an annotated target object, the ground-truth relative
 offset measured from the sampled box. Interaction samples are
 ground-truth pairs only.
 
-The reference loop is single-worker: the 16-image effective batch is
-emulated by accumulating gradients over 8 virtual workers of 2 images
-each before every optimizer step, in fixed order so training is
-bit-reproducible given the seed.
+Each iteration draws the 16-image effective batch (8 workers x 2
+images, each image seeded by its (seed, iteration, worker, slot)) and
+takes one ``backward`` over all of it: every branch stacks the rows of
+the 16 images, and a row of image i weighs 1/(16 n_i) for the image's
+n_i rows in that section, so the objective is the mean over images of
+the per-image mean loss. Label assignment works on the proposal x
+ground-truth IoU matrix, and each image's boxes are pooled in one
+provider call. Training is bit-reproducible given the seed.
 """
 
 from __future__ import annotations
@@ -25,17 +29,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import ROLE_NONE, ActionRegistry, SceneAnnotation
-from .geometry import Box, encode_rel, iou
+from .geometry import box_array, encode_rels, iou_matrix
 from .model import (
     HeadConfig,
     ImageSamples,
     LossWeights,
     backward,
+    first_non_finite,
     init_params,
     init_velocity,
     save_checkpoint,
     sgd_step,
-    zero_grads,
 )
 
 
@@ -118,8 +122,13 @@ class SampleBoxes:
     interaction_action_targets: np.ndarray
 
 
-def _rel(a: Box, ref: Box) -> np.ndarray:
-    return np.array(encode_rel(a, ref).as_tuple())
+def _first_max(values: np.ndarray):
+    """Per row, the first column holding the row's maximum, and that
+    maximum; (-1, 0.0) where no value exceeds 0. This is the scalar scan
+    ``if v > best: best = v`` started from 0."""
+    padded = np.hstack([np.zeros((len(values), 1)), values])
+    best = padded.argmax(axis=1)
+    return best - 1, padded[np.arange(len(values)), best]
 
 
 def assign_labels(proposals, scene: SceneAnnotation, registry: ActionRegistry,
@@ -127,50 +136,40 @@ def assign_labels(proposals, scene: SceneAnnotation, registry: ActionRegistry,
     """Match proposals to ground truth and sample the three sections.
 
     categories lists the non-background class names and must contain
-    "person"; class index = list position + 1, background 0.
+    "person"; class index = list position + 1, background 0. A proposal
+    matches the first ground-truth box of highest IoU (ignore regions
+    excluded), and its person match likewise among the persons.
     """
     rng = np.random.default_rng(seed)
     cat_index = {c: i + 1 for i, c in enumerate(categories)}
     if "person" not in cat_index:
         raise ValueError('categories must include "person"')
     a = len(registry)
+    n_persons = len(scene.persons)
 
-    gt_boxes = list(scene.persons) + [o.box for o in scene.objects]
-    gt_labels = [cat_index["person"]] * len(scene.persons) + [
+    props = box_array(proposals)
+    gt_boxes = box_array(list(scene.persons) + [o.box for o in scene.objects])
+    gt_labels = np.array([cat_index["person"]] * n_persons + [
         cat_index[o.category] for o in scene.objects
-    ]
-    gt_ignore = [False] * len(scene.persons) + [o.ignore for o in scene.objects]
+    ], dtype=int)
+    gt_ignore = np.array([False] * n_persons + [o.ignore for o in scene.objects],
+                         dtype=bool)
 
-    n = len(proposals)
+    n = len(props)
+    overlap = iou_matrix(props, gt_boxes)
+    best_j, best_v = _first_max(np.where(gt_ignore, 0.0, overlap))
+    best_ign = np.max(overlap[:, gt_ignore], axis=1, initial=0.0)
+    person_match, person_iou = _first_max(overlap[:, :n_persons])
+
+    pos = best_v >= quotas.iou_pos
+    # overlapping an ignore region: neither positive nor negative
+    neg = ~pos & (best_ign < quotas.iou_pos)
     labels = np.zeros(n, dtype=int)
+    labels[pos] = gt_labels[best_j[pos]]
     reg_targets = np.zeros((n, 4))
-    reg_mask = np.zeros(n, dtype=bool)
-    pos_idx, neg_idx = [], []
-    person_match = np.full(n, -1, dtype=int)
-    person_iou = np.zeros(n)
-    for i, prop in enumerate(proposals):
-        best_j, best_v = -1, 0.0
-        best_ign = 0.0
-        for j, gt in enumerate(gt_boxes):
-            v = iou(prop, gt)
-            if gt_ignore[j]:
-                best_ign = max(best_ign, v)
-                continue
-            if v > best_v:
-                best_j, best_v = j, v
-            if j < len(scene.persons) and v > person_iou[i]:
-                person_match[i] = j
-                person_iou[i] = v
-        if best_v >= quotas.iou_pos:
-            labels[i] = gt_labels[best_j]
-            reg_targets[i] = _rel(gt_boxes[best_j], prop)
-            reg_mask[i] = True
-            pos_idx.append(i)
-        elif best_ign >= quotas.iou_pos:
-            # overlaps an ignore region: neither positive nor negative
-            continue
-        else:
-            neg_idx.append(i)
+    reg_targets[pos] = encode_rels(gt_boxes[best_j[pos]], props[pos])
+    pos_idx = np.flatnonzero(pos).tolist()
+    neg_idx = np.flatnonzero(neg).tolist()
 
     pos_requested = int(round(quotas.object_quota * quotas.pos_fraction))
     rng.shuffle(pos_idx)
@@ -179,27 +178,31 @@ def assign_labels(proposals, scene: SceneAnnotation, registry: ActionRegistry,
     take_neg = neg_idx[: 3 * len(take_pos)]
     chosen = sorted(take_pos + take_neg)
 
-    hum_idx = [i for i in range(n) if person_iou[i] >= quotas.iou_pos]
+    hum_idx = np.flatnonzero(person_iou >= quotas.iou_pos).tolist()
     rng.shuffle(hum_idx)
     hum_idx = sorted(hum_idx[: quotas.human_quota])
 
+    hum_person = person_match[hum_idx]
     hum_targets = np.zeros((len(hum_idx), a))
     hum_offsets = np.zeros((len(hum_idx), a, 4))
     hum_mask = np.zeros((len(hum_idx), a), dtype=bool)
-    for row, i in enumerate(hum_idx):
-        pid = person_match[i]
-        for rec in scene.interactions:
-            if rec.person != pid:
-                continue
-            for entry in registry.entries_for(rec.action):
-                hum_targets[row, registry.index(entry.name, entry.role)] = 1.0
-            if rec.role != ROLE_NONE:
-                e = registry.index(rec.action, rec.role)
-                if not hum_mask[row, e]:  # first record wins on duplicates
-                    hum_offsets[row, e] = _rel(
-                        scene.objects[rec.object].box, proposals[i]
-                    )
-                    hum_mask[row, e] = True
+    set_rows, set_cols, set_objects = [], [], []
+    for rec in scene.interactions:
+        rows = np.flatnonzero(hum_person == rec.person)
+        for entry in registry.entries_for(rec.action):
+            hum_targets[rows, registry.index(entry.name, entry.role)] = 1.0
+        if rec.role != ROLE_NONE:
+            e = registry.index(rec.action, rec.role)
+            rows = rows[~hum_mask[rows, e]]  # first record wins on duplicates
+            hum_mask[rows, e] = True
+            set_rows.append(rows)
+            set_cols.append(np.full(len(rows), e))
+            set_objects.append(np.full(len(rows), rec.object))
+    if set_rows:
+        rows, cols = np.concatenate(set_rows), np.concatenate(set_cols)
+        objects = box_array([o.box for o in scene.objects])
+        hum_offsets[rows, cols] = encode_rels(
+            objects[np.concatenate(set_objects)], props[hum_idx][rows])
 
     pair_targets = {}
     for rec in scene.interactions:
@@ -222,7 +225,7 @@ def assign_labels(proposals, scene: SceneAnnotation, registry: ActionRegistry,
         object_boxes=[proposals[i] for i in chosen],
         object_labels=labels[chosen],
         object_reg_targets=reg_targets[chosen],
-        object_reg_mask=reg_mask[chosen],
+        object_reg_mask=pos[chosen],
         human_boxes=[proposals[i] for i in hum_idx],
         human_action_targets=hum_targets,
         human_target_offsets=hum_offsets,
@@ -234,23 +237,28 @@ def assign_labels(proposals, scene: SceneAnnotation, registry: ActionRegistry,
 
 def featurize(samples: SampleBoxes, provider, scene_id: int,
               cfg: HeadConfig) -> ImageSamples:
+    """Pool every sampled box of the image in one provider call and split
+    the rows into the object, human and pair sections."""
     a = cfg.num_actions
-    n_h = len(samples.human_boxes)
+    pairs = samples.interaction_pairs
+    h = len(samples.object_boxes)  # row where each section starts
+    i = h + len(samples.human_boxes)
+    o = i + len(pairs)
+    feats = provider.pooled_matrix(
+        scene_id, [*samples.object_boxes, *samples.human_boxes,
+                   *(p for p, _ in pairs), *(b for _, b in pairs)])
+    n_h = i - h
     return ImageSamples(
-        object_feats=provider.pooled_matrix(scene_id, samples.object_boxes),
+        object_feats=feats[:h],
         object_labels=samples.object_labels,
         object_reg_targets=samples.object_reg_targets,
         object_reg_mask=samples.object_reg_mask,
-        human_feats=provider.pooled_matrix(scene_id, samples.human_boxes),
+        human_feats=feats[h:i],
         human_action_targets=samples.human_action_targets.reshape(n_h, a),
         human_target_offsets=samples.human_target_offsets.reshape(n_h, a, 4),
         human_target_mask=samples.human_target_mask.reshape(n_h, a),
-        interaction_h_feats=provider.pooled_matrix(
-            scene_id, [p for p, _ in samples.interaction_pairs]
-        ),
-        interaction_o_feats=provider.pooled_matrix(
-            scene_id, [o for _, o in samples.interaction_pairs]
-        ),
+        interaction_h_feats=feats[i:o],
+        interaction_o_feats=feats[o:],
         interaction_action_targets=samples.interaction_action_targets,
     )
 
@@ -262,19 +270,10 @@ def build_image_samples(ts: TrainScene, provider, registry, categories,
     return featurize(samples, provider, ts.scene_id, cfg)
 
 
-def _mean_report(reports):
-    from .model import LossReport
-
-    out = LossReport()
-    k = len(reports)
-    for r in reports:
-        out.object_cls_loss += r.object_cls_loss / k
-        out.object_reg_loss += r.object_reg_loss / k
-        out.action_cls_loss += r.action_cls_loss / k
-        out.target_loc_loss += r.target_loc_loss / k
-        out.interaction_cls_loss += r.interaction_cls_loss / k
-        out.total += r.total / k
-    return out
+def _check_finite(tensors, cfg: HeadConfig, what: str) -> None:
+    name = first_non_finite(tensors, cfg)
+    if name is not None:
+        raise TrainingDiverged(f"{what} {name}")
 
 
 LOG_FIELDS = ("total", "object_cls_loss", "object_reg_loss", "action_cls_loss",
@@ -289,8 +288,9 @@ def train(scenes, provider, cfg: HeadConfig, schedule: Schedule,
     """Run the schedule; returns (params, LossReport history).
 
     Deterministic given the seed: scene choice, sampling, and gradient
-    reduction all follow fixed seeded orders. Aborts with the iteration
-    index if the total loss leaves the finite range.
+    reduction all follow fixed seeded orders. Raises TrainingDiverged
+    with the iteration index when the loss, a gradient or, after the
+    step, a parameter leaves the finite range; tensors are named.
     """
     if not scenes:
         raise ValueError("training needs at least one scene")
@@ -308,40 +308,27 @@ def train(scenes, provider, cfg: HeadConfig, schedule: Schedule,
         for phase in schedule.phases:
             for _ in range(phase.iterations):
                 rng = np.random.default_rng((schedule.seed, it))
-                picks = rng.integers(
-                    0, len(scenes),
-                    size=schedule.workers * schedule.images_per_step,
-                )
-                acc = zero_grads(params)
-                reports = []
-                for w in range(schedule.workers):
-                    batch = []
-                    for j in range(schedule.images_per_step):
-                        ts = scenes[picks[w * schedule.images_per_step + j]]
-                        batch.append(
-                            build_image_samples(
-                                ts, provider, registry, categories, cfg,
-                                quotas, seed=(schedule.seed, it, w, j),
-                            )
-                        )
-                    try:
-                        grads, rep = backward(batch, params, cfg, loss_weights)
-                    except FloatingPointError as exc:
-                        raise TrainingDiverged(
-                            f"iteration {it}: {exc}"
-                        ) from exc
-                    for k in acc:
-                        acc[k] += grads[k]
-                    reports.append(rep)
-                for k in acc:
-                    acc[k] /= schedule.workers
-                sgd_step(params, acc, velocity, phase.lr,
-                         schedule.momentum, schedule.weight_decay)
-                rep = _mean_report(reports)
+                per = schedule.images_per_step
+                picks = rng.integers(0, len(scenes), size=schedule.workers * per)
+                batch = [
+                    build_image_samples(
+                        scenes[pick], provider, registry, categories, cfg,
+                        quotas, seed=(schedule.seed, it, *divmod(b, per)),
+                    )
+                    for b, pick in enumerate(picks)
+                ]
+                try:
+                    grads, rep = backward(batch, params, cfg, loss_weights)
+                except FloatingPointError as exc:
+                    raise TrainingDiverged(f"iteration {it}: {exc}") from exc
                 if not np.isfinite(rep.total):
                     raise TrainingDiverged(
                         f"non-finite loss {rep.total} at iteration {it}"
                     )
+                _check_finite(grads, cfg, f"iteration {it}: non-finite gradient")
+                sgd_step(params, grads, velocity, phase.lr,
+                         schedule.momentum, schedule.weight_decay)
+                _check_finite(params, cfg, f"iteration {it}: non-finite parameter")
                 history.append(rep)
                 if log_fh:
                     vals = rep.as_dict()

@@ -281,6 +281,29 @@ class TestEvalCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: config:")
 
+    @pytest.mark.parametrize("corrupt, detail", [
+        (lambda obj: {k: v for k, v in obj.items() if k != "human"},
+         "missing key 'human'"),
+        (lambda obj: {**obj, "s_h": [0.5]}, "float() argument"),
+        (lambda obj: {**obj, "image_id": 1e400}, "infinity"),
+        (lambda obj: "not json", "Expecting value"),
+    ], ids=["missing_key", "wrong_type", "overflow", "not_json"])
+    def test_malformed_line_is_data_error(self, tmp_path, capsys, corrupt,
+                                          detail):
+        data = _synth(tmp_path)
+        pred = self._gt_echo(data, tmp_path)
+        lines = pred.read_text().splitlines()
+        bad = corrupt(json.loads(lines[1]))
+        lines[1] = bad if isinstance(bad, str) else json.dumps(bad)
+        pred.write_text("\n".join(lines) + "\n")
+        code = _run("eval", "--out", str(tmp_path / "ev"),
+                    "--predictions", str(pred),
+                    "--annotations", str(data / "annotations.json"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: data: predictions line 2: ")
+        assert detail in err
+
 
 @pytest.mark.filterwarnings("ignore:only .* offsets for k=")
 class TestBaselineCommand:

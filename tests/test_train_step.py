@@ -1,0 +1,561 @@
+"""The batched, array-native training step against the loops it replaced.
+
+Label assignment on the IoU matrix must reproduce, exactly, the
+proposal-by-proposal matching kept here as a reference. One ``backward``
+over the 16 stacked images must match the 8 workers x 2 images gradient
+accumulation over per-image branch passes with per-row loss loops, also
+kept here; only the summation order differs, so the two agree to a
+relative 1e-10. The row forms of the regression losses must equal their
+single-row calls bit for bit.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from hoidet.dataset import (
+    PERSON_CATEGORY,
+    ROLE_NONE,
+    SYNTH_CATEGORIES,
+    Interaction,
+    ObjectInstance,
+    SceneAnnotation,
+    SynthConfig,
+    generate_synthetic,
+    synthetic_registry,
+)
+from hoidet.density import mdn_nll_grad, smooth_l1, smooth_l1_grad
+from hoidet.geometry import Box, encode_rel, iou
+from hoidet.model import (
+    LOGIT_CLIP,
+    PROB_EPS,
+    HeadConfig,
+    ImageSamples,
+    LossReport,
+    LossWeights,
+    _as_matrix,
+    _clip_sigmoid,
+    _relu,
+    _softmax_rows,
+    _trunk_backward,
+    _trunk_forward,
+    backward,
+    init_params,
+    zero_grads,
+)
+from hoidet.trainer import Quotas, SampleBoxes, assign_labels
+
+REGISTRY = synthetic_registry()
+CATEGORIES = [PERSON_CATEGORY] + SYNTH_CATEGORIES
+
+
+# --- (a) label assignment ----------------------------------------------------
+
+
+def _reference_assign_labels(proposals, scene, registry, categories,
+                             quotas=Quotas(), seed=0) -> SampleBoxes:
+    """Proposal by proposal, ground truth by ground truth, scalar iou and
+    encode_rel: the label assignment the array path replaced."""
+    rng = np.random.default_rng(seed)
+    cat_index = {c: i + 1 for i, c in enumerate(categories)}
+    a = len(registry)
+
+    def rel(box, ref):
+        return np.array(encode_rel(box, ref).as_tuple())
+
+    gt_boxes = list(scene.persons) + [o.box for o in scene.objects]
+    gt_labels = [cat_index["person"]] * len(scene.persons) + [
+        cat_index[o.category] for o in scene.objects
+    ]
+    gt_ignore = [False] * len(scene.persons) + [o.ignore for o in scene.objects]
+
+    n = len(proposals)
+    labels = np.zeros(n, dtype=int)
+    reg_targets = np.zeros((n, 4))
+    reg_mask = np.zeros(n, dtype=bool)
+    pos_idx, neg_idx = [], []
+    person_match = np.full(n, -1, dtype=int)
+    person_iou = np.zeros(n)
+    for i, prop in enumerate(proposals):
+        best_j, best_v = -1, 0.0
+        best_ign = 0.0
+        for j, gt in enumerate(gt_boxes):
+            v = iou(prop, gt)
+            if gt_ignore[j]:
+                best_ign = max(best_ign, v)
+                continue
+            if v > best_v:
+                best_j, best_v = j, v
+            if j < len(scene.persons) and v > person_iou[i]:
+                person_match[i] = j
+                person_iou[i] = v
+        if best_v >= quotas.iou_pos:
+            labels[i] = gt_labels[best_j]
+            reg_targets[i] = rel(gt_boxes[best_j], prop)
+            reg_mask[i] = True
+            pos_idx.append(i)
+        elif best_ign >= quotas.iou_pos:
+            continue
+        else:
+            neg_idx.append(i)
+
+    pos_requested = int(round(quotas.object_quota * quotas.pos_fraction))
+    rng.shuffle(pos_idx)
+    rng.shuffle(neg_idx)
+    take_pos = pos_idx[:pos_requested]
+    take_neg = neg_idx[: 3 * len(take_pos)]
+    chosen = sorted(take_pos + take_neg)
+
+    hum_idx = [i for i in range(n) if person_iou[i] >= quotas.iou_pos]
+    rng.shuffle(hum_idx)
+    hum_idx = sorted(hum_idx[: quotas.human_quota])
+
+    hum_targets = np.zeros((len(hum_idx), a))
+    hum_offsets = np.zeros((len(hum_idx), a, 4))
+    hum_mask = np.zeros((len(hum_idx), a), dtype=bool)
+    for row, i in enumerate(hum_idx):
+        pid = person_match[i]
+        for rec in scene.interactions:
+            if rec.person != pid:
+                continue
+            for entry in registry.entries_for(rec.action):
+                hum_targets[row, registry.index(entry.name, entry.role)] = 1.0
+            if rec.role != ROLE_NONE:
+                e = registry.index(rec.action, rec.role)
+                if not hum_mask[row, e]:
+                    hum_offsets[row, e] = rel(scene.objects[rec.object].box,
+                                              proposals[i])
+                    hum_mask[row, e] = True
+
+    pair_targets = {}
+    for rec in scene.interactions:
+        if rec.role == ROLE_NONE:
+            continue
+        t = pair_targets.setdefault((rec.person, rec.object), np.zeros(a))
+        for entry in registry.entries_for(rec.action):
+            t[registry.index(entry.name, entry.role)] = 1.0
+    keys = sorted(pair_targets)
+    return SampleBoxes(
+        object_boxes=[proposals[i] for i in chosen],
+        object_labels=labels[chosen],
+        object_reg_targets=reg_targets[chosen],
+        object_reg_mask=reg_mask[chosen],
+        human_boxes=[proposals[i] for i in hum_idx],
+        human_action_targets=hum_targets,
+        human_target_offsets=hum_offsets,
+        human_target_mask=hum_mask,
+        interaction_pairs=[(scene.persons[p], scene.objects[o].box)
+                           for p, o in keys],
+        interaction_action_targets=(np.stack([pair_targets[k] for k in keys])
+                                    if keys else np.zeros((0, a))),
+    )
+
+
+def _assert_same_samples(got: SampleBoxes, want: SampleBoxes):
+    assert got.object_boxes == want.object_boxes
+    assert got.human_boxes == want.human_boxes
+    assert got.interaction_pairs == want.interaction_pairs
+    for name in ("object_labels", "object_reg_targets", "object_reg_mask",
+                 "human_action_targets", "human_target_offsets",
+                 "human_target_mask", "interaction_action_targets"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.shape == w.shape and g.dtype.kind == w.dtype.kind, name
+        assert np.all(g == w), name
+
+
+def _check_assignment(proposals, scene, quotas, seed):
+    got = assign_labels(proposals, scene, REGISTRY, CATEGORIES, quotas, seed)
+    want = _reference_assign_labels(proposals, scene, REGISTRY, CATEGORIES,
+                                    quotas, seed)
+    _assert_same_samples(got, want)
+    return got
+
+
+# integer corners on a small canvas make exact duplicates and IoU ties;
+# float corners exercise the rounding of iou and encode_rel
+CORNERS = st.one_of(st.integers(0, 40), st.floats(0.0, 40.0))
+SIZES = st.one_of(st.integers(1, 24), st.floats(0.5, 24.0))
+BOXES = st.builds(lambda x, y, w, h: Box(x, y, x + w, y + h),
+                  CORNERS, CORNERS, SIZES, SIZES)
+
+
+@st.composite
+def labeled_scenes(draw):
+    persons = draw(st.lists(BOXES, max_size=3))
+    objects = draw(st.lists(
+        st.builds(ObjectInstance, BOXES, st.sampled_from(SYNTH_CATEGORIES),
+                  st.booleans()),
+        max_size=5))
+    records = []
+    if persons:
+        entries = [e for e in REGISTRY
+                   if e.role == ROLE_NONE or objects]
+        for _ in range(draw(st.integers(0, 6))):
+            e = draw(st.sampled_from(entries))
+            person = draw(st.integers(0, len(persons) - 1))
+            obj = (None if e.role == ROLE_NONE
+                   else draw(st.integers(0, len(objects) - 1)))
+            records.append(Interaction(person, e.name, e.role, obj))
+        if records:  # a duplicate role record for the same person
+            records.append(draw(st.sampled_from(records)))
+    scene = SceneAnnotation(image_id=0, width=64.0, height=64.0,
+                            persons=persons, objects=objects,
+                            interactions=records).validate(REGISTRY)
+    gt = persons + [o.box for o in objects]
+    shifted = [Box(b.x1 + dx, b.y1 + dy, b.x2 + dx, b.y2 + dy)
+               for b, dx, dy in draw(st.lists(
+                   st.tuples(st.sampled_from(gt), st.integers(-4, 4),
+                             st.integers(-4, 4)), max_size=10))] if gt else []
+    proposals = (draw(st.lists(st.sampled_from(gt), max_size=len(gt) + 2))
+                 if gt else []) + shifted + draw(st.lists(BOXES, max_size=8))
+    proposals = draw(st.permutations(proposals))
+    return scene, proposals
+
+
+QUOTAS = st.builds(Quotas, object_quota=st.sampled_from([4, 8, 64]),
+                   human_quota=st.sampled_from([1, 2, 16]),
+                   iou_pos=st.sampled_from([0.3, 0.5, 0.7]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(labeled_scenes(), QUOTAS, st.integers(0, 2**32 - 1))
+def test_assign_labels_matches_reference(scene_and_props, quotas, seed):
+    scene, proposals = scene_and_props
+    _check_assignment(proposals, scene, quotas, seed)
+
+
+@pytest.mark.parametrize("config", [
+    dict(num_scenes=12, seed=3),
+    dict(num_scenes=8, seed=4, persons_per_scene=3, num_distractors=4,
+         proposals_per_box=3),
+])
+def test_assign_labels_matches_reference_on_synthetic_scenes(config):
+    for s in generate_synthetic(SynthConfig(**config)):
+        for seed in range(3):
+            _check_assignment(s.proposals, s.annotation, Quotas(),
+                              (seed, s.annotation.image_id))
+
+
+def _box(cx, cy, w, h):
+    return Box(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
+
+
+PERSON = _box(20.0, 30.0, 10.0, 20.0)
+KNIFE = _box(28.0, 30.0, 4.0, 3.0)
+
+
+def test_scene_without_person():
+    scene = SceneAnnotation(0, 64.0, 64.0, persons=[], interactions=[],
+                            objects=[ObjectInstance(KNIFE, "knife")])
+    got = _check_assignment([KNIFE, _box(50, 50, 6, 6), PERSON], scene,
+                            Quotas(), 1)
+    assert got.human_boxes == [] and got.object_labels.tolist() != []
+
+
+def test_scene_without_positives():
+    scene = SceneAnnotation(
+        0, 64.0, 64.0, persons=[PERSON],
+        objects=[ObjectInstance(KNIFE, "knife")],
+        interactions=[Interaction(0, "cut", "instrument", 0)])
+    got = _check_assignment([_box(55, 55, 4, 4), _box(5, 5, 3, 3)], scene,
+                            Quotas(), 2)
+    assert got.object_boxes == [] and got.human_boxes == []
+    assert len(got.interaction_pairs) == 1
+
+
+def test_ignore_region_and_duplicate_role_records():
+    ghost = _box(50.0, 12.0, 8.0, 8.0)
+    scene = SceneAnnotation(
+        0, 64.0, 64.0, persons=[PERSON],
+        objects=[ObjectInstance(KNIFE, "knife"),
+                 ObjectInstance(_box(29.0, 31.0, 4.0, 3.0), "knife"),
+                 ObjectInstance(ghost, "ball", ignore=True)],
+        interactions=[Interaction(0, "cut", "instrument", 1),
+                      Interaction(0, "cut", "instrument", 0),
+                      Interaction(0, "stand", ROLE_NONE)])
+    props = [PERSON, _box(20.5, 30.0, 10.0, 20.0), KNIFE, ghost,
+             _box(50.5, 12.0, 8.0, 8.0), _box(5, 5, 3, 3)]
+    got = _check_assignment(props, scene, Quotas(), 3)
+    assert ghost not in got.object_boxes
+    assert got.human_target_mask.sum() == 2  # one entry per sampled person
+
+
+# --- (b) one stacked backward ------------------------------------------------
+
+
+def _ref_bce_mean(p, targets):
+    return float(np.mean(np.sum(
+        -(targets * np.log(p) + (1 - targets) * np.log(1 - p)), axis=1)))
+
+
+def _ref_object(img, params, cfg, grads, cls_scale, reg_scale):
+    feats = _as_matrix(img.object_feats, cfg.feature_dim)
+    n = len(feats)
+    if n == 0:
+        return 0.0, 0.0
+    labels = np.asarray(img.object_labels, dtype=int)
+    z2, cache = _trunk_forward(feats, params, "obj")
+    logits = z2 @ params["obj_cls_w"] + params["obj_cls_b"]
+    inside = np.abs(logits) < LOGIT_CLIP
+    probs = _softmax_rows(logits)
+    p_true = probs[np.arange(n), labels]
+    cls_loss = float(np.mean(-np.log(np.maximum(p_true, PROB_EPS))))
+    d_logits = probs.copy()
+    d_logits[np.arange(n), labels] -= 1.0
+    d_logits[p_true < PROB_EPS] = 0.0
+    d_logits *= inside
+    d_logits *= cls_scale / n
+    deltas = (z2 @ params["obj_reg_w"] + params["obj_reg_b"]).reshape(
+        n, cfg.num_object_classes + 1, 4)
+    reg_loss = 0.0
+    d_deltas = np.zeros_like(deltas)
+    for i in np.flatnonzero(np.asarray(img.object_reg_mask, dtype=bool)):
+        c = labels[i]
+        reg_loss += smooth_l1(deltas[i, c], img.object_reg_targets[i])
+        d_deltas[i, c] = smooth_l1_grad(deltas[i, c], img.object_reg_targets[i])
+    reg_loss /= n
+    d_reg_pre = d_deltas.reshape(n, -1) * (reg_scale / n)
+    grads["obj_cls_w"] += z2.T @ d_logits
+    grads["obj_cls_b"] += d_logits.sum(axis=0)
+    grads["obj_reg_w"] += z2.T @ d_reg_pre
+    grads["obj_reg_b"] += d_reg_pre.sum(axis=0)
+    d_z2 = d_logits @ params["obj_cls_w"].T + d_reg_pre @ params["obj_reg_w"].T
+    _trunk_backward(d_z2, cache, params, grads, "obj")
+    return cls_loss, reg_loss
+
+
+def _ref_human(img, params, cfg, grads, act_scale, loc_scale):
+    feats = _as_matrix(img.human_feats, cfg.feature_dim)
+    n = len(feats)
+    if n == 0:
+        return 0.0, 0.0
+    a, m = cfg.num_actions, cfg.density_M
+    targets = np.asarray(img.human_action_targets, dtype=np.float64)
+    z2, cache = _trunk_forward(feats, params, "hum")
+    p, mask = _clip_sigmoid(z2 @ params["act_w"] + params["act_b"])
+    act_loss = _ref_bce_mean(p, targets)
+    d_logits = (p - targets) * mask * (act_scale / n)
+    grads["act_w"] += z2.T @ d_logits
+    grads["act_b"] += d_logits.sum(axis=0)
+    d_z2 = d_logits @ params["act_w"].T
+    loc_mask = np.asarray(img.human_target_mask, dtype=bool)
+    count = int(loc_mask.sum())
+    loc_loss = 0.0
+    mus = (z2 @ params["mu_w"] + params["mu_b"]).reshape(n, a, m, 4)
+    d_mus = np.zeros_like(mus)
+    if count:
+        if cfg.use_mdn:
+            wlogs = (z2 @ params["wlog_w"] + params["wlog_b"]).reshape(n, a, m)
+            raws = (z2 @ params["sig_w"] + params["sig_b"]).reshape(n, a, m, 4)
+            d_wlogs, d_raws = np.zeros_like(wlogs), np.zeros_like(raws)
+            for i, j in np.argwhere(loc_mask):
+                nll, d_lg, d_mu, d_rw = mdn_nll_grad(
+                    img.human_target_offsets[i, j], wlogs[i, j], mus[i, j],
+                    raws[i, j], sigma_floor=cfg.sigma_floor)
+                loc_loss += nll
+                d_wlogs[i, j], d_mus[i, j], d_raws[i, j] = d_lg, d_mu, d_rw
+            d_wlog_pre = d_wlogs.reshape(n, -1) * (loc_scale / count)
+            d_sig_pre = d_raws.reshape(n, -1) * (loc_scale / count)
+            grads["wlog_w"] += z2.T @ d_wlog_pre
+            grads["wlog_b"] += d_wlog_pre.sum(axis=0)
+            grads["sig_w"] += z2.T @ d_sig_pre
+            grads["sig_b"] += d_sig_pre.sum(axis=0)
+            d_z2 += d_wlog_pre @ params["wlog_w"].T
+            d_z2 += d_sig_pre @ params["sig_w"].T
+        else:
+            for i, j in np.argwhere(loc_mask):
+                loc_loss += smooth_l1(mus[i, j, 0], img.human_target_offsets[i, j])
+                d_mus[i, j, 0] = smooth_l1_grad(mus[i, j, 0],
+                                                img.human_target_offsets[i, j])
+        loc_loss /= count
+        d_mu_pre = d_mus.reshape(n, -1) * (loc_scale / count)
+        grads["mu_w"] += z2.T @ d_mu_pre
+        grads["mu_b"] += d_mu_pre.sum(axis=0)
+        d_z2 += d_mu_pre @ params["mu_w"].T
+    _trunk_backward(d_z2, cache, params, grads, "hum")
+    return act_loss, loc_loss
+
+
+def _ref_interaction(img, params, cfg, grads, scale):
+    feats_h = _as_matrix(img.interaction_h_feats, cfg.feature_dim)
+    feats_o = _as_matrix(img.interaction_o_feats, cfg.feature_dim)
+    n = len(feats_h)
+    if n == 0 or not cfg.use_interaction_branch:
+        return 0.0
+    targets = np.asarray(img.interaction_action_targets, dtype=np.float64)
+    z2h, cache_h = _trunk_forward(feats_h, params, "hum")
+    z2o, cache_o = _trunk_forward(feats_o, params, "int")
+    if cfg.pairwise_mode == "logit_sum":
+        hw, hb = (("act_w", "act_b") if cfg.share_interaction_head
+                  else ("int_h_w", "int_h_b"))
+        p, mask = _clip_sigmoid(z2h @ params[hw] + params[hb]
+                                + z2o @ params["int_o_w"] + params["int_o_b"])
+        loss = _ref_bce_mean(p, targets)
+        d_sum = (p - targets) * mask * (scale / n)
+        grads[hw] += z2h.T @ d_sum
+        grads[hb] += d_sum.sum(axis=0)
+        grads["int_o_w"] += z2o.T @ d_sum
+        grads["int_o_b"] += d_sum.sum(axis=0)
+        d_z2h, d_z2o = d_sum @ params[hw].T, d_sum @ params["int_o_w"].T
+    else:
+        z = np.concatenate([z2h, z2o], axis=1)
+        pre1 = z @ params["cm_fc1_w"] + params["cm_fc1_b"]
+        hid = _relu(pre1)
+        p, mask = _clip_sigmoid(hid @ params["cm_fc2_w"] + params["cm_fc2_b"])
+        loss = _ref_bce_mean(p, targets)
+        d_logits = (p - targets) * mask * (scale / n)
+        grads["cm_fc2_w"] += hid.T @ d_logits
+        grads["cm_fc2_b"] += d_logits.sum(axis=0)
+        d_pre1 = (d_logits @ params["cm_fc2_w"].T) * (pre1 > 0)
+        grads["cm_fc1_w"] += z.T @ d_pre1
+        grads["cm_fc1_b"] += d_pre1.sum(axis=0)
+        d_z = d_pre1 @ params["cm_fc1_w"].T
+        d_z2h, d_z2o = d_z[:, :cfg.hidden_dim], d_z[:, cfg.hidden_dim:]
+    _trunk_backward(d_z2h, cache_h, params, grads, "hum")
+    _trunk_backward(d_z2o, cache_o, params, grads, "int")
+    return loss
+
+
+def _ref_backward(images, params, cfg, w):
+    """One worker: every image's branches passed alone, scaled by 1/k."""
+    k = len(images)
+    grads, rep = zero_grads(params), LossReport()
+    for img in images:
+        cls_l, reg_l = _ref_object(img, params, cfg, grads,
+                                   w.object_cls / k, w.object_reg / k)
+        act_l, loc_l = _ref_human(img, params, cfg, grads,
+                                  w.action_cls / k, w.target_loc / k)
+        int_l = _ref_interaction(img, params, cfg, grads,
+                                 w.interaction_cls / k)
+        rep.object_cls_loss += cls_l / k
+        rep.object_reg_loss += reg_l / k
+        rep.action_cls_loss += act_l / k
+        rep.target_loc_loss += loc_l / k
+        rep.interaction_cls_loss += int_l / k
+    return grads, rep.compute_total(w)
+
+
+def _ref_accumulated(images, params, cfg, w, workers=8):
+    """The 8 workers x 2 images loop: per-worker gradients summed and
+    divided by the worker count, reports averaged the same way."""
+    per = len(images) // workers
+    acc, out = zero_grads(params), LossReport()
+    for i in range(workers):
+        grads, rep = _ref_backward(images[i * per:(i + 1) * per], params,
+                                   cfg, w)
+        for name in acc:
+            acc[name] += grads[name]
+        for name, value in rep.as_dict().items():
+            setattr(out, name, getattr(out, name) + value / workers)
+    for name in acc:
+        acc[name] /= workers
+    return acc, out
+
+
+def _cfg(**kw):
+    base = dict(feature_dim=7, num_actions=3, num_object_classes=2,
+                hidden_dim=9, concat_hidden=6)
+    base.update(kw)
+    return HeadConfig(**base)
+
+
+def _images(cfg, rng, empty=(), count=16):
+    """Images with random section sizes, some sections empty; the names
+    in ``empty`` are empty in every image."""
+    out = []
+    d, a = cfg.feature_dim, cfg.num_actions
+    for _ in range(count):
+        n_o = int(rng.integers(1, 9))
+        n_h = 0 if "human" in empty else int(rng.integers(0, 5))
+        n_i = 0 if "interaction" in empty else int(rng.integers(0, 4))
+        labels = rng.integers(0, cfg.num_object_classes + 1, size=n_o)
+        act_t = (rng.random((n_h, a)) < 0.5).astype(float)
+        out.append(ImageSamples(
+            object_feats=rng.normal(size=(n_o, d)),
+            object_labels=labels,
+            object_reg_targets=rng.normal(size=(n_o, 4)),
+            object_reg_mask=labels > 0,
+            human_feats=rng.normal(size=(n_h, d)),
+            human_action_targets=act_t,
+            human_target_offsets=rng.normal(size=(n_h, a, 4)),
+            human_target_mask=(act_t > 0) & (rng.random((n_h, a)) < 0.7),
+            interaction_h_feats=rng.normal(size=(n_i, d)),
+            interaction_o_feats=rng.normal(size=(n_i, d)),
+            interaction_action_targets=(rng.random((n_i, a)) < 0.5)
+            .astype(float),
+        ))
+    return out
+
+
+# subnormal gradient entries (far-tail responsibilities) carry no
+# relative precision; below the smallest normal float only atol applies
+TINY = np.finfo(np.float64).tiny
+
+HEADS = {
+    "fixed_sigma": _cfg(),
+    "mdn_m2": _cfg(use_mdn=True, density_M=2),
+    "mdn_m2_shared": _cfg(use_mdn=True, density_M=2,
+                          share_interaction_head=True),
+    "concat_mlp": _cfg(pairwise_mode="concat_mlp"),
+    "no_interaction": _cfg(use_interaction_branch=False),
+}
+
+
+@pytest.mark.parametrize("empty", [(), ("human",), ("interaction",)],
+                         ids=["mixed", "no_humans", "no_interactions"])
+@pytest.mark.parametrize("head", sorted(HEADS))
+def test_stacked_backward_matches_worker_accumulation(head, empty):
+    cfg = HEADS[head]
+    for seed in range(3):
+        rng = np.random.default_rng((seed, len(empty)))
+        params = init_params(cfg, seed)
+        # scaled-up weights so that the clamps and both smooth-L1 pieces occur
+        for name in params:
+            params[name] = params[name] * 20.0 + rng.normal(
+                size=params[name].shape) * 0.1
+        weights = LossWeights(object_reg=0.5, target_loc=3.0)
+        images = _images(cfg, rng, empty)
+        got_grads, got = backward(images, params, cfg, weights)
+        want_grads, want = _ref_accumulated(images, params, cfg, weights)
+        assert set(got_grads) == set(want_grads)
+        for name in want_grads:
+            np.testing.assert_allclose(got_grads[name], want_grads[name],
+                                       rtol=1e-10, atol=TINY, err_msg=name)
+        for name, value in want.as_dict().items():
+            np.testing.assert_allclose(getattr(got, name), value, rtol=1e-10,
+                                       atol=0, err_msg=name)
+
+
+# --- (c) row forms of the losses ---------------------------------------------
+
+
+def test_smooth_l1_rows_equal_single_row_calls():
+    rng = np.random.default_rng(5)
+    pred = rng.normal(size=(40, 4)) * 2.0
+    target = rng.normal(size=(40, 4))
+    pred[0] = target[0]  # zero residual
+    losses, grads = smooth_l1(pred, target), smooth_l1_grad(pred, target)
+    assert losses.shape == (40,) and grads.shape == (40, 4)
+    for i in range(len(pred)):
+        one = smooth_l1(pred[i], target[i])
+        assert isinstance(one, float) and losses[i] == one
+        np.testing.assert_array_equal(grads[i], smooth_l1_grad(pred[i], target[i]))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_mdn_nll_grad_rows_equal_single_row_calls(m):
+    rng = np.random.default_rng(m)
+    rows = 25
+    b = rng.normal(size=(rows, 4))
+    logits = rng.normal(size=(rows, m)) * 3.0
+    mus = rng.normal(size=(rows, m, 4))
+    raws = rng.normal(size=(rows, m, 4)) * 2.0
+    b[0] = 40.0  # far from every mode: the log-sum-exp path matters
+    nll, d_lg, d_mu, d_rw = mdn_nll_grad(b, logits, mus, raws, sigma_floor=0.2)
+    assert nll.shape == (rows,) and d_mu.shape == (rows, m, 4)
+    for i in range(rows):
+        one = mdn_nll_grad(b[i], logits[i], mus[i], raws[i], sigma_floor=0.2)
+        assert isinstance(one[0], float) and nll[i] == one[0]
+        for got, want in zip((d_lg[i], d_mu[i], d_rw[i]), one[1:]):
+            assert got.shape == want.shape
+            np.testing.assert_array_equal(got, want)

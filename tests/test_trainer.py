@@ -3,6 +3,8 @@ import os
 import numpy as np
 import pytest
 
+import hoidet.trainer as trainer
+
 from hoidet.dataset import (
     PERSON_CATEGORY,
     ROLE_INSTRUMENT,
@@ -423,6 +425,43 @@ class TestTrainLoop:
                 train(scenes, provider, cfg,
                       Schedule(phases=[Phase(50, 1e6)], seed=3),
                       REGISTRY, CATEGORIES)
+
+    def test_non_finite_gradient_is_named(self, synth, monkeypatch):
+        scenes, provider, cfg = synth
+        real, calls = trainer.backward, []
+
+        def poisoned(*args):
+            grads, rep = real(*args)
+            calls.append(None)
+            if len(calls) == 2:
+                grads["act_w"][0, 0] = np.inf
+                grads["hum_fc2_b"][3] = np.nan  # earlier in parameter order
+            return grads, rep
+
+        monkeypatch.setattr(trainer, "backward", poisoned)
+        with pytest.raises(TrainingDiverged) as err:
+            train(scenes, provider, cfg,
+                  Schedule(phases=[Phase(4, 1e-3)], seed=3),
+                  REGISTRY, CATEGORIES)
+        assert str(err.value) == "iteration 1: non-finite gradient hum_fc2_b"
+
+    def test_non_finite_parameter_is_named(self, synth, monkeypatch):
+        scenes, provider, cfg = synth
+        real, calls = trainer.sgd_step, []
+
+        def overflowing(params, *args):
+            real(params, *args)
+            calls.append(None)
+            if len(calls) == 3:
+                params["mu_b"][0] = -np.inf
+            return params, args[1]
+
+        monkeypatch.setattr(trainer, "sgd_step", overflowing)
+        with pytest.raises(TrainingDiverged) as err:
+            train(scenes, provider, cfg,
+                  Schedule(phases=[Phase(4, 1e-3)], seed=3),
+                  REGISTRY, CATEGORIES)
+        assert str(err.value) == "iteration 2: non-finite parameter mu_b"
 
     def test_loss_log_is_parseable(self, synth, tmp_path):
         scenes, provider, cfg = synth
