@@ -21,7 +21,7 @@ from .dataset import (
 )
 from .density import DensityParams, gaussian_compat, mixture_compat
 from .evaluation import APReport, MatchRule, evaluate, evaluate_triplets
-from .features import FileFeatureProvider, SyntheticFeatureProvider, roi_align
+from .features import SyntheticFeatureProvider, roi_align
 from .geometry import Box, Detection, RelOffset, decode_rel, encode_rel, iou, nms
 from .inference import (
     InferenceConfig,
@@ -45,7 +45,6 @@ __all__ = [
     "Dataset",
     "DensityParams",
     "Detection",
-    "FileFeatureProvider",
     "HeadConfig",
     "InferenceConfig",
     "MatchRule",

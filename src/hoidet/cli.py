@@ -20,6 +20,7 @@ import dataclasses
 import json
 import os
 import sys
+import zipfile
 
 import numpy as np
 
@@ -234,18 +235,32 @@ def write_feature_maps(path, maps: dict) -> None:
 
 
 def read_feature_maps(path) -> dict:
+    """Per-image maps of an ``.npz`` holding ``map_N`` arrays and their
+    ``stride_N`` scalars; malformed content is a ``data`` error."""
     try:
-        with np.load(path) as z:
-            maps = {}
-            for key in z.files:
-                if not key.startswith("map_"):
-                    continue
-                image_id = int(key[4:])
-                maps[image_id] = FeatureMap(
-                    data=z[key], stride=float(z[f"stride_{image_id}"]))
-            return maps
+        z = np.load(path)
     except OSError as exc:
         raise CliError("io", f"cannot read feature maps: {exc}")
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise CliError("data", f"feature maps file is not an .npz archive: "
+                               f"{exc}")
+    if not isinstance(z, np.lib.npyio.NpzFile):
+        raise CliError("data", "feature maps file is not an .npz archive")
+    maps = {}
+    with z:
+        for key in z.files:
+            if not key.startswith("map_"):
+                continue
+            try:
+                image_id = int(key[4:])
+                stride = f"stride_{image_id}"
+                if stride not in z.files:
+                    raise ValueError(f"no {stride} member")
+                maps[image_id] = FeatureMap(data=z[key],
+                                            stride=float(z[stride]))
+            except (ValueError, TypeError, zipfile.BadZipFile) as exc:
+                raise CliError("data", f"feature map {key!r}: {exc}")
+    return maps
 
 
 def write_proposals(path, proposals: dict, config: dict) -> None:

@@ -122,27 +122,26 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def nms(boxes: np.ndarray, scores: np.ndarray, labels: np.ndarray,
         iou_thresh: float) -> np.ndarray:
-    """Greedy score-descending suppression, run independently per label.
+    """Greedy score-descending suppression, independent per label.
 
     Returns the indices of the survivors sorted by descending score;
     ties are broken by index so the result does not depend on input
     order beyond scores. No two survivors with the same label overlap
-    above ``iou_thresh``.
+    above ``iou_thresh``. One :func:`iou_matrix` over all score-sorted
+    candidates, masked to same-label pairs, drives a single greedy pass,
+    so time and memory are quadratic in the candidates of one image.
     """
     boxes = box_array(boxes)
     labels = np.asarray(labels)
     order = np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
-    keep = np.zeros(len(order), dtype=bool)
-    for label in np.unique(labels):
-        pos = np.flatnonzero(labels[order] == label)
-        idx = order[pos]
-        over = iou_matrix(boxes[idx], boxes[idx]) > iou_thresh
-        alive = np.ones(len(idx), dtype=bool)
-        for p in range(len(idx)):
-            if alive[p]:
-                alive[p + 1:] &= ~over[p, p + 1:]
-        keep[pos] = alive
-    return order[keep]
+    boxes, labels = boxes[order], labels[order]
+    over = iou_matrix(boxes, boxes) > iou_thresh
+    over &= labels[:, None] == labels[None, :]
+    alive = np.ones(len(order), dtype=bool)
+    for p in range(len(order)):
+        if alive[p]:
+            alive[p + 1:] &= ~over[p, p + 1:]
+    return order[alive]
 
 
 def encode_rel(b_o: Box, b_h: Box) -> RelOffset:

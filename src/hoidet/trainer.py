@@ -54,6 +54,17 @@ class Quotas:
     human_quota: int = 16
     iou_pos: float = 0.5
 
+    def __post_init__(self):
+        if not 0 < self.iou_pos <= 1:
+            raise ValueError(f"iou_pos must be in (0, 1], got {self.iou_pos}")
+        if not 0 <= self.pos_fraction <= 1:
+            raise ValueError(
+                f"pos_fraction must be in [0, 1], got {self.pos_fraction}")
+        if not (self.object_quota >= 0 and self.human_quota >= 0):
+            raise ValueError(
+                f"quotas must be >= 0, got object_quota={self.object_quota}, "
+                f"human_quota={self.human_quota}")
+
 
 @dataclass(frozen=True)
 class Phase:

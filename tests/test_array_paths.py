@@ -22,7 +22,7 @@ from hoidet.dataset import (
 )
 from hoidet.density import gaussian_compat, mixture_compat
 from hoidet.features import FeatureMap, SyntheticFeatureProvider, roi_align
-from hoidet.geometry import Box, Detection, box_array, encode_rel, iou
+from hoidet.geometry import Box, Detection, box_array, encode_rel, iou, nms
 from hoidet.inference import (
     InferStats,
     ScoredTriplet,
@@ -92,7 +92,7 @@ def test_batched_pooling_matches_one_box_roi_align(boxes, data):
     rows = np.stack([w[0] for w in want])
 
     prov = SyntheticFeatureProvider({0: FMAP}, pooled=pooled)
-    prov.pooled_matrix(0, boxes[:warm])  # memo hits mixed with misses
+    prov.pooled_matrix(0, boxes[:warm])  # an earlier call changes nothing
     np.testing.assert_array_equal(prov.pooled_matrix(0, boxes), rows)
     fresh = SyntheticFeatureProvider({0: FMAP}, pooled=pooled)
     np.testing.assert_array_equal(fresh.pooled_matrix(0, box_array(boxes)),
@@ -133,6 +133,48 @@ def _reference_nms(dets, thresh):
                     iou(dets[i].box, dets[j].box) > thresh:
                 suppressed[j] = True
     return keep
+
+
+# integer corners give exact duplicates, and IoUs such as 1/2 and 1/3 that
+# land exactly on a threshold
+NMS_BOXES = st.one_of(
+    st.builds(lambda x, y, w, h: Box(x, y, x + w, y + h),
+              st.integers(0, 4).map(float), st.integers(0, 4).map(float),
+              st.integers(1, 4).map(float), st.integers(1, 4).map(float)),
+    BOXES)
+
+
+def _check_nms(dets, thresh):
+    keep = nms(box_array([d.box for d in dets]),
+               np.array([d.score for d in dets]),
+               np.array([int(d.category) for d in dets], dtype=int), thresh)
+    want = _reference_nms(dets, thresh)
+    position = {id(d): i for i, d in enumerate(dets)}
+    assert keep.tolist() == [position[id(d)] for d in want]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), num_labels=st.integers(1, 6),
+       thresh=st.sampled_from([0.25, 1 / 3, 0.5]) | st.floats(
+           0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_array_nms_matches_per_label_greedy(data, num_labels, thresh):
+    pool = data.draw(st.lists(NMS_BOXES, min_size=1, max_size=8))
+    scores = st.sampled_from([0.2, 0.5, 0.5, 0.9]) | st.floats(0.0, 1.0)
+    dets = data.draw(st.lists(st.builds(
+        Detection, st.sampled_from(pool),
+        st.integers(0, num_labels - 1).map(str), scores), max_size=24))
+    _check_nms(dets, thresh)
+
+
+def test_array_nms_on_empty_one_box_and_threshold_overlap():
+    _check_nms([], 0.3)
+    _check_nms([Detection(Box(1.0, 2.0, 5.0, 9.0), "0", 0.7)], 0.3)
+    half = [Detection(Box(0.0, 0.0, 2.0, 2.0), "0", 0.9),
+            Detection(Box(0.0, 0.0, 2.0, 1.0), "0", 0.8)]
+    _check_nms(half, 0.5)  # IoU exactly 0.5 is not above 0.5: both kept
+    _check_nms(half, 0.49)
+    assert nms(np.zeros((0, 4)), np.zeros(0), np.zeros(0, dtype=int),
+               0.5).shape == (0,)
 
 
 def _reference_detect(probs, deltas, proposals, categories, thresh=0.05,

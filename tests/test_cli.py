@@ -245,6 +245,74 @@ class TestInferCommand:
                        f"map in {data / 'features.npz'}\n")
 
 
+class TestFeatureMapsFile:
+    """Every malformed feature-maps file ends in one ``data`` error line."""
+
+    def _infer_err(self, tmp_path, capsys, features):
+        data = _synth(tmp_path)
+        capsys.readouterr()
+        code = _run("infer", "--out", str(tmp_path / "o"),
+                    "--checkpoint", str(tmp_path / "unused.bin"),
+                    "--annotations", str(data / "annotations.json"),
+                    "--features", str(features(data)),
+                    "--proposals", str(data / "proposals.json"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        return err
+
+    def _edited(self, edit):
+        def features(data):
+            with np.load(data / "features.npz") as z:
+                arrays = dict(z)
+            edit(arrays)
+            path = data / "edited.npz"
+            np.savez(path, **arrays)
+            return path
+        return features
+
+    def test_nan_in_map(self, tmp_path, capsys):
+        def edit(arrays):
+            arrays["map_2"][0, 1, 1] = np.nan
+        err = self._infer_err(tmp_path, capsys, self._edited(edit))
+        assert err == ("error: data: feature map 'map_2': feature map "
+                       "contains non-finite entries\n")
+
+    def test_two_dimensional_map(self, tmp_path, capsys):
+        def edit(arrays):
+            arrays["map_1"] = arrays["map_1"][0]
+        err = self._infer_err(tmp_path, capsys, self._edited(edit))
+        assert err.startswith("error: data: feature map 'map_1': feature map "
+                              "must be 3-d, got shape (")
+
+    def test_missing_stride(self, tmp_path, capsys):
+        def edit(arrays):
+            del arrays["stride_3"]
+        err = self._infer_err(tmp_path, capsys, self._edited(edit))
+        assert err == "error: data: feature map 'map_3': no stride_3 member\n"
+
+    def test_zero_stride(self, tmp_path, capsys):
+        def edit(arrays):
+            arrays["stride_0"] = np.array(0.0)
+        err = self._infer_err(tmp_path, capsys, self._edited(edit))
+        assert err == ("error: data: feature map 'map_0': stride must be "
+                       "positive and finite, got 0.0\n")
+
+    @pytest.mark.parametrize("write", [
+        lambda path: path.write_text('{"map_0": 1}'),
+        lambda path: path.write_bytes(b""),
+        lambda path: np.save(path, np.zeros((1, 2, 2))),
+    ], ids=["json", "empty", "npy"])
+    def test_not_an_npz(self, tmp_path, capsys, write):
+        def features(data):
+            path = data / "features.npy"
+            write(path)
+            return path
+        err = self._infer_err(tmp_path, capsys, features)
+        assert err.startswith("error: data: feature maps file is not an .npz "
+                              "archive")
+
+
 class TestEvalCommand:
     def _gt_echo(self, data, tmp_path):
         from hoidet.inference import write_predictions

@@ -117,6 +117,22 @@ class TestSchedule:
             Schedule(workers=0)
 
 
+class TestQuotas:
+    def test_defaults_and_bounds_accepted(self):
+        Quotas()
+        Quotas(object_quota=0, pos_fraction=0.0, human_quota=0, iou_pos=1.0)
+        Quotas(pos_fraction=1.0, iou_pos=1e-9)
+
+    @pytest.mark.parametrize("bad", [
+        dict(iou_pos=0.0), dict(iou_pos=-0.5), dict(iou_pos=1.5),
+        dict(iou_pos=float("nan")), dict(pos_fraction=-0.1),
+        dict(pos_fraction=1.1), dict(object_quota=-5), dict(human_quota=-1),
+    ], ids=lambda bad: "{}={}".format(*next(iter(bad.items()))))
+    def test_invalid_rejected(self, bad):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            Quotas(**bad)
+
+
 class TestAssignLabels:
     def test_ratio_follows_scarce_positives(self):
         # 10 boxes on the GT, 100 clear negatives: requested 16 positives
