@@ -2,10 +2,13 @@
 
 Each subcommand reads defaults, then an optional JSON config file, then
 command-line flags, in increasing precedence; unknown config keys are
-rejected. Every artifact embeds (or ships next to) the effective
-config so a run is reproducible from its outputs alone. Errors print a
-single machine-parsable line ``error: <kind>: <message>`` on stderr and
-exit nonzero (2 for configuration problems, 1 for runtime failures).
+rejected. Most keys are fields of the config dataclasses and take
+their defaults from them; ``_build`` converts each to its default's
+type and constructs the dataclass. Every artifact embeds (or ships next
+to) the effective config so a run is reproducible from its outputs
+alone. Errors print a single machine-parsable line
+``error: <kind>: <message>`` on stderr and exit nonzero (2 for
+configuration problems, 1 for runtime failures).
 
 The density mode decides the target-location term:
   fixed_sigma      one predicted center, fixed-width compatibility
@@ -25,13 +28,16 @@ import zipfile
 import numpy as np
 
 from .dataset import (
+    PERSON_CATEGORY,
     ROLE_NONE,
+    SYNTH_CATEGORIES,
     ActionRegistry,
     Dataset,
     SynthConfig,
     generate_synthetic,
     load_annotations,
     save_annotations,
+    synthetic_registry,
 )
 from .density import kmeans_offsets
 from .evaluation import MatchRule, evaluate_triplets, report_json, report_text
@@ -44,8 +50,8 @@ from .inference import (
     read_predictions,
     write_predictions,
 )
-from .model import HeadConfig, forward_human, load_checkpoint
-from .trainer import Phase, Quotas, Schedule, TrainingDiverged, train
+from .model import HeadConfig, LossWeights, forward_human, load_checkpoint
+from .trainer import Phase, Schedule, TrainingDiverged, TrainScene, train
 
 DENSITY_MODES = ("fixed_sigma", "mdn_m1", "mdn_m2", "kmeans_baseline")
 
@@ -61,92 +67,72 @@ def _config_error(message: str) -> CliError:
     return CliError("config", message, exit_code=2)
 
 
-# per-subcommand config schema: name -> default
-_SYNTH_DEFAULTS = {
-    "num_scenes": 40,
-    "persons_per_scene": 2,
-    "num_distractors": 3,
-    "noise": 0.05,
-    "image_size": 128.0,
-    "stride": 4,
-    "proposals_per_box": 2,
-    "proposal_magnitude": 0.08,
-    "verbs": ["carry", "throw", "sit", "cut", "stand"],
-    "seed": 0,
-    "out": "synth_out",
-}
+def _field_default(field: dataclasses.Field):
+    if field.default_factory is not dataclasses.MISSING:
+        return field.default_factory()
+    return field.default
 
-_TRAIN_DEFAULTS = {
-    "annotations": None,
-    "features": None,
-    "proposals": None,
-    "density_mode": "fixed_sigma",
-    "pairwise_mode": "logit_sum",
-    "use_interaction_branch": True,
-    "share_interaction_head": False,
-    "hidden_dim": 1024,
-    "concat_hidden": 512,
-    "sigma": 0.3,
-    "sigma_floor": 0.3,
-    "phases": [[10000, 1e-3], [3000, 1e-4]],
-    "images_per_step": 2,
-    "workers": 8,
-    "momentum": 0.9,
-    "weight_decay": 1e-4,
-    "action_loss_weight": 2.0,
-    "checkpoint_every": 0,
-    "schema": "hico_like",
-    "seed": 0,
-    "out": "train_out",
-}
 
-_INFER_DEFAULTS = {
-    "checkpoint": None,
-    "annotations": None,
-    "features": None,
-    "proposals": None,
-    "score_threshold": 0.05,
-    "nms_threshold": 0.3,
-    "max_triplets": 100,
-    "overlay": False,
-    "centers": None,
-    "schema": "hico_like",
-    "seed": 0,
-    "out": "infer_out",
-}
+def _defaults(cls, *names) -> dict:
+    """Config keys for fields ``names`` (default: every field) of
+    dataclass ``cls``, each with its default in JSON form."""
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    return {name: json.loads(json.dumps(_field_default(fields[name]),
+                                        default=dataclasses.astuple))
+            for name in names or fields}
 
-_EVAL_DEFAULTS = {
-    "predictions": None,
-    "annotations": None,
-    "iou_thresh": 0.5,
-    "require_object_category": False,
-    "eleven_point": False,
-    "schema": "hico_like",
-    "seed": 0,
-    "out": "eval_out",
-}
 
-_BASELINE_DEFAULTS = {
-    "checkpoint": None,
-    "fit_annotations": None,
-    "annotations": None,
-    "features": None,
-    "proposals": None,
-    "k": 2,
-    "score_threshold": 0.05,
-    "nms_threshold": 0.3,
-    "max_triplets": 100,
-    "schema": "hico_like",
-    "seed": 0,
-    "out": "baseline_out",
-}
+# per-subcommand config schema: name -> default. Dataclass fields take
+# their defaults from the dataclass; the literals are CLI-only settings.
+_INPUTS = {"annotations": None, "features": None, "proposals": None}
 
 _SCHEMAS = {
-    "synth": _SYNTH_DEFAULTS,
-    "train": _TRAIN_DEFAULTS,
-    "infer": _INFER_DEFAULTS,
-    "eval": _EVAL_DEFAULTS,
-    "baseline": _BASELINE_DEFAULTS,
+    "synth": {
+        **_defaults(SynthConfig, "num_scenes", "persons_per_scene",
+                    "num_distractors", "noise", "image_size", "stride",
+                    "proposals_per_box", "proposal_magnitude", "verbs",
+                    "seed"),
+        "out": "synth_out",
+    },
+    "train": {
+        **_INPUTS,
+        "density_mode": "fixed_sigma",
+        **_defaults(HeadConfig, "pairwise_mode", "use_interaction_branch",
+                    "share_interaction_head", "hidden_dim", "concat_hidden",
+                    "sigma", "sigma_floor"),
+        **_defaults(Schedule),
+        "action_loss_weight": _defaults(LossWeights)["action_cls"],
+        "checkpoint_every": 0,
+        "schema": "hico_like",
+        "out": "train_out",
+    },
+    "infer": {
+        "checkpoint": None,
+        **_INPUTS,
+        **_defaults(InferenceConfig),
+        "overlay": False,
+        "centers": None,
+        "schema": "hico_like",
+        "out": "infer_out",
+    },
+    "eval": {
+        "predictions": None,
+        "annotations": None,
+        **_defaults(MatchRule),
+        "eleven_point": False,
+        "schema": "hico_like",
+        "out": "eval_out",
+    },
+    "baseline": {
+        "checkpoint": None,
+        "fit_annotations": None,
+        **_INPUTS,
+        "k": 2,
+        **_defaults(InferenceConfig),
+        "schema": "hico_like",
+        "seed": 0,
+        "out": "baseline_out",
+    },
 }
 
 
@@ -190,7 +176,7 @@ def _parse_phases(value):
             bits = part.split(":")
             if len(bits) != 2:
                 raise _config_error(
-                    "phases must look like '10000:0.001,3000:0.0001'")
+                    "phases must look like '2000:0.001,500:0.0001'")
             part = bits
         items.append(part)
     try:
@@ -199,30 +185,27 @@ def _parse_phases(value):
         raise _config_error("phases must be [iterations, lr] pairs")
 
 
-def _head_config(cfg: dict, feature_dim: int, num_actions: int,
-                 num_classes: int) -> HeadConfig:
-    mode = cfg["density_mode"]
-    if mode not in DENSITY_MODES:
-        raise _config_error(
-            f"density_mode must be one of {', '.join(DENSITY_MODES)}")
-    use_mdn = mode.startswith("mdn")
-    density_m = 2 if mode == "mdn_m2" else 1
+def _convert(key: str, value, kind):
+    """``kind(value)``; a value ``kind`` rejects is a config error."""
     try:
-        return HeadConfig(
-            feature_dim=feature_dim,
-            num_actions=num_actions,
-            num_object_classes=num_classes,
-            hidden_dim=int(cfg["hidden_dim"]),
-            density_M=density_m,
-            use_mdn=use_mdn,
-            sigma=float(cfg["sigma"]),
-            sigma_floor=float(cfg["sigma_floor"]),
-            use_interaction_branch=bool(cfg["use_interaction_branch"]),
-            pairwise_mode=str(cfg["pairwise_mode"]),
-            concat_hidden=int(cfg["concat_hidden"]),
-            share_interaction_head=bool(cfg["share_interaction_head"]),
-        )
-    except Exception as exc:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise _config_error(f"{key}: {exc}")
+
+
+def _build(cls, values: dict, **given):
+    """Dataclass ``cls`` from ``given`` plus each other field that
+    ``values`` holds, converted to the type of the field's default
+    (``phases`` by :func:`_parse_phases`); a value the conversion or the
+    class rejects is a config error."""
+    for f in dataclasses.fields(cls):
+        if f.name in values and f.name not in given:
+            kind = (_parse_phases if f.name == "phases"
+                    else type(_field_default(f)))
+            given[f.name] = _convert(f.name, values[f.name], kind)
+    try:
+        return cls(**given)
+    except (TypeError, ValueError) as exc:
         raise _config_error(str(exc))
 
 
@@ -307,8 +290,7 @@ def _load_world(cfg):
     """Annotations + feature maps + proposals -> evaluation-ready pieces."""
     _require(cfg, "annotations", "features", "proposals")
     try:
-        ds = load_annotations(cfg["annotations"], schema=cfg.get(
-            "schema", "hico_like"))
+        ds = load_annotations(cfg["annotations"], schema=cfg["schema"])
     except OSError as exc:
         raise CliError("io", f"cannot read annotations: {exc}")
     except ValueError as exc:
@@ -326,24 +308,7 @@ def _load_world(cfg):
 def cmd_synth(cfg: dict) -> int:
     out = cfg["out"]
     os.makedirs(out, exist_ok=True)
-    try:
-        synth_cfg = SynthConfig(
-            num_scenes=int(cfg["num_scenes"]),
-            persons_per_scene=int(cfg["persons_per_scene"]),
-            num_distractors=int(cfg["num_distractors"]),
-            noise=float(cfg["noise"]),
-            seed=int(cfg["seed"]),
-            image_size=float(cfg["image_size"]),
-            stride=int(cfg["stride"]),
-            proposals_per_box=int(cfg["proposals_per_box"]),
-            proposal_magnitude=float(cfg["proposal_magnitude"]),
-            verbs=tuple(cfg["verbs"]),
-        )
-    except (TypeError, ValueError) as exc:
-        raise _config_error(str(exc))
-    scenes = generate_synthetic(synth_cfg)
-    from .dataset import PERSON_CATEGORY, SYNTH_CATEGORIES, synthetic_registry
-
+    scenes = generate_synthetic(_build(SynthConfig, cfg))
     ds = Dataset(registry=synthetic_registry(),
                  categories=[PERSON_CATEGORY] + SYNTH_CATEGORIES,
                  scenes=[s.annotation for s in scenes])
@@ -358,36 +323,35 @@ def cmd_synth(cfg: dict) -> int:
 
 
 def cmd_train(cfg: dict) -> int:
-    from .model import LossWeights
-    from .trainer import TrainScene
-
     out = cfg["out"]
     os.makedirs(out, exist_ok=True)
+    mode = cfg["density_mode"]
+    if mode not in DENSITY_MODES:
+        raise _config_error(
+            f"density_mode must be one of {', '.join(DENSITY_MODES)}")
+    schedule = _build(Schedule, cfg)
+    weights = _build(LossWeights, {"action_cls": cfg["action_loss_weight"]})
+    checkpoint_every = _convert("checkpoint_every", cfg["checkpoint_every"],
+                                int)
     ds, provider, proposals = _load_world(cfg)
     scenes = []
     for ann in ds.scenes:
         if ann.image_id not in proposals:
             raise CliError("data", f"no proposals for image {ann.image_id}")
         scenes.append(TrainScene(ann.image_id, ann, proposals[ann.image_id]))
-    head_cfg = _head_config(cfg, provider.feature_dim, len(ds.registry),
-                            len(ds.categories))
-    schedule = Schedule(
-        phases=_parse_phases(cfg["phases"]),
-        images_per_step=int(cfg["images_per_step"]),
-        workers=int(cfg["workers"]),
-        seed=int(cfg["seed"]),
-        momentum=float(cfg["momentum"]),
-        weight_decay=float(cfg["weight_decay"]),
-    )
-    weights = LossWeights(action_cls=float(cfg["action_loss_weight"]))
+    head_cfg = _build(HeadConfig, cfg, feature_dim=provider.feature_dim,
+                      num_actions=len(ds.registry),
+                      num_object_classes=len(ds.categories),
+                      density_M=2 if mode == "mdn_m2" else 1,
+                      use_mdn=mode.startswith("mdn"))
     ckpt_path = os.path.join(out, "checkpoint.bin")
     try:
         params, history = train(
             scenes, provider, head_cfg, schedule, ds.registry, ds.categories,
-            quotas=Quotas(), loss_weights=weights,
+            loss_weights=weights,
             log_path=os.path.join(out, "loss.log"),
             checkpoint_path=ckpt_path,
-            checkpoint_every=int(cfg["checkpoint_every"]),
+            checkpoint_every=checkpoint_every,
             actions_json=ds.registry.to_json(),
         )
     except TrainingDiverged as exc:
@@ -396,6 +360,32 @@ def cmd_train(cfg: dict) -> int:
     print(f"trained {schedule.total_iterations} iterations; "
           f"final loss {history[-1].total:.6f}; checkpoint {ckpt_path}")
     return 0
+
+
+def _load_model(path, registry: ActionRegistry):
+    """The checkpoint at ``path`` and its action registry: the one it
+    stores, else ``registry``. Unreadable or malformed files are ``io``
+    and ``data`` errors."""
+    try:
+        ckpt = load_checkpoint(path)
+        if ckpt.actions:
+            registry = ActionRegistry.from_json(ckpt.actions)
+    except OSError as exc:
+        raise CliError("io", f"cannot read checkpoint: {exc}")
+    except ValueError as exc:
+        raise CliError("data", str(exc))
+    return ckpt, registry
+
+
+def _write_report(out, report, cfg) -> str:
+    """``report.txt``, and ``report.json`` with ``cfg``, in ``out``;
+    returns the text."""
+    text = report_text(report)
+    with open(os.path.join(out, "report.txt"), "w") as f:
+        f.write(text)
+    _write_json(os.path.join(out, "report.json"),
+                {**report_json(report), "config": cfg})
+    return text
 
 
 def _load_centers(path):
@@ -434,11 +424,7 @@ def _overlay_entry(t, provider, params, head_cfg, registry):
 
 def _run_inference(cfg, ds, provider, proposals, params, head_cfg,
                    registry, centers, out):
-    icfg = InferenceConfig(
-        score_threshold=float(cfg["score_threshold"]),
-        nms_threshold=float(cfg["nms_threshold"]),
-        max_triplets=int(cfg["max_triplets"]),
-    )
+    icfg = _build(InferenceConfig, cfg)
     all_triplets = []
     overlay = {}
     totals = InferStats()
@@ -468,14 +454,7 @@ def cmd_infer(cfg: dict) -> int:
     os.makedirs(out, exist_ok=True)
     _require(cfg, "checkpoint")
     ds, provider, proposals = _load_world(cfg)
-    try:
-        ckpt = load_checkpoint(cfg["checkpoint"])
-    except OSError as exc:
-        raise CliError("io", f"cannot read checkpoint: {exc}")
-    except ValueError as exc:
-        raise CliError("data", str(exc))
-    registry = (ActionRegistry.from_json(ckpt.actions)
-                if ckpt.actions else ds.registry)
+    ckpt, registry = _load_model(cfg["checkpoint"], ds.registry)
     centers = _load_centers(cfg["centers"]) if cfg["centers"] else None
     pred_path, triplets = _run_inference(
         cfg, ds, provider, proposals, ckpt.params, ckpt.config, registry,
@@ -489,13 +468,7 @@ def cmd_eval(cfg: dict) -> int:
     out = cfg["out"]
     os.makedirs(out, exist_ok=True)
     _require(cfg, "predictions", "annotations")
-    try:
-        rule = MatchRule(
-            iou_thresh=float(cfg["iou_thresh"]),
-            require_object_category=bool(cfg["require_object_category"]),
-        )
-    except ValueError as exc:
-        raise _config_error(str(exc))
+    rule = _build(MatchRule, cfg)
     try:
         triplets = read_predictions(cfg["predictions"])
         ds = load_annotations(cfg["annotations"], schema=cfg["schema"])
@@ -508,13 +481,7 @@ def cmd_eval(cfg: dict) -> int:
                                    eleven_point=bool(cfg["eleven_point"]))
     except ValueError as exc:
         raise CliError("data", str(exc))
-    text = report_text(report)
-    with open(os.path.join(out, "report.txt"), "w") as f:
-        f.write(text)
-    doc = report_json(report)
-    doc["config"] = cfg
-    _write_json(os.path.join(out, "report.json"), doc)
-    sys.stdout.write(text)
+    sys.stdout.write(_write_report(out, report, cfg))
     return 0
 
 
@@ -544,6 +511,10 @@ def cmd_baseline(cfg: dict) -> int:
     out = cfg["out"]
     os.makedirs(out, exist_ok=True)
     _require(cfg, "checkpoint", "fit_annotations")
+    k = _convert("k", cfg["k"], int)
+    if k < 1:
+        raise _config_error(f"k must be positive, got {k}")
+    seed = _convert("seed", cfg["seed"], int)
     ds, provider, proposals = _load_world(cfg)
     try:
         fit_ds = load_annotations(cfg["fit_annotations"],
@@ -552,15 +523,8 @@ def cmd_baseline(cfg: dict) -> int:
         raise CliError("io", f"cannot read fit annotations: {exc}")
     except ValueError as exc:
         raise CliError("data", str(exc))
-    try:
-        ckpt = load_checkpoint(cfg["checkpoint"])
-    except OSError as exc:
-        raise CliError("io", f"cannot read checkpoint: {exc}")
-    except ValueError as exc:
-        raise CliError("data", str(exc))
-    registry = (ActionRegistry.from_json(ckpt.actions)
-                if ckpt.actions else fit_ds.registry)
-    centers = fit_baseline_centers(fit_ds, int(cfg["k"]), int(cfg["seed"]))
+    ckpt, registry = _load_model(cfg["checkpoint"], fit_ds.registry)
+    centers = fit_baseline_centers(fit_ds, k, seed)
     _write_json(os.path.join(out, "centers.json"), {
         "config": cfg,
         "centers": {str(a): c.tolist() for a, c in centers.items()},
@@ -568,13 +532,8 @@ def cmd_baseline(cfg: dict) -> int:
     pred_path, triplets = _run_inference(
         cfg, ds, provider, proposals, ckpt.params, ckpt.config, registry,
         centers, out)
-    rule = MatchRule()
-    report = evaluate_triplets(triplets, ds, rule)
-    with open(os.path.join(out, "report.txt"), "w") as f:
-        f.write(report_text(report))
-    doc = report_json(report)
-    doc["config"] = cfg
-    _write_json(os.path.join(out, "report.json"), doc)
+    report = evaluate_triplets(triplets, ds, MatchRule())
+    _write_report(out, report, cfg)
     print(f"baseline predictions in {pred_path}; "
           f"mean role AP "
           f"{-1.0 if report.mean_role_ap is None else report.mean_role_ap:.4f}")

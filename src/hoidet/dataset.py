@@ -127,9 +127,11 @@ class ActionRegistry:
     def from_json(cls, raw) -> "ActionRegistry":
         if not isinstance(raw, list):
             raise AnnotationError("actions must be a list")
-        return cls(
-            ActionSpec(name=str(d["name"]), role=str(d["role"])) for d in raw
-        )
+        try:
+            return cls(ActionSpec(name=str(d["name"]), role=str(d["role"]))
+                       for d in raw)
+        except (KeyError, TypeError) as exc:
+            raise AnnotationError(f"malformed action entry ({exc!r})")
 
 
 # V-COCO-style registry: 26 verbs; cut, eat and hit each take both an

@@ -132,15 +132,6 @@ def mixture_compat(b_rel, weights, mus, sigmas):
     return _scalar_or_array(np.sum(w * np.exp(logs), axis=-1))
 
 
-def mdn_nll(b_rel, weights, mus, sigmas) -> float:
-    """Negative log mixture density, computed via log-sum-exp so that
-    far-from-mode offsets do not underflow to -log(0)."""
-    w = np.asarray(weights, dtype=np.float64).ravel()
-    logs = component_log_densities(b_rel, mus, sigmas) + np.log(w)
-    peak = logs.max()
-    return float(-(peak + np.log(np.exp(logs - peak).sum())))
-
-
 def mdn_nll_grad(b_rel, w_logits, mus, raw_sigmas,
                  sigma_floor: float = DEFAULT_SIGMA_FLOOR):
     """NLL of one offset under mixture parameters in head form, with
@@ -173,7 +164,7 @@ def mdn_nll_grad(b_rel, w_logits, mus, raw_sigmas,
     diff = mus - b[..., None, :]
     d_mus = resp[..., None] * diff / (sigmas * sigmas)
     d_sigmas = resp[..., None] * (1.0 / sigmas - diff * diff / sigmas**3)
-    d_raw = d_sigmas * _sigmoid(raw)
+    d_raw = d_sigmas * sigmoid(raw)
     return _scalar_or_array(nll), d_logits, d_mus, d_raw
 
 
@@ -200,18 +191,13 @@ def softplus(x):
     return out if out.ndim else float(out)
 
 
-def inv_softplus(y):
-    """Inverse of softplus on y > 0: log(e^y - 1)."""
-    y = np.asarray(y, dtype=np.float64)
-    if np.any(y <= 0):
-        raise ValueError("inv_softplus requires positive input")
-    out = y + np.log(-np.expm1(-y))
-    return out if out.ndim else float(out)
-
-
-def _sigmoid(x):
+def sigmoid(x):
+    """1 / (1 + e^-x); neither branch's exponent is ever positive, so
+    neither overflows."""
     x = np.asarray(x, dtype=np.float64)
-    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), np.exp(x) / (1.0 + np.exp(x)))
+    e = np.exp(np.minimum(x, 0))
+    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.maximum(x, 0))),
+                    e / (1.0 + e))
 
 
 def softmax(x: np.ndarray) -> np.ndarray:

@@ -20,7 +20,6 @@ excluded from means rather than averaged as zeros.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -317,12 +316,3 @@ def report_json(report: APReport) -> dict:
         "mean_agent_ap": report.mean_agent_ap,
     }
 
-
-def write_report(report: APReport, text_path=None, json_path=None) -> None:
-    if text_path:
-        with open(text_path, "w") as f:
-            f.write(report_text(report))
-    if json_path:
-        with open(json_path, "w") as f:
-            json.dump(report_json(report), f, indent=2, sort_keys=True)
-            f.write("\n")

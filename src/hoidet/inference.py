@@ -58,6 +58,15 @@ class InferenceConfig:
     nms_threshold: float = NMS_THRESHOLD
     max_triplets: int = MAX_TRIPLETS
 
+    def __post_init__(self):
+        if self.max_triplets < 0:
+            raise ValueError(
+                f"max_triplets must be >= 0, got {self.max_triplets}")
+        for name in ("score_threshold", "nms_threshold"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:  # also rejects NaN
+                raise ValueError(f"{name} must be in [0, 1], got {value}")
+
 
 @dataclass
 class ScoredTriplet:
@@ -77,12 +86,6 @@ class ScoredTriplet:
     action_score: float
     compat: float | None
     score: float
-
-    def component_product(self) -> float:
-        p = self.s_h * self.action_score
-        if self.object is not None:
-            p = self.s_h * self.s_o * self.action_score * self.compat
-        return p
 
 
 @dataclass

@@ -33,10 +33,13 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .density import (
+    DEFAULT_SIGMA,
     DEFAULT_SIGMA_FLOOR,
     mdn_nll_grad,
+    sigmoid,
     smooth_l1,
     smooth_l1_grad,
+    softmax,
     softplus,
 )
 
@@ -61,7 +64,7 @@ class HeadConfig:
     hidden_dim: int = 1024
     density_M: int = 1
     use_mdn: bool = False
-    sigma: float = 0.3
+    sigma: float = DEFAULT_SIGMA
     sigma_floor: float = DEFAULT_SIGMA_FLOOR
     use_interaction_branch: bool = True
     pairwise_mode: str = "logit_sum"
@@ -204,15 +207,10 @@ def _relu(x):
     return np.maximum(x, 0.0)
 
 
-def _sigmoid(x):
-    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)),
-                    np.exp(np.minimum(x, 0)) / (1.0 + np.exp(np.minimum(x, 0))))
-
-
 def _clip_sigmoid(logits):
     """Clamped sigmoid plus the mask where gradients pass."""
     clipped = np.clip(logits, -LOGIT_CLIP, LOGIT_CLIP)
-    p_raw = _sigmoid(clipped)
+    p_raw = sigmoid(clipped)
     p = np.clip(p_raw, PROB_EPS, 1.0 - PROB_EPS)
     mask = (
         (np.abs(logits) < LOGIT_CLIP)
@@ -223,9 +221,7 @@ def _clip_sigmoid(logits):
 
 
 def _softmax_rows(logits):
-    clipped = np.clip(logits, -LOGIT_CLIP, LOGIT_CLIP)
-    e = np.exp(clipped - clipped.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    return softmax(np.clip(logits, -LOGIT_CLIP, LOGIT_CLIP))
 
 
 def _as_matrix(feats, dim):
@@ -344,23 +340,6 @@ def pair_scores(logit_h, logit_o, hidden_h, hidden_o, params,
     mlp = _relu(z @ params["cm_fc1_w"] + params["cm_fc1_b"])
     p, _ = _clip_sigmoid(mlp @ params["cm_fc2_w"] + params["cm_fc2_b"])
     return p[0] if np.ndim(hidden_o) == 1 else p
-
-
-def forward_interaction(feat_h, feat_o, params, cfg: HeadConfig) -> np.ndarray:
-    """Pairwise action scores for one (human, object) feature pair."""
-    if not cfg.use_interaction_branch:
-        raise ConfigError("interaction branch is disabled")
-    hum = forward_human(feat_h, params, cfg)
-    lh = interaction_human_logits(hum.hidden, params, cfg)
-    lo, z2o = interaction_object_logits(feat_o, params, cfg)
-    out = pair_scores(lh, lo, hum.hidden, z2o, params, cfg)
-    return out[0] if out.ndim == 2 and out.shape[0] == 1 else out
-
-
-def bce_loss(score, label) -> float:
-    p = float(np.clip(score, PROB_EPS, 1.0 - PROB_EPS))
-    y = float(label)
-    return float(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
 
 
 # --- training batch and backward pass -------------------------------------
@@ -674,32 +653,36 @@ class CheckpointError(ValueError):
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Parameters, head config and action registry of a checkpoint file;
+    a file this function cannot read as one is a CheckpointError."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    if raw[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"{path}: bad checkpoint magic")
-    off = len(CHECKPOINT_MAGIC)
-    (hlen,) = struct.unpack_from("<Q", raw, off)
-    off += 8
+    off = len(CHECKPOINT_MAGIC) + 8
+    if len(raw) < off or raw[:len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
+        raise CheckpointError(f"{path}: bad checkpoint magic or preamble")
+    (hlen,) = struct.unpack_from("<Q", raw, len(CHECKPOINT_MAGIC))
     try:
         header = json.loads(raw[off:off + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: corrupt header ({exc})")
     off += hlen
-    if header.get("format_version") != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"{path}: unsupported format version {header.get('format_version')!r}"
-        )
-    cfg = HeadConfig(**header["config"])
+    try:
+        if header.get("format_version") != CHECKPOINT_VERSION:
+            raise CheckpointError(f"{path}: unsupported format version "
+                                  f"{header.get('format_version')!r}")
+        cfg = HeadConfig(**header["config"])
+        specs = [(str(t["name"]), tuple(int(n) for n in t["shape"]))
+                 for t in header["tensors"]]
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise CheckpointError(f"{path}: malformed header ({exc!r})")
     params = {}
-    for spec in header["tensors"]:
-        shape = tuple(spec["shape"])
+    for name, shape in specs:
         size = int(np.prod(shape)) if shape else 1
         nbytes = size * 4
         if off + nbytes > len(raw):
-            raise CheckpointError(f"{path}: truncated tensor {spec['name']}")
+            raise CheckpointError(f"{path}: truncated tensor {name}")
         arr = np.frombuffer(raw, dtype="<f4", count=size, offset=off)
-        params[spec["name"]] = arr.astype(np.float64).reshape(shape)
+        params[name] = arr.astype(np.float64).reshape(shape)
         off += nbytes
     if off != len(raw):
         raise CheckpointError(f"{path}: trailing bytes after payload")

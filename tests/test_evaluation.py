@@ -25,7 +25,6 @@ from hoidet.evaluation import (
     match_triplets,
     report_json,
     report_text,
-    write_report,
 )
 from hoidet.geometry import Box, Detection, iou, nms
 from hoidet.inference import ScoredTriplet, write_predictions
@@ -430,14 +429,6 @@ class TestReportOutput:
         assert len(doc["role_entries"]) == sum(
             1 for e in REGISTRY if e.role != ROLE_NONE)
         assert len(doc["agent_entries"]) == len(REGISTRY.verbs)
-
-    def test_write_report_files(self, synth_dataset, tmp_path):
-        report = evaluate_triplets(_gt_echo_triplets(synth_dataset),
-                                   synth_dataset)
-        tpath, jpath = tmp_path / "r.txt", tmp_path / "r.json"
-        write_report(report, text_path=tpath, json_path=jpath)
-        assert "AP_role" in tpath.read_text()
-        assert json.loads(jpath.read_text())["mean_agent_ap"] == 1.0
 
 
 class TestEvaluateFiles:

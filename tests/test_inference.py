@@ -20,11 +20,20 @@ from hoidet.inference import (
     select_object,
     write_predictions,
 )
-from hoidet.model import HeadConfig, forward_interaction, init_params
+from hoidet.model import HeadConfig, init_params
 from hoidet.trainer import from_synthetic
+from test_model import forward_interaction
 
 REGISTRY = synthetic_registry()
 CATEGORIES = [PERSON_CATEGORY] + SYNTH_CATEGORIES
+
+
+def component_product(t: ScoredTriplet) -> float:
+    """The triplet's score recomputed from its factors."""
+    p = t.s_h * t.action_score
+    if t.object is not None:
+        p = t.s_h * t.s_o * t.action_score * t.compat
+    return p
 
 
 def _mk_cfg(provider, **kw):
@@ -46,6 +55,23 @@ def small_world():
         )
     )
     return scenes, provider
+
+
+class TestInferenceConfig:
+    @pytest.mark.parametrize("kw", [
+        dict(max_triplets=-1),
+        dict(score_threshold=-0.01),
+        dict(score_threshold=float("nan")),
+        dict(nms_threshold=1.5),
+        dict(nms_threshold=float("inf")),
+    ])
+    def test_out_of_range_rejected(self, kw):
+        with pytest.raises(ValueError, match=next(iter(kw))):
+            InferenceConfig(**kw)
+
+    def test_bounds_accepted(self):
+        InferenceConfig(score_threshold=0.0, nms_threshold=1.0, max_triplets=0)
+        InferenceConfig(score_threshold=1.0, nms_threshold=0.0)
 
 
 class TestDetectObjects:
@@ -279,7 +305,7 @@ class TestInferCascade:
         assert trips
         for t in trips:
             assert 0.0 <= t.score <= 1.0
-            assert abs(t.score - t.component_product()) <= 1e-9
+            assert abs(t.score - component_product(t)) <= 1e-9
             if t.role == ROLE_NONE:
                 assert t.object is None and t.s_o is None and t.compat is None
             else:

@@ -10,11 +10,10 @@ from hoidet.model import (
     HeadConfig,
     ImageSamples,
     LossWeights,
+    PROB_EPS,
     backward,
-    bce_loss,
     check_params,
     forward_human,
-    forward_interaction,
     forward_object,
     init_params,
     init_velocity,
@@ -26,6 +25,23 @@ from hoidet.model import (
     sgd_step,
     zero_grads,
 )
+
+
+def forward_interaction(feat_h, feat_o, params, cfg: HeadConfig) -> np.ndarray:
+    """Pairwise action scores for one (human, object) feature pair."""
+    if not cfg.use_interaction_branch:
+        raise ConfigError("interaction branch is disabled")
+    hum = forward_human(feat_h, params, cfg)
+    lh = interaction_human_logits(hum.hidden, params, cfg)
+    lo, z2o = interaction_object_logits(feat_o, params, cfg)
+    out = pair_scores(lh, lo, hum.hidden, z2o, params, cfg)
+    return out[0] if out.ndim == 2 and out.shape[0] == 1 else out
+
+
+def bce_loss(score, label) -> float:
+    p = float(np.clip(score, PROB_EPS, 1.0 - PROB_EPS))
+    y = float(label)
+    return float(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
 
 
 def small_cfg(**kw):
