@@ -32,6 +32,7 @@ from .dataset import (
     ROLE_NONE,
     SYNTH_CATEGORIES,
     ActionRegistry,
+    AnnotationError,
     Dataset,
     SynthConfig,
     generate_synthetic,
@@ -356,6 +357,8 @@ def cmd_train(cfg: dict) -> int:
         )
     except TrainingDiverged as exc:
         raise CliError("diverged", str(exc))
+    except AnnotationError as exc:  # no scenes, or categories missing
+        raise CliError("data", str(exc))
     _write_json(os.path.join(out, "train_config.json"), cfg)
     print(f"trained {schedule.total_iterations} iterations; "
           f"final loss {history[-1].total:.6f}; checkpoint {ckpt_path}")
@@ -388,14 +391,39 @@ def _write_report(out, report, cfg) -> str:
     return text
 
 
-def _load_centers(path):
+def _load_centers(path, registry: ActionRegistry):
+    """Per-action-index (K, 4) cluster centers of a ``centers.json``, one
+    entry for each action of ``registry`` that has a target; malformed
+    content is a ``data`` error."""
     try:
         with open(path) as f:
             doc = json.load(f)
     except OSError as exc:
         raise CliError("io", f"cannot read centers: {exc}")
-    return {int(k): np.asarray(v, dtype=np.float64)
-            for k, v in doc["centers"].items()}
+    except ValueError as exc:
+        raise CliError("data", f"centers file is not valid JSON: {exc}")
+    try:
+        items = doc["centers"].items()
+    except (AttributeError, KeyError, TypeError):
+        raise CliError("data", "centers file has no 'centers' mapping")
+    out = {}
+    for key, value in items:
+        try:
+            centers = np.asarray(value, dtype=np.float64)
+            if (centers.ndim != 2 or centers.shape[0] < 1
+                    or centers.shape[1] != 4):
+                raise ValueError(f"need a (K, 4) array with K >= 1, got "
+                                 f"shape {centers.shape}")
+            if not np.all(np.isfinite(centers)):
+                raise ValueError("non-finite entry")
+            out[int(key)] = centers
+        except (TypeError, ValueError) as exc:
+            raise CliError("data", f"centers for action {key!r}: {exc}")
+    for a, entry in enumerate(registry):
+        if entry.role != ROLE_NONE and a not in out:
+            raise CliError("data", f"centers file has no centers for action "
+                                   f"{a} ({entry.name}/{entry.role})")
+    return out
 
 
 def _overlay_entry(t, provider, params, head_cfg, registry):
@@ -455,7 +483,8 @@ def cmd_infer(cfg: dict) -> int:
     _require(cfg, "checkpoint")
     ds, provider, proposals = _load_world(cfg)
     ckpt, registry = _load_model(cfg["checkpoint"], ds.registry)
-    centers = _load_centers(cfg["centers"]) if cfg["centers"] else None
+    centers = (_load_centers(cfg["centers"], registry) if cfg["centers"]
+               else None)
     pred_path, triplets = _run_inference(
         cfg, ds, provider, proposals, ckpt.params, ckpt.config, registry,
         centers, out)

@@ -110,7 +110,11 @@ def box_array(boxes) -> np.ndarray:
 
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise :func:`iou` of (N, 4) and (M, 4) corner arrays -> (N, M)."""
-    a, b = a[:, None, :], b[None, :, :]
+    return box_iou(a[:, None, :], b[None, :, :])
+
+
+def box_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`iou` over broadcasting (..., 4) corner arrays."""
     iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
     ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
     inter = iw * ih

@@ -163,6 +163,95 @@ class TestTrainCommand:
         assert err.startswith("error: diverged:") and "iteration" in err
 
 
+    def _train_on(self, tmp_path, capsys, edit):
+        """Exit code and stderr of a train run on edited annotations."""
+        data = _synth(tmp_path)
+        doc = json.loads((data / "annotations.json").read_text())
+        edit(doc)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = _run("train", "--out", str(tmp_path / "run"),
+                    "--annotations", str(path),
+                    "--features", str(data / "features.npz"),
+                    "--proposals", str(data / "proposals.json"),
+                    "--phases", "2:0.001", "--workers", "2")
+        return code, capsys.readouterr().err
+
+    def test_zero_scenes_is_data_error(self, tmp_path, capsys):
+        code, err = self._train_on(tmp_path, capsys,
+                                   lambda doc: doc.update(scenes=[]))
+        assert code == 1
+        assert err == "error: data: training needs at least one scene\n"
+
+    def test_categories_without_person_are_data_error(self, tmp_path,
+                                                      capsys):
+        def drop_person(doc):
+            doc["categories"].remove("person")
+
+        code, err = self._train_on(tmp_path, capsys, drop_person)
+        assert code == 1
+        assert err == 'error: data: categories must include "person"\n'
+        # rejected while the labels are built, before iteration 0
+        assert not (tmp_path / "run" / "loss.log").exists()
+
+    def test_unknown_object_category_is_data_error(self, tmp_path, capsys):
+        def only_person(doc):
+            doc["categories"] = ["person"]
+
+        code, err = self._train_on(tmp_path, capsys, only_person)
+        assert code == 1
+        assert err.startswith("error: data: scene 0: object category ")
+        assert err.endswith(" is not a training category\n")
+
+
+class TestCentersFile:
+    """``hoidet infer --centers`` on a malformed file: one data error."""
+
+    @pytest.fixture(scope="class")
+    def world(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("centers")
+        data = _synth(tmp)
+        return tmp, data, _train(tmp, data)
+
+    @pytest.mark.parametrize("content, message", [
+        ("{not json", "centers file is not valid JSON: "),
+        ("[1]", "centers file has no 'centers' mapping"),
+        ('{"centers": [1]}', "centers file has no 'centers' mapping"),
+        ('{"centers": {"x": [[0, 0, 0, 0]]}}',
+         "centers for action 'x': invalid literal for int()"),
+        ('{"centers": {"0": [[1, 2, 3]]}}',
+         "centers for action '0': need a (K, 4) array with K >= 1, got "
+         "shape (1, 3)"),
+        ('{"centers": {"0": []}}',
+         "centers for action '0': need a (K, 4) array with K >= 1, got "
+         "shape (0,)"),
+        ('{"centers": {"0": [[0, 0, "a", 0]]}}',
+         "centers for action '0': could not convert"),
+        ('{"centers": {"0": [[0, 0, NaN, 0]]}}',
+         "centers for action '0': non-finite entry"),
+        ('{"centers": {"0": [[0, 0, 0, 0]]}}',
+         "centers file has no centers for action 1 (throw/object)"),
+    ], ids=["not_json", "top_level_list", "centers_not_mapping",
+            "non_integer_key", "three_columns", "no_rows", "not_a_number",
+            "nan", "missing_action"])
+    def test_malformed(self, world, capsys, content, message):
+        tmp, data, run = world
+        path = tmp / "centers.json"
+        path.write_text(content)
+        capsys.readouterr()
+        code = _run("infer", "--out", str(tmp / "o"),
+                    "--checkpoint", str(run / "checkpoint.bin"),
+                    "--annotations", str(data / "annotations.json"),
+                    "--features", str(data / "features.npz"),
+                    "--proposals", str(data / "proposals.json"),
+                    "--centers", str(path))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: data: " + message)
+        assert err.count("\n") == 1
+
+
 class TestInferCommand:
     def test_writes_predictions(self, tmp_path):
         data = _synth(tmp_path)

@@ -7,7 +7,15 @@ accumulation over per-image branch passes with per-row loss loops, also
 kept here; only the summation order differs, so the two agree to a
 relative 1e-10. The row forms of the regression losses must equal their
 single-row calls bit for bit.
+
+Label assignment is a per-scene label table plus a seeded draw. Tables
+built for many scenes together must equal, bit for bit, the tables
+built one scene at a time, and what the training loop draws from them
+must equal the one-scene public path, ``build_image_samples``.
 """
+
+import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,7 +33,7 @@ from hoidet.dataset import (
     synthetic_registry,
 )
 from hoidet.density import mdn_nll_grad, smooth_l1, smooth_l1_grad
-from hoidet.geometry import Box, encode_rel, iou
+from hoidet.geometry import Box, box_array, encode_rel, iou
 from hoidet.model import (
     LOGIT_CLIP,
     PROB_EPS,
@@ -43,7 +51,20 @@ from hoidet.model import (
     init_params,
     zero_grads,
 )
-from hoidet.trainer import Quotas, SampleBoxes, assign_labels
+import hoidet.trainer as trainer
+from hoidet.trainer import (
+    LabelTable,
+    Phase,
+    Quotas,
+    SampleBoxes,
+    Schedule,
+    TrainScene,
+    assign_labels,
+    build_image_samples,
+    from_synthetic,
+    label_tables,
+    train,
+)
 
 REGISTRY = synthetic_registry()
 CATEGORIES = [PERSON_CATEGORY] + SYNTH_CATEGORIES
@@ -152,13 +173,21 @@ def _reference_assign_labels(proposals, scene, registry, categories,
 
 
 def _assert_same_samples(got: SampleBoxes, want: SampleBoxes):
-    assert got.object_boxes == want.object_boxes
-    assert got.human_boxes == want.human_boxes
-    assert got.interaction_pairs == want.interaction_pairs
-    for name in ("object_labels", "object_reg_targets", "object_reg_mask",
+    """``want`` holds Box lists and (person Box, object Box) tuples where
+    ``got`` holds their corner arrays."""
+    want_boxes = {
+        "object_boxes": box_array(want.object_boxes),
+        "human_boxes": box_array(want.human_boxes),
+        "interaction_pairs": box_array(
+            [b for pair in want.interaction_pairs for b in pair]
+        ).reshape(-1, 2, 4),
+    }
+    for name in ("object_boxes", "human_boxes", "interaction_pairs",
+                 "object_labels", "object_reg_targets", "object_reg_mask",
                  "human_action_targets", "human_target_offsets",
                  "human_target_mask", "interaction_action_targets"):
-        g, w = getattr(got, name), getattr(want, name)
+        g = getattr(got, name)
+        w = want_boxes.get(name, getattr(want, name))
         assert g.shape == w.shape and g.dtype.kind == w.dtype.kind, name
         assert np.all(g == w), name
 
@@ -249,7 +278,7 @@ def test_scene_without_person():
                             objects=[ObjectInstance(KNIFE, "knife")])
     got = _check_assignment([KNIFE, _box(50, 50, 6, 6), PERSON], scene,
                             Quotas(), 1)
-    assert got.human_boxes == [] and got.object_labels.tolist() != []
+    assert len(got.human_boxes) == 0 and got.object_labels.tolist() != []
 
 
 def test_scene_without_positives():
@@ -259,7 +288,7 @@ def test_scene_without_positives():
         interactions=[Interaction(0, "cut", "instrument", 0)])
     got = _check_assignment([_box(55, 55, 4, 4), _box(5, 5, 3, 3)], scene,
                             Quotas(), 2)
-    assert got.object_boxes == [] and got.human_boxes == []
+    assert len(got.object_boxes) == 0 and len(got.human_boxes) == 0
     assert len(got.interaction_pairs) == 1
 
 
@@ -276,8 +305,98 @@ def test_ignore_region_and_duplicate_role_records():
     props = [PERSON, _box(20.5, 30.0, 10.0, 20.0), KNIFE, ghost,
              _box(50.5, 12.0, 8.0, 8.0), _box(5, 5, 3, 3)]
     got = _check_assignment(props, scene, Quotas(), 3)
-    assert ghost not in got.object_boxes
+    assert list(ghost.as_tuple()) not in got.object_boxes.tolist()
     assert got.human_target_mask.sum() == 2  # one entry per sampled person
+
+
+def _train_scene(scene, proposals):
+    return TrainScene(scene.image_id, scene, proposals)
+
+
+GHOST = _box(50.0, 12.0, 8.0, 8.0)
+EDGE_SCENES = [
+    _train_scene(SceneAnnotation(  # no proposals
+        0, 64.0, 64.0, persons=[PERSON],
+        objects=[ObjectInstance(KNIFE, "knife")],
+        interactions=[Interaction(0, "cut", "instrument", 0)]), []),
+    _train_scene(SceneAnnotation(  # no persons
+        0, 64.0, 64.0, persons=[], objects=[ObjectInstance(KNIFE, "knife")],
+        interactions=[]), [KNIFE, PERSON]),
+    _train_scene(SceneAnnotation(  # no objects
+        0, 64.0, 64.0, persons=[PERSON], objects=[],
+        interactions=[Interaction(0, "stand", ROLE_NONE)]), [PERSON, KNIFE]),
+    _train_scene(SceneAnnotation(  # only ignored objects
+        0, 64.0, 64.0, persons=[PERSON],
+        objects=[ObjectInstance(GHOST, "ball", ignore=True)],
+        interactions=[]), [PERSON, GHOST, _box(50.5, 12.0, 8.0, 8.0)]),
+    _train_scene(SceneAnnotation(  # duplicate role records
+        0, 64.0, 64.0, persons=[PERSON],
+        objects=[ObjectInstance(KNIFE, "knife"),
+                 ObjectInstance(_box(29.0, 31.0, 4.0, 3.0), "knife")],
+        interactions=[Interaction(0, "cut", "instrument", 1),
+                      Interaction(0, "cut", "instrument", 0),
+                      Interaction(0, "cut", "instrument", 1)]),
+        [PERSON, _box(20.5, 30.0, 10.0, 20.0), KNIFE]),
+]
+
+
+def _assert_same_table(got: LabelTable, want: LabelTable):
+    for field in dataclasses.fields(LabelTable):
+        g, w = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(w, list):
+            assert g == w, field.name
+        else:
+            assert g.shape == w.shape and g.dtype == w.dtype, field.name
+            assert g.tobytes() == w.tobytes(), field.name
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(labeled_scenes(), max_size=5).flatmap(
+    lambda drawn: st.permutations(
+        [_train_scene(*d) for d in drawn] + EDGE_SCENES)), QUOTAS,
+    st.sampled_from([1, 40, trainer._CHUNK_PAIRS]))
+def test_tables_built_together_equal_tables_built_alone(scenes, quotas,
+                                                        chunk_pairs):
+    # small chunks put chunk boundaries between the scenes
+    with mock.patch.object(trainer, "_CHUNK_PAIRS", chunk_pairs):
+        together = label_tables(scenes, REGISTRY, CATEGORIES, quotas)
+    assert len(together) == len(scenes)
+    for ts, got in zip(scenes, together):
+        want, = label_tables([ts], REGISTRY, CATEGORIES, quotas)
+        _assert_same_table(got, want)
+
+
+def test_training_draws_the_public_samples(monkeypatch):
+    scenes, provider = from_synthetic(generate_synthetic(SynthConfig(
+        num_scenes=5, seed=2, persons_per_scene=2, num_distractors=3)))
+    cfg = HeadConfig(feature_dim=provider.feature_dim,
+                     num_actions=len(REGISTRY),
+                     num_object_classes=len(CATEGORIES), hidden_dim=8)
+    schedule = Schedule(phases=[Phase(3, 1e-3)], seed=7)
+    quotas = Quotas(object_quota=8, human_quota=2)  # both caps bind
+    real, batches = trainer.backward, []
+
+    def recording(batch, *args):
+        batches.append(batch)
+        return real(batch, *args)
+
+    monkeypatch.setattr(trainer, "backward", recording)
+    train(scenes, provider, cfg, schedule, REGISTRY, CATEGORIES,
+          quotas=quotas)
+    assert len(batches) == 3
+    per = schedule.images_per_step
+    for it, batch in enumerate(batches):
+        picks = np.random.default_rng((schedule.seed, it)).integers(
+            0, len(scenes), size=schedule.workers * per)
+        assert len(batch) == len(picks)
+        for b, (img, pick) in enumerate(zip(batch, picks)):
+            want = build_image_samples(
+                scenes[pick], provider, REGISTRY, CATEGORIES, cfg, quotas,
+                (schedule.seed, it, *divmod(b, per)))
+            for field in dataclasses.fields(ImageSamples):
+                g, w = getattr(img, field.name), getattr(want, field.name)
+                assert g.shape == w.shape and g.dtype == w.dtype, field.name
+                assert np.all(g == w), field.name
 
 
 # --- (b) one stacked backward ------------------------------------------------

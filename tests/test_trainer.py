@@ -156,8 +156,8 @@ class TestAssignLabels:
     def test_labels_match_categories(self):
         props = [PERSON, KNIFE, APPLE] + _far_negatives(6)
         out = assign_labels(props, CUT_SCENE, REGISTRY, CATEGORIES, seed=0)
-        by_box = {b.as_tuple(): l for b, l in
-                  zip(out.object_boxes, out.object_labels)}
+        by_box = {tuple(b): l for b, l in
+                  zip(out.object_boxes.tolist(), out.object_labels)}
         assert by_box[PERSON.as_tuple()] == 1 + CATEGORIES.index("person") - 0
         assert by_box[KNIFE.as_tuple()] == CATEGORIES.index("knife") + 1
         assert by_box[APPLE.as_tuple()] == CATEGORIES.index("apple") + 1
@@ -185,7 +185,7 @@ class TestAssignLabels:
         assert iou(near_ghost, ghost) >= 0.5
         props = [PERSON, KNIFE, near_ghost] + _far_negatives(2)
         out = assign_labels(props, scene, REGISTRY, CATEGORIES, seed=0)
-        taken = {b.as_tuple() for b in out.object_boxes}
+        taken = {tuple(b) for b in out.object_boxes.tolist()}
         # 2 positives -> up to 6 negatives, so both far boxes are kept;
         # the ignore-overlapping box must appear nowhere
         assert near_ghost.as_tuple() not in taken
@@ -208,7 +208,7 @@ class TestAssignLabels:
         out = assign_labels(props, CUT_SCENE, REGISTRY, CATEGORIES, seed=0)
         assert len(out.human_boxes) == 16
         for b in out.human_boxes:
-            assert iou(b, PERSON) >= 0.5
+            assert iou(Box(*b), PERSON) >= 0.5
 
     def test_action_targets_are_verb_level(self):
         # only the instrument record is annotated; both cut entries still
@@ -284,10 +284,10 @@ class TestAssignLabels:
         out = assign_labels([PERSON, KNIFE, APPLE], CUT_SCENE, REGISTRY,
                             CATEGORIES, seed=0)
         assert len(out.interaction_pairs) == 2
-        boxes = {o.as_tuple() for _, o in out.interaction_pairs}
+        boxes = {tuple(o) for _, o in out.interaction_pairs.tolist()}
         assert boxes == {KNIFE.as_tuple(), APPLE.as_tuple()}
-        for h, _ in out.interaction_pairs:
-            assert h.as_tuple() == PERSON.as_tuple()
+        for h, _ in out.interaction_pairs.tolist():
+            assert tuple(h) == PERSON.as_tuple()
         # verb-level: each pair is labeled with both cut entries
         assert np.all(out.interaction_action_targets.sum(axis=1) == 2.0)
 
@@ -298,7 +298,7 @@ class TestAssignLabels:
                                       role=ROLE_NONE)],
         )
         out = assign_labels([PERSON], scene, REGISTRY, CATEGORIES, seed=0)
-        assert out.interaction_pairs == []
+        assert out.interaction_pairs.shape == (0, 2, 4)
         assert out.interaction_action_targets.shape == (0, len(REGISTRY))
 
     def test_sampling_is_seed_deterministic(self):
@@ -306,12 +306,11 @@ class TestAssignLabels:
         props += _far_negatives(120)
         a = assign_labels(props, CUT_SCENE, REGISTRY, CATEGORIES, seed=5)
         b = assign_labels(props, CUT_SCENE, REGISTRY, CATEGORIES, seed=5)
-        assert [x.as_tuple() for x in a.object_boxes] == [
-            x.as_tuple() for x in b.object_boxes]
+        assert np.array_equal(a.object_boxes, b.object_boxes)
         assert np.array_equal(a.object_labels, b.object_labels)
         c = assign_labels(props, CUT_SCENE, REGISTRY, CATEGORIES, seed=6)
-        assert {x.as_tuple() for x in a.object_boxes} != {
-            x.as_tuple() for x in c.object_boxes}
+        assert {tuple(x) for x in a.object_boxes.tolist()} != {
+            tuple(x) for x in c.object_boxes.tolist()}
 
     def test_requires_person_category(self):
         with pytest.raises(ValueError, match="person"):
@@ -376,7 +375,7 @@ class TestFeaturize:
         )
         labels = assign_labels(_far_negatives(4), scene, REGISTRY,
                                CATEGORIES, seed=0)
-        assert labels.human_boxes == []
+        assert labels.human_boxes.shape == (0, 4)
         synth_scene = generate_synthetic(SynthConfig(num_scenes=1, seed=9))[0]
         from hoidet.features import SyntheticFeatureProvider
         prov = SyntheticFeatureProvider({0: synth_scene.feature_map})
