@@ -187,6 +187,13 @@ def _row_max(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return out
 
 
+def _within(counts: np.ndarray) -> np.ndarray:
+    """Each entry's position in its row, the rows laid end to end with
+    ``counts[i]`` entries in row i."""
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts,
+                                               counts)
+
+
 def _first_max(values: np.ndarray, counts: np.ndarray):
     """Per row, laid out as for :func:`_row_max`, the position in the row
     of the first entry holding the row's maximum, and that maximum;
@@ -197,7 +204,7 @@ def _first_max(values: np.ndarray, counts: np.ndarray):
     hit = np.flatnonzero((values == best[rows]) & (values > 0.0))
     first = hit[np.diff(rows[hit], prepend=-1) != 0]
     index = np.full(len(counts), -1)
-    index[rows[first]] = first - (np.cumsum(counts) - counts)[rows[first]]
+    index[rows[first]] = _within(counts)[first]
     return index, best
 
 
@@ -300,8 +307,7 @@ def _label_chunk(scenes, registry: ActionRegistry, cat_index: dict,
     # every (proposal, ground truth) pair of a scene, proposal-major
     per_prop = n_gt[scene]
     pair_prop = np.repeat(np.arange(len(props)), per_prop)
-    col = np.arange(len(pair_prop)) - np.repeat(np.cumsum(per_prop) - per_prop,
-                                                per_prop)
+    col = _within(per_prop)
     pair_gt = gt_start[pair_prop] + col
     overlap = box_iou(props[pair_prop], gt[pair_gt])
     ignored = gt_ignore[pair_gt]
@@ -340,7 +346,7 @@ def _label_chunk(scenes, registry: ActionRegistry, cat_index: dict,
     for arr in (props, labels, reg_targets, human_boxes, action_targets,
                 offsets, target_mask, pair_boxes, pair_targets):
         arr.flags.writeable = False
-    local = np.arange(len(props)) - (np.cumsum(n_prop) - n_prop)[scene]
+    local = _within(n_prop)
     positives, negatives = local[pos], local[neg]
     n = len(scenes)
     return [
