@@ -19,8 +19,8 @@ from .dataset import (
     save_annotations,
     synthetic_registry,
 )
-from .density import DensityParams, gaussian_compat, mixture_compat
-from .evaluation import APReport, MatchRule, evaluate, evaluate_triplets
+from .density import gaussian_compat, mixture_compat
+from .evaluation import APReport, MatchRule, evaluate_triplets
 from .features import SyntheticFeatureProvider, roi_align
 from .geometry import Box, Detection, RelOffset, decode_rel, encode_rel, iou, nms
 from .inference import (
@@ -43,7 +43,6 @@ __all__ = [
     "APReport",
     "Box",
     "Dataset",
-    "DensityParams",
     "Detection",
     "HeadConfig",
     "InferenceConfig",
@@ -59,7 +58,6 @@ __all__ = [
     "default_registry",
     "detect_objects",
     "encode_rel",
-    "evaluate",
     "evaluate_triplets",
     "gaussian_compat",
     "generate_synthetic",

@@ -10,10 +10,12 @@ alone. Errors print a single machine-parsable line
 ``error: <kind>: <message>`` on stderr and exit nonzero (2 for
 configuration problems, 1 for runtime failures).
 
-The density mode decides the target-location term:
+The training density mode decides the target-location term:
   fixed_sigma      one predicted center, fixed-width compatibility
   mdn_m1 / mdn_m2  mixture density output with 1 or 2 components
-  kmeans_baseline  instance-independent cluster centers (ablation)
+The instance-independent ablation (k-means cluster centers in place of
+the learned density) is not a training mode: ``hoidet baseline`` fits
+the centers and scores with them, and ``infer --centers`` reads them.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from .inference import (
 from .model import HeadConfig, LossWeights, forward_human, load_checkpoint
 from .trainer import Phase, Schedule, TrainingDiverged, TrainScene, train
 
-DENSITY_MODES = ("fixed_sigma", "mdn_m1", "mdn_m2", "kmeans_baseline")
+DENSITY_MODES = ("fixed_sigma", "mdn_m1", "mdn_m2")
 
 
 class CliError(Exception):

@@ -31,6 +31,7 @@ regress the target offset.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,24 @@ ANNOTATION_VERSION = 1
 
 class AnnotationError(ValueError):
     """Raised for malformed annotation files; the message names the record."""
+
+
+_NUMBERS = {float, int}  # the types of a JSON number (not of a boolean)
+# JSON names of the types the loader checks for (float stands for any
+# number), and of the values it finds
+_EXPECTED = {list: "a list", dict: "an object", str: "a string",
+             bool: "a boolean", int: "an integer", float: "a number"}
+_FOUND = {list: "list", dict: "object", str: "string", bool: "boolean",
+          int: "integer", float: "number", type(None): "null"}
+
+
+def _typed(value, kind: type, where: str):
+    """``value`` if it is of JSON type ``kind`` (a key of ``_EXPECTED``;
+    a boolean is not a number), else AnnotationError naming ``where``."""
+    if type(value) is kind or (kind is float and type(value) in _NUMBERS):
+        return value
+    raise AnnotationError(f"{where}: expected {_EXPECTED[kind]}, got "
+                          f"{_FOUND.get(type(value), type(value).__name__)}")
 
 
 @dataclass(frozen=True)
@@ -128,8 +147,11 @@ class ActionRegistry:
         if not isinstance(raw, list):
             raise AnnotationError("actions must be a list")
         try:
-            return cls(ActionSpec(name=str(d["name"]), role=str(d["role"]))
-                       for d in raw)
+            return cls([ActionSpec(name=_typed(d["name"], str,
+                                               f"actions[{i}].name"),
+                                   role=_typed(d["role"], str,
+                                               f"actions[{i}].role"))
+                        for i, d in enumerate(raw)])
         except (KeyError, TypeError) as exc:
             raise AnnotationError(f"malformed action entry ({exc!r})")
 
@@ -200,8 +222,9 @@ class SceneAnnotation:
     interactions: list
 
     def validate(self, registry: ActionRegistry, where: str = "scene"):
-        if self.width <= 0 or self.height <= 0:
-            raise AnnotationError(f"{where}: nonpositive image size")
+        if not (0 < self.width < math.inf and 0 < self.height < math.inf):
+            raise AnnotationError(f"{where}: image size must be positive and "
+                                  f"finite, got {self.width} x {self.height}")
         for j, rec in enumerate(self.interactions):
             here = f"{where}.interactions[{j}]"
             if not registry.has(rec.action, rec.role):
@@ -225,46 +248,57 @@ class SceneAnnotation:
 
 def _box_from_json(raw, where: str) -> Box:
     try:
-        x1, y1, x2, y2 = (float(v) for v in raw)
+        if type(raw) is not list or not _NUMBERS.issuperset(map(type, raw)):
+            raise ValueError("expected a list of numbers")
+        x1, y1, x2, y2 = map(float, raw)
         return Box(x1, y1, x2, y2)
-    except (TypeError, ValueError) as exc:
+    except (OverflowError, ValueError) as exc:
         raise AnnotationError(f"{where}: invalid box {raw!r} ({exc})")
 
 
+def _list_at(raw: dict, key: str, prefix: str = "") -> list:
+    """The list under ``key`` of a JSON object (empty when absent),
+    named ``prefix + key`` in errors."""
+    return _typed(raw.get(key, []), list, prefix + key)
+
+
 def _scene_from_json(raw, registry: ActionRegistry, where: str) -> SceneAnnotation:
+    _typed(raw, dict, where)
     try:
-        image_id = int(raw["image_id"])
-        width = float(raw["width"])
-        height = float(raw["height"])
-    except (KeyError, TypeError, ValueError) as exc:
+        image_id = _typed(raw["image_id"], int, f"{where}.image_id")
+        width = float(_typed(raw["width"], float, f"{where}.width"))
+        height = float(_typed(raw["height"], float, f"{where}.height"))
+    except (KeyError, OverflowError) as exc:
         raise AnnotationError(f"{where}: bad header fields ({exc})")
     persons = [
         _box_from_json(b, f"{where}.persons[{i}]")
-        for i, b in enumerate(raw.get("persons", []))
+        for i, b in enumerate(_list_at(raw, "persons", f"{where}."))
     ]
     objects = []
-    for i, o in enumerate(raw.get("objects", [])):
+    for i, o in enumerate(_list_at(raw, "objects", f"{where}.")):
         here = f"{where}.objects[{i}]"
-        if "category" not in o:
+        if "category" not in _typed(o, dict, here):
             raise AnnotationError(f"{here}: missing category")
         objects.append(
             ObjectInstance(
                 box=_box_from_json(o.get("box"), here),
-                category=str(o["category"]),
-                ignore=bool(o.get("ignore", False)),
+                category=_typed(o["category"], str, f"{here}.category"),
+                ignore=_typed(o.get("ignore", False), bool, f"{here}.ignore"),
             )
         )
     interactions = []
-    for i, r in enumerate(raw.get("interactions", [])):
+    for i, r in enumerate(_list_at(raw, "interactions", f"{where}.")):
         here = f"{where}.interactions[{i}]"
         try:
+            obj = _typed(r, dict, here).get("object")
             rec = Interaction(
-                person=int(r["person"]),
-                action=str(r["action"]),
-                role=str(r.get("role", ROLE_NONE)),
-                object=None if r.get("object") is None else int(r["object"]),
+                person=_typed(r["person"], int, f"{here}.person"),
+                action=_typed(r["action"], str, f"{here}.action"),
+                role=_typed(r.get("role", ROLE_NONE), str, f"{here}.role"),
+                object=None if obj is None else _typed(obj, int,
+                                                       f"{here}.object"),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except KeyError as exc:
             raise AnnotationError(f"{here}: malformed record ({exc})")
         if rec.object is not None and rec.object < 0:
             raise AnnotationError(f"{here}: object index {rec.object} out of range")
@@ -295,19 +329,24 @@ def load_annotations(path, schema: str = "vcoco_like") -> Dataset:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise AnnotationError(f"{path}: not valid JSON ({exc})")
-    if raw.get("version") != ANNOTATION_VERSION:
-        raise AnnotationError(f"{path}: unsupported version {raw.get('version')!r}")
+    version = _typed(raw, dict, f"{path}: top level").get("version")
+    if isinstance(version, bool) or version != ANNOTATION_VERSION:
+        raise AnnotationError(f"{path}: unsupported version {version!r}")
     if "actions" in raw:
         registry = ActionRegistry.from_json(raw["actions"])
     elif schema == "vcoco_like":
         registry = default_registry()
     else:
         raise AnnotationError(f"{path}: hico_like files must declare actions")
-    categories = [str(c) for c in raw.get("categories", [])]
-    scenes = [
-        _scene_from_json(s, registry, f"scenes[{i}]")
-        for i, s in enumerate(raw.get("scenes", []))
-    ]
+    categories = [_typed(c, str, f"categories[{i}]")
+                  for i, c in enumerate(_list_at(raw, "categories"))]
+    scenes, first = [], {}
+    for i, s in enumerate(_list_at(raw, "scenes")):
+        scenes.append(_scene_from_json(s, registry, f"scenes[{i}]"))
+        j = first.setdefault(scenes[-1].image_id, i)
+        if j != i:
+            raise AnnotationError(f"scenes[{i}]: image_id "
+                                  f"{scenes[-1].image_id} repeats scenes[{j}]")
     if not categories:
         categories = sorted({o.category for s in scenes for o in s.objects})
     if schema == "vcoco_like":
@@ -503,6 +542,12 @@ def _paint(data: np.ndarray, box: Box, stride: int, channel_values, pad: float =
         data[c, y1:y2, x1:x2] = v
 
 
+def _inside(box: Box, size: float) -> bool:
+    """Whether ``box`` keeps a one-pixel margin inside a square image."""
+    return (box.x1 >= 1 and box.y1 >= 1
+            and box.x2 <= size - 1 and box.y2 <= size - 1)
+
+
 def _place_person(rng, cfg: SynthConfig, code: PersonCode, registry, existing):
     """Draw a person box such that every implied target box fits in the
     image and overlaps existing boxes only lightly. Pure rejection
@@ -515,7 +560,7 @@ def _place_person(rng, cfg: SynthConfig, code: PersonCode, registry, existing):
         cx = rng.uniform(0.15 * size, 0.85 * size)
         cy = rng.uniform(0.25 * size, 0.75 * size)
         person = Box(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
-        if person.x1 < 1 or person.y1 < 1 or person.x2 > size - 1 or person.y2 > size - 1:
+        if not _inside(person, size):
             continue
         targets = []
         ok = True
@@ -523,7 +568,7 @@ def _place_person(rng, cfg: SynthConfig, code: PersonCode, registry, existing):
             off = latent_offset(code.verb, entry.role, code.pose)
             off = off + rng.uniform(-cfg.noise, cfg.noise, size=4)
             tbox = decode_rel(off, person)
-            if tbox.x1 < 1 or tbox.y1 < 1 or tbox.x2 > size - 1 or tbox.y2 > size - 1:
+            if not _inside(tbox, size):
                 ok = False
                 break
             targets.append((entry, off, tbox))
@@ -549,6 +594,15 @@ def generate_synthetic(cfg: SynthConfig):
         data = np.zeros((layout["total"], grid, grid))
         persons, objects, interactions, codes = [], [], [], []
         placed = []
+
+        def add_object(box, cat):
+            """Record an object, mark its box placed, and paint it."""
+            objects.append(ObjectInstance(box=box, category=cat))
+            placed.append(box)
+            _paint(data, box, cfg.stride, [
+                (layout["object"], 1.0),
+                (layout["category0"] + cat_index[cat], 1.0)], pad=0.5)
+
         for _ in range(cfg.persons_per_scene):
             verb = str(rng.choice(list(cfg.verbs)))
             pose = rng.uniform(-1.0, 1.0, size=2)
@@ -564,24 +618,11 @@ def generate_synthetic(cfg: SynthConfig):
             vals.append((layout["pose0"] + 1, pose[1]))
             _paint(data, person, cfg.stride, vals)
             for entry, _off, tbox in targets:
-                cat = _SYNTH_TARGET_CATEGORY[(entry.name, entry.role)]
-                oidx = len(objects)
-                objects.append(ObjectInstance(box=tbox, category=cat))
                 interactions.append(
                     Interaction(person=pidx, action=entry.name, role=entry.role,
-                                object=oidx)
+                                object=len(objects))
                 )
-                placed.append(tbox)
-                _paint(
-                    data,
-                    tbox,
-                    cfg.stride,
-                    [
-                        (layout["object"], 1.0),
-                        (layout["category0"] + cat_index[cat], 1.0),
-                    ],
-                    pad=0.5,
-                )
+                add_object(tbox, _SYNTH_TARGET_CATEGORY[(entry.name, entry.role)])
             if not targets:
                 interactions.append(
                     Interaction(person=pidx, action=verb, role=ROLE_NONE, object=None)
@@ -597,27 +638,14 @@ def generate_synthetic(cfg: SynthConfig):
                         off = latent_offset(verb, entry.role, alt)
                         off = off + rng.uniform(-cfg.noise, cfg.noise, size=4)
                         cbox = decode_rel(off, person)
-                        if (cbox.x1 < 1 or cbox.y1 < 1
-                                or cbox.x2 > cfg.image_size - 1
-                                or cbox.y2 > cfg.image_size - 1):
+                        if not _inside(cbox, cfg.image_size):
                             continue
                         if any(iou(cbox, b) > 0.3 for b in placed):
                             continue
                         break
                     else:
                         continue
-                    objects.append(ObjectInstance(box=cbox, category=cat))
-                    placed.append(cbox)
-                    _paint(
-                        data,
-                        cbox,
-                        cfg.stride,
-                        [
-                            (layout["object"], 1.0),
-                            (layout["category0"] + cat_index[cat], 1.0),
-                        ],
-                        pad=0.5,
-                    )
+                    add_object(cbox, cat)
         for _ in range(cfg.num_distractors):
             cat = str(rng.choice(SYNTH_CATEGORIES))
             for _try in range(200):
@@ -630,18 +658,7 @@ def generate_synthetic(cfg: SynthConfig):
                     break
             else:
                 continue
-            objects.append(ObjectInstance(box=dbox, category=cat))
-            placed.append(dbox)
-            _paint(
-                data,
-                dbox,
-                cfg.stride,
-                [
-                    (layout["object"], 1.0),
-                    (layout["category0"] + cat_index[cat], 1.0),
-                ],
-                pad=0.5,
-            )
+            add_object(dbox, cat)
         ann = SceneAnnotation(
             image_id=sid,
             width=cfg.image_size,

@@ -31,53 +31,12 @@ offset and many go through the same arithmetic and give the same bits.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 DEFAULT_SIGMA = 0.3
 DEFAULT_SIGMA_FLOOR = 0.3
 LOG_2PI = float(np.log(2.0 * np.pi))
-
-
-@dataclass
-class DensityParams:
-    """Per-action mixture parameters.
-
-    weights: (A, M), each row summing to 1; mus: (A, M, 4);
-    sigmas: (A, M, 4) with every entry at or above the floor.
-    """
-
-    weights: np.ndarray
-    mus: np.ndarray
-    sigmas: np.ndarray
-    sigma_floor: float = DEFAULT_SIGMA_FLOOR
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.mus = np.asarray(self.mus, dtype=np.float64)
-        self.sigmas = np.asarray(self.sigmas, dtype=np.float64)
-        if self.weights.ndim != 2:
-            raise ValueError("weights must be (A, M)")
-        a, m = self.weights.shape
-        if self.mus.shape != (a, m, 4) or self.sigmas.shape != (a, m, 4):
-            raise ValueError("mus and sigmas must be (A, M, 4)")
-        sums = self.weights.sum(axis=1)
-        if not np.allclose(sums, 1.0, atol=1e-6):
-            raise ValueError("mixing weights must sum to 1 per action")
-        if np.any(self.sigmas < self.sigma_floor - 1e-12):
-            raise ValueError("sigma entries must not fall below the floor")
-
-    @property
-    def num_actions(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def num_components(self) -> int:
-        return self.weights.shape[1]
-
-    def for_action(self, a: int):
-        return self.weights[a], self.mus[a], self.sigmas[a]
 
 
 def _offsets(x) -> np.ndarray:

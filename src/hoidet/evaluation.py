@@ -24,9 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import ROLE_NONE, Dataset, load_annotations
+from .dataset import ROLE_NONE, Dataset
 from .geometry import iou
-from .inference import read_predictions
 
 
 @dataclass(frozen=True)
@@ -61,18 +60,6 @@ class APReport:
     mean_agent_ap: float | None
     rule: MatchRule
     eleven_point: bool
-
-    def entry(self, action: str, role: str) -> EntryResult:
-        for e in self.role_entries:
-            if (e.action, e.role) == (action, role):
-                return e
-        raise KeyError((action, role))
-
-    def agent(self, action: str) -> EntryResult:
-        for e in self.agent_entries:
-            if e.action == action:
-                return e
-        raise KeyError(action)
 
 
 @dataclass
@@ -257,14 +244,6 @@ def evaluate_triplets(triplets, ds: Dataset, rule: MatchRule = MatchRule(),
                     mean_role_ap=_mean(role_entries),
                     mean_agent_ap=_mean(agent_entries),
                     rule=rule, eleven_point=eleven_point)
-
-
-def evaluate(pred_path, gt_path, rule: MatchRule = MatchRule(),
-             eleven_point: bool = False,
-             schema: str = "vcoco_like") -> APReport:
-    triplets = read_predictions(pred_path)
-    ds = load_annotations(gt_path, schema=schema)
-    return evaluate_triplets(triplets, ds, rule, eleven_point)
 
 
 def _fmt_ap(ap) -> str:

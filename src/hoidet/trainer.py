@@ -14,11 +14,13 @@ ground-truth pairs only.
 
 A scene's labels depend only on its fixed proposals and ground truth,
 so ``train`` builds every scene's :class:`LabelTable` once, before
-iteration 0, in a few array calls over all scenes (as Fast R-CNN's
-roidb holds each image's matches and regression targets). A visit to a
-scene is then only the seeded shuffles of :func:`draw_samples` and row
-gathers from its table. :func:`assign_labels` is the same path for one
-scene: its table, then the draw.
+iteration 0 (as Fast R-CNN's roidb holds each image's matches and
+regression targets): a chunk of scenes is stacked into zero-padded
+arrays, and a proposal's match is the ``argmax`` of its row of one IoU
+block. A visit to a scene is then only the seeded shuffles of
+:func:`draw_samples` and row gathers from its table.
+:func:`assign_labels` is the same path for one scene: its table, then
+the draw.
 
 Each iteration draws the 16-image effective batch (8 workers x 2
 images, each image seeded by its (seed, iteration, worker, slot)) and
@@ -176,49 +178,11 @@ class LabelTable:
     pair_targets: np.ndarray
 
 
-def _row_max(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Per row, the largest of its nonnegative ``values`` (0 for an empty
-    row), the rows laid end to end with ``counts[i]`` entries in row i."""
-    out = np.zeros(len(counts))
-    filled = counts > 0
-    if filled.any():
-        out[filled] = np.maximum.reduceat(values,
-                                          (np.cumsum(counts) - counts)[filled])
-    return out
-
-
-def _within(counts: np.ndarray) -> np.ndarray:
-    """Each entry's position in its row, the rows laid end to end with
-    ``counts[i]`` entries in row i."""
-    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts,
-                                               counts)
-
-
-def _first_max(values: np.ndarray, counts: np.ndarray):
-    """Per row, laid out as for :func:`_row_max`, the position in the row
-    of the first entry holding the row's maximum, and that maximum;
-    (-1, 0.0) where no value exceeds 0. This is the scalar scan
-    ``if v > best: best = v`` started from 0."""
-    best = _row_max(values, counts)
-    rows = np.repeat(np.arange(len(counts)), counts)
-    hit = np.flatnonzero((values == best[rows]) & (values > 0.0))
-    first = hit[np.diff(rows[hit], prepend=-1) != 0]
-    index = np.full(len(counts), -1)
-    index[rows[first]] = _within(counts)[first]
-    return index, best
-
-
-def _spans(owner: np.ndarray, n: int) -> list:
-    """For each of owners 0 .. n-1, the slice of the rows it owns, given
-    the owner of every row in ascending order."""
-    ends = np.cumsum(np.bincount(owner, minlength=n)).tolist()
-    return [slice(start, end) for start, end in zip([0] + ends[:-1], ends)]
-
-
-# label_tables works through the scenes in chunks of about this many
-# (proposal, ground truth) pairs: its temporary arrays take about 180
-# bytes per pair, so a chunk's stay near 1.5 MB whatever the number of
-# scenes (a scene with more pairs is a chunk of its own)
+# label_tables matches the scenes in chunks, each as one zero-padded
+# (scenes, proposals, ground truth) IoU block of at most this many
+# entries: its temporary arrays take about 60 bytes per entry, so a
+# chunk's stay under 0.5 MB whatever the number and mix of scenes (a
+# scene with a larger block is a chunk of its own)
 _CHUNK_PAIRS = 8192
 
 
@@ -231,23 +195,25 @@ def label_tables(scenes, registry: ActionRegistry, categories,
     class index = list position + 1, background 0. A proposal matches
     the first ground-truth box of highest IoU (ignore regions excluded),
     and its person match likewise among the persons; a match at IoU >=
-    ``quotas.iou_pos`` makes it positive, or a human. The proposals and
-    ground truth of a chunk of scenes are laid end to end, so matching
-    and encoding run once over every (proposal, ground truth) pair of
-    the same scene in the chunk; only the interaction records are walked
-    scene by scene. A scene's table does not depend on the other scenes.
+    ``quotas.iou_pos`` makes it positive, or a human. A chunk of scenes
+    is stacked into zero-padded proposal and ground-truth arrays, and
+    each match is an ``argmax`` along the ground-truth axis of one IoU
+    block (a zero-area pad overlaps nothing); only the interaction
+    records are walked scene by scene. A scene's table does not depend
+    on the other scenes.
     """
     cat_index = {c: i + 1 for i, c in enumerate(categories)}
     if "person" not in cat_index:
         raise AnnotationError('categories must include "person"')
-    tables, chunk, size = [], [], 0
+    tables, chunk, p, g = [], [], 0, 1
     for ts in scenes:
-        chunk.append(ts)
-        size += len(ts.proposals) * (len(ts.annotation.persons)
-                                     + len(ts.annotation.objects))
-        if size >= _CHUNK_PAIRS:
+        n_p = len(ts.proposals)
+        n_g = len(ts.annotation.persons) + len(ts.annotation.objects)
+        if chunk and (len(chunk) + 1) * max(p, n_p) * max(g, n_g) > _CHUNK_PAIRS:
             tables += _label_chunk(chunk, registry, cat_index, quotas.iou_pos)
-            chunk, size = [], 0
+            chunk, p, g = [], 0, 1
+        chunk.append(ts)
+        p, g = max(p, n_p), max(g, n_g)
     return tables + _label_chunk(chunk, registry, cat_index, quotas.iou_pos)
 
 
@@ -258,17 +224,14 @@ def _label_chunk(scenes, registry: ActionRegistry, cat_index: dict,
     verb_cols = {verb: [registry.index(e.name, e.role)
                         for e in registry.entries_for(verb)]
                  for verb in registry.verbs}
-    # ground truth of every scene (persons, then objects), and per
-    # record the entries it sets, all as flat ground-truth indices
+    # ground truth of every scene (persons, then objects)
     gt_boxes, gt_labels, gt_ignore = [], [], []
-    act_rows, act_cols = [], []
-    roles = {}  # (person, entry) -> target object; the first record wins
-    pairs, pair_rows, pair_cols, pair_scene = [], [], [], []
+    act = []  # (scene, person, entry) cells set by the records
+    roles = {}  # (scene, person, entry) -> target object; first record wins
+    pairs, pair_rows, pair_cols = [], [], []  # pairs: (scene, person, object)
     for s, ts in enumerate(scenes):
         ann = ts.annotation
-        p0, o0 = len(gt_boxes), len(gt_boxes) + len(ann.persons)
-        gt_boxes += ann.persons
-        gt_boxes += [o.box for o in ann.objects]
+        gt_boxes += ann.persons + [o.box for o in ann.objects]
         try:
             gt_labels += [cat_index["person"]] * len(ann.persons) + [
                 cat_index[o.category] for o in ann.objects]
@@ -276,93 +239,87 @@ def _label_chunk(scenes, registry: ActionRegistry, cat_index: dict,
             raise AnnotationError(f"scene {ts.scene_id}: object category "
                                   f"{exc.args[0]!r} is not a training "
                                   f"category")
-        gt_ignore += [False] * len(ann.persons) + [o.ignore
-                                                   for o in ann.objects]
+        gt_ignore += [False] * len(ann.persons) + [o.ignore for o in ann.objects]
         pair_cats = {}
         for rec in ann.interactions:
             cols = verb_cols[rec.action]
-            act_rows += [p0 + rec.person] * len(cols)
-            act_cols += cols
+            act += [(s, rec.person, c) for c in cols]
             if rec.role != ROLE_NONE:
-                h, o = p0 + rec.person, o0 + rec.object
-                roles.setdefault((h, registry.index(rec.action, rec.role)), o)
-                pair_cats.setdefault((h, o), set()).update(cols)
+                o = len(ann.persons) + rec.object
+                roles.setdefault(
+                    (s, rec.person, registry.index(rec.action, rec.role)), o)
+                pair_cats.setdefault((rec.person, o), set()).update(cols)
         for key in sorted(pair_cats):
             pair_rows += [len(pairs)] * len(pair_cats[key])
             pair_cols += pair_cats[key]
-            pairs.append(key)
-        pair_scene += [s] * len(pair_cats)
+            pairs.append((s, *key))
 
-    gt = box_array(gt_boxes)
-    gt_labels = np.array(gt_labels, dtype=int)
-    gt_ignore = np.array(gt_ignore, dtype=bool)
-    props = box_array([b for ts in scenes for b in ts.proposals])
-    n_prop = np.array([len(ts.proposals) for ts in scenes], dtype=int)
+    # the chunk as zero-padded arrays, at least one ground-truth column
+    # for argmax (a row of IoU 0, as a pad's, never matches: iou_pos > 0)
+    n_prop = [len(ts.proposals) for ts in scenes]
     n_pers = np.array([len(ts.annotation.persons) for ts in scenes], dtype=int)
-    n_gt = n_pers + np.array([len(ts.annotation.objects) for ts in scenes],
-                             dtype=int)
-    scene = np.repeat(np.arange(len(scenes)), n_prop)  # of each proposal
-    gt_start = (np.cumsum(n_gt) - n_gt)[scene]
+    n_gt = n_pers + [len(ts.annotation.objects) for ts in scenes]
+    slot = np.arange(max(1, n_gt.max(initial=0)))
+    real = slot < n_gt[:, None]
+    gt = np.zeros(real.shape + (4,))
+    gt[real] = box_array(gt_boxes)
+    labels_gt, ignored = np.zeros(real.shape, int), np.zeros(real.shape, bool)
+    labels_gt[real], ignored[real] = gt_labels, gt_ignore
+    props = np.zeros((len(scenes), max(n_prop, default=0), 4))
+    props[np.arange(props.shape[1]) < np.array(n_prop)[:, None]] = box_array(
+        [b for ts in scenes for b in ts.proposals])
 
-    # every (proposal, ground truth) pair of a scene, proposal-major
-    per_prop = n_gt[scene]
-    pair_prop = np.repeat(np.arange(len(props)), per_prop)
-    col = _within(per_prop)
-    pair_gt = gt_start[pair_prop] + col
-    overlap = box_iou(props[pair_prop], gt[pair_gt])
-    ignored = gt_ignore[pair_gt]
-    best_j, best_v = _first_max(np.where(ignored, 0.0, overlap), per_prop)
-    best_ign = _row_max(np.where(ignored, overlap, 0.0), per_prop)
-    person_j, person_v = _first_max(
-        overlap[col < n_pers[scene][pair_prop]], n_pers[scene])
-
-    pos = best_v >= iou_pos
+    overlap = box_iou(props[:, :, None], gt[:, None])
+    best = np.where(ignored[:, None], 0.0, overlap)
+    best_j = best.argmax(axis=2)
+    pos = best.max(axis=2) >= iou_pos
     # overlapping an ignore region: neither positive nor negative
-    neg = ~pos & (best_ign < iou_pos)
-    match = gt_start[pos] + best_j[pos]
-    labels = np.zeros(len(props), dtype=int)
-    labels[pos] = gt_labels[match]
-    reg_targets = np.zeros((len(props), 4))
-    reg_targets[pos] = encode_rels(gt[match], props[pos])
+    neg = ~pos & (np.where(ignored[:, None], overlap, 0.0).max(axis=2)
+                  < iou_pos)
+    persons = np.where(slot < n_pers[:, None, None], overlap, 0.0)
+    hs, hp = np.nonzero(persons.max(axis=2) >= iou_pos)
+    person = persons.argmax(axis=2)[hs, hp]
 
-    humans = np.flatnonzero(person_v >= iou_pos)
-    person = gt_start[humans] + person_j[humans]
-    actions = np.zeros((len(gt), a))
-    actions[act_rows, act_cols] = 1.0
-    role_keys = np.array(list(roles), dtype=int).reshape(-1, 2)
-    role_objects = np.full((len(gt), a), -1)
-    role_objects[role_keys[:, 0], role_keys[:, 1]] = list(roles.values())
-    targets = role_objects[person]
+    labels = np.where(pos, np.take_along_axis(labels_gt, best_j, axis=1), 0)
+    reg_targets = np.zeros(props.shape)
+    matched = np.take_along_axis(gt, best_j[..., None], axis=1)
+    reg_targets[pos] = encode_rels(matched[pos], props[pos])
+
+    actions = np.zeros(real.shape + (a,))
+    actions[tuple(np.array(act, dtype=int).reshape(-1, 3).T)] = 1.0
+    role_keys = np.array(list(roles), dtype=int).reshape(-1, 3)
+    role_objects = np.full(real.shape + (a,), -1)
+    role_objects[tuple(role_keys.T)] = list(roles.values())
+    targets = role_objects[hs, person]
     target_mask = targets >= 0
     rows, cols = np.nonzero(target_mask)
-    offsets = np.zeros((len(humans), a, 4))
-    offsets[rows, cols] = encode_rels(gt[targets[rows, cols]],
-                                      props[humans[rows]])
-    pair_boxes = gt[np.array(pairs, dtype=int).reshape(-1, 2)]
+    offsets = np.zeros((len(hs), a, 4))
+    offsets[rows, cols] = encode_rels(gt[hs[rows], targets[rows, cols]],
+                                      props[hs[rows], hp[rows]])
+    pairs = np.array(pairs, dtype=int).reshape(-1, 3)
+    pair_boxes = gt[pairs[:, :1], pairs[:, 1:]]
     pair_targets = np.zeros((len(pairs), a))
     pair_targets[pair_rows, pair_cols] = 1.0
 
-    human_boxes, action_targets = props[humans], actions[person]
+    human_boxes, action_targets = props[hs, hp], actions[hs, person]
     for arr in (props, labels, reg_targets, human_boxes, action_targets,
                 offsets, target_mask, pair_boxes, pair_targets):
         arr.flags.writeable = False
-    local = _within(n_prop)
-    positives, negatives = local[pos], local[neg]
-    n = len(scenes)
-    return [
-        LabelTable(boxes=props[p], labels=labels[p],
-                   reg_targets=reg_targets[p],
-                   positives=positives[i].tolist(),
-                   negatives=negatives[j].tolist(),
-                   human_boxes=human_boxes[h],
-                   action_targets=action_targets[h],
-                   target_offsets=offsets[h], target_mask=target_mask[h],
-                   pair_boxes=pair_boxes[q], pair_targets=pair_targets[q])
-        for p, i, j, h, q in zip(
-            _spans(scene, n), _spans(scene[pos], n), _spans(scene[neg], n),
-            _spans(scene[humans], n),
-            _spans(np.array(pair_scene, dtype=int), n))
-    ]
+    # each scene's humans and pairs, in scene order
+    h_at = np.searchsorted(hs, np.arange(len(scenes) + 1)).tolist()
+    q_at = np.searchsorted(pairs[:, 0], np.arange(len(scenes) + 1)).tolist()
+    tables = []
+    for s, n in enumerate(n_prop):
+        h, q = slice(h_at[s], h_at[s + 1]), slice(q_at[s], q_at[s + 1])
+        tables.append(LabelTable(
+            boxes=props[s, :n], labels=labels[s, :n],
+            reg_targets=reg_targets[s, :n],
+            positives=np.flatnonzero(pos[s, :n]).tolist(),
+            negatives=np.flatnonzero(neg[s, :n]).tolist(),
+            human_boxes=human_boxes[h], action_targets=action_targets[h],
+            target_offsets=offsets[h], target_mask=target_mask[h],
+            pair_boxes=pair_boxes[q], pair_targets=pair_targets[q]))
+    return tables
 
 
 def draw_samples(table: LabelTable, quotas: Quotas, seed) -> SampleBoxes:
@@ -433,13 +390,6 @@ def featurize(samples: SampleBoxes, provider, scene_id: int,
         interaction_o_feats=feats[o:],
         interaction_action_targets=samples.interaction_action_targets,
     )
-
-
-def build_image_samples(ts: TrainScene, provider, registry, categories,
-                        cfg: HeadConfig, quotas: Quotas, seed) -> ImageSamples:
-    samples = assign_labels(ts.proposals, ts.annotation, registry, categories,
-                            quotas, seed)
-    return featurize(samples, provider, ts.scene_id, cfg)
 
 
 def _check_finite(tensors, cfg: HeadConfig, what: str) -> None:

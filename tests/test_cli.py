@@ -1,9 +1,12 @@
+import contextlib
 import dataclasses
+import io
 import json
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hoidet.cli import (
     _COMMANDS,
@@ -145,6 +148,20 @@ class TestTrainCommand:
                     "--density-mode", "banana")
         assert code == 2
         assert "density_mode" in capsys.readouterr().err
+
+    def test_kmeans_baseline_is_not_a_training_mode(self, tmp_path, capsys):
+        # the k-means ablation is `hoidet baseline` / `infer --centers`
+        data = _synth(tmp_path)
+        code = _run("train", "--out", str(tmp_path / "run"),
+                    "--annotations", str(data / "annotations.json"),
+                    "--features", str(data / "features.npz"),
+                    "--proposals", str(data / "proposals.json"),
+                    "--density-mode", "kmeans_baseline")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == ("error: config: density_mode must be one of "
+                       "fixed_sigma, mdn_m1, mdn_m2\n")
+        assert not (tmp_path / "run" / "checkpoint.bin").exists()
 
     def test_divergence_reported(self, tmp_path, capsys):
         data = _synth(tmp_path)
@@ -717,3 +734,109 @@ class TestCheckpointFile:
         err = capsys.readouterr().err
         assert err.startswith("error: data: ") and err.count("\n") == 1
         assert detail in err
+
+
+# --- annotation files ---------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def annotated(tmp_path_factory):
+    """Synthetic inputs and an empty predictions file."""
+    tmp = tmp_path_factory.mktemp("annotated")
+    data = _synth(tmp, scenes=3)
+    (tmp / "empty.jsonl").write_text("")
+    return data, tmp / "empty.jsonl"
+
+
+def _run_on_annotations(command, annotated, path):
+    """Exit code and stderr of ``command`` with the annotations at
+    ``path`` and the rest of ``annotated``'s inputs."""
+    data, empty = annotated
+    inputs = ["--predictions", str(empty)] if command == "eval" else [
+        "--features", str(data / "features.npz"),
+        "--proposals", str(data / "proposals.json"),
+        "--phases", "1:0.001", "--workers", "1"]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = _run(command, "--out", str(path.parent / "out"),
+                    "--annotations", str(path), *inputs)
+    return code, err.getvalue()
+
+
+def _json_paths(doc, path=()):
+    """Every path (a tuple of keys and indices) in a JSON document."""
+    yield path
+    if isinstance(doc, (dict, list)):
+        for key, value in (doc.items() if isinstance(doc, dict)
+                           else enumerate(doc)):
+            yield from _json_paths(value, path + (key,))
+
+
+def _json_type(value):
+    """A JSON value's type; every number is one type, booleans another."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float
+    return type(value)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(), inner, max_size=3)),
+    max_leaves=6)
+
+
+class TestAnnotationsFile:
+    """Every malformed annotation file ends in one ``data`` error line,
+    for ``eval`` and ``train`` alike."""
+
+    @pytest.mark.parametrize("command", ["eval", "train"])
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: [d], "{path}: top level: expected an object, got list"),
+        (lambda d: {**d, "scenes": {"0": d["scenes"][0]}},
+         "scenes: expected a list, got object"),
+        (lambda d: {**d, "categories": "person"},
+         "categories: expected a list, got string"),
+        (lambda d: d["scenes"][1].update(persons=3),
+         "scenes[1].persons: expected a list, got integer"),
+        (lambda d: d["scenes"][0]["objects"].__setitem__(0, "ball"),
+         "scenes[0].objects[0]: expected an object, got string"),
+        (lambda d: d["scenes"][1].update(height=float("nan")),
+         "scenes[1]: image size must be positive and finite, got 128.0 x "
+         "nan"),
+        (lambda d: d["scenes"][2].update(image_id=0),
+         "scenes[2]: image_id 0 repeats scenes[0]"),
+    ], ids=["top_level_list", "scenes_not_a_list", "categories_not_a_list",
+            "persons_not_a_list", "object_not_an_object", "nan_height",
+            "duplicate_image_id"])
+    def test_malformed(self, annotated, tmp_path, command, edit, message):
+        data, _ = annotated
+        doc = json.loads((data / "annotations.json").read_text())
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(edit(doc) or doc))
+        code, err = _run_on_annotations(command, annotated, path)
+        assert code == 1
+        assert err == f"error: data: {message.format(path=path)}\n"
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_a_value_of_another_type_is_one_data_line(self, annotated,
+                                                      data):
+        text = (annotated[0] / "annotations.json").read_text()
+        doc = json.loads(text)
+        path = data.draw(st.sampled_from(list(_json_paths(doc))))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        old = parent[path[-1]] if path else doc
+        new = data.draw(JSON_VALUES.filter(
+            lambda v: _json_type(v) != _json_type(old)))
+        if path:
+            parent[path[-1]] = new
+        else:
+            doc = new
+        bad = annotated[1].parent / "swapped.json"
+        bad.write_text(json.dumps(doc))
+        code, err = _run_on_annotations("eval", annotated, bad)
+        assert code == 1, (path, new)
+        assert err.startswith("error: data: ") and err.count("\n") == 1, err

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from hoidet.density import (
-    DensityParams,
     component_log_densities,
     gaussian_compat,
     kmeans_compat,
@@ -135,32 +134,6 @@ class TestMixtureCompat:
         order_f = np.argsort(fixed)
         order_m = np.argsort(mixed)
         np.testing.assert_array_equal(order_f, order_m)
-
-
-class TestDensityParams:
-    def test_accepts_valid(self):
-        p = DensityParams(
-            weights=[[0.3, 0.7]],
-            mus=np.zeros((1, 2, 4)),
-            sigmas=np.full((1, 2, 4), 0.4),
-        )
-        assert p.num_actions == 1 and p.num_components == 2
-
-    def test_rejects_unnormalized_weights(self):
-        with pytest.raises(ValueError):
-            DensityParams(
-                weights=[[0.5, 0.6]],
-                mus=np.zeros((1, 2, 4)),
-                sigmas=np.full((1, 2, 4), 0.4),
-            )
-
-    def test_rejects_sigma_below_floor(self):
-        with pytest.raises(ValueError):
-            DensityParams(
-                weights=[[1.0]],
-                mus=np.zeros((1, 1, 4)),
-                sigmas=np.full((1, 1, 4), 0.1),
-            )
 
 
 class TestSmoothL1:

@@ -10,6 +10,7 @@ from hoidet.dataset import (
     Dataset,
     SynthConfig,
     generate_synthetic,
+    load_annotations,
     save_annotations,
     synthetic_registry,
 )
@@ -20,14 +21,13 @@ from hoidet.evaluation import (
     _GtRecord,
     agent_candidates,
     average_precision,
-    evaluate,
     evaluate_triplets,
     match_triplets,
     report_json,
     report_text,
 )
 from hoidet.geometry import Box, Detection, iou, nms
-from hoidet.inference import ScoredTriplet, write_predictions
+from hoidet.inference import ScoredTriplet, read_predictions, write_predictions
 
 REGISTRY = synthetic_registry()
 
@@ -364,12 +364,14 @@ class TestEvaluateTriplets:
                      categories=[PERSON_CATEGORY] + SYNTH_CATEGORIES,
                      scenes=[s.annotation for s in scenes])
         report = evaluate_triplets(_gt_echo_triplets(ds), ds)
-        assert report.entry("carry", "object").ap == 1.0
-        assert report.entry("cut", "object").ap is None
-        assert report.entry("cut", "object").gt_count == 0
+        role = {(e.action, e.role): e for e in report.role_entries}
+        agent = {e.action: e for e in report.agent_entries}
+        assert role["carry", "object"].ap == 1.0
+        assert role["cut", "object"].ap is None
+        assert role["cut", "object"].gt_count == 0
         assert report.mean_role_ap == 1.0  # undefined entries excluded
-        assert report.agent("carry").ap == 1.0
-        assert report.agent("stand").ap is None
+        assert agent["carry"].ap == 1.0
+        assert agent["stand"].ap is None
 
     def test_score_order_invariance(self, synth_dataset):
         rng = np.random.default_rng(5)
@@ -437,6 +439,8 @@ class TestEvaluateFiles:
         save_annotations(gt_path, synth_dataset)
         pred_path = tmp_path / "preds.jsonl"
         write_predictions(pred_path, _gt_echo_triplets(synth_dataset))
-        report = evaluate(pred_path, gt_path, schema="hico_like")
+        report = evaluate_triplets(
+            read_predictions(pred_path),
+            load_annotations(gt_path, schema="hico_like"))
         assert report.mean_role_ap == 1.0
         assert report.mean_agent_ap == 1.0

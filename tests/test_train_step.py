@@ -11,7 +11,7 @@ single-row calls bit for bit.
 Label assignment is a per-scene label table plus a seeded draw. Tables
 built for many scenes together must equal, bit for bit, the tables
 built one scene at a time, and what the training loop draws from them
-must equal the one-scene public path, ``build_image_samples``.
+must equal the one-scene public path, ``featurize(assign_labels(...))``.
 """
 
 import dataclasses
@@ -60,7 +60,7 @@ from hoidet.trainer import (
     Schedule,
     TrainScene,
     assign_labels,
-    build_image_samples,
+    featurize,
     from_synthetic,
     label_tables,
     train,
@@ -337,6 +337,9 @@ EDGE_SCENES = [
                       Interaction(0, "cut", "instrument", 0),
                       Interaction(0, "cut", "instrument", 1)]),
         [PERSON, _box(20.5, 30.0, 10.0, 20.0), KNIFE]),
+    _train_scene(SceneAnnotation(  # no ground truth at all
+        0, 64.0, 64.0, persons=[], objects=[], interactions=[]),
+        [PERSON, KNIFE]),
 ]
 
 
@@ -366,6 +369,40 @@ def test_tables_built_together_equal_tables_built_alone(scenes, quotas,
         _assert_same_table(got, want)
 
 
+def test_chunks_keep_their_padded_block_within_bound(monkeypatch):
+    small, _ = from_synthetic(generate_synthetic(SynthConfig(
+        num_scenes=8, seed=4, persons_per_scene=1, num_distractors=1)))
+    large, _ = from_synthetic(generate_synthetic(SynthConfig(
+        num_scenes=1, seed=5, persons_per_scene=4, num_distractors=10)))
+    scenes = small[:3] + large + small[3:]
+    chunks, real = [], trainer._label_chunk
+
+    def recording(chunk, *args):
+        chunks.append(list(chunk))
+        return real(chunk, *args)
+
+    def block(chunk):
+        return len(chunk) * max(len(ts.proposals) for ts in chunk) * max(
+            [1] + [len(ts.annotation.persons) + len(ts.annotation.objects)
+                   for ts in chunk])
+
+    # the small scenes before the large one hold far fewer pairs than
+    # the bound, but padded to the large scene's size with it they
+    # exceed it
+    bound = block(large) + 1
+    assert block(small[:3] + large) > bound > sum(
+        block([ts]) for ts in small[:3])
+    monkeypatch.setattr(trainer, "_label_chunk", recording)
+    monkeypatch.setattr(trainer, "_CHUNK_PAIRS", bound)
+    tables = label_tables(scenes, REGISTRY, CATEGORIES)
+    assert [ts for chunk in chunks for ts in chunk] == scenes
+    for chunk in chunks:
+        assert len(chunk) == 1 or block(chunk) <= bound
+    for ts, got in zip(scenes, tables):
+        want, = label_tables([ts], REGISTRY, CATEGORIES)
+        _assert_same_table(got, want)
+
+
 def test_training_draws_the_public_samples(monkeypatch):
     scenes, provider = from_synthetic(generate_synthetic(SynthConfig(
         num_scenes=5, seed=2, persons_per_scene=2, num_distractors=3)))
@@ -390,9 +427,11 @@ def test_training_draws_the_public_samples(monkeypatch):
             0, len(scenes), size=schedule.workers * per)
         assert len(batch) == len(picks)
         for b, (img, pick) in enumerate(zip(batch, picks)):
-            want = build_image_samples(
-                scenes[pick], provider, REGISTRY, CATEGORIES, cfg, quotas,
-                (schedule.seed, it, *divmod(b, per)))
+            ts = scenes[pick]
+            want = featurize(assign_labels(
+                ts.proposals, ts.annotation, REGISTRY, CATEGORIES, quotas,
+                (schedule.seed, it, *divmod(b, per))),
+                provider, ts.scene_id, cfg)
             for field in dataclasses.fields(ImageSamples):
                 g, w = getattr(img, field.name), getattr(want, field.name)
                 assert g.shape == w.shape and g.dtype == w.dtype, field.name

@@ -29,7 +29,6 @@ from hoidet.trainer import (
     TrainScene,
     TrainingDiverged,
     assign_labels,
-    build_image_samples,
     featurize,
     from_synthetic,
     train,
@@ -352,8 +351,9 @@ class TestFeaturize:
     def test_shapes(self, synth):
         scenes, provider, cfg = synth
         ts = scenes[0]
-        samples = build_image_samples(ts, provider, REGISTRY, CATEGORIES,
-                                      cfg, Quotas(), seed=0)
+        samples = featurize(assign_labels(ts.proposals, ts.annotation,
+                                          REGISTRY, CATEGORIES, Quotas(), 0),
+                            provider, ts.scene_id, cfg)
         a, d = cfg.num_actions, cfg.feature_dim
         n_o = len(samples.object_labels)
         n_h = samples.human_feats.shape[0]
