@@ -196,45 +196,39 @@ class _AgentPred:
     score: float
 
 
+def _score_entry(action: str, role: str, preds, gts, rule: MatchRule,
+                 eleven_point: bool, agent: bool) -> EntryResult:
+    """Match one entry's predictions, best first, against its ground truth."""
+    gt_count = sum(len(v) for v in gts.values())
+    flags = match_triplets(_sorted_preds(preds), gts, rule, agent=agent)
+    return EntryResult(action=action, role=role,
+                       ap=average_precision(flags, gt_count, eleven_point),
+                       tp=int(sum(flags)), fp=int(len(flags) - sum(flags)),
+                       gt_count=gt_count)
+
+
 def evaluate_triplets(triplets, ds: Dataset, rule: MatchRule = MatchRule(),
                       eleven_point: bool = False) -> APReport:
     registry = ds.registry
+    by_entry = {}
     for t in triplets:
         if not registry.has(t.action, t.role):
             raise ValueError(
                 f"prediction action {t.action!r}/{t.role!r} not in registry")
+        by_entry.setdefault((t.action, t.role), []).append(t)
 
     role_gts = _role_gt_index(ds)
-    role_entries = []
-    for entry in registry:
-        if entry.role == ROLE_NONE:
-            continue
-        gts = role_gts.get((entry.name, entry.role), {})
-        gt_count = sum(len(v) for v in gts.values())
-        preds = _sorted_preds([
-            t for t in triplets
-            if (t.action, t.role) == (entry.name, entry.role)
-        ])
-        flags = match_triplets(preds, gts, rule, agent=False)
-        role_entries.append(EntryResult(
-            action=entry.name, role=entry.role,
-            ap=average_precision(flags, gt_count, eleven_point),
-            tp=int(sum(flags)), fp=int(len(flags) - sum(flags)),
-            gt_count=gt_count))
-
+    role_entries = [
+        _score_entry(e.name, e.role, by_entry.get((e.name, e.role), []),
+                     role_gts.get((e.name, e.role), {}), rule, eleven_point,
+                     agent=False)
+        for e in registry if e.role != ROLE_NONE]
     agent_gts = _agent_gt_index(ds)
     agent_preds = agent_candidates(triplets)
-    agent_entries = []
-    for verb in registry.verbs:
-        gts = agent_gts.get(verb, {})
-        gt_count = sum(len(v) for v in gts.values())
-        preds = _sorted_preds(agent_preds.get(verb, []))
-        flags = match_triplets(preds, gts, rule, agent=True)
-        agent_entries.append(EntryResult(
-            action=verb, role="agent",
-            ap=average_precision(flags, gt_count, eleven_point),
-            tp=int(sum(flags)), fp=int(len(flags) - sum(flags)),
-            gt_count=gt_count))
+    agent_entries = [
+        _score_entry(verb, "agent", agent_preds.get(verb, []),
+                     agent_gts.get(verb, {}), rule, eleven_point, agent=True)
+        for verb in registry.verbs]
 
     def _mean(entries):
         vals = [e.ap for e in entries if e.defined]

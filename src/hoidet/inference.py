@@ -35,7 +35,13 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .dataset import PERSON_CATEGORY, ROLE_NONE, ActionRegistry
+from .dataset import (
+    _NUMBERS,
+    PERSON_CATEGORY,
+    ROLE_NONE,
+    ActionRegistry,
+    _typed,
+)
 from .density import gaussian_compat, kmeans_compat, mixture_compat
 from .geometry import Box, Detection, box_array, decode_rels, encode_rels, nms
 from .model import (
@@ -237,11 +243,17 @@ def _det_json(d: Detection | None):
             "score": d.score}
 
 
-def _det_from_json(obj):
-    if obj is None:
-        return None
-    return Detection(box=Box(*obj["box"]), category=obj["category"],
-                     score=float(obj["score"]))
+def _det_from_json(obj, where: str) -> Detection:
+    box = _typed(obj, dict, where)["box"]
+    if (type(box) is not list or len(box) != 4
+            or not _NUMBERS.issuperset(map(type, box))):
+        raise ValueError(f"{where}.box: expected a list of 4 numbers, got "
+                         f"{json.dumps(box)}")
+    return Detection(box=Box(*box),
+                     category=_typed(obj["category"], str,
+                                     where + ".category"),
+                     score=float(_typed(obj["score"], float,
+                                        where + ".score")))
 
 
 def triplet_to_json(t: ScoredTriplet) -> dict:
@@ -260,17 +272,24 @@ def triplet_to_json(t: ScoredTriplet) -> dict:
 
 
 def triplet_from_json(obj: dict) -> ScoredTriplet:
+    """The triplet of one predictions line; a field of the wrong JSON
+    type (a boolean is not a number) raises ValueError naming it."""
+    _typed(obj, dict, "top level")
     return ScoredTriplet(
-        image_id=int(obj["image_id"]),
-        human=_det_from_json(obj["human"]),
-        action=str(obj["action"]),
-        role=str(obj["role"]),
-        object=_det_from_json(obj["object"]),
-        s_h=float(obj["s_h"]),
-        s_o=None if obj["s_o"] is None else float(obj["s_o"]),
-        action_score=float(obj["action_score"]),
-        compat=None if obj["compat"] is None else float(obj["compat"]),
-        score=float(obj["score"]),
+        image_id=_typed(obj["image_id"], int, "image_id"),
+        human=_det_from_json(obj["human"], "human"),
+        action=_typed(obj["action"], str, "action"),
+        role=_typed(obj["role"], str, "role"),
+        object=(None if obj["object"] is None
+                else _det_from_json(obj["object"], "object")),
+        s_h=float(_typed(obj["s_h"], float, "s_h")),
+        s_o=(None if obj["s_o"] is None
+             else float(_typed(obj["s_o"], float, "s_o"))),
+        action_score=float(_typed(obj["action_score"], float,
+                                  "action_score")),
+        compat=(None if obj["compat"] is None
+                else float(_typed(obj["compat"], float, "compat"))),
+        score=float(_typed(obj["score"], float, "score")),
     )
 
 

@@ -17,6 +17,10 @@ trunk; the object side has its own trunk. Everything is plain numpy
 with hand-written reverse-mode gradients, verified against finite
 differences in the tests.
 
+Training and inference call the same head functions: each head's
+formula is written once, and both the public forwards and ``backward``
+call it; ``backward`` adds only the losses and their gradients.
+
 Numeric conventions: parameters are float64 in memory and float32 in
 checkpoint files; logits are clamped to +-30 before exponentiation and
 probabilities to [1e-7, 1 - 1e-7], with gradients defined as zero in
@@ -115,14 +119,7 @@ class LossReport:
         return self
 
     def as_dict(self):
-        return {
-            "object_cls_loss": self.object_cls_loss,
-            "object_reg_loss": self.object_reg_loss,
-            "action_cls_loss": self.action_cls_loss,
-            "target_loc_loss": self.target_loc_loss,
-            "interaction_cls_loss": self.interaction_cls_loss,
-            "total": self.total,
-        }
+        return asdict(self)
 
 
 def _param_specs(cfg: HeadConfig):
@@ -233,26 +230,82 @@ def _as_matrix(feats, dim):
     return arr
 
 
+def _linear(x, params, name):
+    return x @ params[f"{name}_w"] + params[f"{name}_b"]
+
+
+def _linear_backward(d_out, x, params, grads, name):
+    """Accumulate the gradients of layer ``name`` applied to ``x``, given
+    the gradient of its output; returns the gradient of ``x``."""
+    grads[f"{name}_w"] += x.T @ d_out
+    grads[f"{name}_b"] += d_out.sum(axis=0)
+    return d_out @ params[f"{name}_w"].T
+
+
 def _trunk_forward(feats, params, prefix):
-    a1 = feats @ params[f"{prefix}_fc1_w"] + params[f"{prefix}_fc1_b"]
+    a1 = _linear(feats, params, f"{prefix}_fc1")
     z1 = _relu(a1)
-    a2 = z1 @ params[f"{prefix}_fc2_w"] + params[f"{prefix}_fc2_b"]
+    a2 = _linear(z1, params, f"{prefix}_fc2")
     z2 = _relu(a2)
     return z2, (feats, a1, z1, a2)
 
 
 def _trunk_backward(d_z2, cache, params, grads, prefix):
     feats, a1, z1, a2 = cache
-    d_a2 = d_z2 * (a2 > 0)
-    grads[f"{prefix}_fc2_w"] += z1.T @ d_a2
-    grads[f"{prefix}_fc2_b"] += d_a2.sum(axis=0)
-    d_z1 = d_a2 @ params[f"{prefix}_fc2_w"].T
+    d_z1 = _linear_backward(d_z2 * (a2 > 0), z1, params, grads,
+                            f"{prefix}_fc2")
+    # the pooled features take no gradient, so the first layer stops here
     d_a1 = d_z1 * (a1 > 0)
     grads[f"{prefix}_fc1_w"] += feats.T @ d_a1
     grads[f"{prefix}_fc1_b"] += d_a1.sum(axis=0)
 
 
-# --- forward passes -------------------------------------------------------
+# --- heads and forward passes ---------------------------------------------
+
+
+def _object_head(z2, params, cfg: HeadConfig):
+    """Class logits (N, C+1) and per-class box deltas (N, C+1, 4)."""
+    deltas = _linear(z2, params, "obj_reg").reshape(
+        len(z2), cfg.num_object_classes + 1, 4)
+    return _linear(z2, params, "obj_cls"), deltas
+
+
+def _human_head(z2, params, cfg: HeadConfig):
+    """Action logits (N, A) and target means (N, A, M, 4), plus the MDN's
+    weight logits (N, A, M) and raw widths (N, A, M, 4), None without it."""
+    n, a, m = len(z2), cfg.num_actions, cfg.density_M
+    logits = _linear(z2, params, "act")
+    mus = _linear(z2, params, "mu").reshape(n, a, m, 4)
+    if not cfg.use_mdn:
+        return logits, mus, None, None
+    return (logits, mus, _linear(z2, params, "wlog").reshape(n, a, m),
+            _linear(z2, params, "sig").reshape(n, a, m, 4))
+
+
+def _human_pair_layer(cfg: HeadConfig) -> str:
+    """The human side's logit_sum layer; the action head when shared."""
+    return "act" if cfg.share_interaction_head else "int_h"
+
+
+def _side_logits(z2, params, cfg: HeadConfig, layer: str):
+    """One side's per-RoI logit_sum logits from its trunk output; zero in
+    concat_mlp mode, which pairs trunk outputs instead of logits."""
+    if cfg.pairwise_mode != "logit_sum":
+        return np.zeros((len(z2), cfg.num_actions))
+    return _linear(z2, params, layer)
+
+
+def _pair_logits(logit_h, logit_o, hidden_h, hidden_o, params,
+                 cfg: HeadConfig):
+    """Pair logits, and the concat_mlp layers' inputs (None for logit_sum)."""
+    if cfg.pairwise_mode == "logit_sum":
+        return logit_h + logit_o, None
+    hh, ho = np.atleast_2d(hidden_h), np.atleast_2d(hidden_o)
+    z = np.concatenate([np.broadcast_to(hh, (len(ho), hh.shape[1])), ho],
+                       axis=1)
+    pre = _linear(z, params, "cm_fc1")
+    hid = _relu(pre)
+    return _linear(hid, params, "cm_fc2"), (z, pre, hid)
 
 
 @dataclass
@@ -272,55 +325,35 @@ class HumanOutput:
 
 
 def forward_object(feat, params, cfg: HeadConfig) -> ObjectOutput:
-    feats = _as_matrix(feat.values if hasattr(feat, "values") else feat,
-                       cfg.feature_dim)
-    z2, _ = _trunk_forward(feats, params, "obj")
-    probs = _softmax_rows(z2 @ params["obj_cls_w"] + params["obj_cls_b"])
-    deltas = (z2 @ params["obj_reg_w"] + params["obj_reg_b"]).reshape(
-        len(feats), cfg.num_object_classes + 1, 4
-    )
-    return ObjectOutput(probs=probs, deltas=deltas, hidden=z2)
+    z2, _ = _trunk_forward(_as_matrix(feat, cfg.feature_dim), params, "obj")
+    logits, deltas = _object_head(z2, params, cfg)
+    return ObjectOutput(probs=_softmax_rows(logits), deltas=deltas, hidden=z2)
 
 
 def forward_human(feat, params, cfg: HeadConfig) -> HumanOutput:
-    feats = _as_matrix(feat.values if hasattr(feat, "values") else feat,
-                       cfg.feature_dim)
-    n = len(feats)
-    a, m = cfg.num_actions, cfg.density_M
-    z2, _ = _trunk_forward(feats, params, "hum")
-    scores, _ = _clip_sigmoid(z2 @ params["act_w"] + params["act_b"])
-    mus = (z2 @ params["mu_w"] + params["mu_b"]).reshape(n, a, m, 4)
+    z2, _ = _trunk_forward(_as_matrix(feat, cfg.feature_dim), params, "hum")
+    logits, mus, wlogs, raws = _human_head(z2, params, cfg)
+    scores, _ = _clip_sigmoid(logits)
     weights = sigmas = None
     if cfg.use_mdn:
-        wlog = (z2 @ params["wlog_w"] + params["wlog_b"]).reshape(n, a, m)
-        weights = _softmax_rows(wlog)
-        raw = (z2 @ params["sig_w"] + params["sig_b"]).reshape(n, a, m, 4)
-        sigmas = cfg.sigma_floor + softplus(raw)
+        weights = _softmax_rows(wlogs)
+        sigmas = cfg.sigma_floor + softplus(raws)
     return HumanOutput(action_scores=scores, mus=mus, weights=weights,
                        sigmas=sigmas, hidden=z2)
 
 
 def interaction_human_logits(hidden, params, cfg: HeadConfig) -> np.ndarray:
     """Per-RoI action logits on the human side, from the cached
-    human-centric trunk output. Unused (zero) in concat_mlp mode, which
-    pairs trunk outputs instead of logits."""
-    hidden = np.atleast_2d(hidden)
-    if cfg.pairwise_mode != "logit_sum":
-        return np.zeros((len(hidden), cfg.num_actions))
-    if cfg.share_interaction_head:
-        return hidden @ params["act_w"] + params["act_b"]
-    return hidden @ params["int_h_w"] + params["int_h_b"]
+    human-centric trunk output (zero in concat_mlp mode)."""
+    return _side_logits(np.atleast_2d(hidden), params, cfg,
+                        _human_pair_layer(cfg))
 
 
 def interaction_object_logits(feat, params, cfg: HeadConfig):
     """Object-side per-RoI logits plus the trunk output (cached by
     callers for the concat_mlp pairing)."""
-    feats = _as_matrix(feat.values if hasattr(feat, "values") else feat,
-                       cfg.feature_dim)
-    z2, _ = _trunk_forward(feats, params, "int")
-    if cfg.pairwise_mode == "logit_sum":
-        return z2 @ params["int_o_w"] + params["int_o_b"], z2
-    return np.zeros((len(feats), cfg.num_actions)), z2
+    z2, _ = _trunk_forward(_as_matrix(feat, cfg.feature_dim), params, "int")
+    return _side_logits(z2, params, cfg, "int_o"), z2
 
 
 def pair_scores(logit_h, logit_o, hidden_h, hidden_o, params,
@@ -331,15 +364,10 @@ def pair_scores(logit_h, logit_o, hidden_h, hidden_o, params,
     mode's own inputs are read (logits for logit_sum, trunk outputs for
     concat_mlp).
     """
-    if cfg.pairwise_mode == "logit_sum":
-        p, _ = _clip_sigmoid(np.asarray(logit_h) + np.asarray(logit_o))
-        return p
-    hh, ho = np.atleast_2d(hidden_h), np.atleast_2d(hidden_o)
-    z = np.concatenate([np.broadcast_to(hh, (len(ho), hh.shape[1])), ho],
-                       axis=1)
-    mlp = _relu(z @ params["cm_fc1_w"] + params["cm_fc1_b"])
-    p, _ = _clip_sigmoid(mlp @ params["cm_fc2_w"] + params["cm_fc2_b"])
-    return p[0] if np.ndim(hidden_o) == 1 else p
+    logits, mlp = _pair_logits(np.asarray(logit_h), np.asarray(logit_o),
+                               hidden_h, hidden_o, params, cfg)
+    p, _ = _clip_sigmoid(logits)
+    return p[0] if mlp is not None and np.ndim(hidden_o) == 1 else p
 
 
 # --- training batch and backward pass -------------------------------------
@@ -368,23 +396,6 @@ class ImageSamples:
     interaction_h_feats: np.ndarray
     interaction_o_feats: np.ndarray
     interaction_action_targets: np.ndarray
-
-    @classmethod
-    def empty(cls, cfg: HeadConfig) -> "ImageSamples":
-        d, a = cfg.feature_dim, cfg.num_actions
-        return cls(
-            object_feats=np.zeros((0, d)),
-            object_labels=np.zeros(0, dtype=int),
-            object_reg_targets=np.zeros((0, 4)),
-            object_reg_mask=np.zeros(0, dtype=bool),
-            human_feats=np.zeros((0, d)),
-            human_action_targets=np.zeros((0, a)),
-            human_target_offsets=np.zeros((0, a, 4)),
-            human_target_mask=np.zeros((0, a), dtype=bool),
-            interaction_h_feats=np.zeros((0, d)),
-            interaction_o_feats=np.zeros((0, d)),
-            interaction_action_targets=np.zeros((0, a)),
-        )
 
 
 def zero_grads(params):
@@ -422,21 +433,17 @@ def _backward_object(images, params, cfg, grads, cls_scale, reg_scale):
     labels = _stack(images, "object_labels").astype(int)
     rows = np.arange(n)
     z2, cache = _trunk_forward(feats, params, "obj")
-    logits = z2 @ params["obj_cls_w"] + params["obj_cls_b"]
-    inside = np.abs(logits) < LOGIT_CLIP
+    logits, deltas = _object_head(z2, params, cfg)
     probs = _softmax_rows(logits)
     p_true = probs[rows, labels]
-    clamped = p_true < PROB_EPS
     cls_loss = float(w @ -np.log(np.maximum(p_true, PROB_EPS)))
 
     d_logits = probs.copy()
     d_logits[rows, labels] -= 1.0
-    d_logits[clamped] = 0.0
-    d_logits *= inside
+    d_logits[p_true < PROB_EPS] = 0.0
+    d_logits *= np.abs(logits) < LOGIT_CLIP
     d_logits *= (cls_scale * w)[:, None]
 
-    reg_pre = z2 @ params["obj_reg_w"] + params["obj_reg_b"]
-    deltas = reg_pre.reshape(n, cfg.num_object_classes + 1, 4)
     reg = np.flatnonzero(_stack(images, "object_reg_mask").astype(bool))
     pred = deltas[reg, labels[reg]]
     target = _stack(images, "object_reg_targets").reshape(n, 4)[reg]
@@ -444,13 +451,10 @@ def _backward_object(images, params, cfg, grads, cls_scale, reg_scale):
     d_deltas = np.zeros_like(deltas)
     d_deltas[reg, labels[reg]] = (smooth_l1_grad(pred, target)
                                   * (reg_scale * w[reg])[:, None])
-    d_reg_pre = d_deltas.reshape(n, -1)
 
-    grads["obj_cls_w"] += z2.T @ d_logits
-    grads["obj_cls_b"] += d_logits.sum(axis=0)
-    grads["obj_reg_w"] += z2.T @ d_reg_pre
-    grads["obj_reg_b"] += d_reg_pre.sum(axis=0)
-    d_z2 = d_logits @ params["obj_cls_w"].T + d_reg_pre @ params["obj_reg_w"].T
+    d_z2 = (_linear_backward(d_logits, z2, params, grads, "obj_cls")
+            + _linear_backward(d_deltas.reshape(n, -1), z2, params, grads,
+                               "obj_reg"))
     _trunk_backward(d_z2, cache, params, grads, "obj")
     return cls_loss, reg_loss
 
@@ -461,18 +465,15 @@ def _backward_human(images, params, cfg, grads, act_scale, loc_scale):
     if n == 0:
         return 0.0, 0.0
     k = len(images)
-    a, m = cfg.num_actions, cfg.density_M
     w = _row_weights(counts, k)
     targets = _stack(images, "human_action_targets").astype(np.float64)
     z2, cache = _trunk_forward(feats, params, "hum")
+    logits, mus, wlogs, raws = _human_head(z2, params, cfg)
 
-    logits = z2 @ params["act_w"] + params["act_b"]
     p, mask = _clip_sigmoid(logits)
     act_loss = float(w @ _bce_rows(p, targets))
     d_logits = (p - targets) * mask * (act_scale * w)[:, None]
-    grads["act_w"] += z2.T @ d_logits
-    grads["act_b"] += d_logits.sum(axis=0)
-    d_z2 = d_logits @ params["act_w"].T
+    d_z2 = _linear_backward(d_logits, z2, params, grads, "act")
 
     # the defined (row, action) offsets, image by image
     ii, jj, offsets, loc_counts = [], [], [], []
@@ -488,37 +489,27 @@ def _backward_human(images, params, cfg, grads, act_scale, loc_scale):
         offsets = np.concatenate(offsets)
         v = _row_weights(loc_counts, k)
         scale = loc_scale * v
-        mus = (z2 @ params["mu_w"] + params["mu_b"]).reshape(n, a, m, 4)
         d_mus = np.zeros_like(mus)
         if cfg.use_mdn:
-            wlogs = (z2 @ params["wlog_w"] + params["wlog_b"]).reshape(n, a, m)
-            raws = (z2 @ params["sig_w"] + params["sig_b"]).reshape(n, a, m, 4)
             nll, d_lg, d_mu, d_rw = mdn_nll_grad(
                 offsets, wlogs[ii, jj], mus[ii, jj], raws[ii, jj],
                 sigma_floor=cfg.sigma_floor,
             )
             loc_loss = float(v @ nll)
-            d_wlogs = np.zeros_like(wlogs)
-            d_raws = np.zeros_like(raws)
+            d_wlogs, d_raws = np.zeros_like(wlogs), np.zeros_like(raws)
             d_wlogs[ii, jj] = d_lg * scale[:, None]
             d_mus[ii, jj] = d_mu * scale[:, None, None]
             d_raws[ii, jj] = d_rw * scale[:, None, None]
-            d_wlog_pre = d_wlogs.reshape(n, -1)
-            d_sig_pre = d_raws.reshape(n, -1)
-            grads["wlog_w"] += z2.T @ d_wlog_pre
-            grads["wlog_b"] += d_wlog_pre.sum(axis=0)
-            grads["sig_w"] += z2.T @ d_sig_pre
-            grads["sig_b"] += d_sig_pre.sum(axis=0)
-            d_z2 += d_wlog_pre @ params["wlog_w"].T
-            d_z2 += d_sig_pre @ params["sig_w"].T
+            d_z2 += _linear_backward(d_wlogs.reshape(n, -1), z2, params,
+                                     grads, "wlog")
+            d_z2 += _linear_backward(d_raws.reshape(n, -1), z2, params,
+                                     grads, "sig")
         else:
             pred = mus[ii, jj, 0]
             loc_loss = float(v @ smooth_l1(pred, offsets))
             d_mus[ii, jj, 0] = smooth_l1_grad(pred, offsets) * scale[:, None]
-        d_mu_pre = d_mus.reshape(n, -1)
-        grads["mu_w"] += z2.T @ d_mu_pre
-        grads["mu_b"] += d_mu_pre.sum(axis=0)
-        d_z2 += d_mu_pre @ params["mu_w"].T
+        d_z2 += _linear_backward(d_mus.reshape(n, -1), z2, params, grads,
+                                 "mu")
 
     _trunk_backward(d_z2, cache, params, grads, "hum")
     return act_loss, loc_loss
@@ -538,38 +529,22 @@ def _backward_interaction(images, params, cfg, grads, scale):
     targets = _stack(images, "interaction_action_targets").astype(np.float64)
     z2h, cache_h = _trunk_forward(feats_h, params, "hum")
     z2o, cache_o = _trunk_forward(feats_o, params, "int")
+    logits, mlp = _pair_logits(interaction_human_logits(z2h, params, cfg),
+                               _side_logits(z2o, params, cfg, "int_o"),
+                               z2h, z2o, params, cfg)
 
-    if cfg.pairwise_mode == "logit_sum":
-        h_key = ("act_w", "act_b") if cfg.share_interaction_head else \
-            ("int_h_w", "int_h_b")
-        lh = z2h @ params[h_key[0]] + params[h_key[1]]
-        lo = z2o @ params["int_o_w"] + params["int_o_b"]
-        p, mask = _clip_sigmoid(lh + lo)
-        loss = float(w @ _bce_rows(p, targets))
-        d_sum = (p - targets) * mask * (scale * w)[:, None]
-        grads[h_key[0]] += z2h.T @ d_sum
-        grads[h_key[1]] += d_sum.sum(axis=0)
-        grads["int_o_w"] += z2o.T @ d_sum
-        grads["int_o_b"] += d_sum.sum(axis=0)
-        d_z2h = d_sum @ params[h_key[0]].T
-        d_z2o = d_sum @ params["int_o_w"].T
+    p, mask = _clip_sigmoid(logits)
+    loss = float(w @ _bce_rows(p, targets))
+    d_logits = (p - targets) * mask * (scale * w)[:, None]
+    if mlp is None:
+        d_z2h = _linear_backward(d_logits, z2h, params, grads,
+                                 _human_pair_layer(cfg))
+        d_z2o = _linear_backward(d_logits, z2o, params, grads, "int_o")
     else:
-        z = np.concatenate([z2h, z2o], axis=1)
-        pre1 = z @ params["cm_fc1_w"] + params["cm_fc1_b"]
-        hid = _relu(pre1)
-        logits = hid @ params["cm_fc2_w"] + params["cm_fc2_b"]
-        p, mask = _clip_sigmoid(logits)
-        loss = float(w @ _bce_rows(p, targets))
-        d_logits = (p - targets) * mask * (scale * w)[:, None]
-        grads["cm_fc2_w"] += hid.T @ d_logits
-        grads["cm_fc2_b"] += d_logits.sum(axis=0)
-        d_hid = d_logits @ params["cm_fc2_w"].T
-        d_pre1 = d_hid * (pre1 > 0)
-        grads["cm_fc1_w"] += z.T @ d_pre1
-        grads["cm_fc1_b"] += d_pre1.sum(axis=0)
-        d_z = d_pre1 @ params["cm_fc1_w"].T
-        h = cfg.hidden_dim
-        d_z2h, d_z2o = d_z[:, :h], d_z[:, h:]
+        z, pre, hid = mlp
+        d_hid = _linear_backward(d_logits, hid, params, grads, "cm_fc2")
+        d_z = _linear_backward(d_hid * (pre > 0), z, params, grads, "cm_fc1")
+        d_z2h, d_z2o = np.split(d_z, 2, axis=1)
 
     _trunk_backward(d_z2h, cache_h, params, grads, "hum")
     _trunk_backward(d_z2o, cache_o, params, grads, "int")
@@ -614,8 +589,7 @@ def sgd_step(params, grads, velocity, lr, momentum=0.9, weight_decay=0.0001):
     return params, velocity
 
 
-def init_velocity(params):
-    return {k: np.zeros_like(v) for k, v in params.items()}
+init_velocity = zero_grads  # the momentum buffers start at zero too
 
 
 # --- checkpoints -----------------------------------------------------------

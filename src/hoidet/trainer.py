@@ -446,10 +446,6 @@ def train(scenes, provider, cfg: HeadConfig, schedule: Schedule,
                     grads, rep = backward(batch, params, cfg, loss_weights)
                 except FloatingPointError as exc:
                     raise TrainingDiverged(f"iteration {it}: {exc}") from exc
-                if not np.isfinite(rep.total):
-                    raise TrainingDiverged(
-                        f"non-finite loss {rep.total} at iteration {it}"
-                    )
                 _check_finite(grads, cfg, f"iteration {it}: non-finite gradient")
                 sgd_step(params, grads, velocity, phase.lr,
                          schedule.momentum, schedule.weight_decay)

@@ -461,10 +461,32 @@ class TestEvalCommand:
     @pytest.mark.parametrize("corrupt, detail", [
         (lambda obj: {k: v for k, v in obj.items() if k != "human"},
          "missing key 'human'"),
-        (lambda obj: {**obj, "s_h": [0.5]}, "float() argument"),
-        (lambda obj: {**obj, "image_id": 1e400}, "infinity"),
+        (lambda obj: {**obj, "s_h": [0.5]},
+         "s_h: expected a number, got list"),
+        (lambda obj: {**obj, "image_id": 1e400},
+         "image_id: expected an integer, got number"),
+        (lambda obj: {**obj, "s_h": 10 ** 400},
+         "int too large to convert to float"),
         (lambda obj: "not json", "Expecting value"),
-    ], ids=["missing_key", "wrong_type", "overflow", "not_json"])
+        (lambda obj: {**obj, "image_id": "0"},
+         "image_id: expected an integer, got string"),
+        (lambda obj: {**obj, "score": True},
+         "score: expected a number, got boolean"),
+        (lambda obj: {**obj, "action": 3},
+         "action: expected a string, got integer"),
+        (lambda obj: {**obj, "human": None},
+         "human: expected an object, got null"),
+        (lambda obj: {**obj, "human": {**obj["human"], "box": [0, 0, 1]}},
+         "human.box: expected a list of 4 numbers, got [0, 0, 1]"),
+        (lambda obj: {**obj, "human": {**obj["human"],
+                                       "box": [False, 0.0, 1.0, 1.0]}},
+         "human.box: expected a list of 4 numbers, got [false, 0.0, 1.0, "
+         "1.0]"),
+        (lambda obj: [obj], "top level: expected an object, got list"),
+    ], ids=["missing_key", "wrong_type", "overflow", "int_overflow",
+            "not_json", "string_image_id", "boolean_score", "integer_action",
+            "null_human", "three_box_numbers", "boolean_box_entry",
+            "line_is_a_list"])
     def test_malformed_line_is_data_error(self, tmp_path, capsys, corrupt,
                                           detail):
         data = _synth(tmp_path)
@@ -480,6 +502,38 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: data: predictions line 2: ")
         assert detail in err
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_a_value_of_another_type_is_one_data_line(self, annotated, data):
+        ds_dir = annotated[0]
+        lines = self._gt_echo(ds_dir, ds_dir.parent).read_text().splitlines()
+        number = data.draw(st.integers(1, len(lines)))
+        line = json.loads(lines[number - 1])
+        path = data.draw(st.sampled_from(list(_json_paths(line))))
+        parent = line
+        for key in path[:-1]:
+            parent = parent[key]
+        old = parent[path[-1]] if path else line
+        allowed = PREDICTION_NULLABLE.get(path, {_json_type(old)})
+        new = data.draw(JSON_VALUES.filter(
+            lambda v: _json_type(v) not in allowed))
+        if path:
+            parent[path[-1]] = new
+        else:
+            line = new
+        lines[number - 1] = json.dumps(line)
+        bad = ds_dir.parent / "swapped.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = _run("eval", "--out", str(ds_dir.parent / "ev"),
+                        "--predictions", str(bad),
+                        "--annotations", str(ds_dir / "annotations.json"))
+        err = err.getvalue()
+        assert code == 1, (number, path, new)
+        assert err.startswith(f"error: data: predictions line {number}: ")
+        assert err.count("\n") == 1, err
 
 
 @pytest.mark.filterwarnings("ignore:only .* offsets for k=")
@@ -784,6 +838,12 @@ JSON_VALUES = st.recursive(
     lambda inner: (st.lists(inner, max_size=3)
                    | st.dictionaries(st.text(), inner, max_size=3)),
     max_leaves=6)
+
+
+# the top-level keys of a predictions line that may also hold null
+PREDICTION_NULLABLE = {("s_o",): {float, type(None)},
+                       ("compat",): {float, type(None)},
+                       ("object",): {dict, type(None)}}
 
 
 class TestAnnotationsFile:

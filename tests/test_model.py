@@ -3,6 +3,7 @@ import copy
 import numpy as np
 import pytest
 
+from hoidet.density import mixture_compat, smooth_l1
 from hoidet.model import (
     Checkpoint,
     CheckpointError,
@@ -36,6 +37,24 @@ def forward_interaction(feat_h, feat_o, params, cfg: HeadConfig) -> np.ndarray:
     lo, z2o = interaction_object_logits(feat_o, params, cfg)
     out = pair_scores(lh, lo, hum.hidden, z2o, params, cfg)
     return out[0] if out.ndim == 2 and out.shape[0] == 1 else out
+
+
+def empty_samples(cfg: HeadConfig) -> ImageSamples:
+    """One image's samples with every section empty."""
+    d, a = cfg.feature_dim, cfg.num_actions
+    return ImageSamples(
+        object_feats=np.zeros((0, d)),
+        object_labels=np.zeros(0, dtype=int),
+        object_reg_targets=np.zeros((0, 4)),
+        object_reg_mask=np.zeros(0, dtype=bool),
+        human_feats=np.zeros((0, d)),
+        human_action_targets=np.zeros((0, a)),
+        human_target_offsets=np.zeros((0, a, 4)),
+        human_target_mask=np.zeros((0, a), dtype=bool),
+        interaction_h_feats=np.zeros((0, d)),
+        interaction_o_feats=np.zeros((0, d)),
+        interaction_action_targets=np.zeros((0, a)),
+    )
 
 
 def bce_loss(score, label) -> float:
@@ -294,7 +313,7 @@ class TestBackward:
         cfg = small_cfg(use_interaction_branch=False)
         params = init_params(cfg, 17)
         rng = np.random.default_rng(6)
-        img = ImageSamples.empty(cfg)
+        img = empty_samples(cfg)
         img.human_feats = rng.normal(size=(3, cfg.feature_dim))
         img.human_action_targets = (
             rng.random((3, cfg.num_actions)) < 0.5
@@ -335,7 +354,7 @@ class TestBackward:
     def test_empty_human_section_is_legal(self):
         cfg = small_cfg()
         params = init_params(cfg, 37)
-        img = ImageSamples.empty(cfg)
+        img = empty_samples(cfg)
         img.object_feats = np.ones((2, cfg.feature_dim))
         img.object_labels = np.array([0, 1])
         img.object_reg_targets = np.zeros((2, 4))
@@ -343,6 +362,71 @@ class TestBackward:
         grads, r = backward([img], params, cfg)
         assert r.action_cls_loss == 0.0 and r.target_loc_loss == 0.0
         assert np.isfinite(r.total)
+
+
+HEAD_VARIANTS = {
+    "fixed_sigma": {},
+    "mdn_m2": dict(use_mdn=True, density_M=2),
+    "mdn_m1_shared": dict(use_mdn=True, density_M=1,
+                          share_interaction_head=True),
+    "concat_mlp": dict(pairwise_mode="concat_mlp"),
+    "no_interaction": dict(use_interaction_branch=False),
+}
+
+
+def _bce_mean(p, targets) -> float:
+    return float(np.mean(np.sum(
+        -(targets * np.log(p) + (1 - targets) * np.log(1 - p)), axis=1)))
+
+
+@pytest.mark.parametrize("variant", sorted(HEAD_VARIANTS))
+def test_training_loss_is_the_loss_of_the_inference_outputs(variant):
+    """Every loss term of one image, recomputed from what the inference
+    forwards return, equals the term the backward pass reports."""
+    cfg = small_cfg(**HEAD_VARIANTS[variant])
+    rng = np.random.default_rng(41)
+    # larger than the initial scale, so that no output sits near zero
+    params = {k: v * 5.0 for k, v in init_params(cfg, 41).items()}
+    (img,) = random_batch(cfg, rng, images=1)
+    _, got = backward([img], params, cfg)
+
+    obj = forward_object(img.object_feats, params, cfg)
+    labels = img.object_labels
+    reg = np.flatnonzero(img.object_reg_mask)
+    hum = forward_human(img.human_feats, params, cfg)
+    ii, jj = np.nonzero(img.human_target_mask)
+    assert len(reg) and len(ii)
+    offsets = img.human_target_offsets[ii, jj]
+    if cfg.use_mdn:
+        loc = -np.log(mixture_compat(offsets, hum.weights[ii, jj],
+                                     hum.mus[ii, jj], hum.sigmas[ii, jj]))
+    else:
+        loc = smooth_l1(hum.mus[ii, jj, 0], offsets)
+    want = {
+        "object_cls_loss": np.mean(-np.log(np.maximum(
+            obj.probs[np.arange(len(labels)), labels], PROB_EPS))),
+        "object_reg_loss": np.sum(smooth_l1(
+            obj.deltas[reg, labels[reg]], img.object_reg_targets[reg]))
+        / len(labels),
+        "action_cls_loss": _bce_mean(hum.action_scores,
+                                     img.human_action_targets),
+        "target_loc_loss": np.mean(loc),
+        "interaction_cls_loss": 0.0,
+    }
+    if cfg.use_interaction_branch:
+        hidden_h = forward_human(img.interaction_h_feats, params, cfg).hidden
+        logit_h = interaction_human_logits(hidden_h, params, cfg)
+        logit_o, hidden_o = interaction_object_logits(
+            img.interaction_o_feats, params, cfg)
+        p = np.array([pair_scores(logit_h[i], logit_o[i], hidden_h[i],
+                                  hidden_o[i], params, cfg)
+                      for i in range(len(hidden_h))])
+        want["interaction_cls_loss"] = _bce_mean(
+            p, img.interaction_action_targets)
+        assert want["interaction_cls_loss"] > 0
+    for name, value in want.items():
+        assert getattr(got, name) == pytest.approx(value, rel=1e-9, abs=0), \
+            name
 
 
 class TestSgdStep:

@@ -441,6 +441,17 @@ class TestTrainLoop:
                       Schedule(phases=[Phase(50, 1e6)], seed=3),
                       REGISTRY, CATEGORIES)
 
+    def test_non_finite_loss_is_named(self, synth):
+        scenes, provider, cfg = synth
+        params = init_params(cfg, 3)
+        params["obj_cls_w"][0, 0] = np.nan
+        with pytest.raises(TrainingDiverged) as err:
+            train(scenes, provider, cfg,
+                  Schedule(phases=[Phase(2, 1e-3)], seed=3),
+                  REGISTRY, CATEGORIES, params=params)
+        assert str(err.value) == ("iteration 0: non-finite loss term "
+                                  "object_cls_loss")
+
     def test_non_finite_gradient_is_named(self, synth, monkeypatch):
         scenes, provider, cfg = synth
         real, calls = trainer.backward, []
