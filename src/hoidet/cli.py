@@ -6,9 +6,9 @@ rejected. Most keys are fields of the config dataclasses and take
 their defaults from them; ``_build`` converts each to its default's
 type and constructs the dataclass. Every artifact embeds (or ships next
 to) the effective config so a run is reproducible from its outputs
-alone. Errors print a single machine-parsable line
-``error: <kind>: <message>`` on stderr and exit nonzero (2 for
-configuration problems, 1 for runtime failures).
+alone. Only the invoked subcommand's flags are built. Errors print a
+single machine-parsable line ``error: <kind>: <message>`` on stderr and
+exit nonzero (2 for configuration problems, 1 for runtime failures).
 
 The training density mode decides the target-location term:
   fixed_sigma      one predicted center, fixed-width compatibility
@@ -22,14 +22,19 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import io
+import itertools
 import json
+import math
 import os
 import sys
+import tokenize
 import zipfile
 
 import numpy as np
 
 from .dataset import (
+    _NUMBERS,
     PERSON_CATEGORY,
     ROLE_NONE,
     SYNTH_CATEGORIES,
@@ -45,7 +50,7 @@ from .dataset import (
 from .density import kmeans_offsets
 from .evaluation import MatchRule, evaluate_triplets, report_json, report_text
 from .features import FeatureMap, SyntheticFeatureProvider
-from .geometry import Box, decode_rel, encode_rel
+from .geometry import decode_rel, encode_rel
 from .inference import (
     InferenceConfig,
     InferStats,
@@ -149,7 +154,7 @@ def resolve_config(command: str, file_path, flag_values: dict) -> dict:
                 raw = json.load(fh)
         except OSError as exc:
             raise CliError("io", f"cannot read config file: {exc}")
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise _config_error(f"config file is not valid JSON: {exc}")
         if not isinstance(raw, dict):
             raise _config_error("config file must hold a JSON object")
@@ -220,9 +225,47 @@ def write_feature_maps(path, maps: dict) -> None:
     np.savez(path, **arrays)
 
 
+_NPY_HEADER_READERS = {(1, 0): (2, np.lib.format.read_array_header_1_0),
+                       (2, 0): (4, np.lib.format.read_array_header_2_0)}
+
+
+def _npy_array(raw: bytes, headers: dict) -> np.ndarray:
+    """The array of one ``.npy`` member's bytes, viewed in place.
+
+    ``headers`` maps each header already parsed (its bytes up to the
+    payload) to its shape, order and dtype: the members of a feature
+    file share a few headers, and parsing one is most of the cost of
+    reading a small member. Other format versions go through
+    ``np.lib.format.read_array``. A malformed header, an object dtype or
+    a short payload raise ValueError."""
+    fp = io.BytesIO(raw)
+    version = np.lib.format.read_magic(fp)
+    if version not in _NPY_HEADER_READERS:  # (3, 0), or not a version
+        return np.lib.format.read_array(io.BytesIO(raw), allow_pickle=False)
+    width, read_header = _NPY_HEADER_READERS[version]
+    start = 8 + width
+    end = start + int.from_bytes(raw[8:start], "little")
+    header = raw[:end]
+    if header not in headers:
+        try:
+            headers[header] = read_header(fp)
+        except (SyntaxError, tokenize.TokenError) as exc:
+            # numpy retokenizes a header it cannot parse, which can raise
+            raise ValueError(f"cannot parse .npy header: {exc}") from None
+    shape, fortran_order, dtype = headers[header]
+    if dtype.hasobject:
+        raise ValueError("Object arrays cannot be loaded when "
+                         "allow_pickle=False")
+    array = np.frombuffer(raw, dtype, count=math.prod(shape), offset=end)
+    return array.reshape(shape, order="F" if fortran_order else "C")
+
+
 def read_feature_maps(path) -> dict:
     """Per-image maps of an ``.npz`` holding ``map_N`` arrays and their
-    ``stride_N`` scalars; malformed content is a ``data`` error."""
+    ``stride_N`` scalars; malformed content is a ``data`` error.
+
+    Each member is read once through the archive (which checks its
+    CRC) and viewed in place; see :func:`_npy_array`."""
     try:
         z = np.load(path)
     except OSError as exc:
@@ -232,18 +275,25 @@ def read_feature_maps(path) -> dict:
                                f"{exc}")
     if not isinstance(z, np.lib.npyio.NpzFile):
         raise CliError("data", "feature maps file is not an .npz archive")
-    maps = {}
+    maps, headers = {}, {}
     with z:
+        names, files = set(z.zip.namelist()), set(z.files)
+
+        def member(key):
+            # the archive name np.load would read for key
+            name = key if key in names else key + ".npy"
+            return _npy_array(z.zip.read(name), headers)
+
         for key in z.files:
             if not key.startswith("map_"):
                 continue
             try:
                 image_id = int(key[4:])
                 stride = f"stride_{image_id}"
-                if stride not in z.files:
+                if stride not in files:
                     raise ValueError(f"no {stride} member")
-                maps[image_id] = FeatureMap(data=z[key],
-                                            stride=float(z[stride]))
+                maps[image_id] = FeatureMap(data=member(key),
+                                            stride=float(member(stride)))
             except (ValueError, TypeError, zipfile.BadZipFile) as exc:
                 raise CliError("data", f"feature map {key!r}: {exc}")
     return maps
@@ -263,24 +313,44 @@ def write_proposals(path, proposals: dict, config: dict) -> None:
 
 
 def read_proposals(path) -> dict:
+    """Per-image ``(N, 4)`` float64 box arrays of a ``proposals.json``;
+    malformed content is a ``data`` error."""
     try:
         with open(path) as f:
             doc = json.load(f)
     except OSError as exc:
         raise CliError("io", f"cannot read proposals: {exc}")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CliError("data", f"proposals file is not valid JSON: {exc}")
     try:
         items = doc["proposals"].items()
     except (AttributeError, KeyError, TypeError):
         raise CliError("data", "proposals file has no 'proposals' mapping")
     out = {}
-    for i, boxes in items:
+    for i, rows in items:
         try:
-            out[int(i)] = [Box(*(float(v) for v in b)) for b in boxes]
-        except (TypeError, ValueError) as exc:
+            out[int(i)] = _box_rows(rows)
+        except (TypeError, ValueError, OverflowError) as exc:
             raise CliError("data", f"proposals for image {i}: {exc}")
     return out
+
+
+def _box_rows(rows) -> np.ndarray:
+    """(N, 4) array of a JSON list of ``[x1, y1, x2, y2]`` rows, checked
+    in one pass: each row is a list of four numbers (not booleans), and
+    each box has positive width and height (so no NaN)."""
+    if (type(rows) is not list or not {list}.issuperset(map(type, rows))
+            or not {4}.issuperset(map(len, rows))
+            or not _NUMBERS.issuperset(
+                map(type, itertools.chain.from_iterable(rows)))):
+        raise ValueError("expected a list of [x1, y1, x2, y2] rows of "
+                         "numbers")
+    boxes = np.array(rows, dtype=np.float64).reshape(-1, 4)
+    bad = np.flatnonzero(~((boxes[:, 2] > boxes[:, 0])
+                           & (boxes[:, 3] > boxes[:, 1])))
+    if len(bad):
+        raise ValueError(f"degenerate box: {tuple(boxes[bad[0]].tolist())}")
+    return boxes
 
 
 def _write_json(path, doc) -> None:
@@ -599,13 +669,18 @@ def _add_flags(parser: argparse.ArgumentParser, schema: dict) -> None:
             parser.add_argument(flag, type=str, default=None)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``hoidet`` parser. Every subcommand is listed, but only
+    ``command``'s flags are added when it names one: a command parses
+    only its own flags, and building the others' is wasted work."""
     parser = argparse.ArgumentParser(
         prog="hoidet",
         description="human-object interaction detection toolkit")
     subs = parser.add_subparsers(dest="command", required=True)
     for name, schema in _SCHEMAS.items():
-        _add_flags(subs.add_parser(name), schema)
+        sub = subs.add_parser(name)
+        if command not in _SCHEMAS or name == command:
+            _add_flags(sub, schema)
     return parser
 
 
@@ -622,8 +697,8 @@ def _flag_values(args: argparse.Namespace, schema: dict) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     schema = _SCHEMAS[args.command]
     try:
         cfg = resolve_config(args.command, args.config,

@@ -30,6 +30,7 @@ the evaluator's input.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, fields
 
@@ -140,11 +141,12 @@ def infer(scene_id: int, proposals, provider, params, cfg: HeadConfig,
           baseline_centers=None):
     """Full cascade for one image -> (triplets sorted by score, stats).
 
+    proposals are an ``(N, 4)`` corner array (or a ``Box`` list).
     baseline_centers, when given, maps action index -> (K, 4) cluster
     centers and replaces the model's density output in the compat term.
     """
     stats = InferStats(num_proposals=len(proposals))
-    if not proposals:
+    if not len(proposals):
         return [], stats
     feats = provider.pooled_matrix(scene_id, proposals)
     obj_out = forward_object(feats, params, cfg)
@@ -256,21 +258,6 @@ def _det_from_json(obj, where: str) -> Detection:
                                         where + ".score")))
 
 
-def triplet_to_json(t: ScoredTriplet) -> dict:
-    return {
-        "image_id": t.image_id,
-        "human": _det_json(t.human),
-        "action": t.action,
-        "role": t.role,
-        "object": _det_json(t.object),
-        "s_h": t.s_h,
-        "s_o": t.s_o,
-        "action_score": t.action_score,
-        "compat": t.compat,
-        "score": t.score,
-    }
-
-
 def triplet_from_json(obj: dict) -> ScoredTriplet:
     """The triplet of one predictions line; a field of the wrong JSON
     type (a boolean is not a number) raises ValueError naming it."""
@@ -293,16 +280,126 @@ def triplet_from_json(obj: dict) -> ScoredTriplet:
     )
 
 
+# a predictions line: the JSON object of a ScoredTriplet, with its
+# detections as {"box": [x1, y1, x2, y2], "category": ..., "score": ...}
+_TRIPLET_KEYS = {"image_id", "human", "action", "role", "object", "s_h",
+                 "s_o", "action_score", "compat", "score"}
+_DETECTION_KEYS = {"box", "category", "score"}
+
+
+def _plain_detection(obj, detections: dict) -> Detection:
+    """:func:`_det_from_json` of an object with just the keys box (four
+    floats), category (a string) and score (a float), else ValueError.
+    Equal detections are built once: ``detections`` holds them."""
+    if (type(obj) is not dict or obj.keys() != _DETECTION_KEYS
+            or type(obj["box"]) is not list or len(obj["box"]) != 4
+            or not {float}.issuperset(map(type, obj["box"]))
+            or type(obj["category"]) is not str
+            or type(obj["score"]) is not float):
+        raise ValueError("not a plain detection")
+    key = (obj["category"], obj["score"], *obj["box"])
+    if key not in detections:
+        detections[key] = Detection(Box(*obj["box"]), obj["category"],
+                                    obj["score"])
+    return detections[key]
+
+
+def _plain_triplet(obj, detections: dict) -> ScoredTriplet:
+    """:func:`triplet_from_json` of a line with just the triplet's keys,
+    each holding its plain type (a float for every number but the image
+    id, null only where allowed), checked in one expression; ValueError
+    for any other line."""
+    if (type(obj) is not dict or obj.keys() != _TRIPLET_KEYS
+            or type(obj["image_id"]) is not int
+            or type(obj["action"]) is not str or type(obj["role"]) is not str
+            or not {float}.issuperset((type(obj["s_h"]),
+                                       type(obj["action_score"]),
+                                       type(obj["score"])))
+            or not {float, type(None)}.issuperset((type(obj["s_o"]),
+                                                   type(obj["compat"])))):
+        raise ValueError("not a plain triplet")
+    target = obj["object"]
+    return ScoredTriplet(
+        obj["image_id"], _plain_detection(obj["human"], detections),
+        obj["action"], obj["role"],
+        None if target is None else _plain_detection(target, detections),
+        obj["s_h"], obj["s_o"], obj["action_score"], obj["compat"],
+        obj["score"])
+
+
+_LINE = ('{{"image_id": {}, "human": {}, "action": {}, "role": {}, '
+         '"object": {}, "s_h": {}, "s_o": {}, "action_score": {}, '
+         '"compat": {}, "score": {}}}\n')
+
+
+def _number_json(x) -> str:
+    """``json.dumps(x)``, by ``float.__repr__`` for a finite float."""
+    if type(x) is float and x - x == 0:
+        return float.__repr__(x)
+    return "null" if x is None else json.dumps(x)
+
+
 def write_predictions(path, triplets) -> None:
+    """One ``_LINE`` per triplet, as ``json.dumps`` writes its JSON object.
+
+    The detections, names and image ids that triplets share are encoded
+    once each (keyed by identity: the triplets keep them alive), so a
+    line costs one template fill and five numbers."""
+    shared = {}
+
+    def encoded(value, to_json=None):
+        text = shared.get(id(value))
+        if text is None:
+            text = shared[id(value)] = json.dumps(
+                value if to_json is None else to_json(value))
+        return text
+
     with open(path, "w") as f:
-        for t in triplets:
-            f.write(json.dumps(triplet_to_json(t)) + "\n")
+        f.writelines(_LINE.format(
+            encoded(t.image_id), encoded(t.human, _det_json),
+            encoded(t.action), encoded(t.role),
+            encoded(t.object, _det_json), _number_json(t.s_h),
+            _number_json(t.s_o), _number_json(t.action_score),
+            _number_json(t.compat), _number_json(t.score))
+            for t in triplets)
+
+
+# lines per json.loads of read_predictions: the parsed lines it holds
+# at once take about 0.4 MB (1.4 kB each), not a whole file's worth
+_BULK_LINES = 256
 
 
 def read_predictions(path) -> list[ScoredTriplet]:
     """Triplets of a predictions file; a line that is not JSON, lacks a
     key or holds a value of the wrong type raises ValueError naming the
-    line (1-based)."""
+    line (1-based).
+
+    Blocks of lines are parsed with one ``json.loads`` each: every
+    non-blank line is wrapped in brackets, a newline before the closing
+    one, and the wrappers are joined by commas. When each wrapper holds
+    one plain triplet (see :func:`_plain_triplet`), each line is exactly
+    that triplet: a JSON string cannot hold a raw newline, and a plain
+    triplet holds no array of arrays, so no line can run into the next.
+    Any other file is read again line by line, which gives each line's
+    own error or triplet."""
+    out, detections = [], {}
+    try:
+        with open(path) as f:
+            while block := list(itertools.islice(f, _BULK_LINES)):
+                lines = [line for line in map(str.strip, block) if line]
+                docs = json.loads("[[" + "\n],[".join(lines) + "\n]]"
+                                  if lines else "[]")
+                if len(docs) != len(lines):
+                    raise ValueError("lines and documents differ in number")
+                # a wrapper of more or fewer than one document fails to unpack
+                out += [_plain_triplet(doc, detections) for doc, in docs]
+    except (KeyError, TypeError, ValueError, OverflowError):
+        return _read_lines(path)  # also for a file that is not UTF-8
+    return out
+
+
+def _read_lines(path) -> list[ScoredTriplet]:
+    """:func:`read_predictions`, one ``json.loads`` per line."""
     out = []
     with open(path) as f:
         for number, line in enumerate(f, 1):

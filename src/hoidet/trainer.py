@@ -113,9 +113,12 @@ class Schedule:
 
 @dataclass
 class TrainScene:
+    """One training image: its annotation and its ``(N, 4)`` array of
+    proposal corners (a list of ``Box`` is accepted as well)."""
+
     scene_id: int
     annotation: SceneAnnotation
-    proposals: list
+    proposals: np.ndarray
 
 
 def from_synthetic(scenes):
@@ -266,8 +269,8 @@ def _label_chunk(scenes, registry: ActionRegistry, cat_index: dict,
     labels_gt, ignored = np.zeros(real.shape, int), np.zeros(real.shape, bool)
     labels_gt[real], ignored[real] = gt_labels, gt_ignore
     props = np.zeros((len(scenes), max(n_prop, default=0), 4))
-    props[np.arange(props.shape[1]) < np.array(n_prop)[:, None]] = box_array(
-        [b for ts in scenes for b in ts.proposals])
+    for s, ts in enumerate(scenes):
+        props[s, :n_prop[s]] = box_array(ts.proposals)
 
     overlap = box_iou(props[:, :, None], gt[:, None])
     best = np.where(ignored[:, None], 0.0, overlap)

@@ -2,7 +2,10 @@ import contextlib
 import dataclasses
 import io
 import json
+import re
 import struct
+import tempfile
+import zipfile
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from hoidet.cli import (
     _COMMANDS,
+    _SCHEMAS,
     CliError,
     main,
     read_feature_maps,
@@ -19,6 +23,7 @@ from hoidet.cli import (
 from hoidet.dataset import ActionRegistry, SynthConfig, load_annotations
 from hoidet.density import DEFAULT_SIGMA
 from hoidet.features import SyntheticFeatureProvider
+from hoidet.geometry import Box, box_array
 from hoidet.inference import infer, read_predictions
 from hoidet.model import load_checkpoint
 
@@ -82,6 +87,16 @@ class TestResolveConfig:
         cfg_file.write_text("{nope")
         with pytest.raises(CliError):
             resolve_config("synth", str(cfg_file), {})
+
+    def test_config_not_utf8_is_one_config_line(self, tmp_path, capsys):
+        cfg_file = tmp_path / "c.json"
+        cfg_file.write_bytes(b'{"seed": "\xff"}')
+        assert _run("synth", "--out", str(tmp_path / "s"), "--config",
+                    str(cfg_file)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: config file is not valid "
+                              "JSON: ")
+        assert err.count("\n") == 1
 
 
 class TestSynthCommand:
@@ -900,3 +915,294 @@ class TestAnnotationsFile:
         code, err = _run_on_annotations("eval", annotated, bad)
         assert code == 1, (path, new)
         assert err.startswith("error: data: ") and err.count("\n") == 1, err
+
+
+# --- proposals and feature-map files -------------------------------------
+
+
+def _infer_with(trained, **inputs):
+    """Exit code and stderr of ``hoidet infer`` with ``trained``'s
+    checkpoint on its inputs, any of them replaced by ``inputs``."""
+    data, run = trained
+    paths = {"annotations": data / "annotations.json",
+             "features": data / "features.npz",
+             "proposals": data / "proposals.json", **inputs}
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = _run("infer", "--out", str(run.parent / "infer_with"),
+                    "--checkpoint", str(run / "checkpoint.bin"),
+                    *(arg for key, path in paths.items()
+                      for arg in ("--" + key, str(path))))
+    return code, err.getvalue()
+
+
+def _one_data_line(code, err, prefix="error: data: "):
+    assert code == 1, err
+    assert err.startswith(prefix) and err.count("\n") == 1, err
+
+
+class TestProposalsFile:
+    """Every malformed proposals file ends in one ``data`` error line."""
+
+    @staticmethod
+    def _doc(trained) -> dict:
+        return json.loads((trained[0] / "proposals.json").read_text())
+
+    @staticmethod
+    def _infer_on(trained, doc):
+        path = trained[1].parent / "edited_proposals.json"
+        path.write_text(json.dumps(doc))
+        return _infer_with(trained, proposals=path)
+
+    @staticmethod
+    def _draw_row(doc, data):
+        """(image key, its row list, a row index) drawn from ``doc``."""
+        image = data.draw(st.sampled_from(sorted(doc["proposals"])))
+        rows = doc["proposals"][image]
+        return image, rows, data.draw(st.integers(0, len(rows) - 1))
+
+    @pytest.mark.parametrize("command", ["infer", "train", "baseline"])
+    def test_not_utf8(self, trained, tmp_path, command):
+        data, run = trained
+        path = tmp_path / "proposals.json"
+        path.write_bytes(b'{"proposals": {"0": [[0, 0, 1, 1]]}, "x": "\xff"}')
+        extra = {"infer": ["--checkpoint", str(run / "checkpoint.bin")],
+                 "train": ["--phases", "1:0.001", "--workers", "1"],
+                 "baseline": ["--checkpoint", str(run / "checkpoint.bin"),
+                              "--fit-annotations",
+                              str(data / "annotations.json")]}[command]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = _run(command, "--out", str(tmp_path / "o"),
+                        *_inputs(data)[:4], "--proposals", str(path),
+                        *extra)
+        _one_data_line(code, err.getvalue(),
+                       "error: data: proposals file is not valid JSON: ")
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_a_value_of_another_type_is_one_data_line(self, trained, data):
+        doc = self._doc(trained)
+        paths = [p for p in _json_paths(doc) if p[:1] != ("config",)]
+        path = data.draw(st.sampled_from(paths))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        old = parent[path[-1]] if path else doc
+        new = data.draw(JSON_VALUES.filter(
+            lambda v: _json_type(v) != _json_type(old)))
+        if path:
+            parent[path[-1]] = new
+        else:
+            doc = new
+        _one_data_line(*self._infer_on(trained, doc))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_a_row_of_three_or_eight_numbers(self, trained, data):
+        doc = self._doc(trained)
+        image, rows, j = self._draw_row(doc, data)
+        size = data.draw(st.sampled_from([3, 8]))
+        rows[j] = data.draw(st.lists(st.floats(-50, 50), min_size=size,
+                                     max_size=size))
+        _one_data_line(*self._infer_on(trained, doc),
+                       f"error: data: proposals for image {image}: ")
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_a_degenerate_or_nan_box(self, trained, data):
+        doc = self._doc(trained)
+        image, rows, j = self._draw_row(doc, data)
+        if data.draw(st.booleans()):
+            axis = data.draw(st.integers(0, 1))
+            rows[j][axis + 2] = rows[j][axis] - data.draw(st.floats(0, 20))
+        else:
+            rows[j][data.draw(st.integers(0, 3))] = float("nan")
+        code, err = self._infer_on(trained, doc)
+        assert code == 1
+        assert err == (f"error: data: proposals for image {image}: "
+                       f"degenerate box: {tuple(rows[j])}\n")
+
+    def test_an_empty_list_is_legal(self, trained):
+        doc = self._doc(trained)
+        doc["proposals"]["1"] = []
+        code, err = self._infer_on(trained, doc)
+        assert code == 0, err
+        path = trained[1].parent / "edited_proposals.json"
+        assert read_proposals(path)[1].shape == (0, 4)
+
+
+def _members(path) -> dict:
+    """Archive member name -> bytes."""
+    with zipfile.ZipFile(path) as z:
+        return {name: z.read(name) for name in z.namelist()}
+
+
+def _write_members(path, members: dict) -> None:
+    with zipfile.ZipFile(path, "w") as z:
+        for name, raw in members.items():
+            z.writestr(name, raw)
+
+
+def _npy_bytes(array, **kw) -> bytes:
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, array, **kw)
+    return buf.getvalue()
+
+
+def _corrupt_header(raw: bytes, kind: str, draw) -> bytes:
+    """A ``.npy`` member (version 1.0) with a corrupt or unusable header."""
+    end = 10 + int.from_bytes(raw[8:10], "little")
+    if kind == "magic":
+        return b"\x93NUMPX" + raw[6:]
+    if kind == "version":
+        major = draw(st.integers(0, 255).filter(lambda v: v not in (1, 2, 3)))
+        return raw[:6] + bytes([major, 0]) + raw[8:]
+    if kind == "truncated":
+        return raw[:draw(st.integers(0, end - 1))]
+    if kind == "unparsable":
+        return raw[:10] + b"{'shape': (".ljust(end - 11) + b"\n" + raw[end:]
+    if kind == "two_d":
+        return _npy_bytes(np.zeros((2, 3)))
+    return _npy_bytes(np.array([None], dtype=object), allow_pickle=True)
+
+
+class TestFeatureMapsArchive:
+    """Every damaged ``features.npz`` ends in one ``data`` error line."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_cut_at_a_random_byte(self, trained, data):
+        raw = (trained[0] / "features.npz").read_bytes()
+        bad = trained[1].parent / "cut.npz"
+        bad.write_bytes(raw[:data.draw(st.integers(0, len(raw) - 1))])
+        _one_data_line(*_infer_with(trained, features=bad))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_a_flipped_payload_byte_fails_the_crc(self, trained, data):
+        path = trained[0] / "features.npz"
+        raw = bytearray(path.read_bytes())
+        with zipfile.ZipFile(path) as z:
+            info = data.draw(st.sampled_from(z.infolist()))
+        # member data follow the 30-byte local header, name and extra
+        names = int.from_bytes(raw[info.header_offset + 26:
+                                   info.header_offset + 28], "little")
+        extra = int.from_bytes(raw[info.header_offset + 28:
+                                   info.header_offset + 30], "little")
+        start = info.header_offset + 30 + names + extra
+        at = start + data.draw(st.integers(0, info.compress_size - 1))
+        raw[at] ^= data.draw(st.integers(1, 255))
+        bad = trained[1].parent / "flipped.npz"
+        bad.write_bytes(bytes(raw))
+        code, err = _infer_with(trained, features=bad)
+        _one_data_line(code, err, "error: data: feature map 'map_")
+        assert "Bad CRC-32" in err
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_a_member_with_a_bad_header(self, trained, data):
+        members = _members(trained[0] / "features.npz")
+        name = data.draw(st.sampled_from(sorted(members)))
+        kind = data.draw(st.sampled_from(
+            ["magic", "version", "truncated", "unparsable", "two_d",
+             "object"]))
+        members[name] = _corrupt_header(members[name], kind, data.draw)
+        bad = trained[1].parent / "bad_header.npz"
+        _write_members(bad, members)
+        _one_data_line(*_infer_with(trained, features=bad),
+                       "error: data: feature map 'map_")
+
+    @pytest.mark.parametrize("version", [(2, 0), (3, 0)])
+    def test_members_of_later_versions_read(self, trained, tmp_path,
+                                            version):
+        path = trained[0] / "features.npz"
+        with np.load(path) as z:
+            arrays = dict(z)
+        members = {name + ".npy": _npy_bytes(a, version=version)
+                   for name, a in arrays.items()}
+        _write_members(tmp_path / "v2.npz", members)
+        want, got = read_feature_maps(path), read_feature_maps(
+            tmp_path / "v2.npz")
+        assert sorted(got) == sorted(want)
+        for image_id, fmap in want.items():
+            np.testing.assert_array_equal(got[image_id].data, fmap.data)
+            assert got[image_id].stride == fmap.stride
+
+
+_MAP_SHAPES = st.tuples(st.integers(1, 3), st.integers(1, 5),
+                        st.integers(1, 5))
+_CORNER = st.floats(-100, 100) | st.integers(-100, 100)
+_EXTENT = st.floats(0.5, 50) | st.integers(1, 50)
+
+
+class TestReadersMatchNumpy:
+    """On valid files the readers give what ``np.load`` and ``Box``
+    parsing give."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(maps=st.lists(st.tuples(
+               _MAP_SHAPES, st.sampled_from(["<f8", "<f4", ">f8", "<i2"]),
+               st.booleans(), st.floats(0.25, 32), st.integers(0, 2 ** 32)),
+               min_size=1, max_size=4),
+           rows=st.lists(st.lists(st.tuples(_CORNER, _CORNER, _EXTENT,
+                                             _EXTENT), max_size=6),
+                         min_size=1, max_size=4))
+    def test_arrays_equal(self, maps, rows):
+        arrays = {}
+        for i, (shape, dtype, fortran, stride, seed) in enumerate(maps):
+            data = np.random.default_rng(seed).normal(0, 9, shape)
+            data = data.astype(dtype)
+            arrays[f"map_{i}"] = np.asfortranarray(data) if fortran else data
+            arrays[f"stride_{i}"] = np.array(stride)
+        proposals = {str(i): [[x, y, x + w, y + h] for x, y, w, h in boxes]
+                     for i, boxes in enumerate(rows)}
+        with tempfile.TemporaryDirectory() as tmp:
+            np.savez(f"{tmp}/f.npz", **arrays)
+            with open(f"{tmp}/p.json", "w") as f:
+                json.dump({"config": {}, "proposals": proposals}, f)
+            got_maps = read_feature_maps(f"{tmp}/f.npz")
+            got_boxes = read_proposals(f"{tmp}/p.json")
+            with np.load(f"{tmp}/f.npz") as z:
+                for i in range(len(maps)):
+                    np.testing.assert_array_equal(got_maps[i].data,
+                                                  z[f"map_{i}"])
+                    assert got_maps[i].stride == float(z[f"stride_{i}"])
+        for i, boxes in proposals.items():
+            want = box_array([Box(*map(float, b)) for b in boxes])
+            assert got_boxes[int(i)].dtype == np.float64
+            np.testing.assert_array_equal(got_boxes[int(i)], want)
+
+
+class TestCliSurface:
+    """The flags each subcommand takes, pinned to its config schema."""
+
+    @staticmethod
+    def _help(argv, capsys) -> str:
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        assert stop.value.code == 0
+        return capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", list(_SCHEMAS))
+    def test_subcommand_flags(self, command, capsys):
+        text = self._help([command, "--help"], capsys)
+        flags = ["--config"] + ["--" + key.replace("_", "-")
+                                for key in _SCHEMAS[command]]
+        for flag in flags:
+            assert re.search(re.escape(flag) + r"(?![\w-])", text), flag
+        foreign = sorted({"--" + key.replace("_", "-")
+                          for schema in _SCHEMAS.values() for key in schema}
+                         - set(flags))
+        for flag in foreign:
+            if any(own.startswith(flag) for own in flags):
+                continue  # an abbreviation of one of the command's flags
+            with pytest.raises(SystemExit) as stop:
+                main([command, flag, "1"])
+            assert stop.value.code == 2, flag
+            assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_top_level_help_lists_every_subcommand(self, capsys):
+        text = self._help(["--help"], capsys)
+        assert "{" + ",".join(_SCHEMAS) + "}" in text

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,14 @@ from hoidet.dataset import (
     synthetic_registry,
 )
 from hoidet.density import gaussian_compat, kmeans_compat, mixture_compat
-from hoidet.geometry import Box, Detection, decode_rel, encode_rel, iou
+from hoidet.geometry import (
+    Box,
+    Detection,
+    box_array,
+    decode_rel,
+    encode_rel,
+    iou,
+)
 from hoidet.inference import (
     InferenceConfig,
     ScoredTriplet,
@@ -237,6 +246,19 @@ class TestInferCascade:
                              CATEGORIES)
         assert trips == [] and stats.num_detections == 0
 
+    def test_proposal_array_gives_the_box_list_triplets(self, small_world):
+        scenes, provider = small_world
+        cfg = _mk_cfg(provider)
+        params = init_params(cfg, 8)
+        for ts in scenes:
+            want = infer(ts.scene_id, ts.proposals, provider, params, cfg,
+                         REGISTRY, CATEGORIES)
+            got = infer(ts.scene_id, box_array(ts.proposals), provider,
+                        params, cfg, REGISTRY, CATEGORIES)
+            assert got == want
+        assert infer(0, np.zeros((0, 4)), provider, params, cfg, REGISTRY,
+                     CATEGORIES)[0] == []
+
     def test_no_humans_empty(self, small_world):
         scenes, provider = small_world
         cfg = _mk_cfg(provider)
@@ -401,3 +423,69 @@ class TestPredictionIO:
         write_predictions(path, [t])
         path.write_text(path.read_text() + "\n\n")
         assert len(read_predictions(path)) == 1
+
+
+def _triplet_json(t: ScoredTriplet) -> dict:
+    """The JSON object of one predictions line, field by field."""
+    def det(d):
+        return None if d is None else {
+            "box": list(d.box.as_tuple()), "category": d.category,
+            "score": d.score}
+    return {"image_id": t.image_id, "human": det(t.human),
+            "action": t.action, "role": t.role, "object": det(t.object),
+            "s_h": t.s_h, "s_o": t.s_o, "action_score": t.action_score,
+            "compat": t.compat, "score": t.score}
+
+
+HUMAN = Detection(Box(0.5, 1.0, 3.25, 4.0), PERSON_CATEGORY, 0.9)
+RIDDEN = Detection(Box(1.5, 2.0, 9.0, 7.125), "bicycle", 0.75)
+
+
+class TestPredictionLines:
+    """Each predictions line is ``json.dumps`` of the triplet's object,
+    and reading a file gives what reading it line by line gives."""
+
+    def test_written_bytes_equal_json_dumps(self, tmp_path):
+        trips = [
+            ScoredTriplet(7, HUMAN, "ride", "object", RIDDEN, 0.9, 0.75,
+                          0.5, 1.5, 0.50625),
+            ScoredTriplet(7, HUMAN, "stand", ROLE_NONE, None, 0.9, None,
+                          0.5, None, 0.45),
+            # integer corners, numpy and non-finite scores, a non-ASCII name
+            ScoredTriplet(8, Detection(Box(0, 0, 2, 3), PERSON_CATEGORY, 1),
+                          "r\u00e9ad", ROLE_NONE, None, np.float64(0.25),
+                          None, float("nan"), None, float("-inf")),
+        ]
+        path = tmp_path / "p.jsonl"
+        write_predictions(path, trips)
+        assert path.read_text() == "".join(
+            json.dumps(_triplet_json(t)) + "\n" for t in trips)
+        assert read_predictions(path)[:2] == trips[:2]
+
+    def test_lines_that_join_into_triplets_keep_their_own_error(
+            self, tmp_path):
+        """Line 1 stops inside a box that line 2 finishes, and line 3
+        holds two triplets: three lines, and three triplets if the
+        lines were joined by commas; line by line, line 1 is not JSON."""
+        line = json.dumps(_triplet_json(ScoredTriplet(
+            7, HUMAN, "ride", "object", RIDDEN, 0.9, 0.75, 0.5, 1.5, 0.5)))
+        cut = line.index(", ", line.index('"box": ['))
+        path = tmp_path / "p.jsonl"
+        path.write_text(f"{line[:cut]}\n{line[cut + 2:]}\n{line}, {line}\n")
+        with pytest.raises(ValueError) as err:
+            read_predictions(path)
+        assert str(err.value).startswith(
+            "predictions line 1: Expecting ',' delimiter")
+
+    def test_lines_beyond_plain_values_are_read_checked(self, tmp_path):
+        """Integer numbers and extra keys are valid; they take the
+        field-by-field reader, which converts the numbers to float."""
+        want = ScoredTriplet(3, HUMAN, "stand", ROLE_NONE, None, 0.9, None,
+                             1.0, None, 0.9)
+        plain = _triplet_json(want)
+        odd = {**plain, "action_score": 1, "note": [[1], [2]]}
+        path = tmp_path / "p.jsonl"
+        path.write_text(json.dumps(plain) + "\n" + json.dumps(odd) + "\n")
+        got = read_predictions(path)
+        assert got == [want, want]
+        assert type(got[1].action_score) is float
