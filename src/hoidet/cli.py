@@ -225,30 +225,24 @@ def write_feature_maps(path, maps: dict) -> None:
     np.savez(path, **arrays)
 
 
-_NPY_HEADER_READERS = {(1, 0): (2, np.lib.format.read_array_header_1_0),
-                       (2, 0): (4, np.lib.format.read_array_header_2_0)}
-
-
 def _npy_array(raw: bytes, headers: dict) -> np.ndarray:
     """The array of one ``.npy`` member's bytes, viewed in place.
 
     ``headers`` maps each header already parsed (its bytes up to the
     payload) to its shape, order and dtype: the members of a feature
     file share a few headers, and parsing one is most of the cost of
-    reading a small member. Other format versions go through
+    reading a small member. Members of a format version other than
+    1.0, the one ``np.savez`` writes, go through
     ``np.lib.format.read_array``. A malformed header, an object dtype or
     a short payload raise ValueError."""
     fp = io.BytesIO(raw)
-    version = np.lib.format.read_magic(fp)
-    if version not in _NPY_HEADER_READERS:  # (3, 0), or not a version
+    if np.lib.format.read_magic(fp) != (1, 0):
         return np.lib.format.read_array(io.BytesIO(raw), allow_pickle=False)
-    width, read_header = _NPY_HEADER_READERS[version]
-    start = 8 + width
-    end = start + int.from_bytes(raw[8:start], "little")
+    end = 10 + int.from_bytes(raw[8:10], "little")
     header = raw[:end]
     if header not in headers:
         try:
-            headers[header] = read_header(fp)
+            headers[header] = np.lib.format.read_array_header_1_0(fp)
         except (SyntaxError, tokenize.TokenError) as exc:
             # numpy retokenizes a header it cannot parse, which can raise
             raise ValueError(f"cannot parse .npy header: {exc}") from None
@@ -425,7 +419,6 @@ def cmd_train(cfg: dict) -> int:
             log_path=os.path.join(out, "loss.log"),
             checkpoint_path=ckpt_path,
             checkpoint_every=checkpoint_every,
-            actions_json=ds.registry.to_json(),
         )
     except TrainingDiverged as exc:
         raise CliError("diverged", str(exc))
@@ -488,8 +481,11 @@ def _load_centers(path, registry: ActionRegistry):
                                  f"shape {centers.shape}")
             if not np.all(np.isfinite(centers)):
                 raise ValueError("non-finite entry")
+            if not all(_NUMBERS.issuperset(map(type, row)) for row in value):
+                raise ValueError("entries must be numbers, not booleans or "
+                                 "strings")
             out[int(key)] = centers
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise CliError("data", f"centers for action {key!r}: {exc}")
     for a, entry in enumerate(registry):
         if entry.role != ROLE_NONE and a not in out:

@@ -121,11 +121,7 @@ class ActionRegistry:
 
     @property
     def verbs(self):
-        out = []
-        for e in self.entries:
-            if e.name not in out:
-                out.append(e.name)
-        return out
+        return list(self._by_name)
 
     def index(self, name: str, role: str) -> int:
         try:
@@ -511,7 +507,7 @@ class SynthConfig:
 def synth_channel_layout():
     """Feature-map channel indices: person marker, verb one-hot, pose,
     object marker, category one-hot."""
-    v = len(_dedup([n for n, _ in _SYNTH_ENTRIES]))
+    v = len(synthetic_registry().verbs)
     return {
         "person": 0,
         "verb0": 1,
@@ -520,14 +516,6 @@ def synth_channel_layout():
         "category0": 4 + v,
         "total": 4 + v + len(SYNTH_CATEGORIES),
     }
-
-
-def _dedup(names):
-    out = []
-    for n in names:
-        if n not in out:
-            out.append(n)
-    return out
 
 
 def _paint(data: np.ndarray, box: Box, stride: int, channel_values, pad: float = 1.0):
@@ -585,7 +573,7 @@ def generate_synthetic(cfg: SynthConfig):
     """Deterministic scene synthesis: same config and seed, same scenes."""
     registry = synthetic_registry()
     layout = synth_channel_layout()
-    verbs = _dedup([n for n, _ in _SYNTH_ENTRIES])
+    verbs = registry.verbs
     grid = int(round(cfg.image_size)) // cfg.stride
     cat_index = {c: i for i, c in enumerate(SYNTH_CATEGORIES)}
     scenes = []

@@ -30,7 +30,6 @@ the evaluator's input.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, fields
 
@@ -245,86 +244,46 @@ def _det_json(d: Detection | None):
             "score": d.score}
 
 
-def _det_from_json(obj, where: str) -> Detection:
+def _det_from_json(obj, where: str, seen: dict) -> Detection:
     box = _typed(obj, dict, where)["box"]
     if (type(box) is not list or len(box) != 4
             or not _NUMBERS.issuperset(map(type, box))):
         raise ValueError(f"{where}.box: expected a list of 4 numbers, got "
                          f"{json.dumps(box)}")
-    return Detection(box=Box(*box),
-                     category=_typed(obj["category"], str,
-                                     where + ".category"),
-                     score=float(_typed(obj["score"], float,
-                                        where + ".score")))
+    # the box is checked before the category, so that a detection with
+    # both faults is named by its box
+    x1, y1, x2, y2 = box
+    if not (x2 > x1 and y2 > y1):
+        Box(*box)  # raises the degenerate-box error
+    category = _typed(obj["category"], str, where + ".category")
+    score = float(_typed(obj["score"], float, where + ".score"))
+    key = (category, score, *box)
+    det = seen.get(key)
+    if det is None:
+        det = seen[key] = Detection(Box(*box), category, score)
+    return det
 
 
-def triplet_from_json(obj: dict) -> ScoredTriplet:
+def triplet_from_json(obj, seen: dict) -> ScoredTriplet:
     """The triplet of one predictions line; a field of the wrong JSON
-    type (a boolean is not a number) raises ValueError naming it."""
+    type (a boolean is not a number) raises ValueError naming it.
+    Equal detections are built once: ``seen`` holds them by value."""
     _typed(obj, dict, "top level")
+    # positional: keywords cost about a tenth of the check
     return ScoredTriplet(
-        image_id=_typed(obj["image_id"], int, "image_id"),
-        human=_det_from_json(obj["human"], "human"),
-        action=_typed(obj["action"], str, "action"),
-        role=_typed(obj["role"], str, "role"),
-        object=(None if obj["object"] is None
-                else _det_from_json(obj["object"], "object")),
-        s_h=float(_typed(obj["s_h"], float, "s_h")),
-        s_o=(None if obj["s_o"] is None
-             else float(_typed(obj["s_o"], float, "s_o"))),
-        action_score=float(_typed(obj["action_score"], float,
-                                  "action_score")),
-        compat=(None if obj["compat"] is None
-                else float(_typed(obj["compat"], float, "compat"))),
-        score=float(_typed(obj["score"], float, "score")),
-    )
-
-
-# a predictions line: the JSON object of a ScoredTriplet, with its
-# detections as {"box": [x1, y1, x2, y2], "category": ..., "score": ...}
-_TRIPLET_KEYS = {"image_id", "human", "action", "role", "object", "s_h",
-                 "s_o", "action_score", "compat", "score"}
-_DETECTION_KEYS = {"box", "category", "score"}
-
-
-def _plain_detection(obj, detections: dict) -> Detection:
-    """:func:`_det_from_json` of an object with just the keys box (four
-    floats), category (a string) and score (a float), else ValueError.
-    Equal detections are built once: ``detections`` holds them."""
-    if (type(obj) is not dict or obj.keys() != _DETECTION_KEYS
-            or type(obj["box"]) is not list or len(obj["box"]) != 4
-            or not {float}.issuperset(map(type, obj["box"]))
-            or type(obj["category"]) is not str
-            or type(obj["score"]) is not float):
-        raise ValueError("not a plain detection")
-    key = (obj["category"], obj["score"], *obj["box"])
-    if key not in detections:
-        detections[key] = Detection(Box(*obj["box"]), obj["category"],
-                                    obj["score"])
-    return detections[key]
-
-
-def _plain_triplet(obj, detections: dict) -> ScoredTriplet:
-    """:func:`triplet_from_json` of a line with just the triplet's keys,
-    each holding its plain type (a float for every number but the image
-    id, null only where allowed), checked in one expression; ValueError
-    for any other line."""
-    if (type(obj) is not dict or obj.keys() != _TRIPLET_KEYS
-            or type(obj["image_id"]) is not int
-            or type(obj["action"]) is not str or type(obj["role"]) is not str
-            or not {float}.issuperset((type(obj["s_h"]),
-                                       type(obj["action_score"]),
-                                       type(obj["score"])))
-            or not {float, type(None)}.issuperset((type(obj["s_o"]),
-                                                   type(obj["compat"])))):
-        raise ValueError("not a plain triplet")
-    target = obj["object"]
-    return ScoredTriplet(
-        obj["image_id"], _plain_detection(obj["human"], detections),
-        obj["action"], obj["role"],
-        None if target is None else _plain_detection(target, detections),
-        obj["s_h"], obj["s_o"], obj["action_score"], obj["compat"],
-        obj["score"])
+        _typed(obj["image_id"], int, "image_id"),
+        _det_from_json(obj["human"], "human", seen),
+        _typed(obj["action"], str, "action"),
+        _typed(obj["role"], str, "role"),
+        (None if obj["object"] is None
+         else _det_from_json(obj["object"], "object", seen)),
+        float(_typed(obj["s_h"], float, "s_h")),
+        (None if obj["s_o"] is None
+         else float(_typed(obj["s_o"], float, "s_o"))),
+        float(_typed(obj["action_score"], float, "action_score")),
+        (None if obj["compat"] is None
+         else float(_typed(obj["compat"], float, "compat"))),
+        float(_typed(obj["score"], float, "score")))
 
 
 _LINE = ('{{"image_id": {}, "human": {}, "action": {}, "role": {}, '
@@ -364,50 +323,33 @@ def write_predictions(path, triplets) -> None:
             for t in triplets)
 
 
-# lines per json.loads of read_predictions: the parsed lines it holds
-# at once take about 0.4 MB (1.4 kB each), not a whole file's worth
-_BULK_LINES = 256
+_DECODER = json.JSONDecoder()
+
+
+def _parse_line(line: str):
+    """``json.loads`` of a stripped line. One ``raw_decode`` does it when
+    it takes the whole line (``json.loads`` adds only whitespace scans
+    and a BOM check); otherwise ``json.loads`` raises its own error."""
+    try:
+        obj, end = _DECODER.raw_decode(line)
+        if end == len(line):
+            return obj
+    except ValueError:
+        pass
+    return json.loads(line)
 
 
 def read_predictions(path) -> list[ScoredTriplet]:
-    """Triplets of a predictions file; a line that is not JSON, lacks a
-    key or holds a value of the wrong type raises ValueError naming the
-    line (1-based).
-
-    Blocks of lines are parsed with one ``json.loads`` each: every
-    non-blank line is wrapped in brackets, a newline before the closing
-    one, and the wrappers are joined by commas. When each wrapper holds
-    one plain triplet (see :func:`_plain_triplet`), each line is exactly
-    that triplet: a JSON string cannot hold a raw newline, and a plain
-    triplet holds no array of arrays, so no line can run into the next.
-    Any other file is read again line by line, which gives each line's
-    own error or triplet."""
-    out, detections = [], {}
-    try:
-        with open(path) as f:
-            while block := list(itertools.islice(f, _BULK_LINES)):
-                lines = [line for line in map(str.strip, block) if line]
-                docs = json.loads("[[" + "\n],[".join(lines) + "\n]]"
-                                  if lines else "[]")
-                if len(docs) != len(lines):
-                    raise ValueError("lines and documents differ in number")
-                # a wrapper of more or fewer than one document fails to unpack
-                out += [_plain_triplet(doc, detections) for doc, in docs]
-    except (KeyError, TypeError, ValueError, OverflowError):
-        return _read_lines(path)  # also for a file that is not UTF-8
-    return out
-
-
-def _read_lines(path) -> list[ScoredTriplet]:
-    """:func:`read_predictions`, one ``json.loads`` per line."""
-    out = []
+    """Triplets of a predictions file, one JSON object per line; blank
+    lines are skipped. A line that is not JSON, lacks a key or holds a
+    value of the wrong type raises ValueError naming the line (1-based)."""
+    out, seen = [], {}
     with open(path) as f:
-        for number, line in enumerate(f, 1):
-            line = line.strip()
+        for number, line in enumerate(map(str.strip, f), 1):
             if not line:
                 continue
             try:
-                out.append(triplet_from_json(json.loads(line)))
+                out.append(triplet_from_json(_parse_line(line), seen))
             except KeyError as exc:
                 raise ValueError(
                     f"predictions line {number}: missing key {exc}") from exc

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass
 
@@ -78,14 +79,17 @@ class HeadConfig:
     def __post_init__(self):
         dims = (self.feature_dim, self.num_actions, self.num_object_classes,
                 self.hidden_dim, self.density_M, self.concat_hidden)
+        if any(type(d) is not int for d in dims):  # a boolean is not one
+            raise ConfigError("all dimensions must be integers")
         if min(dims) < 1:
             raise ConfigError("all dimensions must be positive")
         if self.pairwise_mode not in PAIRWISE_MODES:
             raise ConfigError(f"invalid pairwise_mode {self.pairwise_mode!r}")
         if not self.use_mdn and self.density_M != 1:
             raise ConfigError("density_M > 1 requires the MDN path")
-        if self.sigma <= 0 or self.sigma_floor <= 0:
-            raise ConfigError("sigma values must be positive")
+        if not (0 < self.sigma < math.inf
+                and 0 < self.sigma_floor < math.inf):  # also rejects NaN
+            raise ConfigError("sigma values must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -645,13 +649,17 @@ def load_checkpoint(path) -> Checkpoint:
             raise CheckpointError(f"{path}: unsupported format version "
                                   f"{header.get('format_version')!r}")
         cfg = HeadConfig(**header["config"])
-        specs = [(str(t["name"]), tuple(int(n) for n in t["shape"]))
-                 for t in header["tensors"]]
+        specs = [(str(t["name"]), t["shape"]) for t in header["tensors"]]
     except (AttributeError, KeyError, TypeError) as exc:
         raise CheckpointError(f"{path}: malformed header ({exc!r})")
+    for name, shape in specs:
+        if (type(shape) is not list
+                or not all(type(n) is int and n >= 0 for n in shape)):
+            raise CheckpointError(f"{path}: malformed header (tensor {name} "
+                                  f"has shape {json.dumps(shape)})")
     params = {}
     for name, shape in specs:
-        size = int(np.prod(shape)) if shape else 1
+        size = math.prod(shape)
         nbytes = size * 4
         if off + nbytes > len(raw):
             raise CheckpointError(f"{path}: truncated tensor {name}")

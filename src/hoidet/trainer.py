@@ -409,7 +409,7 @@ def train(scenes, provider, cfg: HeadConfig, schedule: Schedule,
           registry: ActionRegistry, categories,
           quotas: Quotas = Quotas(), loss_weights: LossWeights = LossWeights(),
           params=None, log_path=None, checkpoint_path=None,
-          checkpoint_every: int = 0, actions_json=None):
+          checkpoint_every: int = 0):
     """Run the schedule; returns (params, LossReport history).
 
     Deterministic given the seed: scene choice, sampling, and gradient
@@ -429,8 +429,7 @@ def train(scenes, provider, cfg: HeadConfig, schedule: Schedule,
     log_fh = open(log_path, "w") if log_path else None
     if log_fh:
         log_fh.write("iteration lr " + " ".join(LOG_FIELDS) + "\n")
-    if actions_json is None:
-        actions_json = registry.to_json()
+    actions_json = registry.to_json()
     it = 0
     try:
         for phase in schedule.phases:

@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import re
 import struct
 import tempfile
@@ -264,9 +265,18 @@ class TestCentersFile:
          "centers for action '0': non-finite entry"),
         ('{"centers": {"0": [[0, 0, 0, 0]]}}',
          "centers file has no centers for action 1 (throw/object)"),
+        ('{"centers": {"0": [[1%s, 0, 0, 0]]}}' % ("0" * 400),
+         "centers for action '0': int too large to convert to float\n"),
+        ('{"centers": {"0": [[true, 0, 0, 0]]}}',
+         "centers for action '0': entries must be numbers, not booleans "
+         "or strings\n"),
+        ('{"centers": {"0": [["1", 0, 0, 0]]}}',
+         "centers for action '0': entries must be numbers, not booleans "
+         "or strings\n"),
     ], ids=["not_json", "top_level_list", "centers_not_mapping",
             "non_integer_key", "three_columns", "no_rows", "not_a_number",
-            "nan", "missing_action"])
+            "nan", "missing_action", "huge_integer", "boolean",
+            "numeric_string"])
     def test_malformed(self, world, capsys, content, message):
         tmp, data, run = world
         path = tmp / "centers.json"
@@ -759,6 +769,18 @@ class TestConfigValueErrors:
             *_inputs(data)])
         assert err == "error: config: k must be positive, got 0\n"
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--sigma", "nan"), ("--sigma-floor", "nan"), ("--sigma", "inf")])
+    def test_train_non_finite_sigma(self, trained, tmp_path, capsys, flag,
+                                    value):
+        data, _ = trained
+        err = self._config_err(capsys, [
+            "train", "--out", str(tmp_path / "run"), *_inputs(data),
+            "--phases", "1:0.001", flag, value])
+        assert err == ("error: config: sigma values must be positive and "
+                       "finite\n")
+        assert not (tmp_path / "run" / "checkpoint.bin").exists()
+
 
 def _rewrite_checkpoint(src, dst, edit):
     """Copy checkpoint ``src`` to ``dst`` with ``edit`` applied to its
@@ -790,8 +812,28 @@ class TestCheckpointFile:
         (lambda src, dst: _rewrite_checkpoint(
             src, dst, lambda h: h.update(actions=["carry"])),
          "malformed action entry"),
+        # JSON reads a shape of [1e400] as [inf], written [Infinity]
+        (lambda src, dst: _rewrite_checkpoint(
+            src, dst, lambda h: h["tensors"][0].update(
+                shape=[float("inf"), 48])),
+         "malformed header (tensor obj_fc1_w has shape [Infinity, 48])\n"),
+        (lambda src, dst: _rewrite_checkpoint(
+            src, dst, lambda h: h["tensors"][0].update(shape=[-1])),
+         "malformed header (tensor obj_fc1_w has shape [-1])\n"),
+        (lambda src, dst: _rewrite_checkpoint(
+            src, dst, lambda h: h["config"].update(sigma=float("nan"))),
+         "error: data: sigma values must be positive and finite\n"),
+        (lambda src, dst: _rewrite_checkpoint(
+            src, dst, lambda h: h["config"].update(sigma_floor=math.inf)),
+         "error: data: sigma values must be positive and finite\n"),
+        # density_M = 1 passes every shape check as true does
+        (lambda src, dst: _rewrite_checkpoint(
+            src, dst, lambda h: h["config"].update(density_M=True)),
+         "error: data: all dimensions must be integers\n"),
     ], ids=["unknown_config_key", "missing_config_key", "no_tensors",
-            "short_file", "action_not_an_object"])
+            "short_file", "action_not_an_object", "infinite_dimension",
+            "negative_dimension", "nan_sigma", "infinite_sigma_floor",
+            "boolean_dimension"])
     def test_malformed(self, trained, tmp_path, capsys, write, detail):
         data, run = trained
         bad = tmp_path / "bad.bin"
@@ -1129,6 +1171,103 @@ class TestFeatureMapsArchive:
         for image_id, fmap in want.items():
             np.testing.assert_array_equal(got[image_id].data, fmap.data)
             assert got[image_id].stride == fmap.stride
+
+
+@pytest.fixture(scope="module")
+def fitted(trained):
+    """``trained``'s inputs, checkpoint and the centers.json that
+    ``hoidet baseline`` fits on them."""
+    data, run = trained
+    out = run.parent / "fitted"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert _run("baseline", "--out", str(out), "--k", "2",
+                    "--checkpoint", str(run / "checkpoint.bin"),
+                    "--fit-annotations", str(data / "annotations.json"),
+                    *_inputs(data)) == 0
+    return data, run / "checkpoint.bin", out / "centers.json"
+
+
+def _with_value_of_another_type(doc, data):
+    """``doc`` with the value at a drawn path (the root included)
+    replaced by a value of another JSON type."""
+    path = data.draw(st.sampled_from(list(_json_paths(doc))))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    old = parent[path[-1]] if path else doc
+    new = data.draw(JSON_VALUES.filter(
+        lambda v: _json_type(v) != _json_type(old)))
+    if not path:
+        return new
+    parent[path[-1]] = new
+    return doc
+
+
+class TestCheckpointAndCentersDamage:
+    """``infer`` on a damaged checkpoint or centers file exits 0 or ends
+    in one ``error:`` line, never in a traceback."""
+
+    @staticmethod
+    def _infer(fitted, damaged: bytes, centers: bool):
+        data, checkpoint, centers_path = fitted
+        bad = checkpoint.parent / ("damaged.json" if centers
+                                   else "damaged.bin")
+        bad.write_bytes(damaged)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = _run("infer", "--out", str(bad.parent / "damaged_out"),
+                        "--checkpoint", str(checkpoint if centers else bad),
+                        "--centers", str(bad if centers else centers_path),
+                        *_inputs(data))
+        err = err.getvalue()
+        assert code == 0 or (err.startswith("error: ")
+                             and err.count("\n") == 1), err
+
+    @staticmethod
+    def _raw(fitted, centers: bool) -> bytes:
+        return fitted[2 if centers else 1].read_bytes()
+
+    @pytest.mark.parametrize("centers", [False, True],
+                             ids=["checkpoint", "centers"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_a_value_of_another_type(self, fitted, centers, data):
+        raw = self._raw(fitted, centers)
+        if centers:
+            doc = _with_value_of_another_type(json.loads(raw), data)
+            damaged = json.dumps(doc).encode()
+        else:
+            (hlen,) = struct.unpack_from("<Q", raw, 8)
+            doc = _with_value_of_another_type(
+                json.loads(raw[16:16 + hlen]), data)
+            blob = json.dumps(doc).encode()
+            damaged = (raw[:8] + struct.pack("<Q", len(blob)) + blob
+                       + raw[16 + hlen:])
+        self._infer(fitted, damaged, centers)
+
+    @pytest.mark.parametrize("centers", [False, True],
+                             ids=["checkpoint", "centers"])
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_cut_at_a_random_byte(self, fitted, centers, data):
+        raw = self._raw(fitted, centers)
+        self._infer(fitted, raw[:data.draw(st.integers(0, len(raw) - 1))],
+                    centers)
+
+    @pytest.mark.parametrize("centers", [False, True],
+                             ids=["checkpoint", "centers"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_a_flipped_byte(self, fitted, centers, data):
+        raw = bytearray(self._raw(fitted, centers))
+        # a checkpoint's header is its first 16 + hlen bytes
+        header = len(raw) if centers else 16 + struct.unpack_from(
+            "<Q", raw, 8)[0]
+        at = data.draw(st.integers(0, header - 1)
+                       | st.integers(0, len(raw) - 1))
+        raw[at] ^= data.draw(st.integers(1, 255))
+        self._infer(fitted, bytes(raw), centers)
 
 
 _MAP_SHAPES = st.tuples(st.integers(1, 3), st.integers(1, 5),

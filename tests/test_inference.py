@@ -2,13 +2,16 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hoidet.dataset import (
+    _NUMBERS,
     PERSON_CATEGORY,
     ROLE_NONE,
     SYNTH_CATEGORIES,
     SynthConfig,
     generate_synthetic,
+    _typed,
     synthetic_registry,
 )
 from hoidet.density import gaussian_compat, kmeans_compat, mixture_compat
@@ -31,6 +34,7 @@ from hoidet.inference import (
 )
 from hoidet.model import HeadConfig, init_params
 from hoidet.trainer import from_synthetic
+from test_cli import _json_paths, _json_type
 from test_model import forward_interaction
 
 REGISTRY = synthetic_registry()
@@ -489,3 +493,171 @@ class TestPredictionLines:
         got = read_predictions(path)
         assert got == [want, want]
         assert type(got[1].action_score) is float
+
+
+def _reference_detection(obj, where: str) -> Detection:
+    box = _typed(obj, dict, where)["box"]
+    if (type(box) is not list or len(box) != 4
+            or not _NUMBERS.issuperset(map(type, box))):
+        raise ValueError(f"{where}.box: expected a list of 4 numbers, got "
+                         f"{json.dumps(box)}")
+    return Detection(box=Box(*box),
+                     category=_typed(obj["category"], str,
+                                     where + ".category"),
+                     score=float(_typed(obj["score"], float,
+                                        where + ".score")))
+
+
+def _reference_triplet(obj) -> ScoredTriplet:
+    """One line's triplet, checked field by field in the file's order."""
+    def number(key, nullable=False):
+        if nullable and obj[key] is None:
+            return None
+        return float(_typed(obj[key], float, key))
+
+    _typed(obj, dict, "top level")
+    return ScoredTriplet(
+        image_id=_typed(obj["image_id"], int, "image_id"),
+        human=_reference_detection(obj["human"], "human"),
+        action=_typed(obj["action"], str, "action"),
+        role=_typed(obj["role"], str, "role"),
+        object=(None if obj["object"] is None
+                else _reference_detection(obj["object"], "object")),
+        s_h=number("s_h"), s_o=number("s_o", True),
+        action_score=number("action_score"),
+        compat=number("compat", True), score=number("score"))
+
+
+def _reference_read(path) -> list:
+    """A predictions file read with one ``json.loads`` per line."""
+    out = []
+    with open(path) as f:
+        for number, line in enumerate(f, 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                out.append(_reference_triplet(json.loads(line)))
+            except KeyError as exc:
+                raise ValueError(
+                    f"predictions line {number}: missing key {exc}") from exc
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"predictions line {number}: {exc}") from exc
+    return out
+
+
+def _outcome(read, path):
+    """The triplets ``read`` gives for ``path``, or its error text."""
+    try:
+        return read(path)
+    except ValueError as exc:
+        return str(exc)
+
+
+# JSON values without NaN, so that equal triplets compare equal
+_OTHER_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=3),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=3), inner,
+                                     max_size=2)),
+    max_leaves=5)
+
+_LINES = [json.dumps(_triplet_json(t)) for t in [
+    ScoredTriplet(7, HUMAN, "ride", "object", RIDDEN, 0.9, 0.75, 0.5, 1.5,
+                  0.50625),
+    ScoredTriplet(7, HUMAN, "stand", ROLE_NONE, None, 0.9, None, 0.5, None,
+                  0.45),
+    ScoredTriplet(8, Detection(Box(0, 0, 2, 3), PERSON_CATEGORY, 1), "ride",
+                  "object", RIDDEN, 1.0, 0.75, 0.25, 2.0, 0.375),
+]]
+
+
+def _mutated(line: str, draw) -> str:
+    """``line`` with one fault drawn: a JSON value of another type at a
+    path, a key dropped or added, a number as an integer, a cut, a stray
+    character, a BOM, a second document, or a degenerate box that also
+    lacks its category."""
+    kind = draw(st.sampled_from(["value", "drop", "add", "integer", "cut",
+                                 "insert", "bom", "two_docs",
+                                 "two_faults"]))
+    if kind == "cut":
+        return line[:draw(st.integers(0, len(line) - 1))]
+    if kind == "insert":
+        at = draw(st.integers(0, len(line)))
+        return line[:at] + draw(st.sampled_from('{}[],:" 0e.-\ufeff')) \
+            + line[at:]
+    if kind == "bom":
+        return "\ufeff" + line
+    if kind == "two_docs":
+        return line + draw(st.sampled_from([" ", "\t", " , "])) + line
+    doc = json.loads(line)
+    if kind == "two_faults":
+        doc["human"]["box"] = [3, 3, 1, 1]
+        del doc["human"]["category"]
+        return json.dumps(doc)
+    path = draw(st.sampled_from(list(_json_paths(doc))))
+    if not path:
+        return json.dumps(draw(_OTHER_VALUES.filter(
+            lambda v: _json_type(v) is not dict)))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    old = parent[path[-1]]
+    if kind == "drop" and type(parent) is dict:
+        del parent[path[-1]]
+    elif kind == "add" and type(old) is dict:
+        old[draw(st.text(max_size=3))] = draw(_OTHER_VALUES)
+    elif kind == "integer" and type(old) is float:
+        parent[path[-1]] = int(old)
+    else:
+        parent[path[-1]] = draw(_OTHER_VALUES.filter(
+            lambda v: _json_type(v) != _json_type(old)))
+    return json.dumps(doc)
+
+
+class TestReaderMatchesReference:
+    """Every predictions file gives the triplets, or the error line, of a
+    reader that parses each line with ``json.loads`` and checks each field
+    in turn."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_mutated_lines(self, tmp_path_factory, data):
+        lines = data.draw(st.lists(st.sampled_from(_LINES + [""]),
+                                   min_size=1, max_size=6))
+        for at in data.draw(st.sets(st.integers(0, len(lines) - 1),
+                                    max_size=2)):
+            if lines[at]:
+                lines[at] = _mutated(lines[at], data.draw)
+        path = tmp_path_factory.getbasetemp() / "mutated.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        assert (_outcome(read_predictions, path)
+                == _outcome(_reference_read, path))
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda line: "\ufeff" + line,
+         "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 "
+         "(char 0)"),
+        (lambda line: line + "  " + line,
+         f"Extra data: line 1 column {len(_LINES[0]) + 3} "
+         f"(char {len(_LINES[0]) + 2})"),
+        (lambda line: line.replace('"box": [0.5, 1.0, 3.25, 4.0], '
+                                   '"category": "person", ',
+                                   '"box": [3, 3, 1, 1], '),
+         "degenerate box: (3, 3, 1, 1)"),
+    ], ids=["bom", "second_document", "degenerate_box_and_no_category"])
+    def test_line_error(self, tmp_path, edit, message):
+        path = tmp_path / "p.jsonl"
+        path.write_text(f"{_LINES[1]}\n{edit(_LINES[0])}\n")
+        assert _outcome(_reference_read, path) == \
+            f"predictions line 2: {message}"
+        assert _outcome(read_predictions, path) == \
+            f"predictions line 2: {message}"
+
+    def test_equal_detections_are_shared(self, tmp_path):
+        path = tmp_path / "p.jsonl"
+        path.write_text("\n".join(_LINES) + "\n")
+        first, second, third = read_predictions(path)
+        assert first.human is second.human
+        assert first.object is third.object
