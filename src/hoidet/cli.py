@@ -49,7 +49,12 @@ from .dataset import (
 )
 from .density import kmeans_offsets
 from .evaluation import MatchRule, evaluate_triplets, report_json, report_text
-from .features import FeatureMap, SyntheticFeatureProvider
+from .features import (
+    FeatureMap,
+    SyntheticFeatureProvider,
+    map_buffer,
+    place,
+)
 from .geometry import decode_rel, encode_rel
 from .inference import (
     InferenceConfig,
@@ -258,8 +263,12 @@ def read_feature_maps(path) -> dict:
     """Per-image maps of an ``.npz`` holding ``map_N`` arrays and their
     ``stride_N`` scalars; malformed content is a ``data`` error.
 
-    Each member is read once through the archive (which checks its
-    CRC) and viewed in place; see :func:`_npy_array`."""
+    The maps are held once, channel-last, in one float64 buffer, each
+    map's data a (C, H, W) view of its block (see ``features.place``),
+    which a ``SyntheticFeatureProvider`` then pools from as it is. Each
+    member is read once through the archive (which checks its CRC),
+    viewed in place (see :func:`_npy_array`), checked and copied into
+    the buffer before the next is read, so no map is held twice."""
     try:
         z = np.load(path)
     except OSError as exc:
@@ -272,24 +281,34 @@ def read_feature_maps(path) -> dict:
     maps, headers = {}, {}
     with z:
         names, files = set(z.zip.namelist()), set(z.files)
+        keys = [key for key in z.files if key.startswith("map_")]
+
+        def name(key):
+            # the archive name np.load would read for key
+            return key if key in names else key + ".npy"
 
         def member(key):
-            # the archive name np.load would read for key
-            name = key if key in names else key + ".npy"
-            return _npy_array(z.zip.read(name), headers)
+            return _npy_array(z.zip.read(name(key)), headers)
 
-        for key in z.files:
-            if not key.startswith("map_"):
-                continue
+        # one entry per byte of the map members, so at least one per
+        # element whatever their dtype; only the entries written become
+        # resident
+        buffer = map_buffer(sum(z.zip.getinfo(name(key)).file_size
+                                for key in keys))
+        offset = 0
+        for key in keys:
             try:
                 image_id = int(key[4:])
                 stride = f"stride_{image_id}"
                 if stride not in files:
                     raise ValueError(f"no {stride} member")
-                maps[image_id] = FeatureMap(data=member(key),
-                                            stride=float(member(stride)))
+                fmap = FeatureMap(data=member(key),
+                                  stride=float(member(stride)))
             except (ValueError, TypeError, zipfile.BadZipFile) as exc:
                 raise CliError("data", f"feature map {key!r}: {exc}")
+            fmap.data = place(buffer, offset, fmap.data)
+            offset += fmap.data.size
+            maps[image_id] = fmap
     return maps
 
 
@@ -368,7 +387,10 @@ def _load_world(cfg):
     if unmapped:
         raise CliError("data", f"proposals for image {unmapped[0]} have no "
                                f"feature map in {cfg['features']}")
-    provider = SyntheticFeatureProvider(maps)
+    try:
+        provider = SyntheticFeatureProvider(maps)
+    except ValueError as exc:  # maps of different channel counts
+        raise CliError("data", f"{cfg['features']}: {exc}")
     return ds, provider, proposals
 
 
@@ -430,10 +452,11 @@ def cmd_train(cfg: dict) -> int:
     return 0
 
 
-def _load_model(path, registry: ActionRegistry):
+def _load_model(path, registry: ActionRegistry, provider):
     """The checkpoint at ``path`` and its action registry: the one it
-    stores, else ``registry``. Unreadable or malformed files are ``io``
-    and ``data`` errors."""
+    stores, else ``registry``. Unreadable or malformed files, and a
+    checkpoint whose feature width differs from the pooled width of
+    ``provider``'s maps, are ``io`` and ``data`` errors."""
     try:
         ckpt = load_checkpoint(path)
         if ckpt.actions:
@@ -442,6 +465,11 @@ def _load_model(path, registry: ActionRegistry):
         raise CliError("io", f"cannot read checkpoint: {exc}")
     except ValueError as exc:
         raise CliError("data", str(exc))
+    if provider.maps and ckpt.config.feature_dim != provider.feature_dim:
+        raise CliError("data", f"{path}: checkpoint feature_dim "
+                               f"{ckpt.config.feature_dim} does not match "
+                               f"the feature maps' pooled width "
+                               f"{provider.feature_dim}")
     return ckpt, registry
 
 
@@ -550,7 +578,7 @@ def cmd_infer(cfg: dict) -> int:
     os.makedirs(out, exist_ok=True)
     _require(cfg, "checkpoint")
     ds, provider, proposals = _load_world(cfg)
-    ckpt, registry = _load_model(cfg["checkpoint"], ds.registry)
+    ckpt, registry = _load_model(cfg["checkpoint"], ds.registry, provider)
     centers = (_load_centers(cfg["centers"], registry) if cfg["centers"]
                else None)
     pred_path, triplets = _run_inference(
@@ -620,7 +648,8 @@ def cmd_baseline(cfg: dict) -> int:
         raise CliError("io", f"cannot read fit annotations: {exc}")
     except ValueError as exc:
         raise CliError("data", str(exc))
-    ckpt, registry = _load_model(cfg["checkpoint"], fit_ds.registry)
+    ckpt, registry = _load_model(cfg["checkpoint"], fit_ds.registry,
+                                   provider)
     centers = fit_baseline_centers(fit_ds, k, seed)
     _write_json(os.path.join(out, "centers.json"), {
         "config": cfg,

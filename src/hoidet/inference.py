@@ -251,10 +251,12 @@ def _det_from_json(obj, where: str, seen: dict) -> Detection:
         raise ValueError(f"{where}.box: expected a list of 4 numbers, got "
                          f"{json.dumps(box)}")
     # the box is checked before the category, so that a detection with
-    # both faults is named by its box
+    # both faults is named by its box; the corners become floats (an
+    # integer too large for one is an OverflowError)
     x1, y1, x2, y2 = box
     if not (x2 > x1 and y2 > y1):
         Box(*box)  # raises the degenerate-box error
+    box = list(map(float, box))
     category = _typed(obj["category"], str, where + ".category")
     score = float(_typed(obj["score"], float, where + ".score"))
     key = (category, score, *box)

@@ -20,6 +20,8 @@ differences in the tests.
 Training and inference call the same head functions: each head's
 formula is written once, and both the public forwards and ``backward``
 call it; ``backward`` adds only the losses and their gradients.
+``backward`` takes a :class:`Batch`, every image's rows stacked section
+by section, and runs each branch once over its section's rows.
 
 Numeric conventions: parameters are float64 in memory and float32 in
 checkpoint files; logits are clamped to +-30 before exponentiation and
@@ -33,7 +35,7 @@ import io
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -402,18 +404,84 @@ class ImageSamples:
     interaction_action_targets: np.ndarray
 
 
+# the per-image row counts that split each section (the first word of
+# an ImageSamples field's name)
+_SECTION_COUNTS = {"object": "object_counts", "human": "human_counts",
+                   "interaction": "pair_counts"}
+_FEATURE_FIELDS = ("object_feats", "human_feats", "interaction_h_feats",
+                   "interaction_o_feats")
+
+
+@dataclass
+class Batch:
+    """k images' samples stacked section by section: ``rows`` holds the
+    object rows of image 0, 1, ..., k-1, then likewise the human rows
+    and the pair rows, and each section's per-image row counts say
+    where an image's rows lie. Iterating yields each image's
+    ImageSamples, as views of ``rows``."""
+
+    rows: ImageSamples
+    object_counts: np.ndarray
+    human_counts: np.ndarray
+    pair_counts: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.object_counts)
+
+    def __iter__(self):
+        bounds = {section: np.cumsum([0, *getattr(self, counts)]).tolist()
+                  for section, counts in _SECTION_COUNTS.items()}
+        for i in range(len(self)):
+            cut = {section: slice(b[i], b[i + 1])
+                   for section, b in bounds.items()}
+            yield ImageSamples(**{
+                f.name: getattr(self.rows, f.name)[cut[f.name.split("_")[0]]]
+                for f in fields(ImageSamples)})
+
+    @classmethod
+    def stack(cls, images, dim: int) -> "Batch":
+        """The Batch of a sequence of ImageSamples; feature rows must be
+        ``dim`` wide (ConfigError otherwise), and an image's pair-human
+        and pair-object rows equal in number."""
+        feats = {name: [_as_matrix(getattr(img, name), dim)
+                        for img in images] for name in _FEATURE_FIELDS}
+        counts = {name: np.array([len(m) for m in mats], dtype=int)
+                  for name, mats in feats.items()}
+        if not np.array_equal(counts["interaction_h_feats"],
+                              counts["interaction_o_feats"]):
+            raise ConfigError("interaction feature pair counts differ")
+        rows = ImageSamples(**{
+            f.name: np.concatenate(feats[f.name] if f.name in feats else
+                                   [np.asarray(getattr(img, f.name))
+                                    for img in images])
+            for f in fields(ImageSamples)})
+        return cls(rows, counts["object_feats"], counts["human_feats"],
+                   counts["interaction_h_feats"])
+
+
+class FlatTensors(dict):
+    """Named tensors, each a view into one contiguous float64 vector,
+    ``vector``, in insertion order, so that an operation on every
+    tensor is one operation on the vector. The views start as copies of
+    ``tensors``, or as zeros when ``values`` is false. Rebinding a name
+    detaches that tensor from the vector; write into the view instead."""
+
+    def __init__(self, tensors: dict, values: bool = True):
+        super().__init__()
+        shapes = {name: np.shape(t) for name, t in tensors.items()}
+        self.vector = np.zeros(sum(math.prod(s) for s in shapes.values()))
+        at = 0
+        for name, shape in shapes.items():
+            view = self.vector[at:at + math.prod(shape)].reshape(shape)
+            if values:
+                view[...] = tensors[name]
+            self[name] = view
+            at += view.size
+
+
 def zero_grads(params):
-    return {k: np.zeros_like(v) for k, v in params.items()}
-
-
-def _stack(images, name) -> np.ndarray:
-    return np.concatenate([np.asarray(getattr(img, name)) for img in images])
-
-
-def _stack_feats(images, name, dim):
-    """One section's feature rows of every image, and each image's count."""
-    mats = [_as_matrix(getattr(img, name), dim) for img in images]
-    return np.concatenate(mats), np.array([len(m) for m in mats])
+    """Zero tensors shaped like ``params``, as FlatTensors."""
+    return FlatTensors(params, values=False)
 
 
 def _row_weights(counts, k) -> np.ndarray:
@@ -428,13 +496,15 @@ def _bce_rows(p, targets) -> np.ndarray:
                   axis=1)
 
 
-def _backward_object(images, params, cfg, grads, cls_scale, reg_scale):
-    feats, counts = _stack_feats(images, "object_feats", cfg.feature_dim)
+def _backward_object(batch: Batch, params, cfg, grads, cls_scale,
+                     reg_scale):
+    samples = batch.rows
+    feats = _as_matrix(samples.object_feats, cfg.feature_dim)
     n = len(feats)
     if n == 0:
         return 0.0, 0.0
-    w = _row_weights(counts, len(images))
-    labels = _stack(images, "object_labels").astype(int)
+    w = _row_weights(batch.object_counts, len(batch))
+    labels = np.asarray(samples.object_labels).astype(int)
     rows = np.arange(n)
     z2, cache = _trunk_forward(feats, params, "obj")
     logits, deltas = _object_head(z2, params, cfg)
@@ -448,9 +518,9 @@ def _backward_object(images, params, cfg, grads, cls_scale, reg_scale):
     d_logits *= np.abs(logits) < LOGIT_CLIP
     d_logits *= (cls_scale * w)[:, None]
 
-    reg = np.flatnonzero(_stack(images, "object_reg_mask").astype(bool))
+    reg = np.flatnonzero(np.asarray(samples.object_reg_mask).astype(bool))
     pred = deltas[reg, labels[reg]]
-    target = _stack(images, "object_reg_targets").reshape(n, 4)[reg]
+    target = np.asarray(samples.object_reg_targets).reshape(n, 4)[reg]
     reg_loss = float(w[reg] @ smooth_l1(pred, target))
     d_deltas = np.zeros_like(deltas)
     d_deltas[reg, labels[reg]] = (smooth_l1_grad(pred, target)
@@ -463,14 +533,15 @@ def _backward_object(images, params, cfg, grads, cls_scale, reg_scale):
     return cls_loss, reg_loss
 
 
-def _backward_human(images, params, cfg, grads, act_scale, loc_scale):
-    feats, counts = _stack_feats(images, "human_feats", cfg.feature_dim)
+def _backward_human(batch: Batch, params, cfg, grads, act_scale, loc_scale):
+    samples = batch.rows
+    feats = _as_matrix(samples.human_feats, cfg.feature_dim)
     n = len(feats)
     if n == 0:
         return 0.0, 0.0
-    k = len(images)
-    w = _row_weights(counts, k)
-    targets = _stack(images, "human_action_targets").astype(np.float64)
+    k = len(batch)
+    w = _row_weights(batch.human_counts, k)
+    targets = np.asarray(samples.human_action_targets).astype(np.float64)
     z2, cache = _trunk_forward(feats, params, "hum")
     logits, mus, wlogs, raws = _human_head(z2, params, cfg)
 
@@ -479,18 +550,14 @@ def _backward_human(images, params, cfg, grads, act_scale, loc_scale):
     d_logits = (p - targets) * mask * (act_scale * w)[:, None]
     d_z2 = _linear_backward(d_logits, z2, params, grads, "act")
 
-    # the defined (row, action) offsets, image by image
-    ii, jj, offsets, loc_counts = [], [], [], []
-    for img, start in zip(images, np.cumsum(counts) - counts):
-        r, c = np.nonzero(np.asarray(img.human_target_mask, dtype=bool))
-        ii.append(r + start)
-        jj.append(c)
-        offsets.append(np.asarray(img.human_target_offsets)[r, c])
-        loc_counts.append(len(r))
-    ii, jj = np.concatenate(ii), np.concatenate(jj)
+    # the defined (row, action) offsets, in row order, and each image's
+    # count of them
+    ii, jj = np.nonzero(np.asarray(samples.human_target_mask, dtype=bool))
     loc_loss = 0.0
     if len(ii):
-        offsets = np.concatenate(offsets)
+        offsets = np.asarray(samples.human_target_offsets)[ii, jj]
+        loc_counts = np.diff(np.searchsorted(
+            ii, np.cumsum([0, *batch.human_counts])))
         v = _row_weights(loc_counts, k)
         scale = loc_scale * v
         d_mus = np.zeros_like(mus)
@@ -519,18 +586,15 @@ def _backward_human(images, params, cfg, grads, act_scale, loc_scale):
     return act_loss, loc_loss
 
 
-def _backward_interaction(images, params, cfg, grads, scale):
-    feats_h, counts = _stack_feats(images, "interaction_h_feats",
-                                   cfg.feature_dim)
-    feats_o, counts_o = _stack_feats(images, "interaction_o_feats",
-                                     cfg.feature_dim)
+def _backward_interaction(batch: Batch, params, cfg, grads, scale):
+    samples = batch.rows
+    feats_h = _as_matrix(samples.interaction_h_feats, cfg.feature_dim)
+    feats_o = _as_matrix(samples.interaction_o_feats, cfg.feature_dim)
     n = len(feats_h)
     if n == 0 or not cfg.use_interaction_branch:
         return 0.0
-    if not np.array_equal(counts, counts_o):
-        raise ConfigError("interaction feature pair counts differ")
-    w = _row_weights(counts, len(images))
-    targets = _stack(images, "interaction_action_targets").astype(np.float64)
+    w = _row_weights(batch.pair_counts, len(batch))
+    targets = np.asarray(samples.interaction_action_targets).astype(np.float64)
     z2h, cache_h = _trunk_forward(feats_h, params, "hum")
     z2o, cache_o = _trunk_forward(feats_o, params, "int")
     logits, mlp = _pair_logits(interaction_human_logits(z2h, params, cfg),
@@ -555,28 +619,35 @@ def _backward_interaction(images, params, cfg, grads, scale):
     return loss
 
 
-def backward(batch, params, cfg: HeadConfig, weights: LossWeights = LossWeights()):
+def backward(batch, params, cfg: HeadConfig,
+             weights: LossWeights = LossWeights(), grads=None):
     """Mean over the batch's images of each image's multi-task loss, with
     exact gradients for every parameter plus the loss breakdown.
 
-    Each branch stacks the rows of all k images and runs one forward and
-    backward pass. A row of image i weighs 1/(k n_i), n_i being the
-    image's rows in that section, and a defined target offset weighs
-    1/(k count_i), count_i being the image's defined offsets: every term
-    is the mean over images of the per-image mean, and an image with an
-    empty section adds nothing to that term.
+    ``batch`` is a :class:`Batch` or a sequence of ImageSamples (stacked
+    into one first). Each branch runs one forward and backward pass over
+    its section's rows of all k images. A row of image i weighs
+    1/(k n_i), n_i being the image's rows in that section, and a defined
+    target offset weighs 1/(k count_i), count_i being the image's
+    defined offsets: every term is the mean over images of the
+    per-image mean, and an image with an empty section adds nothing to
+    that term. The gradients are added to ``grads`` when given (zeroed
+    tensors named like ``params``), else to a fresh :func:`zero_grads`.
     """
-    images = list(batch)
-    if not images:
-        raise ConfigError("backward needs at least one image")
-    grads = zero_grads(params)
+    if not isinstance(batch, Batch):
+        images = list(batch)
+        if not images:
+            raise ConfigError("backward needs at least one image")
+        batch = Batch.stack(images, cfg.feature_dim)
+    if grads is None:
+        grads = zero_grads(params)
     report = LossReport()
     report.object_cls_loss, report.object_reg_loss = _backward_object(
-        images, params, cfg, grads, weights.object_cls, weights.object_reg)
+        batch, params, cfg, grads, weights.object_cls, weights.object_reg)
     report.action_cls_loss, report.target_loc_loss = _backward_human(
-        images, params, cfg, grads, weights.action_cls, weights.target_loc)
+        batch, params, cfg, grads, weights.action_cls, weights.target_loc)
     report.interaction_cls_loss = _backward_interaction(
-        images, params, cfg, grads, weights.interaction_cls)
+        batch, params, cfg, grads, weights.interaction_cls)
     report.compute_total(weights)
     for name, value in report.as_dict().items():
         if not np.isfinite(value):
@@ -585,11 +656,24 @@ def backward(batch, params, cfg: HeadConfig, weights: LossWeights = LossWeights(
 
 
 def sgd_step(params, grads, velocity, lr, momentum=0.9, weight_decay=0.0001):
-    """v <- momentum v + g + wd p;  p <- p - lr v. Mutates in place."""
-    for name in params:
-        v = momentum * velocity[name] + grads[name] + weight_decay * params[name]
-        velocity[name] = v
-        params[name] = params[name] - lr * v
+    """v <- momentum v + g + wd p;  p <- p - lr v, in place: on arrays,
+    or on dicts of same-named tensors, as one step on the vectors when
+    all three are FlatTensors of one layout."""
+    if isinstance(params, dict):
+        if (all(isinstance(t, FlatTensors) for t in (grads, velocity))
+                and isinstance(params, FlatTensors)
+                and list(params) == list(grads) == list(velocity)):
+            sgd_step(params.vector, grads.vector, velocity.vector, lr,
+                     momentum, weight_decay)
+            return params, velocity
+        for name in params:
+            sgd_step(params[name], grads[name], velocity[name], lr,
+                     momentum, weight_decay)
+        return params, velocity
+    velocity *= momentum
+    velocity += grads
+    velocity += weight_decay * params
+    params -= lr * velocity
     return params, velocity
 
 

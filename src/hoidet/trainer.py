@@ -24,11 +24,19 @@ the draw.
 
 Each iteration draws the 16-image effective batch (8 workers x 2
 images, each image seeded by its (seed, iteration, worker, slot)) and
-takes one ``backward`` over all of it: every branch stacks the rows of
-the 16 images, and a row of image i weighs 1/(16 n_i) for the image's
-n_i rows in that section, so the objective is the mean over images of
-the per-image mean loss. Each image's boxes are pooled in one provider
-call. Training is bit-reproducible given the seed.
+takes one ``backward`` over all of it. The draws are laid out
+section-major, as a :class:`Batch`: the object rows of the 16 images,
+then their human rows, pair-human rows and pair-object rows, each
+section in image order. The provider pools all of them in one gather
+with a per-row scene id (as Fast R-CNN pools a mini-batch's RoIs in one
+RoI layer), so each branch's feature matrix is a slice of that gather,
+and a row of image i weighs 1/(16 n_i) for the image's n_i rows in that
+section: the objective is the mean over images of the per-image mean
+loss. Parameters, gradients and momentum are each one vector
+(:class:`FlatTensors`), so zeroing the gradients is one fill, the SGD
+step works on the whole vector in place and each finite check is one
+``isfinite`` pass that names the tensor only on failure. Training is
+bit-reproducible given the seed.
 """
 
 from __future__ import annotations
@@ -45,15 +53,17 @@ from .dataset import (
 )
 from .geometry import box_array, box_iou, encode_rels
 from .model import (
+    Batch,
+    FlatTensors,
     HeadConfig,
     ImageSamples,
     LossWeights,
     backward,
     first_non_finite,
     init_params,
-    init_velocity,
     save_checkpoint,
     sgd_step,
+    zero_grads,
 )
 
 
@@ -370,35 +380,58 @@ def assign_labels(proposals, scene: SceneAnnotation, registry: ActionRegistry,
     return draw_samples(table, quotas, seed)
 
 
+def featurize_batch(draws, provider, scene_ids) -> Batch:
+    """The draws of k images, image ``i`` of scene ``scene_ids[i]``, as
+    one Batch: their boxes are laid out section-major (object, human,
+    pair-human and pair-object rows, each section in image order) and
+    pooled in one provider call with a per-row scene id, so each
+    section's features are a slice of that call's rows."""
+    sections = ([d.object_boxes for d in draws],
+                [d.human_boxes for d in draws],
+                [d.interaction_pairs[:, 0] for d in draws],
+                [d.interaction_pairs[:, 1] for d in draws])
+    counts = [np.array([len(b) for b in boxes], dtype=int)
+              for boxes in sections]
+    per_row = np.concatenate(counts)
+    feats = provider.pooled_matrix(
+        np.repeat(np.tile(scene_ids, len(sections)), per_row),
+        np.concatenate([b for boxes in sections for b in boxes]))
+    h, i, o = np.cumsum([c.sum() for c in counts[:3]]).tolist()
+
+    def stacked(name):
+        return np.concatenate([getattr(d, name) for d in draws])
+
+    return Batch(
+        ImageSamples(
+            object_feats=feats[:h],
+            object_labels=stacked("object_labels"),
+            object_reg_targets=stacked("object_reg_targets"),
+            object_reg_mask=stacked("object_reg_mask"),
+            human_feats=feats[h:i],
+            human_action_targets=stacked("human_action_targets"),
+            human_target_offsets=stacked("human_target_offsets"),
+            human_target_mask=stacked("human_target_mask"),
+            interaction_h_feats=feats[i:o],
+            interaction_o_feats=feats[o:],
+            interaction_action_targets=stacked("interaction_action_targets"),
+        ),
+        object_counts=counts[0], human_counts=counts[1],
+        pair_counts=counts[2])
+
+
 def featurize(samples: SampleBoxes, provider, scene_id: int,
               cfg: HeadConfig) -> ImageSamples:
-    """Pool every sampled box of the image in one provider call and split
-    the rows into the object, human and pair sections."""
-    pairs = samples.interaction_pairs
-    h = len(samples.object_boxes)  # row where each section starts
-    i = h + len(samples.human_boxes)
-    o = i + len(pairs)
-    feats = provider.pooled_matrix(scene_id, np.concatenate([
-        samples.object_boxes, samples.human_boxes, pairs[:, 0], pairs[:, 1]]))
-    return ImageSamples(
-        object_feats=feats[:h],
-        object_labels=samples.object_labels,
-        object_reg_targets=samples.object_reg_targets,
-        object_reg_mask=samples.object_reg_mask,
-        human_feats=feats[h:i],
-        human_action_targets=samples.human_action_targets,
-        human_target_offsets=samples.human_target_offsets,
-        human_target_mask=samples.human_target_mask,
-        interaction_h_feats=feats[i:o],
-        interaction_o_feats=feats[o:],
-        interaction_action_targets=samples.interaction_action_targets,
-    )
+    """One image's samples with their pooled features: the one-image
+    :func:`featurize_batch`."""
+    image, = featurize_batch([samples], provider, [scene_id])
+    return image
 
 
 def _check_finite(tensors, cfg: HeadConfig, what: str) -> None:
-    name = first_non_finite(tensors, cfg)
-    if name is not None:
-        raise TrainingDiverged(f"{what} {name}")
+    """TrainingDiverged naming the first non-finite tensor of the
+    FlatTensors ``tensors``, checked as one vector."""
+    if not np.isfinite(tensors.vector).all():
+        raise TrainingDiverged(f"{what} {first_non_finite(tensors, cfg)}")
 
 
 LOG_FIELDS = ("total", "object_cls_loss", "object_reg_loss", "action_cls_loss",
@@ -422,9 +455,12 @@ def train(scenes, provider, cfg: HeadConfig, schedule: Schedule,
     if not scenes:
         raise AnnotationError("training needs at least one scene")
     tables = label_tables(scenes, registry, categories, quotas)
-    if params is None:
-        params = init_params(cfg, schedule.seed)
-    velocity = init_velocity(params)
+    scene_ids = np.array([ts.scene_id for ts in scenes])
+    # parameters, gradients and velocity: one vector each, every named
+    # tensor a view into it
+    params = FlatTensors(init_params(cfg, schedule.seed) if params is None
+                         else params)
+    grads, velocity = zero_grads(params), zero_grads(params)
     history = []
     log_fh = open(log_path, "w") if log_path else None
     if log_fh:
@@ -437,15 +473,15 @@ def train(scenes, provider, cfg: HeadConfig, schedule: Schedule,
                 rng = np.random.default_rng((schedule.seed, it))
                 per = schedule.images_per_step
                 picks = rng.integers(0, len(scenes), size=schedule.workers * per)
-                batch = [
-                    featurize(
-                        draw_samples(tables[pick], quotas,
-                                     (schedule.seed, it, *divmod(b, per))),
-                        provider, scenes[pick].scene_id, cfg)
-                    for b, pick in enumerate(picks)
-                ]
+                batch = featurize_batch(
+                    [draw_samples(tables[pick], quotas,
+                                  (schedule.seed, it, *divmod(b, per)))
+                     for b, pick in enumerate(picks)],
+                    provider, scene_ids[picks])
+                grads.vector.fill(0.0)
                 try:
-                    grads, rep = backward(batch, params, cfg, loss_weights)
+                    grads, rep = backward(batch, params, cfg, loss_weights,
+                                          grads)
                 except FloatingPointError as exc:
                     raise TrainingDiverged(f"iteration {it}: {exc}") from exc
                 _check_finite(grads, cfg, f"iteration {it}: non-finite gradient")

@@ -75,6 +75,14 @@ def _reference_roi_align(fmap: FeatureMap, box: Box, pooled: int):
 # 3 channels on a 10 x 8 grid at stride 2: the image spans 20 x 16
 FMAP = FeatureMap(np.random.default_rng(0).normal(size=(3, 8, 10)), stride=2.0)
 
+# maps of other sizes and strides, pooled by one provider with a scene id
+# per box: the image of map 2 spans 12 x 27, of map 3 48 x 24
+MAPS = {2: FeatureMap(np.random.default_rng(2).normal(size=(3, 9, 4)),
+                      stride=3.0),
+        3: FeatureMap(np.random.default_rng(3).normal(size=(3, 3, 6)),
+                      stride=8.0),
+        7: FeatureMap(FMAP.data.copy(), stride=FMAP.stride)}
+
 # inside, partly clipped, fully outside and sub-cell boxes all occur
 BOXES = st.builds(lambda x, y, w, h: Box(x, y, x + w, y + h),
                   st.floats(-15.0, 35.0), st.floats(-12.0, 28.0),
@@ -101,6 +109,13 @@ def test_batched_pooling_matches_one_box_roi_align(boxes, data):
         got = roi_align(FMAP, b, pooled)
         np.testing.assert_array_equal(got.values, row)
         assert got.out_of_bounds == outside
+    ids = data.draw(st.lists(st.sampled_from(sorted(MAPS)),
+                             min_size=len(boxes), max_size=len(boxes)))
+    multi = SyntheticFeatureProvider(MAPS, pooled=pooled)
+    np.testing.assert_array_equal(
+        multi.pooled_matrix(np.array(ids), boxes),
+        np.stack([_reference_roi_align(MAPS[i], b, pooled)[0]
+                  for i, b in zip(ids, boxes)]))
 
 
 def test_pooling_covers_each_kind_of_box():

@@ -432,6 +432,26 @@ class TestFeatureMapsFile:
         assert err == ("error: data: feature map 'map_0': stride must be "
                        "positive and finite, got 0.0\n")
 
+    @pytest.mark.parametrize("command", ["train", "infer"])
+    def test_maps_of_different_channel_counts(self, tmp_path, capsys,
+                                              command):
+        def edit(arrays):
+            arrays["map_2"] = arrays["map_2"][:-1]
+        data = _synth(tmp_path)
+        features = self._edited(edit)(data)
+        capsys.readouterr()
+        code = _run(command, "--out", str(tmp_path / "o"),
+                    "--checkpoint" if command == "infer" else "--phases",
+                    str(tmp_path / "unused.bin") if command == "infer"
+                    else "2:0.001",
+                    "--annotations", str(data / "annotations.json"),
+                    "--features", str(features),
+                    "--proposals", str(data / "proposals.json"))
+        channels = np.load(data / "features.npz")["map_0"].shape[0]
+        _one_data_line(code, capsys.readouterr().err,
+                       f"error: data: {features}: feature maps differ in "
+                       f"channel count: {channels - 1}, {channels}\n")
+
     @pytest.mark.parametrize("write", [
         lambda path: path.write_text('{"map_0": 1}'),
         lambda path: path.write_bytes(b""),
@@ -508,10 +528,14 @@ class TestEvalCommand:
          "human.box: expected a list of 4 numbers, got [false, 0.0, 1.0, "
          "1.0]"),
         (lambda obj: [obj], "top level: expected an object, got list"),
+        # a corner no float can hold, on a box that overlaps every person
+        (lambda obj: {**obj, "human": {**obj["human"], "box": [
+            -10 ** 400, -10 ** 400, 10 ** 400, 10 ** 400]}},
+         "int too large to convert to float"),
     ], ids=["missing_key", "wrong_type", "overflow", "int_overflow",
             "not_json", "string_image_id", "boolean_score", "integer_action",
             "null_human", "three_box_numbers", "boolean_box_entry",
-            "line_is_a_list"])
+            "line_is_a_list", "box_int_overflow"])
     def test_malformed_line_is_data_error(self, tmp_path, capsys, corrupt,
                                           detail):
         data = _synth(tmp_path)
@@ -984,6 +1008,35 @@ def _one_data_line(code, err, prefix="error: data: "):
     assert err.startswith(prefix) and err.count("\n") == 1, err
 
 
+class TestCheckpointWidth:
+    """A checkpoint whose feature width is not the maps' pooled width
+    ends ``infer`` and ``baseline`` in one ``data`` line naming both."""
+
+    @pytest.mark.parametrize("command", ["infer", "baseline"])
+    def test_maps_of_another_channel_count(self, trained, tmp_path, capsys,
+                                           command):
+        data, run = trained
+        with np.load(data / "features.npz") as z:
+            arrays = {key: value[:-1] if key.startswith("map_") else value
+                      for key, value in z.items()}
+        narrow = tmp_path / "narrow.npz"
+        np.savez(narrow, **arrays)
+        width = SyntheticFeatureProvider(read_feature_maps(narrow)).feature_dim
+        ckpt = run / "checkpoint.bin"
+        fit = (("--fit-annotations", str(data / "annotations.json"))
+               if command == "baseline" else ())
+        code = _run(command, "--out", str(tmp_path / "o"), "--checkpoint",
+                    str(ckpt), "--annotations",
+                    str(data / "annotations.json"), "--features", str(narrow),
+                    "--proposals", str(data / "proposals.json"), *fit)
+        want = load_checkpoint(ckpt).config.feature_dim
+        _one_data_line(code, capsys.readouterr().err,
+                       f"error: data: {ckpt}: checkpoint feature_dim {want} "
+                       f"does not match the feature maps' pooled width "
+                       f"{width}")
+        assert not (tmp_path / "o" / "predictions.jsonl").exists()
+
+
 class TestProposalsFile:
     """Every malformed proposals file ends in one ``data`` error line."""
 
@@ -1274,6 +1327,19 @@ _MAP_SHAPES = st.tuples(st.integers(1, 3), st.integers(1, 5),
                         st.integers(1, 5))
 _CORNER = st.floats(-100, 100) | st.integers(-100, 100)
 _EXTENT = st.floats(0.5, 50) | st.integers(1, 50)
+
+
+def test_the_provider_pools_from_the_maps_as_read(trained):
+    """``read_feature_maps`` holds every map once, channel-last, in one
+    buffer, and the provider pools from that buffer as it is: no map is
+    held twice."""
+    maps = read_feature_maps(trained[0] / "features.npz")
+    data = {image_id: fmap.data for image_id, fmap in maps.items()}
+    provider = SyntheticFeatureProvider(maps)
+    for image_id, fmap in maps.items():
+        assert fmap.data is data[image_id]  # not copied again
+        assert fmap.data.base is provider.buffer
+        assert fmap.data.transpose(1, 2, 0).flags.c_contiguous
 
 
 class TestReadersMatchNumpy:

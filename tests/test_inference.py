@@ -501,7 +501,8 @@ def _reference_detection(obj, where: str) -> Detection:
             or not _NUMBERS.issuperset(map(type, box))):
         raise ValueError(f"{where}.box: expected a list of 4 numbers, got "
                          f"{json.dumps(box)}")
-    return Detection(box=Box(*box),
+    Box(*box)  # a degenerate box is named by the numbers as written
+    return Detection(box=Box(*map(float, box)),
                      category=_typed(obj["category"], str,
                                      where + ".category"),
                      score=float(_typed(obj["score"], float,

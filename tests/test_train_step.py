@@ -33,6 +33,7 @@ from hoidet.dataset import (
     synthetic_registry,
 )
 from hoidet.density import mdn_nll_grad, smooth_l1, smooth_l1_grad
+from hoidet.features import SyntheticFeatureProvider
 from hoidet.geometry import Box, box_array, encode_rel, iou
 from hoidet.model import (
     LOGIT_CLIP,
@@ -60,6 +61,7 @@ from hoidet.trainer import (
     Schedule,
     TrainScene,
     assign_labels,
+    draw_samples,
     featurize,
     from_synthetic,
     label_tables,
@@ -436,6 +438,68 @@ def test_training_draws_the_public_samples(monkeypatch):
                 g, w = getattr(img, field.name), getattr(want, field.name)
                 assert g.shape == w.shape and g.dtype == w.dtype, field.name
                 assert np.all(g == w), field.name
+
+
+def _per_tensor_sgd_step(params, grads, velocity, lr, momentum,
+                         weight_decay):
+    """The optimizer step before the flat parameter vector: one new
+    velocity and one new parameter array per named tensor."""
+    for name in params:
+        v = momentum * velocity[name] + grads[name] + weight_decay * params[name]
+        velocity[name] = v
+        params[name] = params[name] - lr * v
+
+
+@pytest.mark.parametrize("head", ["fixed_sigma", "mdn_m2", "concat_mlp",
+                                  "no_interaction"])
+def test_training_step_equals_the_per_image_path(head):
+    """``train``'s step (one gather over the batch, stacked sections, a
+    flat parameter vector) against one ``featurize`` per image, the
+    list form of ``backward`` and a per-tensor step: every LossReport
+    and final parameter is the same, bit for bit."""
+    world = generate_synthetic(SynthConfig(
+        num_scenes=5, seed=4, persons_per_scene=2, num_distractors=3))
+    scenes, provider = from_synthetic(world)
+    # a scene with neither persons nor pairs: empty human and pair sections
+    ann = scenes[0].annotation
+    bare = SceneAnnotation(99, ann.width, ann.height, [], ann.objects, [])
+    scenes.append(TrainScene(99, bare, scenes[0].proposals))
+    provider = SyntheticFeatureProvider(
+        {**provider.maps, 99: world[0].feature_map})
+    kw = {"fixed_sigma": {}, "mdn_m2": dict(use_mdn=True, density_M=2),
+          "concat_mlp": dict(pairwise_mode="concat_mlp"),
+          "no_interaction": dict(use_interaction_branch=False)}[head]
+    cfg = HeadConfig(feature_dim=provider.feature_dim,
+                     num_actions=len(REGISTRY),
+                     num_object_classes=len(CATEGORIES), hidden_dim=12, **kw)
+    schedule = Schedule(phases=[Phase(2, 1e-2), Phase(2, 1e-3)], seed=5)
+    weights = LossWeights(object_reg=0.5, target_loc=3.0)
+    got, history = train(scenes, provider, cfg, schedule, REGISTRY,
+                         CATEGORIES, loss_weights=weights)
+
+    tables = label_tables(scenes, REGISTRY, CATEGORIES)
+    assert len(tables[-1].human_boxes) == len(tables[-1].pair_boxes) == 0
+    params = init_params(cfg, schedule.seed)
+    velocity = {name: np.zeros_like(p) for name, p in params.items()}
+    per, it, drawn = schedule.images_per_step, 0, set()
+    for phase in schedule.phases:
+        for _ in range(phase.iterations):
+            picks = np.random.default_rng((schedule.seed, it)).integers(
+                0, len(scenes), size=schedule.workers * per)
+            drawn.update(picks.tolist())
+            images = [featurize(draw_samples(
+                tables[pick], Quotas(), (schedule.seed, it, *divmod(b, per))),
+                provider, scenes[pick].scene_id, cfg)
+                for b, pick in enumerate(picks)]
+            grads, rep = backward(images, params, cfg, weights)
+            assert rep == history[it]
+            _per_tensor_sgd_step(params, grads, velocity, phase.lr,
+                                 schedule.momentum, schedule.weight_decay)
+            it += 1
+    assert len(scenes) - 1 in drawn
+    assert list(got) == list(params)
+    for name, want in params.items():
+        assert got[name].tobytes() == want.tobytes(), name
 
 
 # --- (b) one stacked backward ------------------------------------------------
