@@ -58,7 +58,6 @@ from .features import (
 from .geometry import decode_rel, encode_rel
 from .inference import (
     InferenceConfig,
-    InferStats,
     infer,
     read_predictions,
     write_predictions,
@@ -452,11 +451,13 @@ def cmd_train(cfg: dict) -> int:
     return 0
 
 
-def _load_model(path, registry: ActionRegistry, provider):
+def _load_model(path, registry: ActionRegistry, categories, provider):
     """The checkpoint at ``path`` and its action registry: the one it
-    stores, else ``registry``. Unreadable or malformed files, and a
-    checkpoint whose feature width differs from the pooled width of
-    ``provider``'s maps, are ``io`` and ``data`` errors."""
+    stores, else ``registry``. Unreadable or malformed files are ``io``
+    and ``data`` errors, and so is a checkpoint whose feature width,
+    action count or object class count differs from the pooled width of
+    ``provider``'s maps, the registry's length or that of
+    ``categories``."""
     try:
         ckpt = load_checkpoint(path)
         if ckpt.actions:
@@ -465,11 +466,21 @@ def _load_model(path, registry: ActionRegistry, provider):
         raise CliError("io", f"cannot read checkpoint: {exc}")
     except ValueError as exc:
         raise CliError("data", str(exc))
-    if provider.maps and ckpt.config.feature_dim != provider.feature_dim:
+    head = ckpt.config
+    if provider.maps and head.feature_dim != provider.feature_dim:
         raise CliError("data", f"{path}: checkpoint feature_dim "
-                               f"{ckpt.config.feature_dim} does not match "
+                               f"{head.feature_dim} does not match "
                                f"the feature maps' pooled width "
                                f"{provider.feature_dim}")
+    if head.num_actions != len(registry):
+        raise CliError("data", f"{path}: checkpoint num_actions "
+                               f"{head.num_actions} does not match the "
+                               f"{len(registry)} actions of the annotations")
+    if head.num_object_classes != len(categories):
+        raise CliError("data", f"{path}: checkpoint num_object_classes "
+                               f"{head.num_object_classes} does not match "
+                               f"the {len(categories)} categories of the "
+                               f"annotations")
     return ckpt, registry
 
 
@@ -549,28 +560,25 @@ def _overlay_entry(t, provider, params, head_cfg, registry):
 def _run_inference(cfg, ds, provider, proposals, params, head_cfg,
                    registry, centers, out):
     icfg = _build(InferenceConfig, cfg)
-    all_triplets = []
-    overlay = {}
-    totals = InferStats()
-    for image_id in sorted(proposals):
-        triplets, stats = infer(image_id, proposals[image_id], provider,
-                                params, head_cfg, registry, ds.categories,
-                                icfg, baseline_centers=centers)
-        totals.add(stats)
-        all_triplets.extend(triplets)
-        if cfg.get("overlay"):
-            overlay[str(image_id)] = [
-                _overlay_entry(t, provider, params, head_cfg, registry)
-                for t in triplets
-            ]
+    ids = sorted(proposals)
+    boxes = [proposals[i] for i in ids]
+    triplets, totals = infer(
+        np.repeat(np.array(ids, dtype=np.int64), [len(b) for b in boxes]),
+        np.concatenate(boxes) if boxes else np.zeros((0, 4)), provider,
+        params, head_cfg, registry, ds.categories, icfg,
+        baseline_centers=centers)
     pred_path = os.path.join(out, "predictions.jsonl")
-    write_predictions(pred_path, all_triplets)
+    write_predictions(pred_path, triplets)
     _write_json(os.path.join(out, "infer_stats.json"),
                 {"scenes": len(proposals), **dataclasses.asdict(totals)})
     if cfg.get("overlay"):
+        overlay = {str(i): [] for i in ids}
+        for t in triplets:
+            overlay[str(t.image_id)].append(
+                _overlay_entry(t, provider, params, head_cfg, registry))
         _write_json(os.path.join(out, "overlay.json"),
                     {"config": cfg, "images": overlay})
-    return pred_path, all_triplets
+    return pred_path, triplets
 
 
 def cmd_infer(cfg: dict) -> int:
@@ -578,7 +586,8 @@ def cmd_infer(cfg: dict) -> int:
     os.makedirs(out, exist_ok=True)
     _require(cfg, "checkpoint")
     ds, provider, proposals = _load_world(cfg)
-    ckpt, registry = _load_model(cfg["checkpoint"], ds.registry, provider)
+    ckpt, registry = _load_model(cfg["checkpoint"], ds.registry,
+                                 ds.categories, provider)
     centers = (_load_centers(cfg["centers"], registry) if cfg["centers"]
                else None)
     pred_path, triplets = _run_inference(
@@ -649,7 +658,7 @@ def cmd_baseline(cfg: dict) -> int:
     except ValueError as exc:
         raise CliError("data", str(exc))
     ckpt, registry = _load_model(cfg["checkpoint"], fit_ds.registry,
-                                   provider)
+                                 ds.categories, provider)
     centers = fit_baseline_centers(fit_ds, k, seed)
     _write_json(os.path.join(out, "centers.json"), {
         "config": cfg,

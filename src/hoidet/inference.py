@@ -11,11 +11,21 @@ the target for each (human, action) is the candidate maximizing
 which equals the full triplet-score argmax since the human's own terms
 are constant within the group. Ties go to the lowest candidate index.
 
-The hot path is array-native. Proposals and detections enter it as
-``(N, 4)`` box arrays: decoding, per-class NMS and RoI pooling run on
-arrays. Then, for each human, the offsets of all candidates, every
-action's compat and the interaction scores come out as ``(candidates,
-actions)`` arrays, and one argmax over candidates picks every action's
+:func:`infer` runs a whole command's scenes at once, as Fast R-CNN's
+RoI layer pools a mini-batch's RoIs: consecutive whole scenes are
+pooled in one gather of at most ``_INFER_BLOCK`` rows (a larger scene
+alone), first their proposals, then their detections. Every head
+matmul still takes one scene's rows: the object head one scene's
+proposals, the human and interaction heads one scene's detections, and
+in ``concat_mlp`` mode the pair MLP one human's candidates. A matmul's
+rows can change in their last bits with its row count, and pooling is
+row-local, so the triplets are the same bits as one scene at a time.
+Decoding and per-class NMS run per scene on ``(N, 4)`` box arrays.
+
+Pair scoring is one pass per scene over ``(detections, humans,
+actions)`` arrays: every human's offsets to every detection, every
+action's compat and interaction score, the self pair masked out, and
+one first-index argmax over the detections picks every (human, action)
 target. ``Box``/``Detection`` objects appear only in the inputs and in
 the returned triplets. Every array step repeats the arithmetic of the
 scalar functions in ``geometry`` and ``density``, so the picks and
@@ -56,6 +66,11 @@ from .model import (
 SCORE_THRESHOLD = 0.05
 NMS_THRESHOLD = 0.3
 MAX_TRIPLETS = 100
+# rows per RoI-pooling gather of ``infer``: whole scenes are pooled
+# together up to this many, so that a gather's (rows, C * P * P) output
+# stays near 0.7 MB for 14-channel 5 x 5 bins however many scenes a
+# command holds
+_INFER_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -121,119 +136,186 @@ def detect_objects(probs: np.ndarray, deltas: np.ndarray, proposals,
                       score=float(scores[k])) for k in keep]
 
 
-def select_object(s_o: np.ndarray, inter: np.ndarray, compat: np.ndarray):
+def select_object(s_o, inter, compat, exclude=None):
     """Index along axis 0 (the candidates) maximizing the product, per
-    column for 2-d input; None if there are no candidates.
+    column for 2-d input and per (column, action) for 3-d; None if there
+    are no candidates. ``exclude`` holds, for each axis-1 column, the
+    one candidate it may not pick.
 
     np.argmax keeps the first maximum, which is the tie-break rule.
     """
     score = np.asarray(s_o) * np.asarray(inter) * np.asarray(compat)
     if len(score) == 0:
         return None
+    if exclude is not None:
+        score[exclude, np.arange(len(exclude))] = -np.inf
     best = np.argmax(score, axis=0)
     return int(best) if best.ndim == 0 else best
 
 
-def infer(scene_id: int, proposals, provider, params, cfg: HeadConfig,
+def _scene_bounds(ids: np.ndarray) -> list:
+    """(start, stop) rows of each run of equal ``ids``: one per scene."""
+    if not len(ids):
+        return []
+    starts = np.flatnonzero(ids[1:] != ids[:-1]) + 1
+    return list(zip([0, *starts.tolist()], [*starts.tolist(), len(ids)]))
+
+
+def _blocks(bounds):
+    """Consecutive ``(start, stop)`` row bounds in groups spanning at
+    most ``_INFER_BLOCK`` rows; a longer one is a group of its own."""
+    group = []
+    for lo, hi in bounds:
+        if group and hi - group[0][0] > _INFER_BLOCK:
+            yield group
+            group = []
+        group.append((lo, hi))
+    if group:
+        yield group
+
+
+def _pooled(provider, ids, boxes, bounds):
+    """Each bound's rows of ``boxes`` pooled, in order, in one gather per
+    group of :func:`_blocks`."""
+    for group in _blocks(bounds):
+        lo, hi = group[0][0], group[-1][1]
+        feats = (provider.pooled_matrix(ids[lo:hi], boxes[lo:hi]) if hi > lo
+                 else np.zeros((0, provider.feature_dim)))
+        for a, b in group:
+            yield feats[a - lo:b - lo]
+
+
+def infer(scene_id, proposals, provider, params, cfg: HeadConfig,
           registry: ActionRegistry, categories,
           icfg: InferenceConfig = InferenceConfig(),
           baseline_centers=None):
-    """Full cascade for one image -> (triplets sorted by score, stats).
+    """Full cascade for the scenes of ``proposals`` -> (triplets, stats).
 
-    proposals are an ``(N, 4)`` corner array (or a ``Box`` list).
-    baseline_centers, when given, maps action index -> (K, 4) cluster
-    centers and replaces the model's density output in the compat term.
+    proposals are an ``(N, 4)`` corner array (or a ``Box`` list);
+    ``scene_id`` is one scene's id, or (N,) ids, one per proposal, each
+    scene's rows contiguous. The triplets are each scene's in scene
+    order, sorted by score and capped at ``icfg.max_triplets``; the
+    stats are summed over the scenes. baseline_centers, when given, maps
+    action index -> (K, 4) cluster centers and replaces the model's
+    density output in the compat term.
     """
+    proposals = box_array(proposals)
+    ids = np.broadcast_to(np.asarray(scene_id, dtype=np.int64),
+                          (len(proposals),))
     stats = InferStats(num_proposals=len(proposals))
-    if not len(proposals):
-        return [], stats
-    feats = provider.pooled_matrix(scene_id, proposals)
-    obj_out = forward_object(feats, params, cfg)
-    detections = detect_objects(obj_out.probs, obj_out.deltas, proposals,
-                                categories, icfg.score_threshold,
-                                icfg.nms_threshold)
-    triplets = score_detections(scene_id, detections, provider, params, cfg,
-                                registry, stats, baseline_centers)
-    order = sorted(range(len(triplets)),
-                   key=lambda i: (-triplets[i].score, i))
-    return [triplets[i] for i in order[: icfg.max_triplets]], stats
+    out = []
+    for block in _blocks(_scene_bounds(ids)):
+        found = []
+        for (a, b), feats in zip(block, _pooled(provider, ids, proposals,
+                                                block)):
+            obj = forward_object(feats, params, cfg)
+            found.append(detect_objects(
+                obj.probs, obj.deltas, proposals[a:b], categories,
+                icfg.score_threshold, icfg.nms_threshold))
+        ends = np.cumsum([0] + [len(d) for d in found]).tolist()
+        det_ids = np.repeat([ids[a] for a, _ in block], np.diff(ends))
+        boxes = box_array([d.box for dets in found for d in dets])
+        for (a, _), dets, feats in zip(
+                block, found, _pooled(provider, det_ids, boxes,
+                                      list(zip(ends, ends[1:])))):
+            triplets = score_detections(int(ids[a]), dets, provider, params,
+                                        cfg, registry, stats,
+                                        baseline_centers, feats)
+            order = sorted(range(len(triplets)),
+                           key=lambda i: (-triplets[i].score, i))
+            out.extend(triplets[i] for i in order[:icfg.max_triplets])
+    return out, stats
 
 
-def _compat(rels: np.ndarray, hum, h: int, cfg: HeadConfig,
+def _compat(rels: np.ndarray, hum, humans, cfg: HeadConfig,
             baseline_centers, targeted) -> np.ndarray:
-    """(candidates, actions) target-location term of human ``h`` for the
-    candidates' (C, 4) offsets; only the ``targeted`` actions' columns
+    """(detections, humans, actions) target-location term of the
+    ``humans``' rows of ``hum`` for the (D, H, 4) offsets of every
+    detection from every human; only the ``targeted`` actions' columns
     are filled for the k-means baseline."""
     if baseline_centers is not None:
-        out = np.zeros((len(rels), cfg.num_actions))
+        out = np.zeros(rels.shape[:2] + (cfg.num_actions,))
         for a in targeted:
-            out[:, a] = kmeans_compat(rels, baseline_centers[a], cfg.sigma)
+            out[..., a] = kmeans_compat(rels, baseline_centers[a], cfg.sigma)
         return out
     if cfg.use_mdn:
-        return mixture_compat(rels[:, None, :], hum.weights[h], hum.mus[h],
-                              hum.sigmas[h])
-    return gaussian_compat(rels[:, None, :], hum.mus[h, :, 0], cfg.sigma)
+        return mixture_compat(rels[..., None, :], hum.weights[humans],
+                              hum.mus[humans], hum.sigmas[humans])
+    return gaussian_compat(rels[..., None, :], hum.mus[humans, :, 0],
+                           cfg.sigma)
 
 
 def score_detections(scene_id: int, detections, provider, params,
                      cfg: HeadConfig, registry: ActionRegistry,
                      stats: InferStats | None = None,
-                     baseline_centers=None) -> list:
-    """Post-detection cascade: unsorted triplets for the given boxes."""
+                     baseline_centers=None, feats=None) -> list:
+    """Post-detection cascade: unsorted triplets for the given boxes of
+    one scene. ``feats`` are their pooled rows, pooled here when None."""
     if stats is None:
         stats = InferStats()
-    stats.num_detections = len(detections)
+    stats.num_detections += len(detections)
     if not detections:
         return []
 
     boxes = box_array([d.box for d in detections])
-    det_scores = np.array([d.score for d in detections])
-    det_feats = provider.pooled_matrix(scene_id, boxes)
+    if feats is None:
+        feats = provider.pooled_matrix(scene_id, boxes)
     # one cascade-stage pass per surviving box: caches action scores,
     # density parameters, and both interaction-side quantities
-    hum = forward_human(det_feats, params, cfg)
+    hum = forward_human(feats, params, cfg)
     if cfg.use_interaction_branch:
         logit_h = interaction_human_logits(hum.hidden, params, cfg)
-        logit_o, hidden_o = interaction_object_logits(det_feats, params, cfg)
+        logit_o, hidden_o = interaction_object_logits(feats, params, cfg)
     stats.per_roi_forwards += len(detections)
-    targeted = [a for a, e in enumerate(registry) if e.role != ROLE_NONE]
+    humans = np.flatnonzero([d.category == PERSON_CATEGORY
+                             for d in detections])
+    if not len(humans):
+        return []
+    n, h = len(detections), len(humans)
+    act = hum.action_scores[humans]
+    if n > 1:
+        # every detection is a candidate of every human, itself masked
+        # out: (detections, humans, actions) terms, one pass per scene
+        if not cfg.use_interaction_branch:
+            inter = act[None]
+        elif cfg.pairwise_mode == "logit_sum":
+            inter = pair_scores(logit_h[humans][None], logit_o[:, None],
+                                None, None, params, cfg)
+        else:  # one pair-MLP call per human over exactly its candidates
+            inter = np.zeros((n, h, cfg.num_actions))
+            for k, i in enumerate(humans.tolist()):
+                cand = np.delete(np.arange(n), i)
+                inter[cand, k] = pair_scores(logit_h[i], logit_o[cand],
+                                             hum.hidden[i], hidden_o[cand],
+                                             params, cfg)
+        if cfg.use_interaction_branch:
+            stats.num_pairs_scored += h * (n - 1)
+        targeted = [a for a, e in enumerate(registry) if e.role != ROLE_NONE]
+        compat = _compat(encode_rels(boxes[:, None], boxes[humans][None]),
+                         hum, humans, cfg, baseline_centers, targeted)
+        det_scores = np.array([d.score for d in detections])
+        best = select_object(det_scores[:, None, None], inter, compat,
+                             exclude=humans)
+        picked = best, np.arange(h)[:, None], np.arange(cfg.num_actions)
+        inter = inter[picked] if cfg.use_interaction_branch else act
+        best, s_o = best.tolist(), det_scores[best].tolist()
+        inter, compat = inter.tolist(), compat[picked].tolist()
 
+    act = act.tolist()
     triplets = []
-    for h, hdet in enumerate(detections):
-        if hdet.category != PERSON_CATEGORY:
-            continue
-        # every other detection is a candidate: (C,) indices, (C, A) terms
-        cand = np.delete(np.arange(len(detections)), h)
-        if len(cand):
-            if cfg.use_interaction_branch:
-                inter = pair_scores(logit_h[h], logit_o[cand], hum.hidden[h],
-                                    hidden_o[cand], params, cfg)
-                stats.num_pairs_scored += len(cand)
-            else:
-                inter = np.broadcast_to(hum.action_scores[h],
-                                        (len(cand), cfg.num_actions))
-            compat = _compat(encode_rels(boxes[cand], boxes[h]), hum, h, cfg,
-                             baseline_centers, targeted)
-            s_o = det_scores[cand]
-            best = select_object(s_o[:, None], inter, compat)
+    for k, i in enumerate(humans.tolist()):
+        hdet = detections[i]
         for a, entry in enumerate(registry):
-            act = float(hum.action_scores[h, a])
             if entry.role == ROLE_NONE:
                 triplets.append(ScoredTriplet(
-                    image_id=scene_id, human=hdet, action=entry.name,
-                    role=entry.role, object=None, s_h=hdet.score, s_o=None,
-                    action_score=act, compat=None,
-                    score=hdet.score * act))
-                continue
-            if not len(cand):
-                continue
-            j = best[a]
-            so, ia, g = float(s_o[j]), float(inter[j, a]), float(compat[j, a])
-            triplets.append(ScoredTriplet(
-                image_id=scene_id, human=hdet, action=entry.name,
-                role=entry.role, object=detections[cand[j]], s_h=hdet.score,
-                s_o=so, action_score=ia, compat=g,
-                score=hdet.score * so * ia * g))
+                    scene_id, hdet, entry.name, entry.role, None, hdet.score,
+                    None, act[k][a], None, hdet.score * act[k][a]))
+            elif n > 1:
+                so, ia, g = s_o[k][a], inter[k][a], compat[k][a]
+                triplets.append(ScoredTriplet(
+                    scene_id, hdet, entry.name, entry.role,
+                    detections[best[k][a]], hdet.score, so, ia, g,
+                    hdet.score * so * ia * g))
     return triplets
 
 

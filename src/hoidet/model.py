@@ -210,15 +210,22 @@ def _relu(x):
     return np.maximum(x, 0.0)
 
 
+def _clip_probs(logits):
+    """Clamped sigmoid: the logits clipped to +-LOGIT_CLIP, the
+    probabilities to [PROB_EPS, 1 - PROB_EPS]."""
+    return np.clip(sigmoid(np.clip(logits, -LOGIT_CLIP, LOGIT_CLIP)),
+                   PROB_EPS, 1.0 - PROB_EPS)
+
+
 def _clip_sigmoid(logits):
-    """Clamped sigmoid plus the mask where gradients pass."""
-    clipped = np.clip(logits, -LOGIT_CLIP, LOGIT_CLIP)
-    p_raw = sigmoid(clipped)
-    p = np.clip(p_raw, PROB_EPS, 1.0 - PROB_EPS)
+    """Clamped sigmoid plus the mask where gradients pass: where neither
+    clamp acts. A probability strictly inside the clamp is the unclamped
+    sigmoid, so the mask reads it rather than the raw sigmoid."""
+    p = _clip_probs(logits)
     mask = (
         (np.abs(logits) < LOGIT_CLIP)
-        & (p_raw > PROB_EPS)
-        & (p_raw < 1.0 - PROB_EPS)
+        & (p > PROB_EPS)
+        & (p < 1.0 - PROB_EPS)
     )
     return p, mask
 
@@ -339,7 +346,7 @@ def forward_object(feat, params, cfg: HeadConfig) -> ObjectOutput:
 def forward_human(feat, params, cfg: HeadConfig) -> HumanOutput:
     z2, _ = _trunk_forward(_as_matrix(feat, cfg.feature_dim), params, "hum")
     logits, mus, wlogs, raws = _human_head(z2, params, cfg)
-    scores, _ = _clip_sigmoid(logits)
+    scores = _clip_probs(logits)
     weights = sigmas = None
     if cfg.use_mdn:
         weights = _softmax_rows(wlogs)
@@ -372,7 +379,7 @@ def pair_scores(logit_h, logit_o, hidden_h, hidden_o, params,
     """
     logits, mlp = _pair_logits(np.asarray(logit_h), np.asarray(logit_o),
                                hidden_h, hidden_o, params, cfg)
-    p, _ = _clip_sigmoid(logits)
+    p = _clip_probs(logits)
     return p[0] if mlp is not None and np.ndim(hidden_o) == 1 else p
 
 

@@ -3,7 +3,8 @@
 Batched RoI pooling and the vectorised cascade must reproduce, bit for
 bit, a one-box RoIAlign and the pair-by-pair cascade (scalar
 ``encode_rel`` and compat per candidate, one interaction matmul per
-human), both kept here as references.
+human), both kept here as references. One ``infer`` call over many
+scenes must reproduce a call per scene, whatever its pooling blocks.
 """
 
 import math
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hoidet import inference
 from hoidet.dataset import (
     PERSON_CATEGORY,
     ROLE_NONE,
@@ -24,9 +26,11 @@ from hoidet.density import gaussian_compat, mixture_compat
 from hoidet.features import FeatureMap, SyntheticFeatureProvider, roi_align
 from hoidet.geometry import Box, Detection, box_array, encode_rel, iou, nms
 from hoidet.inference import (
+    InferenceConfig,
     InferStats,
     ScoredTriplet,
     detect_objects,
+    infer,
     score_detections,
 )
 from hoidet.model import (
@@ -343,3 +347,114 @@ def test_lone_human_and_scene_without_person(crowd):
                for c in SYNTH_CATEGORIES[:2]]
     assert score_detections(sid, objects, provider, params, cfg,
                             REGISTRY) == []
+
+
+# --- one infer call over many scenes -----------------------------------------
+
+
+def _scene_list(crowd):
+    """A provider and (scene id, proposals) scenes that cover every kind
+    of scene a command can hold, interleaved with crowded ones, plus the
+    object-head parameters and inference config that give those kinds.
+
+    The object head's weights are scaled up and the person class raised,
+    so that single proposals of the crowd scenes give no detection, one
+    person or one object alone; each kind becomes a scene of its own on a
+    copy of its source scene's map."""
+    scenes, provider = crowd
+    cfg = _cfg(provider)
+    obj = init_params(cfg, 3)
+    obj = {k: v for k, v in obj.items() if k.startswith("obj_")}
+    obj["obj_cls_w"] = obj["obj_cls_w"] * 1e3
+    obj["obj_cls_b"] = obj["obj_cls_b"].copy()
+    obj["obj_cls_b"][1] = 0.7
+    icfg = InferenceConfig(score_threshold=0.2, max_triplets=30)
+    single = {}
+    for ts in scenes:
+        for row in box_array(ts.proposals):
+            props = row[None]
+            out = forward_object(provider.pooled_matrix(ts.scene_id, props),
+                                 obj, cfg)
+            cats = [d.category for d in detect_objects(
+                out.probs, out.deltas, props, CATEGORIES,
+                icfg.score_threshold, icfg.nms_threshold)]
+            kind = ("none" if not cats else "lone human"
+                    if cats == [PERSON_CATEGORY] else "no person"
+                    if PERSON_CATEGORY not in cats else None)
+            single.setdefault(kind, (ts.scene_id, props))
+    maps = {ts.scene_id: provider.maps[ts.scene_id] for ts in scenes}
+    full = [(ts.scene_id, box_array(ts.proposals)) for ts in scenes]
+    made = {}
+    for new_id, kind in enumerate(("empty", "none", "lone human",
+                                   "no person"), start=100):
+        source, props = single.get(kind, (scenes[0].scene_id,
+                                          np.zeros((0, 4))))
+        assert kind == "empty" or len(props), kind
+        maps[new_id] = FeatureMap(maps[source].data.copy(),
+                                  maps[source].stride)
+        made[kind] = (new_id, props)
+    order = [full[0], made["empty"], made["none"], full[1],
+             made["lone human"], made["no person"], full[2]]
+    return SyntheticFeatureProvider(maps), order, obj, icfg
+
+
+@pytest.mark.parametrize("block", [None, 1, 3])
+@pytest.mark.parametrize("variant", sorted(VARIANTS) + ["share_interaction"])
+def test_one_call_over_many_scenes_equals_a_call_per_scene(
+        crowd, variant, block, monkeypatch):
+    provider, order, obj, icfg = _scene_list(crowd)
+    kw = (dict(share_interaction_head=True) if variant == "share_interaction"
+          else VARIANTS[variant])
+    cfg = _cfg(provider, **kw)
+    params = {**init_params(cfg, 7), **obj}
+    rng = np.random.default_rng(5)
+    centers = ({a: rng.normal(scale=0.5, size=(int(rng.integers(1, 4)), 4))
+                for a in TARGETED} if variant == "kmeans_baseline" else None)
+
+    want, totals, per_scene = [], InferStats(), []
+    for sid, props in order:
+        trips, stats = infer(sid, props, provider, params, cfg, REGISTRY,
+                             CATEGORIES, icfg, centers)
+        want.extend(trips)
+        totals.add(stats)
+        per_scene.append((sid, stats, trips))
+    # the scene kinds the list is meant to hold
+    kinds = [(s.num_proposals, s.num_detections, len(t))
+             for _, s, t in per_scene]
+    assert kinds[1] == (0, 0, 0)  # no proposals
+    assert kinds[2][0] > 0 and kinds[2][1:] == (0, 0)  # no detections
+    assert kinds[4][1] == 1 and all(t.object is None
+                                    for t in per_scene[4][2])  # lone human
+    assert kinds[4][2] > 0
+    assert kinds[5][1] > 0 and kinds[5][2] == 0  # no person
+    assert sum(t.object is not None for t in want) > 20
+
+    if block is not None:
+        monkeypatch.setattr(inference, "_INFER_BLOCK", block)
+    limit = inference._INFER_BLOCK
+    whole = {}  # rows a one-scene gather may hold: its proposals, detections
+    for sid, stats, _ in per_scene:
+        whole[sid] = {stats.num_proposals, stats.num_detections}
+    calls = []
+    pool = SyntheticFeatureProvider.pooled_matrix
+
+    def recorded(self, scene_id, boxes):
+        ids = np.broadcast_to(scene_id, (len(boxes),))
+        calls.append(ids.copy())
+        return pool(self, scene_id, boxes)
+
+    monkeypatch.setattr(SyntheticFeatureProvider, "pooled_matrix", recorded)
+    ids = np.repeat([sid for sid, _ in order], [len(p) for _, p in order])
+    got, stats = infer(ids, np.concatenate([p for _, p in order]), provider,
+                       params, cfg, REGISTRY, CATEGORIES, icfg, centers)
+    assert got == want  # every field, floats compared with ==
+    assert stats == totals
+    for rows in calls:
+        # a gather over its limit holds one whole scene's boxes
+        assert len(rows) <= limit or (
+            len(set(rows.tolist())) == 1
+            and len(rows) in whole[int(rows[0])]), (len(rows), limit)
+    if block is None:
+        assert len(calls) == 2  # one gather of proposals, one of detections
+    else:
+        assert len(calls) > 2

@@ -9,6 +9,7 @@ instead.
 """
 
 import importlib.util
+import json
 import os
 import sys
 
@@ -58,3 +59,9 @@ def test_traced_train_and_infer_run(layers, tmp_path):
     metrics, _ = layers.layer_metrics(tracer)
     assert metrics["model.backward_rows"] > 0
     assert metrics["features.pool_rows"] > 0
+    # the counts read off the traced infer calls are the command's own
+    with open(tmp_path / "infer" / "infer_stats.json") as fh:
+        stats = json.load(fh)
+    assert stats["num_detections"] > 0 and stats["num_pairs_scored"] > 0
+    assert tracer.counts["inference.detections"] == stats["num_detections"]
+    assert metrics["inference.pairs_scored"] == stats["num_pairs_scored"]

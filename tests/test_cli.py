@@ -1037,6 +1037,67 @@ class TestCheckpointWidth:
         assert not (tmp_path / "o" / "predictions.jsonl").exists()
 
 
+class TestCheckpointCounts:
+    """A checkpoint whose action or object class count differs from the
+    annotations' ends ``infer`` and ``baseline`` in one ``data`` line
+    naming both counts, before any inference runs."""
+
+    @staticmethod
+    def _run_on(command, trained, tmp_path, ckpt, edit):
+        data, _ = trained
+        doc = json.loads((data / "annotations.json").read_text())
+        edit(doc)
+        annotations = tmp_path / "annotations.json"
+        annotations.write_text(json.dumps(doc))
+        fit = (("--fit-annotations", str(annotations))
+               if command == "baseline" else ())
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = _run(command, "--out", str(tmp_path / "o"),
+                        "--checkpoint", str(ckpt), "--annotations",
+                        str(annotations), "--features",
+                        str(data / "features.npz"), "--proposals",
+                        str(data / "proposals.json"), *fit)
+        return code, err.getvalue()
+
+    @pytest.mark.parametrize("command", ["infer", "baseline"])
+    def test_checkpoint_without_actions_and_one_more_action(
+            self, trained, tmp_path, command):
+        src = trained[1] / "checkpoint.bin"
+        ckpt = tmp_path / "no_actions.bin"
+        _rewrite_checkpoint(src, ckpt, lambda h: h.update(actions=None))
+        want = load_checkpoint(ckpt).config.num_actions
+        code, err = self._run_on(
+            command, trained, tmp_path, ckpt,
+            lambda doc: doc["actions"].append({"name": "wave",
+                                               "role": "none"}))
+        _one_data_line(code, err,
+                       f"error: data: {ckpt}: checkpoint num_actions {want} "
+                       f"does not match the {want + 1} actions of the "
+                       f"annotations")
+        assert not (tmp_path / "o" / "predictions.jsonl").exists()
+
+    @pytest.mark.parametrize("command", ["infer", "baseline"])
+    @pytest.mark.parametrize("count", [4, 8])
+    def test_object_class_count_differs(self, trained, tmp_path, command,
+                                        count):
+        ckpt = trained[1] / "checkpoint.bin"
+        want = load_checkpoint(ckpt).config.num_object_classes
+        assert want == 6
+
+        def edit(doc):
+            doc["categories"] = (doc["categories"]
+                                 + ["kite", "drum"])[:count]
+
+        code, err = self._run_on(command, trained, tmp_path, ckpt, edit)
+        _one_data_line(code, err,
+                       f"error: data: {ckpt}: checkpoint num_object_classes "
+                       f"{want} does not match the {count} categories of "
+                       f"the annotations")
+        assert not (tmp_path / "o" / "predictions.jsonl").exists()
+
+
 class TestProposalsFile:
     """Every malformed proposals file ends in one ``data`` error line."""
 
