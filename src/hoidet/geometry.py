@@ -108,11 +108,6 @@ def box_array(boxes) -> np.ndarray:
                     dtype=np.float64).reshape(-1, 4)
 
 
-def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise :func:`iou` of (N, 4) and (M, 4) corner arrays -> (N, M)."""
-    return box_iou(a[:, None, :], b[None, :, :])
-
-
 def box_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """:func:`iou` over broadcasting (..., 4) corner arrays."""
     iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
@@ -131,21 +126,32 @@ def nms(boxes: np.ndarray, scores: np.ndarray, labels: np.ndarray,
     Returns the indices of the survivors sorted by descending score;
     ties are broken by index so the result does not depend on input
     order beyond scores. No two survivors with the same label overlap
-    above ``iou_thresh``. One :func:`iou_matrix` over all score-sorted
-    candidates, masked to same-label pairs, drives a single greedy pass,
-    so time and memory are quadratic in the candidates of one image.
+    above ``iou_thresh``. IoU is computed once for each pair of boxes
+    that share a label, and the greedy pass visits only the pairs that
+    overlap above the threshold, so time and memory grow with the
+    squared sizes of the label groups, not of the input: one call can
+    take many images' candidates with one label per (image, class).
     """
     boxes = box_array(boxes)
-    labels = np.asarray(labels)
     order = np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
-    boxes, labels = boxes[order], labels[order]
-    over = iou_matrix(boxes, boxes) > iou_thresh
-    over &= labels[:, None] == labels[None, :]
-    alive = np.ones(len(order), dtype=bool)
-    for p in range(len(order)):
-        if alive[p]:
-            alive[p + 1:] &= ~over[p, p + 1:]
-    return order[alive]
+    boxes, labels = boxes[order], np.asarray(labels)[order]
+    # score ranks grouped by label, each group in rank order; every rank
+    # is paired with the same-label ranks after it
+    grouped = np.argsort(labels, kind="stable")
+    same = labels[grouped]
+    later = np.searchsorted(same, same, side="right") - np.arange(len(same)) - 1
+    first = np.repeat(np.arange(len(same)), later)
+    second = first + 1 + np.arange(len(first)) - np.repeat(
+        np.cumsum(later) - later, later)
+    p, q = grouped[first], grouped[second]
+    over = box_iou(boxes[p], boxes[q]) > iou_thresh
+    # pairs come in rank order of their first box within each group, so
+    # a box's own fate is settled before it suppresses
+    alive = [True] * len(order)
+    for i, j in zip(p[over].tolist(), q[over].tolist()):
+        if alive[i]:
+            alive[j] = False
+    return order[np.array(alive, dtype=bool)]
 
 
 def encode_rel(b_o: Box, b_h: Box) -> RelOffset:

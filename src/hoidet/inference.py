@@ -12,24 +12,29 @@ which equals the full triplet-score argmax since the human's own terms
 are constant within the group. Ties go to the lowest candidate index.
 
 :func:`infer` runs a whole command's scenes at once, as Fast R-CNN's
-RoI layer pools a mini-batch's RoIs: consecutive whole scenes are
-pooled in one gather of at most ``_INFER_BLOCK`` rows (a larger scene
-alone), first their proposals, then their detections. Every head
-matmul still takes one scene's rows: the object head one scene's
+RoI layer pools a mini-batch's RoIs, in blocks of consecutive whole
+scenes holding at most ``_INFER_BLOCK`` proposals (a larger scene
+alone). A block's proposals are pooled in one gather, then its
+detections, again in gathers of at most ``_INFER_BLOCK`` rows. Every
+head matmul still takes one scene's rows: the object head one scene's
 proposals, the human and interaction heads one scene's detections, and
 in ``concat_mlp`` mode the pair MLP one human's candidates. A matmul's
 rows can change in their last bits with its row count, and pooling is
 row-local, so the triplets are the same bits as one scene at a time.
-Decoding and per-class NMS run per scene on ``(N, 4)`` box arrays.
 
-Pair scoring is one pass per scene over ``(detections, humans,
-actions)`` arrays: every human's offsets to every detection, every
-action's compat and interaction score, the self pair masked out, and
-one first-index argmax over the detections picks every (human, action)
-target. ``Box``/``Detection`` objects appear only in the inputs and in
-the returned triplets. Every array step repeats the arithmetic of the
-scalar functions in ``geometry`` and ``density``, so the picks and
-scores are the same bits as a pair-by-pair evaluation.
+Between the heads, a block is arrays. Every (proposal, class) above the
+score threshold is decoded in one pass, and one per-class NMS call
+takes them all, each (scene, class) its own label group. The survivors
+stay ``(N, 4)`` boxes with class, score and scene arrays. Pair scoring
+is one pass over a ``(humans, candidates, actions)`` grid: row k holds
+human k's candidates, the other detections of its scene in detection
+order, padded at the end to the block's longest row. Offsets, compat
+and interaction scores fill the grid, and one first-index argmax with
+the padding at -inf picks every (human, action) target. ``Box`` and
+``Detection`` objects appear only in the inputs and in the returned
+triplets, and only for the triplets kept. Every array step repeats the
+arithmetic of the scalar functions in ``geometry`` and ``density``, so
+the picks and scores are the same bits as a pair-by-pair evaluation.
 
 Self-pairs are excluded: a human box is never its own target, but other
 detected people are legitimate candidates.
@@ -42,6 +47,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,10 +72,11 @@ from .model import (
 SCORE_THRESHOLD = 0.05
 NMS_THRESHOLD = 0.3
 MAX_TRIPLETS = 100
-# rows per RoI-pooling gather of ``infer``: whole scenes are pooled
-# together up to this many, so that a gather's (rows, C * P * P) output
-# stays near 0.7 MB for 14-channel 5 x 5 bins however many scenes a
-# command holds
+# proposals per block of ``infer``, and rows per RoI-pooling gather:
+# whole scenes are pooled, decoded and scored together up to this many,
+# so that a gather's (rows, C * P * P) output stays near 0.7 MB for
+# 14-channel 5 x 5 bins, and a block's pair arrays stay as small,
+# however many scenes a command holds
 _INFER_BLOCK = 256
 
 
@@ -121,36 +128,60 @@ class InferStats:
             setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
 
+def _detect(probs, deltas, proposals, scenes, num_classes: int,
+            score_threshold: float, nms_threshold: float):
+    """Decode the (proposal, class) pairs scoring above the threshold,
+    then per-class NMS within each scene; decoded boxes of zero extent
+    are dropped. ``scenes`` are the proposals' ascending scene indices.
+
+    Returns the survivors' boxes, classes (0-based), scores and scenes,
+    each scene's contiguous and by descending score, ties to the lowest
+    (proposal, class) index."""
+    scores = probs[:, 1:num_classes + 1]
+    i, c = np.nonzero(scores > score_threshold)
+    boxes = decode_rels(deltas[i, c + 1], proposals[i])
+    valid = (boxes[:, 2] > boxes[:, 0]) & (boxes[:, 3] > boxes[:, 1])
+    boxes, c, scores, scene = (boxes[valid], c[valid], scores[i, c][valid],
+                               scenes[i][valid])
+    keep = nms(boxes, scores, scene * num_classes + c, nms_threshold)
+    keep = keep[np.argsort(scene[keep], kind="stable")]
+    return boxes[keep], c[keep], scores[keep], scene[keep]
+
+
 def detect_objects(probs: np.ndarray, deltas: np.ndarray, proposals,
                    categories, score_threshold: float = SCORE_THRESHOLD,
                    nms_threshold: float = NMS_THRESHOLD) -> list[Detection]:
-    """Decode the (proposal, class) pairs scoring above the threshold,
-    then per-class NMS; decoded boxes of zero extent are dropped."""
-    scores = probs[:, 1:len(categories) + 1]
-    i, c = np.nonzero(scores > score_threshold)
-    boxes = decode_rels(deltas[i, c + 1], box_array(proposals)[i])
-    valid = (boxes[:, 2] > boxes[:, 0]) & (boxes[:, 3] > boxes[:, 1])
-    boxes, c, scores = boxes[valid], c[valid], scores[i, c][valid]
-    keep = nms(boxes, scores, c, nms_threshold)
-    return [Detection(box=Box(*boxes[k].tolist()), category=categories[c[k]],
-                      score=float(scores[k])) for k in keep]
+    """One scene's detections (see :func:`_detect`), by descending score."""
+    boxes, c, scores, _ = _detect(
+        probs, deltas, box_array(proposals), np.zeros(len(probs), np.int64),
+        len(categories), score_threshold, nms_threshold)
+    return _detections(boxes, c, scores, categories)
 
 
-def select_object(s_o, inter, compat, exclude=None):
+def _detections(boxes, classes, scores, categories) -> list[Detection]:
+    return [Detection(Box(*b), categories[k], s) for b, k, s in
+            zip(boxes.tolist(), classes.tolist(), scores.tolist())]
+
+
+def select_object(s_o, inter, compat, counts=None):
     """Index along axis 0 (the candidates) maximizing the product, per
-    column for 2-d input and per (column, action) for 3-d; None if there
-    are no candidates. ``exclude`` holds, for each axis-1 column, the
-    one candidate it may not pick.
+    column for 2-d input; None if there are no candidates. With
+    ``counts``, axis 0 holds groups and axis 1 their candidates, of
+    which group k has its first ``counts[k]``: the result is each
+    group's index per trailing column, 0 for a group without any.
 
-    np.argmax keeps the first maximum, which is the tie-break rule.
+    The products beyond a group's candidates are set to -inf, and
+    np.argmax keeps the first maximum (and the first NaN), which is the
+    tie-break rule.
     """
     score = np.asarray(s_o) * np.asarray(inter) * np.asarray(compat)
-    if len(score) == 0:
+    if score.size == 0:
         return None
-    if exclude is not None:
-        score[exclude, np.arange(len(exclude))] = -np.inf
-    best = np.argmax(score, axis=0)
-    return int(best) if best.ndim == 0 else best
+    if counts is None:
+        best = np.argmax(score, axis=0)
+        return int(best) if best.ndim == 0 else best
+    score[np.arange(score.shape[1]) >= np.asarray(counts)[:, None]] = -np.inf
+    return np.argmax(score, axis=1)
 
 
 def _scene_bounds(ids: np.ndarray) -> list:
@@ -202,121 +233,184 @@ def infer(scene_id, proposals, provider, params, cfg: HeadConfig,
     proposals = box_array(proposals)
     ids = np.broadcast_to(np.asarray(scene_id, dtype=np.int64),
                           (len(proposals),))
+    person = np.array([c == PERSON_CATEGORY for c in categories], dtype=bool)
     stats = InferStats(num_proposals=len(proposals))
     out = []
     for block in _blocks(_scene_bounds(ids)):
-        found = []
-        for (a, b), feats in zip(block, _pooled(provider, ids, proposals,
-                                                block)):
-            obj = forward_object(feats, params, cfg)
-            found.append(detect_objects(
-                obj.probs, obj.deltas, proposals[a:b], categories,
-                icfg.score_threshold, icfg.nms_threshold))
-        ends = np.cumsum([0] + [len(d) for d in found]).tolist()
-        det_ids = np.repeat([ids[a] for a, _ in block], np.diff(ends))
-        boxes = box_array([d.box for dets in found for d in dets])
-        for (a, _), dets, feats in zip(
-                block, found, _pooled(provider, det_ids, boxes,
-                                      list(zip(ends, ends[1:])))):
-            triplets = score_detections(int(ids[a]), dets, provider, params,
-                                        cfg, registry, stats,
-                                        baseline_centers, feats)
-            order = sorted(range(len(triplets)),
-                           key=lambda i: (-triplets[i].score, i))
-            out.extend(triplets[i] for i in order[:icfg.max_triplets])
+        lo, hi = block[0][0], block[-1][1]
+        obj = [forward_object(feats, params, cfg)
+               for feats in _pooled(provider, ids, proposals, block)]
+        boxes, cls, scores, scene = _detect(
+            np.concatenate([o.probs for o in obj]),
+            np.concatenate([o.deltas for o in obj]), proposals[lo:hi],
+            np.repeat(np.arange(len(block)), [b - a for a, b in block]),
+            len(categories), icfg.score_threshold, icfg.nms_threshold)
+        stats.num_detections += len(boxes)
+        if not len(boxes):
+            continue
+        det_ids = ids[[a for a, _ in block]][scene]
+        heads = _concat([_heads(feats, params, cfg) for feats in _pooled(
+            provider, det_ids, boxes, _scene_bounds(scene))])
+        stats.per_roi_forwards += len(boxes)
+        rows = _score_rows(boxes, scores, person[cls], scene, heads, params,
+                           cfg, registry, stats, baseline_centers)
+        # each scene's rows by descending score (ties: row order), capped
+        row_scene = scene[rows.human]
+        order = np.lexsort((-rows.score, row_scene))
+        ranked = row_scene[order]
+        keep = order[np.arange(len(order)) - np.searchsorted(ranked, ranked)
+                     < icfg.max_triplets]
+        used = np.zeros(len(boxes) + 1, dtype=bool)  # the last for -1
+        used[rows.human[keep]] = used[rows.object[keep]] = True
+        used = np.flatnonzero(used[:-1])
+        dets = dict(zip(used.tolist(), _detections(
+            boxes[used], cls[used], scores[used], categories)))
+        out.extend(_triplets(rows, keep, det_ids.tolist(), dets, registry))
     return out, stats
 
 
-def _compat(rels: np.ndarray, hum, humans, cfg: HeadConfig,
-            baseline_centers, targeted) -> np.ndarray:
-    """(detections, humans, actions) target-location term of the
-    ``humans``' rows of ``hum`` for the (D, H, 4) offsets of every
-    detection from every human; only the ``targeted`` actions' columns
-    are filled for the k-means baseline."""
-    if baseline_centers is not None:
-        out = np.zeros(rels.shape[:2] + (cfg.num_actions,))
-        for a in targeted:
-            out[..., a] = kmeans_compat(rels, baseline_centers[a], cfg.sigma)
-        return out
-    if cfg.use_mdn:
-        return mixture_compat(rels[..., None, :], hum.weights[humans],
-                              hum.mus[humans], hum.sigmas[humans])
-    return gaussian_compat(rels[..., None, :], hum.mus[humans, :, 0],
-                           cfg.sigma)
+def _heads(feats, params, cfg: HeadConfig) -> tuple:
+    """Per-RoI outputs of one scene's detection rows: action scores,
+    target means, mixture weights and widths (None without the MDN), the
+    human trunk output, and the human- and object-side interaction
+    logits and object-side trunk output (None without the branch)."""
+    hum = forward_human(feats, params, cfg)
+    logit_h = logit_o = hidden_o = None
+    if cfg.use_interaction_branch:
+        logit_h = interaction_human_logits(hum.hidden, params, cfg)
+        logit_o, hidden_o = interaction_object_logits(feats, params, cfg)
+    return (hum.action_scores, hum.mus, hum.weights, hum.sigmas, hum.hidden,
+            logit_h, logit_o, hidden_o)
+
+
+def _concat(heads: list) -> tuple:
+    """Several scenes' :func:`_heads`, each output stacked over them."""
+    return tuple(None if part[0] is None else np.concatenate(part)
+                 for part in zip(*heads))
+
+
+class _Rows(NamedTuple):
+    """Triplets as arrays, one entry per triplet: the human's and the
+    object's detection index (-1 for no target), the action's registry
+    index, and the score factors (s_o and compat 0 without a target)."""
+
+    human: np.ndarray
+    action: np.ndarray
+    object: np.ndarray
+    s_h: np.ndarray
+    s_o: np.ndarray
+    action_score: np.ndarray
+    compat: np.ndarray
+    score: np.ndarray
+
+
+def _score_rows(boxes, scores, person, scene, heads, params,
+                cfg: HeadConfig, registry: ActionRegistry, stats: InferStats,
+                baseline_centers) -> _Rows:
+    """Triplet rows of detections with ascending ``scene`` indices: every
+    human's actions in detection order, each action in registry order,
+    a targeted one only where the human's scene holds another detection.
+    ``heads`` are the detections' :func:`_heads` outputs."""
+    act, mus, weights, sigmas, hidden, logit_h, logit_o, hidden_o = heads
+    humans = np.flatnonzero(person)
+    num_humans, num_actions = len(humans), cfg.num_actions
+    # row k of a (humans, most candidates) grid holds human k's candidates:
+    # the other detections of its scene, in order, then padding
+    first = np.searchsorted(scene, scene[humans])
+    counts = np.searchsorted(scene, scene[humans], side="right") - first - 1
+    width = int(counts.max(initial=0))
+    valid = np.arange(width) < counts[:, None]
+    cand = first[:, None] + np.arange(width)
+    cand = np.where(valid, cand + (cand >= humans[:, None]), humans[:, None])
+    targeted = np.array([e.role != ROLE_NONE for e in registry], dtype=bool)
+    if width:
+        rels = np.zeros((num_humans, width, 4))
+        rels[valid] = encode_rels(boxes[cand[valid]],
+                                  boxes[np.repeat(humans, counts)])
+        if baseline_centers is not None:
+            compat = np.zeros((num_humans, width, num_actions))
+            for a in np.flatnonzero(targeted).tolist():
+                compat[..., a] = kmeans_compat(rels, baseline_centers[a],
+                                               cfg.sigma)
+        elif cfg.use_mdn:
+            compat = mixture_compat(
+                rels[:, :, None], weights[humans][:, None],
+                mus[humans][:, None], sigmas[humans][:, None])
+        else:
+            compat = gaussian_compat(rels[:, :, None],
+                                     mus[humans][:, None, :, 0], cfg.sigma)
+        if not cfg.use_interaction_branch:
+            inter = act[humans][:, None]
+        elif cfg.pairwise_mode == "logit_sum":
+            inter = pair_scores(logit_h[humans][:, None], logit_o[cand], None,
+                                None, params, cfg)
+        else:  # one pair-MLP call per human over exactly its candidates
+            inter = np.zeros((num_humans, width, num_actions))
+            for k, (i, n) in enumerate(zip(humans.tolist(), counts.tolist())):
+                if n:
+                    inter[k, :n] = pair_scores(
+                        logit_h[i], logit_o[cand[k, :n]], hidden[i],
+                        hidden_o[cand[k, :n]], params, cfg)
+        if cfg.use_interaction_branch:
+            stats.num_pairs_scored += int(counts.sum())
+        best = select_object(scores[cand][..., None], inter, compat, counts)
+
+    # every (human, action) row, targeted ones where there is a candidate
+    has = (counts > 0)[:, None] & targeted
+    k, a = np.nonzero(has | ~targeted)
+    human = humans[k]
+    s_h = scores[human]
+    action_score = act[human, a]
+    obj = np.full(len(k), -1)
+    s_o, compat_at = np.zeros(len(k)), np.zeros(len(k))
+    score = s_h * action_score
+    t = np.flatnonzero(has[k, a])
+    if len(t):
+        at = k[t], best[k[t], a[t]], a[t]  # (human, candidate, action)
+        obj[t] = cand[at[:2]]
+        s_o[t] = scores[obj[t]]
+        if cfg.use_interaction_branch:
+            action_score[t] = inter[at]
+        compat_at[t] = compat[at]
+        score[t] = s_h[t] * s_o[t] * action_score[t] * compat_at[t]
+    return _Rows(human, a, obj, s_h, s_o, action_score, compat_at, score)
+
+
+def _triplets(rows: _Rows, keep, image_ids, dets, registry) -> list:
+    """The ``keep`` rows as ``ScoredTriplet``s: ``image_ids`` and ``dets``
+    are indexed by detection."""
+    entries = list(registry)
+    return [
+        ScoredTriplet(image_ids[h], dets[h], entries[a].name, entries[a].role,
+                      None, s_h, None, ia, None, score) if o < 0 else
+        ScoredTriplet(image_ids[h], dets[h], entries[a].name, entries[a].role,
+                      dets[o], s_h, s_o, ia, g, score)
+        for h, a, o, s_h, s_o, ia, g, score in zip(
+            *(col[keep].tolist() for col in rows))]
 
 
 def score_detections(scene_id: int, detections, provider, params,
                      cfg: HeadConfig, registry: ActionRegistry,
                      stats: InferStats | None = None,
-                     baseline_centers=None, feats=None) -> list:
-    """Post-detection cascade: unsorted triplets for the given boxes of
-    one scene. ``feats`` are their pooled rows, pooled here when None."""
+                     baseline_centers=None) -> list:
+    """Post-detection cascade for the given detections of one scene:
+    their triplets, unsorted, each human's in detection order, then in
+    registry order."""
     if stats is None:
         stats = InferStats()
     stats.num_detections += len(detections)
     if not detections:
         return []
-
     boxes = box_array([d.box for d in detections])
-    if feats is None:
-        feats = provider.pooled_matrix(scene_id, boxes)
-    # one cascade-stage pass per surviving box: caches action scores,
-    # density parameters, and both interaction-side quantities
-    hum = forward_human(feats, params, cfg)
-    if cfg.use_interaction_branch:
-        logit_h = interaction_human_logits(hum.hidden, params, cfg)
-        logit_o, hidden_o = interaction_object_logits(feats, params, cfg)
+    heads = _heads(provider.pooled_matrix(scene_id, boxes), params, cfg)
     stats.per_roi_forwards += len(detections)
-    humans = np.flatnonzero([d.category == PERSON_CATEGORY
-                             for d in detections])
-    if not len(humans):
-        return []
-    n, h = len(detections), len(humans)
-    act = hum.action_scores[humans]
-    if n > 1:
-        # every detection is a candidate of every human, itself masked
-        # out: (detections, humans, actions) terms, one pass per scene
-        if not cfg.use_interaction_branch:
-            inter = act[None]
-        elif cfg.pairwise_mode == "logit_sum":
-            inter = pair_scores(logit_h[humans][None], logit_o[:, None],
-                                None, None, params, cfg)
-        else:  # one pair-MLP call per human over exactly its candidates
-            inter = np.zeros((n, h, cfg.num_actions))
-            for k, i in enumerate(humans.tolist()):
-                cand = np.delete(np.arange(n), i)
-                inter[cand, k] = pair_scores(logit_h[i], logit_o[cand],
-                                             hum.hidden[i], hidden_o[cand],
-                                             params, cfg)
-        if cfg.use_interaction_branch:
-            stats.num_pairs_scored += h * (n - 1)
-        targeted = [a for a, e in enumerate(registry) if e.role != ROLE_NONE]
-        compat = _compat(encode_rels(boxes[:, None], boxes[humans][None]),
-                         hum, humans, cfg, baseline_centers, targeted)
-        det_scores = np.array([d.score for d in detections])
-        best = select_object(det_scores[:, None, None], inter, compat,
-                             exclude=humans)
-        picked = best, np.arange(h)[:, None], np.arange(cfg.num_actions)
-        inter = inter[picked] if cfg.use_interaction_branch else act
-        best, s_o = best.tolist(), det_scores[best].tolist()
-        inter, compat = inter.tolist(), compat[picked].tolist()
-
-    act = act.tolist()
-    triplets = []
-    for k, i in enumerate(humans.tolist()):
-        hdet = detections[i]
-        for a, entry in enumerate(registry):
-            if entry.role == ROLE_NONE:
-                triplets.append(ScoredTriplet(
-                    scene_id, hdet, entry.name, entry.role, None, hdet.score,
-                    None, act[k][a], None, hdet.score * act[k][a]))
-            elif n > 1:
-                so, ia, g = s_o[k][a], inter[k][a], compat[k][a]
-                triplets.append(ScoredTriplet(
-                    scene_id, hdet, entry.name, entry.role,
-                    detections[best[k][a]], hdet.score, so, ia, g,
-                    hdet.score * so * ia * g))
-    return triplets
+    rows = _score_rows(
+        boxes, np.array([d.score for d in detections]),
+        np.array([d.category == PERSON_CATEGORY for d in detections]),
+        np.zeros(len(detections), np.int64), heads, params, cfg, registry,
+        stats, baseline_centers)
+    return _triplets(rows, np.arange(len(rows.score)),
+                     [scene_id] * len(detections), detections, registry)
 
 
 def _det_json(d: Detection | None):
@@ -326,6 +420,20 @@ def _det_json(d: Detection | None):
             "score": d.score}
 
 
+_INF = float("inf")
+
+
+def _finite(value, where: str) -> float:
+    """A JSON number as a float; a non-number (a boolean too), NaN or an
+    infinity raises ValueError naming ``where``."""
+    if type(value) is float and -_INF < value < _INF:
+        return value
+    if type(value) is float:
+        raise ValueError(f"{where}: expected a finite number, got "
+                         f"{json.dumps(value)}")
+    return float(_typed(value, float, where))
+
+
 def _det_from_json(obj, where: str, seen: dict) -> Detection:
     box = _typed(obj, dict, where)["box"]
     if (type(box) is not list or len(box) != 4
@@ -333,14 +441,18 @@ def _det_from_json(obj, where: str, seen: dict) -> Detection:
         raise ValueError(f"{where}.box: expected a list of 4 numbers, got "
                          f"{json.dumps(box)}")
     # the box is checked before the category, so that a detection with
-    # both faults is named by its box; the corners become floats (an
+    # both faults is named by its box; one comparison chain passes the
+    # finite boxes of positive extent; the corners become floats (an
     # integer too large for one is an OverflowError)
     x1, y1, x2, y2 = box
-    if not (x2 > x1 and y2 > y1):
+    if not (-_INF < x1 < x2 < _INF and -_INF < y1 < y2 < _INF):
+        if any(type(v) is float and not -_INF < v < _INF for v in box):
+            raise ValueError(f"{where}.box: expected finite numbers, got "
+                             f"{json.dumps(box)}")
         Box(*box)  # raises the degenerate-box error
     box = list(map(float, box))
     category = _typed(obj["category"], str, where + ".category")
-    score = float(_typed(obj["score"], float, where + ".score"))
+    score = _finite(obj["score"], where + ".score")
     key = (category, score, *box)
     det = seen.get(key)
     if det is None:
@@ -350,8 +462,9 @@ def _det_from_json(obj, where: str, seen: dict) -> Detection:
 
 def triplet_from_json(obj, seen: dict) -> ScoredTriplet:
     """The triplet of one predictions line; a field of the wrong JSON
-    type (a boolean is not a number) raises ValueError naming it.
-    Equal detections are built once: ``seen`` holds them by value."""
+    type (a boolean is not a number) or a number that is not finite
+    raises ValueError naming it. Equal detections are built once:
+    ``seen`` holds them by value."""
     _typed(obj, dict, "top level")
     # positional: keywords cost about a tenth of the check
     return ScoredTriplet(
@@ -361,13 +474,11 @@ def triplet_from_json(obj, seen: dict) -> ScoredTriplet:
         _typed(obj["role"], str, "role"),
         (None if obj["object"] is None
          else _det_from_json(obj["object"], "object", seen)),
-        float(_typed(obj["s_h"], float, "s_h")),
-        (None if obj["s_o"] is None
-         else float(_typed(obj["s_o"], float, "s_o"))),
-        float(_typed(obj["action_score"], float, "action_score")),
-        (None if obj["compat"] is None
-         else float(_typed(obj["compat"], float, "compat"))),
-        float(_typed(obj["score"], float, "score")))
+        _finite(obj["s_h"], "s_h"),
+        None if obj["s_o"] is None else _finite(obj["s_o"], "s_o"),
+        _finite(obj["action_score"], "action_score"),
+        None if obj["compat"] is None else _finite(obj["compat"], "compat"),
+        _finite(obj["score"], "score"))
 
 
 _LINE = ('{{"image_id": {}, "human": {}, "action": {}, "role": {}, '

@@ -196,6 +196,40 @@ def test_array_nms_on_empty_one_box_and_threshold_overlap():
                0.5).shape == (0,)
 
 
+def _dense_nms(boxes, scores, labels, thresh):
+    """Greedy suppression over one dense (N, N) overlap table of every
+    candidate pair, masked to same-label pairs."""
+    n = len(boxes)
+    order = sorted(range(n), key=lambda i: (-scores[i], i))
+    over = [[labels[i] == labels[j]
+             and iou(Box(*boxes[i]), Box(*boxes[j])) > thresh
+             for j in order] for i in order]
+    alive = [True] * n
+    for p in range(n):
+        if alive[p]:
+            for q in range(p + 1, n):
+                alive[q] = alive[q] and not over[p][q]
+    return [i for p, i in enumerate(order) if alive[p]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), num_labels=st.sampled_from([1, 2, 7, 60]),
+       thresh=st.sampled_from([0.0, 1.0, 0.5, 1 / 3]) | st.floats(0.0, 1.0))
+def test_grouped_nms_matches_dense_greedy(data, num_labels, thresh):
+    """Many labels (as one call over many scenes' classes gives), tied
+    scores, duplicate boxes, thresholds 0 and 1, and no input at all."""
+    pool = data.draw(st.lists(NMS_BOXES, min_size=1, max_size=6))
+    n = data.draw(st.integers(0, 40))
+    boxes = [data.draw(st.sampled_from(pool)).as_tuple() for _ in range(n)]
+    scores = data.draw(st.lists(st.sampled_from([0.1, 0.5, 0.9]) | st.floats(
+        0.0, 1.0), min_size=n, max_size=n))
+    labels = data.draw(st.lists(st.integers(0, num_labels - 1).map(
+        lambda c: 1000 * c - 7), min_size=n, max_size=n))
+    keep = nms(np.array(boxes).reshape(-1, 4), np.array(scores),
+               np.array(labels, dtype=np.int64), thresh)
+    assert keep.tolist() == _dense_nms(boxes, scores, labels, thresh)
+
+
 def _reference_detect(probs, deltas, proposals, categories, thresh=0.05,
                       nms_thresh=0.3):
     dets = []
@@ -331,6 +365,26 @@ def test_tie_goes_to_the_lowest_candidate_index(crowd):
     assert got == _reference_score(sid, dets, provider, params, cfg)
 
 
+@pytest.mark.parametrize("second", [PERSON_CATEGORY, SYNTH_CATEGORIES[0]])
+def test_tie_between_a_person_and_an_object_goes_to_the_lower_index(
+        crowd, second):
+    scenes, provider = crowd
+    sid = scenes[0].scene_id
+    cfg = _cfg(provider)
+    params = init_params(cfg, 9)
+    person, other = Box(20.0, 20.0, 40.0, 60.0), Box(50.0, 30.0, 70.0, 50.0)
+    # a second person and an object on one box with one score, in either
+    # order: every factor of the first person's two pair scores ties
+    third = ({PERSON_CATEGORY, SYNTH_CATEGORIES[0]} - {second}).pop()
+    dets = _three([PERSON_CATEGORY, second, third], [person, other, other],
+                  [0.9, 0.7, 0.7])
+    got = score_detections(sid, dets, provider, params, cfg, REGISTRY)
+    first = [t for t in got if t.human is dets[0] and t.object is not None]
+    assert len(first) == len(TARGETED)
+    assert all(t.object is dets[1] for t in first)
+    assert got == _reference_score(sid, dets, provider, params, cfg)
+
+
 def test_lone_human_and_scene_without_person(crowd):
     scenes, provider = crowd
     sid = scenes[0].scene_id
@@ -398,18 +452,26 @@ def _scene_list(crowd):
     return SyntheticFeatureProvider(maps), order, obj, icfg
 
 
+# the cascade variants, plus k-means centers in place of other heads'
+# densities
+ONE_CALL_VARIANTS = {**VARIANTS,
+                     "share_interaction": dict(share_interaction_head=True),
+                     "kmeans_mdn": VARIANTS["mdn_m2"],
+                     "kmeans_concat_mlp": VARIANTS["concat_mlp"]}
+
+
 @pytest.mark.parametrize("block", [None, 1, 3])
-@pytest.mark.parametrize("variant", sorted(VARIANTS) + ["share_interaction"])
+@pytest.mark.parametrize("variant", sorted(ONE_CALL_VARIANTS))
 def test_one_call_over_many_scenes_equals_a_call_per_scene(
         crowd, variant, block, monkeypatch):
     provider, order, obj, icfg = _scene_list(crowd)
-    kw = (dict(share_interaction_head=True) if variant == "share_interaction"
-          else VARIANTS[variant])
+    kw = ONE_CALL_VARIANTS[variant]
     cfg = _cfg(provider, **kw)
     params = {**init_params(cfg, 7), **obj}
     rng = np.random.default_rng(5)
+    # k-means centers replace the density of any head
     centers = ({a: rng.normal(scale=0.5, size=(int(rng.integers(1, 4)), 4))
-                for a in TARGETED} if variant == "kmeans_baseline" else None)
+                for a in TARGETED} if variant.startswith("kmeans") else None)
 
     want, totals, per_scene = [], InferStats(), []
     for sid, props in order:

@@ -64,4 +64,6 @@ def test_traced_train_and_infer_run(layers, tmp_path):
         stats = json.load(fh)
     assert stats["num_detections"] > 0 and stats["num_pairs_scored"] > 0
     assert tracer.counts["inference.detections"] == stats["num_detections"]
+    # every detection passed through the traced ``inference.nms``
+    assert tracer.counts["geometry.nms_kept"] == stats["num_detections"]
     assert metrics["inference.pairs_scored"] == stats["num_pairs_scored"]

@@ -552,6 +552,42 @@ class TestEvalCommand:
         assert err.startswith("error: data: predictions line 2: ")
         assert detail in err
 
+    @pytest.mark.parametrize("path, value", [
+        (("score",), math.nan), (("s_h",), math.inf),
+        (("s_o",), -math.inf), (("action_score",), math.nan),
+        (("compat",), math.inf), (("human", "score"), math.nan),
+        (("object", "score"), math.inf), (("human", "box", 2), math.inf),
+        (("object", "box", 0), math.nan),
+    ], ids=lambda v: v if isinstance(v, float) else ".".join(map(str, v)))
+    @pytest.mark.parametrize("at", ["first", "last"])
+    def test_non_finite_number_is_data_error(self, tmp_path, capsys, path,
+                                             value, at):
+        """A NaN score would rank differently with its position in the
+        file; every non-finite number is refused wherever it is."""
+        data = _synth(tmp_path)
+        pred = self._gt_echo(data, tmp_path)
+        lines = pred.read_text().splitlines()
+        doc = next(d for d in map(json.loads, lines)
+                   if d["object"] is not None)
+        lines.remove(json.dumps(doc))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        lines.insert(0 if at == "first" else len(lines), json.dumps(doc))
+        pred.write_text("\n".join(lines) + "\n")
+        code = _run("eval", "--out", str(tmp_path / "ev"),
+                    "--predictions", str(pred),
+                    "--annotations", str(data / "annotations.json"))
+        assert code == 1
+        number = 1 if at == "first" else len(lines)
+        field = ".".join(path[:2])
+        detail = (f"expected finite numbers, got {json.dumps(parent)}"
+                  if "box" in path else
+                  f"expected a finite number, got {json.dumps(value)}")
+        assert capsys.readouterr().err == (
+            f"error: data: predictions line {number}: {field}: {detail}\n")
+
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_a_value_of_another_type_is_one_data_line(self, annotated, data):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -464,7 +465,12 @@ class TestPredictionLines:
         write_predictions(path, trips)
         assert path.read_text() == "".join(
             json.dumps(_triplet_json(t)) + "\n" for t in trips)
-        assert read_predictions(path)[:2] == trips[:2]
+        # the reader takes finite numbers only
+        with pytest.raises(ValueError, match="^predictions line 3: "
+                           "action_score: expected a finite number, got NaN$"):
+            read_predictions(path)
+        write_predictions(path, trips[:2])
+        assert read_predictions(path) == trips[:2]
 
     def test_lines_that_join_into_triplets_keep_their_own_error(
             self, tmp_path):
@@ -501,12 +507,22 @@ def _reference_detection(obj, where: str) -> Detection:
             or not _NUMBERS.issuperset(map(type, box))):
         raise ValueError(f"{where}.box: expected a list of 4 numbers, got "
                          f"{json.dumps(box)}")
+    if any(type(v) is float and not math.isfinite(v) for v in box):
+        raise ValueError(f"{where}.box: expected finite numbers, got "
+                         f"{json.dumps(box)}")
     Box(*box)  # a degenerate box is named by the numbers as written
     return Detection(box=Box(*map(float, box)),
                      category=_typed(obj["category"], str,
                                      where + ".category"),
-                     score=float(_typed(obj["score"], float,
-                                        where + ".score")))
+                     score=_reference_number(obj["score"], where + ".score"))
+
+
+def _reference_number(value, where: str) -> float:
+    number = float(_typed(value, float, where))
+    if not math.isfinite(number):
+        raise ValueError(f"{where}: expected a finite number, got "
+                         f"{json.dumps(number)}")
+    return number
 
 
 def _reference_triplet(obj) -> ScoredTriplet:
@@ -514,7 +530,7 @@ def _reference_triplet(obj) -> ScoredTriplet:
     def number(key, nullable=False):
         if nullable and obj[key] is None:
             return None
-        return float(_typed(obj[key], float, key))
+        return _reference_number(obj[key], key)
 
     _typed(obj, dict, "top level")
     return ScoredTriplet(
@@ -576,12 +592,12 @@ _LINES = [json.dumps(_triplet_json(t)) for t in [
 
 def _mutated(line: str, draw) -> str:
     """``line`` with one fault drawn: a JSON value of another type at a
-    path, a key dropped or added, a number as an integer, a cut, a stray
-    character, a BOM, a second document, or a degenerate box that also
-    lacks its category."""
-    kind = draw(st.sampled_from(["value", "drop", "add", "integer", "cut",
-                                 "insert", "bom", "two_docs",
-                                 "two_faults"]))
+    path, a key dropped or added, a number as an integer or as NaN or an
+    infinity, a cut, a stray character, a BOM, a second document, or a
+    degenerate box that also lacks its category."""
+    kind = draw(st.sampled_from(["value", "drop", "add", "integer",
+                                 "non_finite", "cut", "insert", "bom",
+                                 "two_docs", "two_faults"]))
     if kind == "cut":
         return line[:draw(st.integers(0, len(line) - 1))]
     if kind == "insert":
@@ -611,6 +627,9 @@ def _mutated(line: str, draw) -> str:
         old[draw(st.text(max_size=3))] = draw(_OTHER_VALUES)
     elif kind == "integer" and type(old) is float:
         parent[path[-1]] = int(old)
+    elif kind == "non_finite" and type(old) is float:
+        parent[path[-1]] = draw(st.sampled_from(
+            [math.nan, math.inf, -math.inf]))
     else:
         parent[path[-1]] = draw(_OTHER_VALUES.filter(
             lambda v: _json_type(v) != _json_type(old)))
