@@ -34,6 +34,7 @@ import zipfile
 import numpy as np
 
 from .dataset import (
+    _INT64,
     _NUMBERS,
     PERSON_CATEGORY,
     ROLE_NONE,
@@ -55,7 +56,7 @@ from .features import (
     map_buffer,
     place,
 )
-from .geometry import decode_rel, encode_rel
+from .geometry import decode_rel, encode_rels
 from .inference import (
     InferenceConfig,
     infer,
@@ -99,13 +100,7 @@ def _defaults(cls, *names) -> dict:
 _INPUTS = {"annotations": None, "features": None, "proposals": None}
 
 _SCHEMAS = {
-    "synth": {
-        **_defaults(SynthConfig, "num_scenes", "persons_per_scene",
-                    "num_distractors", "noise", "image_size", "stride",
-                    "proposals_per_box", "proposal_magnitude", "verbs",
-                    "seed"),
-        "out": "synth_out",
-    },
+    "synth": {**_defaults(SynthConfig), "out": "synth_out"},
     "train": {
         **_INPUTS,
         "density_mode": "fixed_sigma",
@@ -260,7 +255,9 @@ def _npy_array(raw: bytes, headers: dict) -> np.ndarray:
 
 def read_feature_maps(path) -> dict:
     """Per-image maps of an ``.npz`` holding ``map_N`` arrays and their
-    ``stride_N`` scalars; malformed content is a ``data`` error.
+    ``stride_N`` scalars; malformed content is a ``data`` error, and so
+    are an ``N`` outside the int64 range and a member whose dtype is not
+    bool, integer or floating.
 
     The maps are held once, channel-last, in one float64 buffer, each
     map's data a (C, H, W) view of its block (see ``features.place``),
@@ -287,7 +284,11 @@ def read_feature_maps(path) -> dict:
             return key if key in names else key + ".npy"
 
         def member(key):
-            return _npy_array(z.zip.read(name(key)), headers)
+            array = _npy_array(z.zip.read(name(key)), headers)
+            if array.dtype.kind not in "biuf":
+                raise ValueError(f"{key}: dtype {array.dtype} is not bool, "
+                                 f"integer or floating")
+            return array
 
         # one entry per byte of the map members, so at least one per
         # element whatever their dtype; only the entries written become
@@ -297,7 +298,7 @@ def read_feature_maps(path) -> dict:
         offset = 0
         for key in keys:
             try:
-                image_id = int(key[4:])
+                image_id = _image_id(key[4:])
                 stride = f"stride_{image_id}"
                 if stride not in files:
                     raise ValueError(f"no {stride} member")
@@ -312,21 +313,31 @@ def read_feature_maps(path) -> dict:
 
 
 def write_proposals(path, proposals: dict, config: dict) -> None:
-    doc = {
-        "config": config,
-        "proposals": {
-            str(i): [list(b.as_tuple()) for b in boxes]
-            for i, boxes in proposals.items()
-        },
-    }
+    """Write ``proposals.json`` as the bytes ``json.dump`` writes. Each
+    image's boxes are encoded and written on their own, so the document
+    is never held whole."""
+    encode = json.JSONEncoder().encode
     with open(path, "w") as f:
-        json.dump(doc, f)
-        f.write("\n")
+        f.write(f'{{"config": {encode(config)}, "proposals": {{')
+        for k, (i, boxes) in enumerate(proposals.items()):
+            f.write(f'{", " if k else ""}{encode(str(i))}: '
+                    f'{encode([list(b.as_tuple()) for b in boxes])}')
+        f.write("}}\n")
+
+
+def _image_id(text: str) -> int:
+    """The image id an ``int`` parse of ``text`` gives; ValueError unless
+    it lies in the int64 range."""
+    image_id = int(text)
+    if image_id not in _INT64:
+        raise ValueError("image id outside the int64 range")
+    return image_id
 
 
 def read_proposals(path) -> dict:
     """Per-image ``(N, 4)`` float64 box arrays of a ``proposals.json``;
-    malformed content is a ``data`` error."""
+    malformed content is a ``data`` error, and so is an image id outside
+    the int64 range."""
     try:
         with open(path) as f:
             doc = json.load(f)
@@ -341,7 +352,7 @@ def read_proposals(path) -> dict:
     out = {}
     for i, rows in items:
         try:
-            out[int(i)] = _box_rows(rows)
+            out[_image_id(i)] = _box_rows(rows)
         except (TypeError, ValueError, OverflowError) as exc:
             raise CliError("data", f"proposals for image {i}: {exc}")
     return out
@@ -367,8 +378,7 @@ def _box_rows(rows) -> np.ndarray:
 
 def _write_json(path, doc) -> None:
     with open(path, "w") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _load_world(cfg):
@@ -620,24 +630,26 @@ def cmd_eval(cfg: dict) -> int:
 
 
 def fit_baseline_centers(ds: Dataset, k: int, seed: int) -> dict:
-    """Per-action k-means over ground-truth relative offsets."""
-    offsets = {a: [] for a in range(len(ds.registry))}
+    """Per-action k-means over ground-truth relative offsets: each typed
+    record's object box encoded relative to its person box, gathered
+    from the scenes' box arrays in file order."""
+    actions, targets, persons = [], [], []
     for scene in ds.scenes:
         for rec in scene.interactions:
-            if rec.role == ROLE_NONE:
-                continue
-            a = ds.registry.index(rec.action, rec.role)
-            rel = encode_rel(scene.objects[rec.object].box,
-                             scene.persons[rec.person])
-            offsets[a].append(rel.as_tuple())
+            if rec.role != ROLE_NONE:
+                actions.append(ds.registry.index(rec.action, rec.role))
+                targets.append(scene.objects[rec.object])
+                persons.append(scene.persons[rec.person])
+    actions = np.array(actions, dtype=int)
+    offsets = encode_rels(np.reshape(targets, (-1, 4)),
+                          np.reshape(persons, (-1, 4)))
     centers = {}
-    for a, rows in offsets.items():
-        if ds.registry.entries[a].role == ROLE_NONE:
+    for a, entry in enumerate(ds.registry):
+        if entry.role == ROLE_NONE:
             continue
-        if rows:
-            centers[a] = kmeans_offsets(np.asarray(rows), k, seed=seed)
-        else:
-            centers[a] = np.zeros((1, 4))
+        rows = offsets[actions == a]
+        centers[a] = (kmeans_offsets(rows, k, seed=seed) if len(rows)
+                      else np.zeros((1, 4)))
     return centers
 
 

@@ -17,7 +17,10 @@ Scenes are stored in one neutral JSON layout regardless of origin:
     }
 
 Converters from upstream dataset formats are expected to emit this layout;
-the engine never parses third-party formats directly.
+the engine never parses third-party formats directly. A loaded scene
+holds its boxes as arrays (see :class:`SceneAnnotation`); ``Box`` is
+used only where one box at a time is handled, as in the generator's
+rejection sampling and :func:`jitter_proposals`.
 
 The synthetic generator builds scenes whose person appearance provably
 determines the target location: each person carries a latent code (action
@@ -33,11 +36,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import accumulate, chain, pairwise
+from typing import NamedTuple
 
 import numpy as np
 
 from .features import FeatureMap
-from .geometry import Box, clip_box, decode_rel, iou
+from .geometry import Box, box_array, clip_box, decode_rel, iou
 
 ROLE_NONE = "none"
 ROLE_OBJECT = "object"
@@ -54,6 +59,7 @@ class AnnotationError(ValueError):
 
 
 _NUMBERS = {float, int}  # the types of a JSON number (not of a boolean)
+_INT64 = range(-2**63, 2**63)  # image ids, which are held as int64 arrays
 # JSON names of the types the loader checks for (float stands for any
 # number), and of the values it finds
 _EXPECTED = {list: "a list", dict: "an object", str: "a string",
@@ -191,17 +197,11 @@ def default_registry() -> ActionRegistry:
     return ActionRegistry(ActionSpec(n, r) for n, r in _DEFAULT_ENTRIES)
 
 
-@dataclass(frozen=True)
-class ObjectInstance:
-    box: Box
-    category: str
-    # set when annotation is known non-exhaustive; such objects never
-    # serve as classification negatives
-    ignore: bool = False
+class Interaction(NamedTuple):
+    """One interaction record: the acting person's index, the (action,
+    role) entry and, for a typed role, the target object's index. A
+    named tuple, as a file holds hundreds of them."""
 
-
-@dataclass(frozen=True)
-class Interaction:
     person: int
     action: str
     role: str
@@ -210,46 +210,65 @@ class Interaction:
 
 @dataclass
 class SceneAnnotation:
+    """One image's ground truth, its boxes held as arrays.
+
+    ``persons`` is a (P, 4) float64 array of person box corners and
+    ``objects`` an (O, 4) one of object boxes; beside them,
+    ``categories`` names each object's category and ``ignore`` (O,)
+    flags the objects whose annotation is known non-exhaustive, which
+    never serve as classification negatives (no flags by default).
+    Interaction records index rows of ``persons`` and ``objects``. The
+    scenes of a loaded file hold views of one box array per file.
+    """
+
     image_id: int
     width: float
     height: float
-    persons: list
-    objects: list
+    persons: np.ndarray
+    objects: np.ndarray
+    categories: tuple
     interactions: list
+    ignore: np.ndarray | None = None
+
+    def __post_init__(self):
+        self.persons = np.asarray(self.persons, np.float64).reshape(-1, 4)
+        self.objects = np.asarray(self.objects, np.float64).reshape(-1, 4)
+        self.categories = tuple(self.categories)
+        self.ignore = np.asarray(
+            np.zeros(len(self.objects), bool) if self.ignore is None
+            else self.ignore, bool)
 
     def validate(self, registry: ActionRegistry, where: str = "scene"):
-        if not (0 < self.width < math.inf and 0 < self.height < math.inf):
-            raise AnnotationError(f"{where}: image size must be positive and "
-                                  f"finite, got {self.width} x {self.height}")
-        for j, rec in enumerate(self.interactions):
-            here = f"{where}.interactions[{j}]"
-            if not registry.has(rec.action, rec.role):
-                raise AnnotationError(
-                    f"{here}: unknown action {rec.action!r} with role {rec.role!r}"
-                )
-            if not (0 <= rec.person < len(self.persons)):
-                raise AnnotationError(f"{here}: person index {rec.person} out of range")
-            if rec.role == ROLE_NONE:
-                if rec.object is not None:
-                    raise AnnotationError(
-                        f"{here}: role 'none' must not reference an object"
-                    )
-            else:
-                if rec.object is None or not (0 <= rec.object < len(self.objects)):
-                    raise AnnotationError(
-                        f"{here}: object index {rec.object} out of range"
-                    )
+        _check_records(self.width, self.height, self.interactions,
+                       len(self.persons), len(self.objects), registry, where)
         return self
 
 
-def _box_from_json(raw, where: str) -> Box:
-    try:
-        if type(raw) is not list or not _NUMBERS.issuperset(map(type, raw)):
-            raise ValueError("expected a list of numbers")
-        x1, y1, x2, y2 = map(float, raw)
-        return Box(x1, y1, x2, y2)
-    except (OverflowError, ValueError) as exc:
-        raise AnnotationError(f"{where}: invalid box {raw!r} ({exc})")
+def _check_records(width: float, height: float, interactions, n_persons: int,
+                   n_objects: int, registry: ActionRegistry, where: str):
+    """AnnotationError naming the first fault of a scene's image size or
+    interaction records, given its person and object counts."""
+    if not (0 < width < math.inf and 0 < height < math.inf):
+        raise AnnotationError(f"{where}: image size must be positive and "
+                              f"finite, got {width} x {height}")
+    for j, rec in enumerate(interactions):
+        here = f"{where}.interactions[{j}]"
+        if not registry.has(rec.action, rec.role):
+            raise AnnotationError(
+                f"{here}: unknown action {rec.action!r} with role {rec.role!r}"
+            )
+        if not (0 <= rec.person < n_persons):
+            raise AnnotationError(f"{here}: person index {rec.person} out of range")
+        if rec.role == ROLE_NONE:
+            if rec.object is not None:
+                raise AnnotationError(
+                    f"{here}: role 'none' must not reference an object"
+                )
+        else:
+            if rec.object is None or not (0 <= rec.object < n_objects):
+                raise AnnotationError(
+                    f"{here}: object index {rec.object} out of range"
+                )
 
 
 def _list_at(raw: dict, key: str, prefix: str = "") -> list:
@@ -258,7 +277,109 @@ def _list_at(raw: dict, key: str, prefix: str = "") -> list:
     return _typed(raw.get(key, []), list, prefix + key)
 
 
-def _scene_from_json(raw, registry: ActionRegistry, where: str) -> SceneAnnotation:
+def _bulk_scenes(raw: list, registry: ActionRegistry):
+    """The scenes of ``raw``, or None if any record fails a check.
+
+    Each check runs once over the same field of every scene, object or
+    interaction record of the file, and the boxes of every scene are
+    converted in one pass into one array: its person rows, then its
+    object rows. The checks are those of :func:`_scene_fault`."""
+    if not {dict}.issuperset(map(type, raw)):
+        return None
+    ids = [s.get("image_id") for s in raw]
+    sizes = [s.get(k) for k in ("width", "height") for s in raw]
+    persons, objects, records = lists = [
+        [s.get(k, []) for s in raw]
+        for k in ("persons", "objects", "interactions")]
+    if not ({int}.issuperset(map(type, ids))
+            and all(map(_INT64.__contains__, ids))
+            and len(set(ids)) == len(ids)
+            and _NUMBERS.issuperset(map(type, sizes))
+            and {list}.issuperset(map(type, chain.from_iterable(lists)))):
+        return None
+    objs = list(chain.from_iterable(objects))
+    recs = list(chain.from_iterable(records))
+    if not {dict}.issuperset(map(type, chain(objs, recs))):
+        return None
+    categories = [o.get("category") for o in objs]
+    ignore = [o.get("ignore", False) for o in objs]
+    rows = list(chain.from_iterable(persons)) + [o.get("box") for o in objs]
+    person = [r.get("person") for r in recs]
+    action = [r.get("action") for r in recs]
+    role = [r.get("role", ROLE_NONE) for r in recs]
+    target = [r.get("object") for r in recs]
+    # each record's scene's person and object counts
+    n_records = list(map(len, records))
+    rec_persons = np.repeat(list(map(len, persons)), n_records).tolist()
+    rec_objects = np.repeat(list(map(len, objects)), n_records).tolist()
+    if not ({str}.issuperset(map(type, chain(categories, action, role)))
+            and {bool}.issuperset(map(type, ignore))
+            and {list}.issuperset(map(type, rows))
+            and {4}.issuperset(map(len, rows))
+            and _NUMBERS.issuperset(map(type, chain.from_iterable(rows)))
+            and {int}.issuperset(map(type, person))
+            and {int, type(None)}.issuperset(map(type, target))
+            and all(map(registry.has, action, role))
+            and all(0 <= p < n for p, n in zip(person, rec_persons))
+            and all((o is None) if r == ROLE_NONE
+                    else (o is not None and 0 <= o < n)
+                    for r, o, n in zip(role, target, rec_objects))):
+        return None
+    try:
+        size = np.fromiter(sizes, np.float64, len(sizes))
+        boxes = np.fromiter(chain.from_iterable(rows), np.float64,
+                            4 * len(rows)).reshape(-1, 4)
+    except OverflowError:
+        return None
+    if not (np.all((0 < size) & (size < math.inf))
+            and np.all((boxes[:, 2] > boxes[:, 0])
+                       & (boxes[:, 3] > boxes[:, 1]))):
+        return None
+    p_at = list(accumulate(map(len, persons), initial=0))
+    o_at = list(accumulate(map(len, objects), initial=0))
+    r_at = list(accumulate(n_records, initial=0))
+    object_boxes = boxes[p_at[-1]:]
+    flags = np.array(ignore, dtype=bool)
+    interactions = list(map(Interaction, person, action, role, target))
+    widths, heights = size[:len(raw)].tolist(), size[len(raw):].tolist()
+    return [SceneAnnotation(image_id, w, h, boxes[p0:p1], object_boxes[o0:o1],
+                            categories[o0:o1], interactions[r0:r1],
+                            flags[o0:o1])
+            for image_id, w, h, (p0, p1), (o0, o1), (r0, r1) in zip(
+                ids, widths, heights, pairwise(p_at), pairwise(o_at),
+                pairwise(r_at))]
+
+
+def _first_fault(raw: list, registry: ActionRegistry):
+    """Raise the AnnotationError of the first fault of the "scenes" list
+    ``raw``, read record by record in file order; :func:`_bulk_scenes`
+    has found that it holds one."""
+    first = {}
+    for i, scene in enumerate(raw):
+        image_id = _scene_fault(scene, registry, f"scenes[{i}]")
+        j = first.setdefault(image_id, i)
+        if j != i:
+            raise AnnotationError(f"scenes[{i}]: image_id {image_id} "
+                                  f"repeats scenes[{j}]")
+    raise AssertionError("the bulk and record-by-record annotation checks "
+                         "disagree")
+
+
+def _check_box(raw, where: str):
+    """AnnotationError naming ``where`` unless ``raw`` is a list of four
+    numbers with positive width and height."""
+    try:
+        if type(raw) is not list or not _NUMBERS.issuperset(map(type, raw)):
+            raise ValueError("expected a list of numbers")
+        x1, y1, x2, y2 = map(float, raw)
+        Box(x1, y1, x2, y2)
+    except (OverflowError, ValueError) as exc:
+        raise AnnotationError(f"{where}: invalid box {raw!r} ({exc})")
+
+
+def _scene_fault(raw, registry: ActionRegistry, where: str) -> int:
+    """The image id of one raw scene, checked record by record in file
+    order; AnnotationError naming its first fault, if it has one."""
     _typed(raw, dict, where)
     try:
         image_id = _typed(raw["image_id"], int, f"{where}.image_id")
@@ -266,22 +387,20 @@ def _scene_from_json(raw, registry: ActionRegistry, where: str) -> SceneAnnotati
         height = float(_typed(raw["height"], float, f"{where}.height"))
     except (KeyError, OverflowError) as exc:
         raise AnnotationError(f"{where}: bad header fields ({exc})")
-    persons = [
-        _box_from_json(b, f"{where}.persons[{i}]")
-        for i, b in enumerate(_list_at(raw, "persons", f"{where}."))
-    ]
-    objects = []
-    for i, o in enumerate(_list_at(raw, "objects", f"{where}.")):
+    if image_id not in _INT64:
+        raise AnnotationError(f"{where}.image_id: {image_id} is outside "
+                              f"the int64 range")
+    persons = _list_at(raw, "persons", f"{where}.")
+    for i, box in enumerate(persons):
+        _check_box(box, f"{where}.persons[{i}]")
+    objects = _list_at(raw, "objects", f"{where}.")
+    for i, o in enumerate(objects):
         here = f"{where}.objects[{i}]"
         if "category" not in _typed(o, dict, here):
             raise AnnotationError(f"{here}: missing category")
-        objects.append(
-            ObjectInstance(
-                box=_box_from_json(o.get("box"), here),
-                category=_typed(o["category"], str, f"{here}.category"),
-                ignore=_typed(o.get("ignore", False), bool, f"{here}.ignore"),
-            )
-        )
+        _check_box(o.get("box"), here)
+        _typed(o["category"], str, f"{here}.category")
+        _typed(o.get("ignore", False), bool, f"{here}.ignore")
     interactions = []
     for i, r in enumerate(_list_at(raw, "interactions", f"{where}.")):
         here = f"{where}.interactions[{i}]"
@@ -299,8 +418,9 @@ def _scene_from_json(raw, registry: ActionRegistry, where: str) -> SceneAnnotati
         if rec.object is not None and rec.object < 0:
             raise AnnotationError(f"{here}: object index {rec.object} out of range")
         interactions.append(rec)
-    scene = SceneAnnotation(image_id, width, height, persons, objects, interactions)
-    return scene.validate(registry, where)
+    _check_records(width, height, interactions, len(persons), len(objects),
+                   registry, where)
+    return image_id
 
 
 @dataclass
@@ -317,6 +437,11 @@ def load_annotations(path, schema: str = "vcoco_like") -> Dataset:
     built-in 26-verb registry when the file omits "actions" and treats the
     annotation as exhaustive; "hico_like" requires an explicit registry and
     tolerates per-object ignore flags for non-exhaustive annotation.
+
+    The scenes are checked and converted in bulk by :func:`_bulk_scenes`.
+    If some record fails a check, :func:`_first_fault` reads them record
+    by record, in file order, and raises the AnnotationError of the
+    first fault it meets, naming the record.
     """
     if schema not in ("vcoco_like", "hico_like"):
         raise AnnotationError(f"unknown schema {schema!r}")
@@ -336,61 +461,57 @@ def load_annotations(path, schema: str = "vcoco_like") -> Dataset:
         raise AnnotationError(f"{path}: hico_like files must declare actions")
     categories = [_typed(c, str, f"categories[{i}]")
                   for i, c in enumerate(_list_at(raw, "categories"))]
-    scenes, first = [], {}
-    for i, s in enumerate(_list_at(raw, "scenes")):
-        scenes.append(_scene_from_json(s, registry, f"scenes[{i}]"))
-        j = first.setdefault(scenes[-1].image_id, i)
-        if j != i:
-            raise AnnotationError(f"scenes[{i}]: image_id "
-                                  f"{scenes[-1].image_id} repeats scenes[{j}]")
+    raw_scenes = _list_at(raw, "scenes")
+    scenes = _bulk_scenes(raw_scenes, registry)
+    if scenes is None:
+        _first_fault(raw_scenes, registry)
     if not categories:
-        categories = sorted({o.category for s in scenes for o in s.objects})
+        categories = sorted({c for s in scenes for c in s.categories})
     if schema == "vcoco_like":
         for i, s in enumerate(scenes):
-            for j, o in enumerate(s.objects):
-                if o.ignore:
-                    raise AnnotationError(
-                        f"scenes[{i}].objects[{j}]: ignore flags are a "
-                        "hico_like convention"
-                    )
+            if s.ignore.any():
+                raise AnnotationError(
+                    f"scenes[{i}].objects[{int(s.ignore.argmax())}]: ignore "
+                    "flags are a hico_like convention"
+                )
     return Dataset(registry=registry, categories=categories, scenes=scenes)
 
 
 def save_annotations(path, dataset: Dataset) -> None:
-    doc = {
-        "version": ANNOTATION_VERSION,
-        "actions": dataset.registry.to_json(),
-        "categories": list(dataset.categories),
-        "scenes": [
-            {
-                "image_id": s.image_id,
-                "width": s.width,
-                "height": s.height,
-                "persons": [list(p.as_tuple()) for p in s.persons],
-                "objects": [
-                    {
-                        "box": list(o.box.as_tuple()),
-                        "category": o.category,
-                        "ignore": o.ignore,
-                    }
-                    for o in s.objects
-                ],
-                "interactions": [
-                    {
-                        "person": r.person,
-                        "action": r.action,
-                        "role": r.role,
-                        "object": r.object,
-                    }
-                    for r in s.interactions
-                ],
-            }
-            for s in dataset.scenes
-        ],
-    }
+    """Write ``dataset`` in the layout of the module docstring, as the
+    bytes ``json.dump`` writes with ``indent=1``. Each scene is encoded
+    and written on its own, so the document is never held whole."""
+    encode = json.JSONEncoder(indent=1).encode
+    head = encode({"version": ANNOTATION_VERSION,
+                   "actions": dataset.registry.to_json(),
+                   "categories": list(dataset.categories), "scenes": []})
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        if not dataset.scenes:
+            fh.write(head + "\n")
+            return
+        # "scenes" is the last key: reopen the list the encoder closed
+        # empty; at depth 2 every line of a scene is two spaces deeper
+        fh.write(head[:-len("[]\n}")] + "[")
+        for k, s in enumerate(dataset.scenes):
+            fh.write(("," if k else "") + "\n  "
+                     + encode(_scene_json(s)).replace("\n", "\n  "))
+        fh.write("\n ]\n}\n")
+
+
+def _scene_json(s: SceneAnnotation) -> dict:
+    """One scene in the layout of the module docstring."""
+    return {
+        "image_id": s.image_id,
+        "width": s.width,
+        "height": s.height,
+        "persons": s.persons.tolist(),
+        "objects": [
+            {"box": box, "category": category, "ignore": ignore}
+            for box, category, ignore in zip(
+                s.objects.tolist(), s.categories, s.ignore.tolist())
+        ],
+        "interactions": [r._asdict() for r in s.interactions],
+    }
 
 
 # --- synthetic scenes ----------------------------------------------------
@@ -580,12 +701,13 @@ def generate_synthetic(cfg: SynthConfig):
     for sid in range(cfg.num_scenes):
         rng = np.random.default_rng((cfg.seed, sid))
         data = np.zeros((layout["total"], grid, grid))
-        persons, objects, interactions, codes = [], [], [], []
+        persons, objects, categories, interactions, codes = [], [], [], [], []
         placed = []
 
         def add_object(box, cat):
             """Record an object, mark its box placed, and paint it."""
-            objects.append(ObjectInstance(box=box, category=cat))
+            objects.append(box)
+            categories.append(cat)
             placed.append(box)
             _paint(data, box, cfg.stride, [
                 (layout["object"], 1.0),
@@ -651,8 +773,9 @@ def generate_synthetic(cfg: SynthConfig):
             image_id=sid,
             width=cfg.image_size,
             height=cfg.image_size,
-            persons=persons,
-            objects=objects,
+            persons=box_array(persons),
+            objects=box_array(objects),
+            categories=categories,
             interactions=interactions,
         ).validate(registry, f"synthetic[{sid}]")
         props = jitter_proposals(
@@ -678,7 +801,8 @@ def jitter_proposals(scene: SceneAnnotation, count: int, magnitude: float, seed)
     if magnitude < 0:
         raise ValueError("magnitude must be nonnegative")
     rng = np.random.default_rng(seed)
-    sources = list(scene.persons) + [o.box for o in scene.objects]
+    sources = [Box(*row) for row in
+               np.concatenate([scene.persons, scene.objects]).tolist()]
     out = []
     for src in sources:
         out.append(src)

@@ -16,6 +16,10 @@ AP uses all-point interpolation (the precision envelope integrated over
 recall) by default; eleven_point=True gives the older 11-level mean.
 Entries with no ground truth have undefined AP: they are flagged and
 excluded from means rather than averaged as zeros.
+
+Ground truth is read from the scenes' person and object box arrays;
+each record's boxes become ``Box`` values, since matching compares one
+prediction with one record at a time.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import ROLE_NONE, Dataset
-from .geometry import iou
+from .geometry import Box, iou
 
 
 @dataclass(frozen=True)
@@ -74,14 +78,15 @@ def _role_gt_index(ds: Dataset):
     """(verb, role) -> image_id -> ground-truth records."""
     table = {}
     for scene in ds.scenes:
+        persons, objects = scene.persons.tolist(), scene.objects.tolist()
         for rec in scene.interactions:
             if rec.role == ROLE_NONE:
                 continue
-            obj = scene.objects[rec.object]
             table.setdefault((rec.action, rec.role), {}).setdefault(
                 scene.image_id, []
-            ).append(_GtRecord(scene.persons[rec.person], obj.box,
-                               obj.category))
+            ).append(_GtRecord(Box(*persons[rec.person]),
+                               Box(*objects[rec.object]),
+                               scene.categories[rec.object]))
     return table
 
 
@@ -89,6 +94,7 @@ def _agent_gt_index(ds: Dataset):
     """verb -> image_id -> one record per distinct acting person."""
     table = {}
     for scene in ds.scenes:
+        persons = scene.persons.tolist()
         seen = set()
         for rec in scene.interactions:
             key = (rec.action, rec.person)
@@ -97,7 +103,7 @@ def _agent_gt_index(ds: Dataset):
             seen.add(key)
             table.setdefault(rec.action, {}).setdefault(
                 scene.image_id, []
-            ).append(_GtRecord(scene.persons[rec.person], None, None))
+            ).append(_GtRecord(Box(*persons[rec.person]), None, None))
     return table
 
 

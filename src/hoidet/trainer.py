@@ -13,12 +13,14 @@ offset measured from the sampled box. Interaction samples are
 ground-truth pairs only.
 
 A scene's labels depend only on its fixed proposals and ground truth,
-so ``train`` builds every scene's :class:`LabelTable` once, before
+so ``train`` builds a scene's :class:`LabelTable` once, before
 iteration 0 (as Fast R-CNN's roidb holds each image's matches and
-regression targets): a chunk of scenes is stacked into zero-padded
-arrays, and a proposal's match is the ``argmax`` of its row of one IoU
-block. A visit to a scene is then only the seeded shuffles of
-:func:`draw_samples` and row gathers from its table.
+regression targets), and only for the scenes its schedule draws: it
+draws every iteration's picks first. A chunk of scenes is stacked into
+zero-padded arrays straight from the annotations' box arrays, and a
+proposal's match is the ``argmax`` of its row of one IoU block. A visit
+to a scene is then only the seeded shuffles of :func:`draw_samples` and
+row gathers from its table.
 :func:`assign_labels` is the same path for one scene: its table, then
 the draw.
 
@@ -209,15 +211,14 @@ def label_tables(scenes, registry: ActionRegistry, categories,
     the first ground-truth box of highest IoU (ignore regions excluded),
     and its person match likewise among the persons; a match at IoU >=
     ``quotas.iou_pos`` makes it positive, or a human. A chunk of scenes
-    is stacked into zero-padded proposal and ground-truth arrays, and
+    is stacked into zero-padded proposal and ground-truth arrays, the
+    latter filled from the annotations' person and object arrays, and
     each match is an ``argmax`` along the ground-truth axis of one IoU
     block (a zero-area pad overlaps nothing); only the interaction
     records are walked scene by scene. A scene's table does not depend
     on the other scenes.
     """
-    cat_index = {c: i + 1 for i, c in enumerate(categories)}
-    if "person" not in cat_index:
-        raise AnnotationError('categories must include "person"')
+    cat_index = _class_index(categories)
     tables, chunk, p, g = [], [], 0, 1
     for ts in scenes:
         n_p = len(ts.proposals)
@@ -227,7 +228,33 @@ def label_tables(scenes, registry: ActionRegistry, categories,
             chunk, p, g = [], 0, 1
         chunk.append(ts)
         p, g = max(p, n_p), max(g, n_g)
-    return tables + _label_chunk(chunk, registry, cat_index, quotas.iou_pos)
+    if chunk:
+        tables += _label_chunk(chunk, registry, cat_index, quotas.iou_pos)
+    return tables
+
+
+def _class_index(categories) -> dict:
+    """Class index of each training category (list position + 1);
+    AnnotationError unless "person" is one."""
+    cat_index = {c: i + 1 for i, c in enumerate(categories)}
+    if "person" not in cat_index:
+        raise AnnotationError('categories must include "person"')
+    return cat_index
+
+
+def _object_labels(scenes, cat_index: dict) -> list:
+    """The class index of every object of the TrainScenes, scene by
+    scene; AnnotationError naming the first scene with an object whose
+    category ``cat_index`` lacks, and that category."""
+    labels = []
+    for ts in scenes:
+        try:
+            labels += map(cat_index.__getitem__, ts.annotation.categories)
+        except KeyError as exc:
+            raise AnnotationError(f"scene {ts.scene_id}: object category "
+                                  f"{exc.args[0]!r} is not a training "
+                                  f"category")
+    return labels
 
 
 def _label_chunk(scenes, registry: ActionRegistry, cat_index: dict,
@@ -237,22 +264,12 @@ def _label_chunk(scenes, registry: ActionRegistry, cat_index: dict,
     verb_cols = {verb: [registry.index(e.name, e.role)
                         for e in registry.entries_for(verb)]
                  for verb in registry.verbs}
-    # ground truth of every scene (persons, then objects)
-    gt_boxes, gt_labels, gt_ignore = [], [], []
+    anns = [ts.annotation for ts in scenes]
+    object_labels = _object_labels(scenes, cat_index)
     act = []  # (scene, person, entry) cells set by the records
     roles = {}  # (scene, person, entry) -> target object; first record wins
     pairs, pair_rows, pair_cols = [], [], []  # pairs: (scene, person, object)
-    for s, ts in enumerate(scenes):
-        ann = ts.annotation
-        gt_boxes += ann.persons + [o.box for o in ann.objects]
-        try:
-            gt_labels += [cat_index["person"]] * len(ann.persons) + [
-                cat_index[o.category] for o in ann.objects]
-        except KeyError as exc:
-            raise AnnotationError(f"scene {ts.scene_id}: object category "
-                                  f"{exc.args[0]!r} is not a training "
-                                  f"category")
-        gt_ignore += [False] * len(ann.persons) + [o.ignore for o in ann.objects]
+    for s, ann in enumerate(anns):
         pair_cats = {}
         for rec in ann.interactions:
             cols = verb_cols[rec.action]
@@ -267,17 +284,22 @@ def _label_chunk(scenes, registry: ActionRegistry, cat_index: dict,
             pair_cols += pair_cats[key]
             pairs.append((s, *key))
 
-    # the chunk as zero-padded arrays, at least one ground-truth column
+    # the chunk as zero-padded arrays, each scene's ground truth its
+    # persons, then its objects, and at least one ground-truth column
     # for argmax (a row of IoU 0, as a pad's, never matches: iou_pos > 0)
     n_prop = [len(ts.proposals) for ts in scenes]
-    n_pers = np.array([len(ts.annotation.persons) for ts in scenes], dtype=int)
-    n_gt = n_pers + [len(ts.annotation.objects) for ts in scenes]
+    n_pers = np.array([len(ann.persons) for ann in anns], dtype=int)
+    n_gt = n_pers + [len(ann.objects) for ann in anns]
     slot = np.arange(max(1, n_gt.max(initial=0)))
-    real = slot < n_gt[:, None]
-    gt = np.zeros(real.shape + (4,))
-    gt[real] = box_array(gt_boxes)
-    labels_gt, ignored = np.zeros(real.shape, int), np.zeros(real.shape, bool)
-    labels_gt[real], ignored[real] = gt_labels, gt_ignore
+    is_person = slot < n_pers[:, None]
+    is_object = ~is_person & (slot < n_gt[:, None])
+    gt = np.zeros(is_person.shape + (4,))
+    gt[is_person] = np.concatenate([ann.persons for ann in anns])
+    gt[is_object] = np.concatenate([ann.objects for ann in anns])
+    labels_gt = np.where(is_person, cat_index["person"], 0)
+    labels_gt[is_object] = object_labels
+    ignored = np.zeros(is_person.shape, bool)
+    ignored[is_object] = np.concatenate([ann.ignore for ann in anns])
     props = np.zeros((len(scenes), max(n_prop, default=0), 4))
     for s, ts in enumerate(scenes):
         props[s, :n_prop[s]] = box_array(ts.proposals)
@@ -298,10 +320,10 @@ def _label_chunk(scenes, registry: ActionRegistry, cat_index: dict,
     matched = np.take_along_axis(gt, best_j[..., None], axis=1)
     reg_targets[pos] = encode_rels(matched[pos], props[pos])
 
-    actions = np.zeros(real.shape + (a,))
+    actions = np.zeros(is_person.shape + (a,))
     actions[tuple(np.array(act, dtype=int).reshape(-1, 3).T)] = 1.0
     role_keys = np.array(list(roles), dtype=int).reshape(-1, 3)
-    role_objects = np.full(real.shape + (a,), -1)
+    role_objects = np.full(is_person.shape + (a,), -1)
     role_objects[tuple(role_keys.T)] = list(roles.values())
     targets = role_objects[hs, person]
     target_mask = targets >= 0
@@ -446,15 +468,28 @@ def train(scenes, provider, cfg: HeadConfig, schedule: Schedule,
     """Run the schedule; returns (params, LossReport history).
 
     Deterministic given the seed: scene choice, sampling, and gradient
-    reduction all follow fixed seeded orders. Raises AnnotationError
-    before iteration 0 when there are no scenes or the categories cannot
-    label them (see :func:`label_tables`), and TrainingDiverged with the
-    iteration index when the loss, a gradient or, after the step, a
+    reduction all follow fixed seeded orders. Iteration ``it`` picks its
+    images from ``default_rng((seed, it))``; every iteration's picks are
+    drawn before iteration 0, and one :func:`label_tables` call labels
+    the distinct scenes they name, so a scene the schedule never draws
+    is never labelled. Raises AnnotationError before iteration 0 when
+    there are no scenes or the categories cannot label every scene,
+    drawn or not (see :func:`label_tables`), and TrainingDiverged with
+    the iteration index when the loss, a gradient or, after the step, a
     parameter leaves the finite range; tensors are named.
     """
     if not scenes:
         raise AnnotationError("training needs at least one scene")
-    tables = label_tables(scenes, registry, categories, quotas)
+    _object_labels(scenes, _class_index(categories))  # drawn or not
+    per = schedule.images_per_step
+    picks = np.empty((schedule.total_iterations, schedule.workers * per),
+                     dtype=np.int64)
+    for it, row in enumerate(picks):
+        row[:] = np.random.default_rng((schedule.seed, it)).integers(
+            0, len(scenes), size=len(row))
+    drawn = np.unique(picks).tolist()
+    tables = dict(zip(drawn, label_tables([scenes[i] for i in drawn],
+                                          registry, categories, quotas)))
     scene_ids = np.array([ts.scene_id for ts in scenes])
     # parameters, gradients and velocity: one vector each, every named
     # tensor a view into it
@@ -470,14 +505,11 @@ def train(scenes, provider, cfg: HeadConfig, schedule: Schedule,
     try:
         for phase in schedule.phases:
             for _ in range(phase.iterations):
-                rng = np.random.default_rng((schedule.seed, it))
-                per = schedule.images_per_step
-                picks = rng.integers(0, len(scenes), size=schedule.workers * per)
                 batch = featurize_batch(
                     [draw_samples(tables[pick], quotas,
                                   (schedule.seed, it, *divmod(b, per)))
-                     for b, pick in enumerate(picks)],
-                    provider, scene_ids[picks])
+                     for b, pick in enumerate(picks[it].tolist())],
+                    provider, scene_ids[picks[it]])
                 grads.vector.fill(0.0)
                 try:
                     grads, rep = backward(batch, params, cfg, loss_weights,

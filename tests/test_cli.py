@@ -20,8 +20,19 @@ from hoidet.cli import (
     read_feature_maps,
     read_proposals,
     resolve_config,
+    write_proposals,
 )
-from hoidet.dataset import ActionRegistry, SynthConfig, load_annotations
+from hoidet.dataset import (
+    PERSON_CATEGORY,
+    SYNTH_CATEGORIES,
+    ActionRegistry,
+    Dataset,
+    SynthConfig,
+    generate_synthetic,
+    load_annotations,
+    save_annotations,
+    synthetic_registry,
+)
 from hoidet.density import DEFAULT_SIGMA
 from hoidet.features import SyntheticFeatureProvider
 from hoidet.geometry import Box, box_array
@@ -122,6 +133,46 @@ class TestSynthCommand:
         assert sorted(za.files) == sorted(zb.files)
         for key in za.files:
             assert np.array_equal(za[key], zb[key])
+
+    def test_confusers_per_target(self, tmp_path):
+        """The flag reaches the generator: the annotations are those of
+        ``generate_synthetic`` with it, byte for byte."""
+        out = tmp_path / "c"
+        assert _run("synth", "--out", str(out), "--num-scenes", "3",
+                    "--seed", "2", "--confusers-per-target", "1") == 0
+        cfg = SynthConfig(num_scenes=3, seed=2, confusers_per_target=1)
+        want = tmp_path / "want.json"
+        save_annotations(want, Dataset(
+            synthetic_registry(), [PERSON_CATEGORY] + SYNTH_CATEGORIES,
+            [s.annotation for s in generate_synthetic(cfg)]))
+        assert (out / "annotations.json").read_bytes() == want.read_bytes()
+        plain = generate_synthetic(dataclasses.replace(
+            cfg, confusers_per_target=0))
+        assert sum(len(s.annotation.objects) for s in plain) < sum(
+            len(s.annotation.objects) for s in generate_synthetic(cfg))
+
+    def test_json_files_are_those_of_json_dump(self, tmp_path):
+        """Each JSON file, encoded as one string, holds the bytes that
+        ``json.dump`` writes with the same options."""
+        out = _synth(tmp_path)
+        for name, options in (("annotations.json", dict(indent=1)),
+                              ("proposals.json", {}),
+                              ("synth_config.json",
+                               dict(indent=2, sort_keys=True))):
+            raw = (out / name).read_text()
+            dumped = io.StringIO()
+            json.dump(json.loads(raw), dumped, **options)
+            assert raw == dumped.getvalue() + "\n", name
+
+    @pytest.mark.parametrize("proposals", [{}, {3: [Box(1, 2, 3, 4)]}])
+    def test_small_proposals_files_are_those_of_json_dump(self, tmp_path,
+                                                          proposals):
+        path = tmp_path / "proposals.json"
+        write_proposals(path, proposals, {"seed": 1})
+        want = {"config": {"seed": 1},
+                "proposals": {str(i): [list(b.as_tuple()) for b in boxes]
+                              for i, boxes in proposals.items()}}
+        assert path.read_text() == json.dumps(want) + "\n"
 
     def test_bad_value_is_config_error(self, tmp_path, capsys):
         code = _run("synth", "--out", str(tmp_path / "x"),
@@ -425,6 +476,18 @@ class TestFeatureMapsFile:
         err = self._infer_err(tmp_path, capsys, self._edited(edit))
         assert err == "error: data: feature map 'map_3': no stride_3 member\n"
 
+    @pytest.mark.parametrize("member, value, dtype", [
+        ("map_1", lambda a: a.astype(np.complex128), "complex128"),
+        ("map_1", lambda a: a.astype("<U3"), "<U3"),
+        ("stride_1", lambda a: np.array("4"), "<U1"),
+    ])
+    def test_member_not_real(self, tmp_path, capsys, member, value, dtype):
+        def edit(arrays):
+            arrays[member] = value(arrays[member])
+        err = self._infer_err(tmp_path, capsys, self._edited(edit))
+        assert err == (f"error: data: feature map 'map_1': {member}: dtype "
+                       f"{dtype} is not bool, integer or floating\n")
+
     def test_zero_stride(self, tmp_path, capsys):
         def edit(arrays):
             arrays["stride_0"] = np.array(0.0)
@@ -465,6 +528,67 @@ class TestFeatureMapsFile:
         err = self._infer_err(tmp_path, capsys, features)
         assert err.startswith("error: data: feature maps file is not an .npz "
                               "archive")
+
+
+HUGE_ID = 10**20
+
+
+def _huge_id_inputs(data, out, where):
+    """Copies in ``out`` of ``data``'s three inputs in which image 0 is
+    image ``HUGE_ID`` in the files named by ``where``."""
+    out.mkdir()
+    doc = json.loads((data / "annotations.json").read_text())
+    if "annotations" in where:
+        doc["scenes"][0]["image_id"] = HUGE_ID
+    (out / "annotations.json").write_text(json.dumps(doc))
+    doc = json.loads((data / "proposals.json").read_text())
+    if "proposals" in where:
+        doc["proposals"][str(HUGE_ID)] = doc["proposals"].pop("0")
+    (out / "proposals.json").write_text(json.dumps(doc))
+    with np.load(data / "features.npz") as z:
+        arrays = dict(z)
+    if "features" in where:
+        for name in ("map", "stride"):
+            arrays[f"{name}_{HUGE_ID}"] = arrays.pop(f"{name}_0")
+    np.savez(out / "features.npz", **arrays)
+    return out
+
+
+class TestImageIdRange:
+    """An image id outside the int64 range ends each command in one
+    ``data`` line naming the record or member that holds it."""
+
+    @pytest.mark.parametrize("command", ["train", "infer", "baseline"])
+    def test_every_input(self, trained, tmp_path, capsys, command):
+        data, run = trained
+        huge = _huge_id_inputs(data, tmp_path / "huge",
+                               ("annotations", "proposals", "features"))
+        flags = {"train": ["--phases", "2:0.001"],
+                 "infer": ["--checkpoint", str(run / "checkpoint.bin")],
+                 "baseline": ["--checkpoint", str(run / "checkpoint.bin"),
+                              "--fit-annotations",
+                              str(huge / "annotations.json")]}[command]
+        capsys.readouterr()
+        code = _run(command, "--out", str(tmp_path / "o"), *flags,
+                    *_inputs(huge))
+        _one_data_line(code, capsys.readouterr().err,
+                       f"error: data: scenes[0].image_id: {HUGE_ID} is "
+                       f"outside the int64 range\n")
+
+    @pytest.mark.parametrize("where, line", [
+        ("proposals", f"error: data: proposals for image {HUGE_ID}: image "
+                      f"id outside the int64 range\n"),
+        ("features", f"error: data: feature map 'map_{HUGE_ID}': image id "
+                     f"outside the int64 range\n"),
+    ], ids=["proposals", "features"])
+    def test_each_reader(self, trained, tmp_path, where, line):
+        huge = _huge_id_inputs(trained[0], tmp_path / "huge", (where,))
+        code, err = _infer_with(trained, **{
+            key: huge / path.name for key, path in (
+                ("annotations", trained[0] / "annotations.json"),
+                ("features", trained[0] / "features.npz"),
+                ("proposals", trained[0] / "proposals.json"))})
+        _one_data_line(code, err, line)
 
 
 class TestEvalCommand:
@@ -727,7 +851,8 @@ def _inputs(data):
 class TestConfigSchema:
     def test_key_sets(self):
         """Each key is one flag; no dataclass field beyond these is
-        exposed, and infer and eval take no seed."""
+        exposed, synth exposes every SynthConfig field, and infer and
+        eval take no seed."""
         keys = {name: set(resolve_config(name, None, {})) for name in _COMMANDS}
         inputs = {"annotations", "features", "proposals"}
         common = {"out", "schema"}
@@ -736,7 +861,7 @@ class TestConfigSchema:
             "synth": {"out", "num_scenes", "persons_per_scene",
                       "num_distractors", "noise", "image_size", "stride",
                       "proposals_per_box", "proposal_magnitude", "verbs",
-                      "seed"},
+                      "seed", "confusers_per_target"},
             "train": common | inputs | {
                 "density_mode", "pairwise_mode", "use_interaction_branch",
                 "share_interaction_head", "hidden_dim", "concat_hidden",

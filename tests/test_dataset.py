@@ -1,3 +1,6 @@
+import io
+import json
+
 import numpy as np
 import pytest
 
@@ -7,7 +10,6 @@ from hoidet.dataset import (
     AnnotationError,
     Dataset,
     Interaction,
-    ObjectInstance,
     SceneAnnotation,
     SynthConfig,
     SYNTH_CATEGORIES,
@@ -25,7 +27,19 @@ from hoidet.geometry import Box, encode_rel, iou
 
 
 def rel_vec(b_o, b_h):
-    return np.array(encode_rel(b_o, b_h).as_tuple())
+    """encode_rel of two (x1, y1, x2, y2) rows, as a vector."""
+    return np.array(encode_rel(Box(*b_o), Box(*b_h)).as_tuple())
+
+
+def assert_same_scene(a, b):
+    """Scenes equal field by field, their arrays bit for bit."""
+    assert (a.image_id, a.width, a.height) == (b.image_id, b.width, b.height)
+    for name in ("persons", "objects", "ignore"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.shape == y.shape and x.dtype == y.dtype, name
+        assert x.tobytes() == y.tobytes(), name
+    assert a.categories == b.categories
+    assert a.interactions == b.interactions
 
 
 class TestRegistry:
@@ -67,11 +81,10 @@ def small_dataset():
         image_id=7,
         width=100.0,
         height=80.0,
-        persons=[Box(10, 10, 30, 60)],
-        objects=[
-            ObjectInstance(Box(35, 20, 50, 35), "parcel"),
-            ObjectInstance(Box(60, 50, 90, 70), "bench", ignore=False),
-        ],
+        persons=[[10, 10, 30, 60]],
+        objects=[[35, 20, 50, 35], [60, 50, 90, 70]],
+        categories=["parcel", "bench"],
+        ignore=[False, False],
         interactions=[
             Interaction(person=0, action="carry", role="object", object=0),
             Interaction(person=0, action="stand", role="none", object=None),
@@ -89,11 +102,18 @@ class TestAnnotationsIO:
         assert back.registry.entries == ds.registry.entries
         assert back.categories == ds.categories
         assert len(back.scenes) == 1
-        a, b = ds.scenes[0], back.scenes[0]
-        assert (a.image_id, a.width, a.height) == (b.image_id, b.width, b.height)
-        assert a.persons == b.persons
-        assert a.objects == b.objects
-        assert a.interactions == b.interactions
+        assert_same_scene(ds.scenes[0], back.scenes[0])
+
+    @pytest.mark.parametrize("scenes", [0, 1, 3])
+    def test_bytes_are_those_of_json_dump(self, tmp_path, scenes):
+        ds = small_dataset()
+        ds.scenes = [s.annotation for s in generate_synthetic(
+            SynthConfig(num_scenes=3, seed=2))][:scenes]
+        path = tmp_path / "ann.json"
+        save_annotations(path, ds)
+        dumped = io.StringIO()
+        json.dump(json.loads(path.read_text()), dumped, indent=1)
+        assert path.read_text() == dumped.getvalue() + "\n"
 
     def test_empty_scene_list(self, tmp_path):
         path = tmp_path / "empty.json"
@@ -149,12 +169,11 @@ class TestAnnotationsIO:
 
     def test_schema_conventions(self, tmp_path):
         ds = small_dataset()
-        ds.scenes[0].objects[1] = ObjectInstance(Box(60, 50, 90, 70), "bench",
-                                                 ignore=True)
+        ds.scenes[0].ignore[1] = True
         path = tmp_path / "ign.json"
         save_annotations(path, ds)
         loaded = load_annotations(path, schema="hico_like")
-        assert loaded.scenes[0].objects[1].ignore
+        assert loaded.scenes[0].ignore.tolist() == [False, True]
         with pytest.raises(AnnotationError, match="hico_like"):
             load_annotations(path, schema="vcoco_like")
         with pytest.raises(AnnotationError):
@@ -174,9 +193,7 @@ class TestSyntheticScenes:
         a = generate_synthetic(cfg)
         b = generate_synthetic(cfg)
         for sa, sb in zip(a, b):
-            assert sa.annotation.persons == sb.annotation.persons
-            assert sa.annotation.objects == sb.annotation.objects
-            assert sa.annotation.interactions == sb.annotation.interactions
+            assert_same_scene(sa.annotation, sb.annotation)
             np.testing.assert_array_equal(sa.feature_map.data, sb.feature_map.data)
             assert sa.proposals == sb.proposals
 
@@ -190,7 +207,7 @@ class TestSyntheticScenes:
                 person = ann.persons[rec.person]
                 pose = sc.codes[rec.person].pose
                 want = latent_offset(rec.action, rec.role, pose)
-                got = rel_vec(ann.objects[rec.object].box, person)
+                got = rel_vec(ann.objects[rec.object], person)
                 np.testing.assert_allclose(got, want, atol=1e-9)
 
     def test_noise_is_bounded(self):
@@ -204,7 +221,7 @@ class TestSyntheticScenes:
                 person = ann.persons[rec.person]
                 pose = sc.codes[rec.person].pose
                 want = latent_offset(rec.action, rec.role, pose)
-                got = rel_vec(ann.objects[rec.object].box, person)
+                got = rel_vec(ann.objects[rec.object], person)
                 assert np.max(np.abs(got - want)) <= noise + 1e-9
 
     def test_gt_object_nearest_to_latent_offset(self):
@@ -220,7 +237,7 @@ class TestSyntheticScenes:
                 person = ann.persons[rec.person]
                 mu = latent_offset(rec.action, rec.role, sc.codes[rec.person].pose)
                 dists = [
-                    np.linalg.norm(rel_vec(o.box, person) - mu) for o in ann.objects
+                    np.linalg.norm(rel_vec(o, person) - mu) for o in ann.objects
                 ]
                 total += 1
                 hits += int(np.argmin(dists) == rec.object)
@@ -240,21 +257,21 @@ class TestSyntheticScenes:
             pose = sc.codes[0].pose
             interacted = {r.object for r in ann.interactions
                           if r.object is not None}
-            typed = {(r.action, r.role): ann.objects[r.object].category
+            typed = {(r.action, r.role): ann.categories[r.object]
                      for r in ann.interactions if r.object is not None}
             total_typed += len(typed)
             for i, o in enumerate(ann.objects):
                 if i in interacted:
                     continue
                 total_extras += 1
-                keys = [k for k, c in typed.items() if c == o.category]
+                keys = [k for k, c in typed.items() if c == ann.categories[i]]
                 assert len(keys) == 1
                 verb, role = keys[0]
                 base = latent_offset(verb, role, np.zeros(2))
                 gain = np.stack(
                     [latent_offset(verb, role, e) - base
                      for e in np.eye(2)], axis=1)
-                rel = rel_vec(o.box, person)
+                rel = rel_vec(o, person)
                 alt, res, *_ = np.linalg.lstsq(gain, rel - base, rcond=None)
                 assert np.linalg.norm(gain @ alt - (rel - base)) < 1e-9
                 assert np.all(np.abs(alt) <= 1.0 + 1e-9)
@@ -269,7 +286,7 @@ class TestSyntheticScenes:
         layout = synth_channel_layout()
         verbs = synthetic_registry().verbs
         for sc in generate_synthetic(cfg):
-            person = sc.annotation.persons[0]
+            person = Box(*sc.annotation.persons[0])
             code = sc.codes[0]
             pooled = roi_align(sc.feature_map, person, pooled=3).values
             center = pooled.reshape(-1, 3, 3)[:, 1, 1]
@@ -288,9 +305,9 @@ class TestSyntheticScenes:
             ann = sc.annotation
             ann.validate(reg, "scene")
             assert len(ann.persons) == 2
-            for p in ann.persons:
-                assert 0 <= p.x1 < p.x2 <= cfg.image_size
-                assert 0 <= p.y1 < p.y2 <= cfg.image_size
+            for x1, y1, x2, y2 in ann.persons:
+                assert 0 <= x1 < x2 <= cfg.image_size
+                assert 0 <= y1 < y2 <= cfg.image_size
             # every person has at least one interaction record
             actors = {r.person for r in ann.interactions}
             assert actors == set(range(len(ann.persons)))
@@ -302,8 +319,9 @@ class TestJitterProposals:
             image_id=0,
             width=200.0,
             height=200.0,
-            persons=[Box(40, 40, 80, 120)],
-            objects=[ObjectInstance(Box(90, 60, 130, 100), "parcel")],
+            persons=[[40, 40, 80, 120]],
+            objects=[[90, 60, 130, 100]],
+            categories=["parcel"],
             interactions=[],
         )
 
@@ -328,8 +346,10 @@ class TestJitterProposals:
         vals = []
         for seed in range(50):
             props = jitter_proposals(scene, count=20, magnitude=0.1, seed=seed)
-            sources = [scene.persons[0]] * 21 + [scene.objects[0].box] * 21
-            for src, p in zip(sources, props):
-                if p is not src:
+            sources = ([Box(*scene.persons[0])] * 21
+                       + [Box(*scene.objects[0])] * 21)
+            # each source's own copy leads its group of 21
+            for k, (src, p) in enumerate(zip(sources, props)):
+                if k % 21:
                     vals.append(iou(src, p))
         assert 0.66 <= np.mean(vals) <= 0.77

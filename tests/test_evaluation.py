@@ -50,16 +50,15 @@ def _gt_echo_triplets(ds: Dataset):
     out = []
     for scene in ds.scenes:
         for rec in scene.interactions:
+            person = Box(*scene.persons[rec.person].tolist())
             if rec.role == ROLE_NONE:
-                out.append(_triplet(scene.image_id,
-                                    scene.persons[rec.person], None,
+                out.append(_triplet(scene.image_id, person, None,
                                     rec.action, rec.role, 1.0))
             else:
-                obj = scene.objects[rec.object]
-                out.append(_triplet(scene.image_id,
-                                    scene.persons[rec.person], obj.box,
+                out.append(_triplet(scene.image_id, person,
+                                    Box(*scene.objects[rec.object].tolist()),
                                     rec.action, rec.role, 1.0,
-                                    category=obj.category))
+                                    category=scene.categories[rec.object]))
     return out
 
 

@@ -25,9 +25,8 @@ from hoidet.dataset import (
     PERSON_CATEGORY,
     ROLE_NONE,
     SYNTH_CATEGORIES,
+    AnnotationError,
     Interaction,
-    ObjectInstance,
-    SceneAnnotation,
     SynthConfig,
     generate_synthetic,
     synthetic_registry,
@@ -67,6 +66,7 @@ from hoidet.trainer import (
     label_tables,
     train,
 )
+from test_trainer import _scene
 
 REGISTRY = synthetic_registry()
 CATEGORIES = [PERSON_CATEGORY] + SYNTH_CATEGORIES
@@ -86,11 +86,13 @@ def _reference_assign_labels(proposals, scene, registry, categories,
     def rel(box, ref):
         return np.array(encode_rel(box, ref).as_tuple())
 
-    gt_boxes = list(scene.persons) + [o.box for o in scene.objects]
-    gt_labels = [cat_index["person"]] * len(scene.persons) + [
-        cat_index[o.category] for o in scene.objects
+    n_persons = len(scene.persons)
+    gt_boxes = [Box(*b) for b in scene.persons.tolist()
+                + scene.objects.tolist()]
+    gt_labels = [cat_index["person"]] * n_persons + [
+        cat_index[c] for c in scene.categories
     ]
-    gt_ignore = [False] * len(scene.persons) + [o.ignore for o in scene.objects]
+    gt_ignore = [False] * n_persons + scene.ignore.tolist()
 
     n = len(proposals)
     labels = np.zeros(n, dtype=int)
@@ -109,7 +111,7 @@ def _reference_assign_labels(proposals, scene, registry, categories,
                 continue
             if v > best_v:
                 best_j, best_v = j, v
-            if j < len(scene.persons) and v > person_iou[i]:
+            if j < n_persons and v > person_iou[i]:
                 person_match[i] = j
                 person_iou[i] = v
         if best_v >= quotas.iou_pos:
@@ -146,8 +148,8 @@ def _reference_assign_labels(proposals, scene, registry, categories,
             if rec.role != ROLE_NONE:
                 e = registry.index(rec.action, rec.role)
                 if not hum_mask[row, e]:
-                    hum_offsets[row, e] = rel(scene.objects[rec.object].box,
-                                              proposals[i])
+                    hum_offsets[row, e] = rel(
+                        gt_boxes[n_persons + rec.object], proposals[i])
                     hum_mask[row, e] = True
 
     pair_targets = {}
@@ -167,7 +169,7 @@ def _reference_assign_labels(proposals, scene, registry, categories,
         human_action_targets=hum_targets,
         human_target_offsets=hum_offsets,
         human_target_mask=hum_mask,
-        interaction_pairs=[(scene.persons[p], scene.objects[o].box)
+        interaction_pairs=[(gt_boxes[p], gt_boxes[n_persons + o])
                            for p, o in keys],
         interaction_action_targets=(np.stack([pair_targets[k] for k in keys])
                                     if keys else np.zeros((0, a))),
@@ -214,8 +216,7 @@ BOXES = st.builds(lambda x, y, w, h: Box(x, y, x + w, y + h),
 def labeled_scenes(draw):
     persons = draw(st.lists(BOXES, max_size=3))
     objects = draw(st.lists(
-        st.builds(ObjectInstance, BOXES, st.sampled_from(SYNTH_CATEGORIES),
-                  st.booleans()),
+        st.tuples(BOXES, st.sampled_from(SYNTH_CATEGORIES), st.booleans()),
         max_size=5))
     records = []
     if persons:
@@ -229,10 +230,8 @@ def labeled_scenes(draw):
             records.append(Interaction(person, e.name, e.role, obj))
         if records:  # a duplicate role record for the same person
             records.append(draw(st.sampled_from(records)))
-    scene = SceneAnnotation(image_id=0, width=64.0, height=64.0,
-                            persons=persons, objects=objects,
-                            interactions=records).validate(REGISTRY)
-    gt = persons + [o.box for o in objects]
+    scene = _scene(persons, objects, records, size=64.0).validate(REGISTRY)
+    gt = persons + [o[0] for o in objects]
     shifted = [Box(b.x1 + dx, b.y1 + dy, b.x2 + dx, b.y2 + dy)
                for b, dx, dy in draw(st.lists(
                    st.tuples(st.sampled_from(gt), st.integers(-4, 4),
@@ -276,18 +275,15 @@ KNIFE = _box(28.0, 30.0, 4.0, 3.0)
 
 
 def test_scene_without_person():
-    scene = SceneAnnotation(0, 64.0, 64.0, persons=[], interactions=[],
-                            objects=[ObjectInstance(KNIFE, "knife")])
+    scene = _scene([], [(KNIFE, "knife")], [], size=64.0)
     got = _check_assignment([KNIFE, _box(50, 50, 6, 6), PERSON], scene,
                             Quotas(), 1)
     assert len(got.human_boxes) == 0 and got.object_labels.tolist() != []
 
 
 def test_scene_without_positives():
-    scene = SceneAnnotation(
-        0, 64.0, 64.0, persons=[PERSON],
-        objects=[ObjectInstance(KNIFE, "knife")],
-        interactions=[Interaction(0, "cut", "instrument", 0)])
+    scene = _scene([PERSON], [(KNIFE, "knife")],
+                   [Interaction(0, "cut", "instrument", 0)], size=64.0)
     got = _check_assignment([_box(55, 55, 4, 4), _box(5, 5, 3, 3)], scene,
                             Quotas(), 2)
     assert len(got.object_boxes) == 0 and len(got.human_boxes) == 0
@@ -296,14 +292,13 @@ def test_scene_without_positives():
 
 def test_ignore_region_and_duplicate_role_records():
     ghost = _box(50.0, 12.0, 8.0, 8.0)
-    scene = SceneAnnotation(
-        0, 64.0, 64.0, persons=[PERSON],
-        objects=[ObjectInstance(KNIFE, "knife"),
-                 ObjectInstance(_box(29.0, 31.0, 4.0, 3.0), "knife"),
-                 ObjectInstance(ghost, "ball", ignore=True)],
-        interactions=[Interaction(0, "cut", "instrument", 1),
-                      Interaction(0, "cut", "instrument", 0),
-                      Interaction(0, "stand", ROLE_NONE)])
+    scene = _scene(
+        [PERSON],
+        [(KNIFE, "knife"), (_box(29.0, 31.0, 4.0, 3.0), "knife"),
+         (ghost, "ball", True)],
+        [Interaction(0, "cut", "instrument", 1),
+         Interaction(0, "cut", "instrument", 0),
+         Interaction(0, "stand", ROLE_NONE)], size=64.0)
     props = [PERSON, _box(20.5, 30.0, 10.0, 20.0), KNIFE, ghost,
              _box(50.5, 12.0, 8.0, 8.0), _box(5, 5, 3, 3)]
     got = _check_assignment(props, scene, Quotas(), 3)
@@ -317,31 +312,25 @@ def _train_scene(scene, proposals):
 
 GHOST = _box(50.0, 12.0, 8.0, 8.0)
 EDGE_SCENES = [
-    _train_scene(SceneAnnotation(  # no proposals
-        0, 64.0, 64.0, persons=[PERSON],
-        objects=[ObjectInstance(KNIFE, "knife")],
-        interactions=[Interaction(0, "cut", "instrument", 0)]), []),
-    _train_scene(SceneAnnotation(  # no persons
-        0, 64.0, 64.0, persons=[], objects=[ObjectInstance(KNIFE, "knife")],
-        interactions=[]), [KNIFE, PERSON]),
-    _train_scene(SceneAnnotation(  # no objects
-        0, 64.0, 64.0, persons=[PERSON], objects=[],
-        interactions=[Interaction(0, "stand", ROLE_NONE)]), [PERSON, KNIFE]),
-    _train_scene(SceneAnnotation(  # only ignored objects
-        0, 64.0, 64.0, persons=[PERSON],
-        objects=[ObjectInstance(GHOST, "ball", ignore=True)],
-        interactions=[]), [PERSON, GHOST, _box(50.5, 12.0, 8.0, 8.0)]),
-    _train_scene(SceneAnnotation(  # duplicate role records
-        0, 64.0, 64.0, persons=[PERSON],
-        objects=[ObjectInstance(KNIFE, "knife"),
-                 ObjectInstance(_box(29.0, 31.0, 4.0, 3.0), "knife")],
-        interactions=[Interaction(0, "cut", "instrument", 1),
-                      Interaction(0, "cut", "instrument", 0),
-                      Interaction(0, "cut", "instrument", 1)]),
-        [PERSON, _box(20.5, 30.0, 10.0, 20.0), KNIFE]),
-    _train_scene(SceneAnnotation(  # no ground truth at all
-        0, 64.0, 64.0, persons=[], objects=[], interactions=[]),
+    _train_scene(_scene(  # no proposals
+        [PERSON], [(KNIFE, "knife")],
+        [Interaction(0, "cut", "instrument", 0)], size=64.0), []),
+    _train_scene(_scene(  # no persons
+        [], [(KNIFE, "knife")], [], size=64.0), [KNIFE, PERSON]),
+    _train_scene(_scene(  # no objects
+        [PERSON], [], [Interaction(0, "stand", ROLE_NONE)], size=64.0),
         [PERSON, KNIFE]),
+    _train_scene(_scene(  # only ignored objects
+        [PERSON], [(GHOST, "ball", True)], [], size=64.0),
+        [PERSON, GHOST, _box(50.5, 12.0, 8.0, 8.0)]),
+    _train_scene(_scene(  # duplicate role records
+        [PERSON], [(KNIFE, "knife"), (_box(29.0, 31.0, 4.0, 3.0), "knife")],
+        [Interaction(0, "cut", "instrument", 1),
+         Interaction(0, "cut", "instrument", 0),
+         Interaction(0, "cut", "instrument", 1)], size=64.0),
+        [PERSON, _box(20.5, 30.0, 10.0, 20.0), KNIFE]),
+    _train_scene(_scene(  # no ground truth at all
+        [], [], [], size=64.0), [PERSON, KNIFE]),
 ]
 
 
@@ -440,6 +429,84 @@ def test_training_draws_the_public_samples(monkeypatch):
                 assert np.all(g == w), field.name
 
 
+def _sparse_world(num_scenes=40):
+    """More scenes than a short schedule draws, and a head to train."""
+    scenes, provider = from_synthetic(generate_synthetic(SynthConfig(
+        num_scenes=num_scenes, seed=6, persons_per_scene=1,
+        num_distractors=2)))
+    cfg = HeadConfig(feature_dim=provider.feature_dim,
+                     num_actions=len(REGISTRY),
+                     num_object_classes=len(CATEGORIES), hidden_dim=8)
+    return scenes, provider, cfg
+
+
+def _drawn(schedule, num_scenes):
+    """The scene indices a schedule's iterations pick."""
+    return {int(p) for it in range(schedule.total_iterations)
+            for p in np.random.default_rng((schedule.seed, it)).integers(
+                0, num_scenes, size=schedule.workers * schedule.images_per_step)}
+
+
+def test_labelling_only_drawn_scenes_changes_nothing(monkeypatch):
+    """``train`` labels the scenes its schedule draws, in one call, and
+    nothing else; its LossReports and final parameters equal, bit for
+    bit, those of a run that labels every scene."""
+    scenes, provider, cfg = _sparse_world()
+    schedule = Schedule(phases=[Phase(2, 1e-2), Phase(1, 1e-3)], seed=3)
+    drawn = _drawn(schedule, len(scenes))
+    assert len(drawn) < len(scenes)
+    real, calls = trainer.label_tables, []
+
+    def recording(requested, *args):
+        calls.append([ts.scene_id for ts in requested])
+        return real(requested, *args)
+
+    monkeypatch.setattr(trainer, "label_tables", recording)
+    got, history = train(scenes, provider, cfg, schedule, REGISTRY,
+                         CATEGORIES)
+    assert calls == [sorted(scenes[i].scene_id for i in drawn)]
+
+    def every_scene(requested, *args):
+        tables = dict(zip(map(id, scenes), real(scenes, *args)))
+        return [tables[id(ts)] for ts in requested]
+
+    monkeypatch.setattr(trainer, "label_tables", every_scene)
+    want, want_history = train(scenes, provider, cfg, schedule, REGISTRY,
+                               CATEGORIES)
+    assert history == want_history
+    assert list(got) == list(want)
+    for name in want:
+        assert got[name].tobytes() == want[name].tobytes(), name
+
+
+def test_undrawn_scene_with_unknown_category_fails_before_iteration_0(
+        monkeypatch):
+    """Every scene's categories are checked, drawn or not: the first
+    scene with an unknown one is named, as labelling every scene names
+    it, and no iteration runs."""
+    scenes, provider, cfg = _sparse_world()
+    schedule = Schedule(phases=[Phase(1, 1e-3)], seed=3)
+    undrawn = sorted(set(range(len(scenes))) - _drawn(schedule, len(scenes)))
+    for i in undrawn[1:3]:
+        ann = scenes[i].annotation
+        assert len(ann.categories) > 0
+        kites = dataclasses.replace(ann, categories=["kite"] * len(ann.objects))
+        scenes[i] = TrainScene(ann.image_id, kites, scenes[i].proposals)
+
+    def no_iteration(*args):
+        raise AssertionError("iteration 0 ran")
+
+    monkeypatch.setattr(trainer, "backward", no_iteration)
+    want = (f"scene {undrawn[1]}: object category 'kite' is not a "
+            f"training category")
+    with pytest.raises(AnnotationError) as err:
+        train(scenes, provider, cfg, schedule, REGISTRY, CATEGORIES)
+    assert str(err.value) == want
+    with pytest.raises(AnnotationError) as every:
+        label_tables(scenes, REGISTRY, CATEGORIES)
+    assert str(every.value) == want
+
+
 def _per_tensor_sgd_step(params, grads, velocity, lr, momentum,
                          weight_decay):
     """The optimizer step before the flat parameter vector: one new
@@ -462,7 +529,8 @@ def test_training_step_equals_the_per_image_path(head):
     scenes, provider = from_synthetic(world)
     # a scene with neither persons nor pairs: empty human and pair sections
     ann = scenes[0].annotation
-    bare = SceneAnnotation(99, ann.width, ann.height, [], ann.objects, [])
+    bare = dataclasses.replace(ann, image_id=99, persons=np.zeros((0, 4)),
+                               interactions=[])
     scenes.append(TrainScene(99, bare, scenes[0].proposals))
     provider = SyntheticFeatureProvider(
         {**provider.maps, 99: world[0].feature_map})

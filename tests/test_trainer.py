@@ -12,14 +12,13 @@ from hoidet.dataset import (
     ROLE_OBJECT,
     SYNTH_CATEGORIES,
     Interaction,
-    ObjectInstance,
     SceneAnnotation,
     SynthConfig,
     generate_synthetic,
     latent_offset,
     synthetic_registry,
 )
-from hoidet.geometry import Box, encode_rel, iou
+from hoidet.geometry import Box, box_array, encode_rel, iou
 from hoidet.model import HeadConfig, init_params, load_checkpoint
 from hoidet.trainer import (
     Phase,
@@ -47,9 +46,13 @@ def _shifted(b: Box, dx=0.0, dy=0.0):
 
 
 def _scene(persons, objects, interactions, image_id=0, size=128.0):
+    """A scene of person Boxes and (Box, category[, ignore]) objects."""
     return SceneAnnotation(
         image_id=image_id, width=size, height=size,
-        persons=persons, objects=objects, interactions=interactions,
+        persons=box_array(persons), objects=box_array([o[0] for o in objects]),
+        categories=[o[1] for o in objects],
+        ignore=[len(o) > 2 and o[2] for o in objects],
+        interactions=interactions,
     )
 
 
@@ -70,8 +73,8 @@ APPLE = _box(52.0, 74.0, 7.0, 7.0)
 CUT_SCENE = _scene(
     persons=[PERSON],
     objects=[
-        ObjectInstance(box=KNIFE, category="knife"),
-        ObjectInstance(box=APPLE, category="apple"),
+        (KNIFE, "knife"),
+        (APPLE, "apple"),
     ],
     interactions=[
         Interaction(person=0, action="cut", role=ROLE_INSTRUMENT, object=0),
@@ -174,8 +177,8 @@ class TestAssignLabels:
         ghost = _box(90.0, 30.0, 12.0, 12.0)
         scene = _scene(
             persons=[PERSON],
-            objects=[ObjectInstance(box=KNIFE, category="knife"),
-                     ObjectInstance(box=ghost, category="ball", ignore=True)],
+            objects=[(KNIFE, "knife"),
+                     (ghost, "ball", True)],
             interactions=[
                 Interaction(person=0, action="cut", role=ROLE_INSTRUMENT,
                             object=0)],
@@ -195,7 +198,7 @@ class TestAssignLabels:
         shadow = _shifted(PERSON, 1.0)
         scene = _scene(
             persons=[PERSON],
-            objects=[ObjectInstance(box=shadow, category="ball", ignore=True)],
+            objects=[(shadow, "ball", True)],
             interactions=[
                 Interaction(person=0, action="stand", role=ROLE_NONE)],
         )
@@ -214,7 +217,7 @@ class TestAssignLabels:
         # light up, while the offset mask covers just the annotated role
         scene = _scene(
             persons=[PERSON],
-            objects=[ObjectInstance(box=KNIFE, category="knife")],
+            objects=[(KNIFE, "knife")],
             interactions=[
                 Interaction(person=0, action="cut", role=ROLE_INSTRUMENT,
                             object=0)],
@@ -236,7 +239,7 @@ class TestAssignLabels:
         moved = _shifted(PERSON, 2.0, -1.0)
         scene = _scene(
             persons=[PERSON],
-            objects=[ObjectInstance(box=KNIFE, category="knife")],
+            objects=[(KNIFE, "knife")],
             interactions=[Interaction(person=0, action="cut",
                                       role=ROLE_INSTRUMENT, object=0)],
         )
@@ -265,8 +268,8 @@ class TestAssignLabels:
         other = _box(70.0, 70.0, 8.0, 6.0)
         scene = _scene(
             persons=[PERSON],
-            objects=[ObjectInstance(box=KNIFE, category="knife"),
-                     ObjectInstance(box=other, category="knife")],
+            objects=[(KNIFE, "knife"),
+                     (other, "knife")],
             interactions=[
                 Interaction(person=0, action="cut", role=ROLE_INSTRUMENT,
                             object=0),
@@ -326,12 +329,13 @@ class TestSyntheticAgreement:
                         noise=0.0, seed=21, verbs=("carry", "cut")))
         for s in scenes:
             ann = s.annotation
-            out = assign_labels(list(ann.persons), ann, REGISTRY, CATEGORIES,
+            # the persons as proposals: each one a human row of its own
+            out = assign_labels(ann.persons, ann, REGISTRY, CATEGORIES,
                                 seed=0)
             code = s.codes[0]
             for rec in ann.interactions:
                 a = REGISTRY.index(rec.action, rec.role)
-                row = list(ann.persons).index(ann.persons[rec.person])
+                row = rec.person
                 want = latent_offset(rec.action, rec.role, code.pose)
                 assert out.human_target_mask[row, a]
                 assert np.allclose(out.human_target_offsets[row, a], want,
@@ -369,7 +373,7 @@ class TestFeaturize:
         _, provider, cfg = synth
         scene = _scene(
             persons=[PERSON],
-            objects=[ObjectInstance(box=KNIFE, category="knife")],
+            objects=[(KNIFE, "knife")],
             interactions=[Interaction(person=0, action="cut",
                                       role=ROLE_INSTRUMENT, object=0)],
         )
