@@ -2,13 +2,15 @@
 
 Each subcommand reads defaults, then an optional JSON config file, then
 command-line flags, in increasing precedence; unknown config keys are
-rejected. Most keys are fields of the config dataclasses and take
-their defaults from them; ``_build`` converts each to its default's
-type and constructs the dataclass. Every artifact embeds (or ships next
-to) the effective config so a run is reproducible from its outputs
-alone. Only the invoked subcommand's flags are built. Errors print a
-single machine-parsable line ``error: <kind>: <message>`` on stderr and
-exit nonzero (2 for configuration problems, 1 for runtime failures).
+rejected. Each value must have the JSON type of its key's default
+(see ``_checked``). Most keys are fields of the config dataclasses and
+take their defaults from them; ``_build`` constructs the dataclass,
+whose own checks refuse values out of range. Every artifact embeds (or
+ships next to) the effective config so a run is reproducible from its
+outputs alone. Only the invoked subcommand's flags are built. Errors
+print a single machine-parsable line ``error: <kind>: <message>`` on
+stderr and exit nonzero (2 for configuration problems, 1 for runtime
+failures).
 
 The training density mode decides the target-location term:
   fixed_sigma      one predicted center, fixed-width compatibility
@@ -46,6 +48,7 @@ from .dataset import (
     generate_synthetic,
     load_annotations,
     save_annotations,
+    _typed,
     synthetic_registry,
 )
 from .density import kmeans_offsets
@@ -63,7 +66,7 @@ from .inference import (
     read_predictions,
     write_predictions,
 )
-from .model import HeadConfig, LossWeights, forward_human, load_checkpoint
+from .model import HeadConfig, LossWeights, load_checkpoint
 from .trainer import Phase, Schedule, TrainingDiverged, TrainScene, train
 
 DENSITY_MODES = ("fixed_sigma", "mdn_m1", "mdn_m2")
@@ -144,7 +147,8 @@ _SCHEMAS = {
 
 
 def resolve_config(command: str, file_path, flag_values: dict) -> dict:
-    """defaults <- config file <- explicit flags; unknown keys rejected."""
+    """defaults <- config file <- explicit flags; unknown keys rejected,
+    and each value checked by :func:`_checked`."""
     schema = _SCHEMAS[command]
     cfg = dict(schema)
     if file_path is not None:
@@ -165,7 +169,27 @@ def resolve_config(command: str, file_path, flag_values: dict) -> dict:
     for key, value in flag_values.items():
         if value is not None:
             cfg[key] = value
-    return cfg
+    return {key: _checked(key, value, schema[key])
+            for key, value in cfg.items()}
+
+
+def _checked(key: str, value, default):
+    """``value`` if it has the JSON type of its key's ``default``, else a
+    config error. A float key takes any number (as a float), an int key
+    an integer (not a boolean), a path key (default null) a string or
+    null, and a list key a list or a comma-separated string (as a
+    list)."""
+    try:
+        if default is None:
+            return None if value is None else _typed(value, str, key)
+        if isinstance(default, list) and isinstance(value, str):
+            return value.split(",")
+        value = _typed(value, type(default), key)
+        return float(value) if isinstance(default, float) else value
+    except AnnotationError as exc:
+        raise _config_error(str(exc))
+    except OverflowError as exc:  # an integer no float holds
+        raise _config_error(f"{key}: {exc}")
 
 
 def _require(cfg: dict, *keys):
@@ -174,42 +198,31 @@ def _require(cfg: dict, *keys):
             raise _config_error(f"missing required setting {key!r}")
 
 
-def _parse_phases(value):
-    if isinstance(value, str):
-        value = value.split(",")
-    items = []
+def _parse_phases(value: list) -> list:
+    """Phases of ``"iterations:lr"`` strings or ``[iterations, lr]``
+    pairs, each an integer and a number."""
+    phases = []
     for part in value:
         if isinstance(part, str):
-            bits = part.split(":")
-            if len(bits) != 2:
-                raise _config_error(
-                    "phases must look like '2000:0.001,500:0.0001'")
-            part = bits
-        items.append(part)
-    try:
-        return [Phase(int(n), float(lr)) for n, lr in items]
-    except (TypeError, ValueError):
-        raise _config_error("phases must be [iterations, lr] pairs")
-
-
-def _convert(key: str, value, kind):
-    """``kind(value)``; a value ``kind`` rejects is a config error."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise _config_error(f"{key}: {exc}")
+            try:
+                n, lr = part.split(":")
+                part = [int(n), float(lr)]
+            except ValueError:
+                raise _config_error(f"phases: expected 'iterations:lr', "
+                                    f"got {part!r}")
+        if type(part) is not list or len(part) != 2:
+            raise _config_error("phases: expected [iterations, lr] pairs")
+        phases.append(Phase(_checked("phases", part[0], 0),
+                            _checked("phases", part[1], 0.0)))
+    return phases
 
 
 def _build(cls, values: dict, **given):
     """Dataclass ``cls`` from ``given`` plus each other field that
-    ``values`` holds, converted to the type of the field's default
-    (``phases`` by :func:`_parse_phases`); a value the conversion or the
-    class rejects is a config error."""
+    ``values`` holds; a value the class rejects is a config error."""
     for f in dataclasses.fields(cls):
         if f.name in values and f.name not in given:
-            kind = (_parse_phases if f.name == "phases"
-                    else type(_field_default(f)))
-            given[f.name] = _convert(f.name, values[f.name], kind)
+            given[f.name] = values[f.name]
     try:
         return cls(**given)
     except (TypeError, ValueError) as exc:
@@ -406,7 +419,10 @@ def _load_world(cfg):
 def cmd_synth(cfg: dict) -> int:
     out = cfg["out"]
     os.makedirs(out, exist_ok=True)
-    scenes = generate_synthetic(_build(SynthConfig, cfg))
+    try:
+        scenes = generate_synthetic(_build(SynthConfig, cfg))
+    except RuntimeError as exc:  # a scene its people do not fit in
+        raise _config_error(str(exc))
     ds = Dataset(registry=synthetic_registry(),
                  categories=[PERSON_CATEGORY] + SYNTH_CATEGORIES,
                  scenes=[s.annotation for s in scenes])
@@ -427,10 +443,11 @@ def cmd_train(cfg: dict) -> int:
     if mode not in DENSITY_MODES:
         raise _config_error(
             f"density_mode must be one of {', '.join(DENSITY_MODES)}")
-    schedule = _build(Schedule, cfg)
+    schedule = _build(Schedule, cfg, phases=_parse_phases(cfg["phases"]))
+    if cfg["checkpoint_every"] < 0:
+        raise _config_error(f"checkpoint_every must be nonnegative, got "
+                            f"{cfg['checkpoint_every']}")
     weights = _build(LossWeights, {"action_cls": cfg["action_loss_weight"]})
-    checkpoint_every = _convert("checkpoint_every", cfg["checkpoint_every"],
-                                int)
     ds, provider, proposals = _load_world(cfg)
     scenes = []
     for ann in ds.scenes:
@@ -449,7 +466,7 @@ def cmd_train(cfg: dict) -> int:
             loss_weights=weights,
             log_path=os.path.join(out, "loss.log"),
             checkpoint_path=ckpt_path,
-            checkpoint_every=checkpoint_every,
+            checkpoint_every=cfg["checkpoint_every"],
         )
     except TrainingDiverged as exc:
         raise CliError("diverged", str(exc))
@@ -543,7 +560,7 @@ def _load_centers(path, registry: ActionRegistry):
     return out
 
 
-def _overlay_entry(t, provider, params, head_cfg, registry):
+def _overlay_entry(t):
     entry = {
         "action": t.action,
         "role": t.role,
@@ -553,17 +570,8 @@ def _overlay_entry(t, provider, params, head_cfg, registry):
     if t.object is not None:
         entry["object_box"] = list(t.object.box.as_tuple())
         entry["object_category"] = t.object.category
-        hum = forward_human(
-            provider.pooled_feature(t.image_id, t.human.box), params,
-            head_cfg)
-        a = registry.index(t.action, t.role)
-        if head_cfg.use_mdn:
-            comp = int(np.argmax(hum.weights[0, a]))
-        else:
-            comp = 0
-        mu = hum.mus[0, a, comp]
         entry["target_hint_box"] = list(
-            decode_rel(mu, t.human.box).as_tuple())
+            decode_rel(t.target_mean, t.human.box).as_tuple())
     return entry
 
 
@@ -584,8 +592,7 @@ def _run_inference(cfg, ds, provider, proposals, params, head_cfg,
     if cfg.get("overlay"):
         overlay = {str(i): [] for i in ids}
         for t in triplets:
-            overlay[str(t.image_id)].append(
-                _overlay_entry(t, provider, params, head_cfg, registry))
+            overlay[str(t.image_id)].append(_overlay_entry(t))
         _write_json(os.path.join(out, "overlay.json"),
                     {"config": cfg, "images": overlay})
     return pred_path, triplets
@@ -622,7 +629,7 @@ def cmd_eval(cfg: dict) -> int:
         raise CliError("data", str(exc))
     try:
         report = evaluate_triplets(triplets, ds, rule,
-                                   eleven_point=bool(cfg["eleven_point"]))
+                                   eleven_point=cfg["eleven_point"])
     except ValueError as exc:
         raise CliError("data", str(exc))
     sys.stdout.write(_write_report(out, report, cfg))
@@ -657,10 +664,11 @@ def cmd_baseline(cfg: dict) -> int:
     out = cfg["out"]
     os.makedirs(out, exist_ok=True)
     _require(cfg, "checkpoint", "fit_annotations")
-    k = _convert("k", cfg["k"], int)
+    k, seed = cfg["k"], cfg["seed"]
     if k < 1:
         raise _config_error(f"k must be positive, got {k}")
-    seed = _convert("seed", cfg["seed"], int)
+    if seed < 0:
+        raise _config_error(f"seed must be nonnegative, got {seed}")
     ds, provider, proposals = _load_world(cfg)
     try:
         fit_ds = load_annotations(cfg["fit_annotations"],
@@ -730,25 +738,12 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
-def _flag_values(args: argparse.Namespace, schema: dict) -> dict:
-    out = {}
-    for key, default in schema.items():
-        value = getattr(args, key)
-        if value is None:
-            continue
-        if isinstance(default, list) and isinstance(value, str):
-            value = value.split(",")
-        out[key] = value
-    return out
-
-
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser(argv[0] if argv else None).parse_args(argv)
-    schema = _SCHEMAS[args.command]
     try:
-        cfg = resolve_config(args.command, args.config,
-                             _flag_values(args, schema))
+        cfg = resolve_config(args.command, args.config, {
+            key: getattr(args, key) for key in _SCHEMAS[args.command]})
         return _COMMANDS[args.command](cfg)
     except CliError as exc:
         print(f"error: {exc.kind}: {exc}", file=sys.stderr)

@@ -619,10 +619,23 @@ class SynthConfig:
     def __post_init__(self):
         if min(self.num_scenes, self.persons_per_scene) < 1:
             raise ValueError("counts must be positive")
-        if self.noise < 0 or self.proposal_magnitude < 0:
-            raise ValueError("noise magnitudes must be nonnegative")
-        if self.confusers_per_target < 0:
-            raise ValueError("confusers_per_target must be nonnegative")
+        if min(self.num_distractors, self.proposals_per_box,
+               self.confusers_per_target, self.seed) < 0:
+            raise ValueError("num_distractors, proposals_per_box, "
+                             "confusers_per_target and seed must be "
+                             "nonnegative")
+        if not (0 <= self.noise < math.inf
+                and 0 <= self.proposal_magnitude < math.inf):  # NaN too
+            raise ValueError("noise magnitudes must be nonnegative and "
+                             "finite")
+        if not 1 <= self.stride <= self.image_size < math.inf:  # NaN too
+            raise ValueError(f"need 1 <= stride <= image_size < inf, got "
+                             f"stride {self.stride}, image_size "
+                             f"{self.image_size}")
+        known = synthetic_registry().verbs
+        if not self.verbs or any(v not in known for v in self.verbs):
+            raise ValueError(f"verbs must be one or more of "
+                             f"{', '.join(known)}, got {list(self.verbs)}")
 
 
 def synth_channel_layout():

@@ -17,8 +17,9 @@ to keep them positive and bounded away from zero; the floor defaults to
 
 Also here: the smooth L1 regression loss for mean-only training, and a
 seeded k-means over observed offsets that serves as the
-non-instance-aware baseline (score = max over cluster centers of the
-fixed-width compatibility).
+non-instance-aware baseline. The cascade scores it as it scores a
+fixed-width density: the max over the centers of
+:func:`gaussian_compat` (see ``inference._score_rows``).
 
 The compatibility functions take one offset or a ``(..., 4)`` array of
 them, broadcasting against the density parameters, so the cascade scores
@@ -211,13 +212,3 @@ def kmeans_offsets(offsets: np.ndarray, k: int, seed: int,
             if mask.any():
                 centers[j] = pts[mask].mean(axis=0)
     return centers
-
-
-def kmeans_compat(b_rel, centers: np.ndarray, sigma: float = DEFAULT_SIGMA):
-    """Baseline compatibility: max over cluster centers of the
-    fixed-width Gaussian score, i.e. distance to the nearest mode.
-    Offsets broadcast over leading axes; a single one gives a float."""
-    centers = np.asarray(centers, dtype=np.float64).reshape(-1, 4)
-    b = _offsets(b_rel)
-    return _scalar_or_array(
-        np.max(gaussian_compat(b[..., None, :], centers, sigma), axis=-1))

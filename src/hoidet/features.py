@@ -12,8 +12,8 @@ and stride. Each ``FeatureMap.data`` is a ``(C, H, W)`` view of that
 block. Pooling is array-native: boxes of any scenes, each with its
 scene's id, are pooled in one call of a vectorised bilinear gather that
 reads whole ``C``-value cells, 64 boxes at a time (as Fast R-CNN's RoI
-layer pools a mini-batch's RoIs over ``(batch index, box)`` rows). :func:`pool_boxes` is the same
-gather over one map and :func:`roi_align` its one-box form. Nothing is
+layer pools a mini-batch's RoIs over ``(batch index, box)`` rows);
+:func:`roi_align` is the same gather for one box of one map. Nothing is
 memoized: in inference almost every box is new, so a memo would only
 add its lookups and grow with every decoded box.
 """
@@ -75,22 +75,14 @@ class RoiFeature:
 
 
 def roi_align(fmap: FeatureMap, box: Box, pooled: int = 7) -> RoiFeature:
-    """Pool one box into a pooled x pooled grid; see :func:`pool_boxes`."""
-    values, outside = pool_boxes(fmap, np.array([box.as_tuple()]), pooled)
-    return RoiFeature(values[0], out_of_bounds=bool(outside[0]))
-
-
-def pool_boxes(fmap: FeatureMap, boxes: np.ndarray, pooled: int = 7):
-    """Pool (N, 4) boxes of one map, in the gather of :func:`_pool`.
-
-    Returns the (N, channels * pooled * pooled) channel-major features
-    and an (N,) ``out_of_bounds`` mask."""
-    boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
-    n = len(boxes)
+    """Pool one box of one map into a pooled x pooled grid, in the gather
+    of :func:`_pool`."""
     cells = fmap.data.transpose(1, 2, 0).reshape(-1, fmap.channels)
-    return _pool(cells, boxes, np.zeros(n, dtype=int),
-                 np.full(n, fmap.height), np.full(n, fmap.width),
-                 np.full(n, float(fmap.stride)), pooled)
+    values, outside = _pool(
+        cells, np.array([box.as_tuple()], dtype=np.float64),
+        np.zeros(1, dtype=int), np.full(1, fmap.height),
+        np.full(1, fmap.width), np.full(1, float(fmap.stride)), pooled)
+    return RoiFeature(values[0], out_of_bounds=bool(outside[0]))
 
 
 # boxes per block of the gather in _pool: its four (boxes, P, P, C)
@@ -253,9 +245,6 @@ class SyntheticFeatureProvider:
         self._height = np.array([m.height for m in ordered], dtype=int)
         self._width = np.array([m.width for m in ordered], dtype=int)
         self._stride = np.array([float(m.stride) for m in ordered])
-
-    def pooled_feature(self, scene_id: int, box: Box) -> np.ndarray:
-        return self.pooled_matrix(scene_id, [box])[0]
 
     def pooled_matrix(self, scene_id, boxes) -> np.ndarray:
         """Pooled rows of ``boxes``; ``scene_id`` is one scene's id, or

@@ -36,6 +36,12 @@ triplets, and only for the triplets kept. Every array step repeats the
 arithmetic of the scalar functions in ``geometry`` and ``density``, so
 the picks and scores are the same bits as a pair-by-pair evaluation.
 
+The k-means prior is scored as a fixed-width density whose means are
+an ``(actions, K, 4)`` table of centers. Each kept triplet carries the
+mean its target was scored with (``ScoredTriplet.target_mean``);
+``hoidet infer --overlay`` decodes it into the triplet's hint box, so
+the overlay is the cascade's own density and costs no head work.
+
 Self-pairs are excluded: a human box is never its own target, but other
 detected people are legitimate candidates.
 
@@ -46,7 +52,7 @@ the evaluator's input.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -58,7 +64,7 @@ from .dataset import (
     ActionRegistry,
     _typed,
 )
-from .density import gaussian_compat, kmeans_compat, mixture_compat
+from .density import gaussian_compat, mixture_compat
 from .geometry import Box, Detection, box_array, decode_rels, encode_rels, nms
 from .model import (
     HeadConfig,
@@ -101,7 +107,9 @@ class ScoredTriplet:
     """One (human, action, object) prediction with its score factors.
 
     ``object`` is None exactly when the action takes no target; then
-    ``s_o`` and ``compat`` are None and the total is s_h * action_score.
+    ``s_o``, ``compat`` and ``target_mean`` are None and the total is
+    s_h * action_score. ``target_mean`` is the density mean the target
+    was scored with; predictions files do not hold it.
     """
 
     image_id: int
@@ -114,6 +122,7 @@ class ScoredTriplet:
     action_score: float
     compat: float | None
     score: float
+    target_mean: list | None = field(default=None, compare=False)
 
 
 @dataclass
@@ -122,10 +131,6 @@ class InferStats:
     num_detections: int = 0
     per_roi_forwards: int = 0
     num_pairs_scored: int = 0
-
-    def add(self, other: InferStats) -> None:
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
 
 def _detect(probs, deltas, proposals, scenes, num_classes: int,
@@ -163,24 +168,14 @@ def _detections(boxes, classes, scores, categories) -> list[Detection]:
             zip(boxes.tolist(), classes.tolist(), scores.tolist())]
 
 
-def select_object(s_o, inter, compat, counts=None):
-    """Index along axis 0 (the candidates) maximizing the product, per
-    column for 2-d input; None if there are no candidates. With
-    ``counts``, axis 0 holds groups and axis 1 their candidates, of
-    which group k has its first ``counts[k]``: the result is each
-    group's index per trailing column, 0 for a group without any.
-
-    The products beyond a group's candidates are set to -inf, and
-    np.argmax keeps the first maximum (and the first NaN), which is the
-    tie-break rule.
-    """
-    score = np.asarray(s_o) * np.asarray(inter) * np.asarray(compat)
-    if score.size == 0:
-        return None
-    if counts is None:
-        best = np.argmax(score, axis=0)
-        return int(best) if best.ndim == 0 else best
-    score[np.arange(score.shape[1]) >= np.asarray(counts)[:, None]] = -np.inf
+def select_object(s_o, inter, compat, counts):
+    """Each group's index maximizing the product, per trailing column:
+    axis 0 holds the groups, axis 1 their candidates, of which group k
+    has its first ``counts[k]`` (0 for a group without any). Products
+    beyond a group's candidates are -inf, and np.argmax keeps the first
+    maximum (and the first NaN): the tie-break rule."""
+    score = s_o * inter * compat
+    score[np.arange(score.shape[1]) >= counts[:, None]] = -np.inf
     return np.argmax(score, axis=1)
 
 
@@ -269,6 +264,16 @@ def infer(scene_id, proposals, provider, params, cfg: HeadConfig,
     return out, stats
 
 
+def _center_table(centers: dict, num_actions: int) -> np.ndarray:
+    """The (A, K, 4) table of ``centers`` (action index -> (K_a, 4)):
+    each action's centers repeated up to the largest K_a, which keeps
+    their max, and zeros for an action without centers."""
+    rows = [np.reshape(centers.get(a, np.zeros(4)), (-1, 4))
+            for a in range(num_actions)]
+    k = max(map(len, rows))
+    return np.stack([np.resize(r, (k, 4)) for r in rows])
+
+
 def _heads(feats, params, cfg: HeadConfig) -> tuple:
     """Per-RoI outputs of one scene's detection rows: action scores,
     target means, mixture weights and widths (None without the MDN), the
@@ -292,7 +297,8 @@ def _concat(heads: list) -> tuple:
 class _Rows(NamedTuple):
     """Triplets as arrays, one entry per triplet: the human's and the
     object's detection index (-1 for no target), the action's registry
-    index, and the score factors (s_o and compat 0 without a target)."""
+    index, the score factors (s_o and compat 0 without a target) and the
+    target's density mean (zeros without a target)."""
 
     human: np.ndarray
     action: np.ndarray
@@ -302,6 +308,7 @@ class _Rows(NamedTuple):
     action_score: np.ndarray
     compat: np.ndarray
     score: np.ndarray
+    mean: np.ndarray
 
 
 def _score_rows(boxes, scores, person, scene, heads, params,
@@ -310,7 +317,12 @@ def _score_rows(boxes, scores, person, scene, heads, params,
     """Triplet rows of detections with ascending ``scene`` indices: every
     human's actions in detection order, each action in registry order,
     a targeted one only where the human's scene holds another detection.
-    ``heads`` are the detections' :func:`_heads` outputs."""
+    ``heads`` are the detections' :func:`_heads` outputs.
+
+    A fixed-width density (the head's first mean, or the k-means centers)
+    scores a candidate by its max Gaussian compat over the means, and a
+    row's mean is the one attaining it; a mixture sums its components,
+    and a row's mean is the heaviest one's."""
     act, mus, weights, sigmas, hidden, logit_h, logit_o, hidden_o = heads
     humans = np.flatnonzero(person)
     num_humans, num_actions = len(humans), cfg.num_actions
@@ -327,18 +339,16 @@ def _score_rows(boxes, scores, person, scene, heads, params,
         rels = np.zeros((num_humans, width, 4))
         rels[valid] = encode_rels(boxes[cand[valid]],
                                   boxes[np.repeat(humans, counts)])
-        if baseline_centers is not None:
-            compat = np.zeros((num_humans, width, num_actions))
-            for a in np.flatnonzero(targeted).tolist():
-                compat[..., a] = kmeans_compat(rels, baseline_centers[a],
-                                               cfg.sigma)
-        elif cfg.use_mdn:
-            compat = mixture_compat(
-                rels[:, :, None], weights[humans][:, None],
-                mus[humans][:, None], sigmas[humans][:, None])
+        if baseline_centers is None and cfg.use_mdn:
+            means = mus[humans][:, None]  # (humans, 1, actions, M, 4)
+            rank = weights[humans][:, None]
+            compat = mixture_compat(rels[:, :, None], rank, means,
+                                    sigmas[humans][:, None])
         else:
-            compat = gaussian_compat(rels[:, :, None],
-                                     mus[humans][:, None, :, 0], cfg.sigma)
+            means = (mus[humans][:, None, :, :1] if baseline_centers is None
+                     else _center_table(baseline_centers, num_actions))
+            rank = gaussian_compat(rels[:, :, None, None], means, cfg.sigma)
+            compat = rank.max(axis=-1)
         if not cfg.use_interaction_branch:
             inter = act[humans][:, None]
         elif cfg.pairwise_mode == "logit_sum":
@@ -364,6 +374,7 @@ def _score_rows(boxes, scores, person, scene, heads, params,
     obj = np.full(len(k), -1)
     s_o, compat_at = np.zeros(len(k)), np.zeros(len(k))
     score = s_h * action_score
+    mean = np.zeros((len(k), 4))
     t = np.flatnonzero(has[k, a])
     if len(t):
         at = k[t], best[k[t], a[t]], a[t]  # (human, candidate, action)
@@ -373,7 +384,11 @@ def _score_rows(boxes, scores, person, scene, heads, params,
             action_score[t] = inter[at]
         compat_at[t] = compat[at]
         score[t] = s_h[t] * s_o[t] * action_score[t] * compat_at[t]
-    return _Rows(human, a, obj, s_h, s_o, action_score, compat_at, score)
+        shape = (num_humans, width, num_actions, means.shape[-2])
+        at += (np.broadcast_to(rank, shape)[at].argmax(axis=-1),)
+        mean[t] = np.broadcast_to(means, shape + (4,))[at]
+    return _Rows(human, a, obj, s_h, s_o, action_score, compat_at, score,
+                 mean)
 
 
 def _triplets(rows: _Rows, keep, image_ids, dets, registry) -> list:
@@ -384,8 +399,8 @@ def _triplets(rows: _Rows, keep, image_ids, dets, registry) -> list:
         ScoredTriplet(image_ids[h], dets[h], entries[a].name, entries[a].role,
                       None, s_h, None, ia, None, score) if o < 0 else
         ScoredTriplet(image_ids[h], dets[h], entries[a].name, entries[a].role,
-                      dets[o], s_h, s_o, ia, g, score)
-        for h, a, o, s_h, s_o, ia, g, score in zip(
+                      dets[o], s_h, s_o, ia, g, score, mean)
+        for h, a, o, s_h, s_o, ia, g, score, mean in zip(
             *(col[keep].tolist() for col in rows))]
 
 

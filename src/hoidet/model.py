@@ -102,6 +102,10 @@ class LossWeights:
     target_loc: float = 1.0
     interaction_cls: float = 1.0
 
+    def __post_init__(self):
+        if not all(0 <= w < math.inf for w in asdict(self).values()):
+            raise ConfigError("loss weights must be nonnegative and finite")
+
 
 @dataclass
 class LossReport:

@@ -43,6 +43,7 @@ bit-reproducible given the seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -113,10 +114,19 @@ class Schedule:
         self.phases = [p if isinstance(p, Phase) else Phase(*p) for p in self.phases]
         if not self.phases:
             raise ValueError("schedule needs at least one phase")
-        if any(p.lr < 0 or p.iterations < 0 for p in self.phases):
-            raise ValueError("phase rates must be nonnegative")
+        if not all(0 <= p.lr < math.inf and p.iterations >= 0
+                   for p in self.phases):  # NaN too
+            raise ValueError("phase rates must be nonnegative and finite")
+        if self.total_iterations < 1:
+            raise ValueError("schedule needs at least one iteration")
         if self.images_per_step < 1 or self.workers < 1:
             raise ValueError("batch shape must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        if not (0 <= self.momentum < math.inf
+                and 0 <= self.weight_decay < math.inf):  # NaN too
+            raise ValueError("momentum and weight_decay must be nonnegative "
+                             "and finite")
 
     @property
     def total_iterations(self) -> int:

@@ -8,6 +8,7 @@ scenes must reproduce a call per scene, whatever its pooling blocks.
 """
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -478,7 +479,7 @@ def test_one_call_over_many_scenes_equals_a_call_per_scene(
         trips, stats = infer(sid, props, provider, params, cfg, REGISTRY,
                              CATEGORIES, icfg, centers)
         want.extend(trips)
-        totals.add(stats)
+        totals = InferStats(*map(sum, zip(astuple(totals), astuple(stats))))
         per_scene.append((sid, stats, trips))
     # the scene kinds the list is meant to hold
     kinds = [(s.num_proposals, s.num_detections, len(t))

@@ -24,6 +24,7 @@ from hoidet.cli import (
 )
 from hoidet.dataset import (
     PERSON_CATEGORY,
+    ROLE_NONE,
     SYNTH_CATEGORIES,
     ActionRegistry,
     Dataset,
@@ -35,7 +36,7 @@ from hoidet.dataset import (
 )
 from hoidet.density import DEFAULT_SIGMA
 from hoidet.features import SyntheticFeatureProvider
-from hoidet.geometry import Box, box_array
+from hoidet.geometry import Box, box_array, decode_rel
 from hoidet.inference import infer, read_predictions
 from hoidet.model import load_checkpoint
 
@@ -387,6 +388,51 @@ class TestInferCommand:
         assert typed and all("target_hint_box" in e for e in typed)
         for e in typed:
             assert len(e["target_hint_box"]) == 4
+
+    @pytest.mark.parametrize("centers", [False, True])
+    def test_overlay_hints_are_the_scored_means(self, tmp_path, centers):
+        """Each hint is ``decode_rel`` of the density mean the cascade
+        scored the triplet's target with (its ``target_mean``), with and
+        without k-means centers."""
+        data = _synth(tmp_path)
+        run = _train(tmp_path, data)
+        rng = np.random.default_rng(3)
+        table, extra = None, ("--overlay",)
+        if centers:
+            table = {a: rng.normal(scale=0.3, size=(2, 4))
+                     for a, e in enumerate(synthetic_registry())
+                     if e.role != ROLE_NONE}
+            path = tmp_path / "centers.json"
+            path.write_text(json.dumps({"centers": {
+                str(a): c.tolist() for a, c in table.items()}}))
+            extra += ("--centers", str(path))
+        out = _infer(tmp_path, data, run, name="ov", extra=extra)
+        images = json.loads((out / "overlay.json").read_text())["images"]
+
+        ckpt = load_checkpoint(run / "checkpoint.bin")
+        ds = load_annotations(data / "annotations.json", schema="hico_like")
+        provider = SyntheticFeatureProvider(
+            read_feature_maps(data / "features.npz"))
+        proposals = read_proposals(data / "proposals.json")
+        ids = sorted(proposals)
+        triplets, _ = infer(
+            np.repeat(ids, [len(proposals[i]) for i in ids]),
+            np.concatenate([proposals[i] for i in ids]), provider,
+            ckpt.params, ckpt.config, ActionRegistry.from_json(ckpt.actions),
+            ds.categories, baseline_centers=table)
+        entries = [e for i in ids for e in images[str(i)]]
+        assert len(entries) == len(triplets)
+        hinted = 0
+        for e, t in zip(entries, triplets):
+            assert (e["action"], e["role"], e["score"]) == (
+                t.action, t.role, t.score)
+            if t.object is None:
+                assert "target_hint_box" not in e
+                continue
+            assert e["target_hint_box"] == list(
+                decode_rel(t.target_mean, t.human.box).as_tuple())
+            hinted += 1
+        assert hinted > 0
 
     def test_missing_checkpoint(self, tmp_path, capsys):
         data = _synth(tmp_path)
@@ -768,8 +814,8 @@ class TestBaselineCommand:
         assert doc["mean_role_ap"] is not None
 
     def test_baseline_compat_matches_centers(self, tmp_path):
-        from hoidet.density import kmeans_compat
         from hoidet.geometry import encode_rel
+        from test_density import kmeans_compat
 
         data = _synth(tmp_path)
         run = _train(tmp_path, data)
@@ -918,22 +964,36 @@ class TestConfigValueErrors:
 
     @pytest.mark.parametrize("key, value, detail", [
         ("images_per_step", 0, "batch shape must be positive"),
-        ("momentum", "fast", "momentum: could not convert"),
-        ("checkpoint_every", "x", "checkpoint_every: invalid literal"),
+        ("momentum", "fast", "momentum: expected a number"),
+        ("checkpoint_every", "x", "checkpoint_every: expected an integer"),
+        # once trained with the branch on, and at hidden_dim 8
+        ("use_interaction_branch", "false",
+         "use_interaction_branch: expected a boolean, got string"),
+        ("hidden_dim", 8.9, "hidden_dim: expected an integer, got number"),
+        ("hidden_dim", True, "hidden_dim: expected an integer, got boolean"),
+        ("phases", [[2.5, 0.001]],
+         "phases: expected an integer, got number"),
+        ("phases", ["2:fast"], "phases: expected 'iterations:lr', got "
+                               "'2:fast'"),
+        ("schema", 5, "schema: expected a string, got integer"),
     ])
     def test_train(self, trained, tmp_path, capsys, key, value, detail):
         data, _ = trained
         cfg_file = tmp_path / "c.json"
-        cfg_file.write_text(json.dumps({key: value}))
+        # a short schedule, so that a value taken as valid trains quickly
+        cfg_file.write_text(json.dumps({"phases": "1:0.001", key: value}))
         err = self._config_err(capsys, [
             "train", "--out", str(tmp_path / "run"), "--config",
             str(cfg_file), *_inputs(data)])
         assert detail in err
 
     @pytest.mark.parametrize("config, flags, detail", [
-        ({"score_threshold": "high"}, (), "score_threshold: could not convert"),
+        ({"score_threshold": "high"}, (),
+         "score_threshold: expected a number"),
         ({}, ("--max-triplets", "-1"), "max_triplets must be >= 0, got -1"),
         ({}, ("--nms-threshold", "1.5"), "nms_threshold must be in [0, 1]"),
+        ({"centers": ["c.json"]}, (), "centers: expected a string, got list"),
+        ({"overlay": 1}, (), "overlay: expected a boolean, got integer"),
     ])
     def test_infer(self, trained, tmp_path, capsys, config, flags, detail):
         data, run = trained
@@ -965,6 +1025,137 @@ class TestConfigValueErrors:
         assert err == ("error: config: sigma values must be positive and "
                        "finite\n")
         assert not (tmp_path / "run" / "checkpoint.bin").exists()
+
+    def test_eval_eleven_point_string(self, trained, tmp_path, capsys):
+        """The string "false" once made eval report 11-point AP."""
+        data, run = trained
+        preds = _infer(tmp_path, data, run) / "predictions.jsonl"
+        cfg_file = tmp_path / "c.json"
+        cfg_file.write_text(json.dumps({"eleven_point": "false"}))
+        err = self._config_err(capsys, [
+            "eval", "--out", str(tmp_path / "ev"), "--config", str(cfg_file),
+            "--predictions", str(preds),
+            "--annotations", str(data / "annotations.json")])
+        assert err == ("error: config: eleven_point: expected a boolean, "
+                       "got string\n")
+
+    @pytest.mark.parametrize("flags, detail", [
+        (("--phases", "0:0.001"), "schedule needs at least one iteration"),
+        (("--phases", "0:0.001,0:0.01"),
+         "schedule needs at least one iteration"),
+        (("--phases", "2:nan"), "phase rates must be nonnegative and finite"),
+        (("--seed", "-1"), "seed must be nonnegative, got -1"),
+        (("--momentum", "nan"), "momentum and weight_decay must be"),
+        (("--checkpoint-every", "-1"),
+         "checkpoint_every must be nonnegative, got -1"),
+    ], ids=["zero_iterations", "zero_iteration_phases", "nan_rate",
+            "negative_seed", "nan_momentum", "negative_checkpoint_every"])
+    def test_train_schedule(self, trained, tmp_path, capsys, flags, detail):
+        """A schedule of no iterations once wrote a checkpoint and then
+        raised IndexError; a negative seed raised from numpy."""
+        data, _ = trained
+        err = self._config_err(capsys, [
+            "train", "--out", str(tmp_path / "run"), *_inputs(data),
+            "--phases", "2:0.001", *flags])
+        assert detail in err
+        assert not (tmp_path / "run" / "checkpoint.bin").exists()
+
+    def test_a_zero_iteration_phase_beside_others(self, trained, tmp_path):
+        data, _ = trained
+        run = _train(tmp_path, data, phases="0:0.01,2:0.001")
+        assert len((run / "loss.log").read_text().splitlines()) == 3
+
+    def test_baseline_negative_seed(self, trained, tmp_path, capsys):
+        data, run = trained
+        err = self._config_err(capsys, [
+            "baseline", "--out", str(tmp_path / "b"), "--seed", "-1",
+            "--checkpoint", str(run / "checkpoint.bin"),
+            "--fit-annotations", str(data / "annotations.json"),
+            *_inputs(data)])
+        assert err == "error: config: seed must be nonnegative, got -1\n"
+
+    @pytest.mark.parametrize("flags, detail", [
+        (("--seed", "-1"), "and seed must be nonnegative"),
+        (("--num-distractors", "-1"), "num_distractors, proposals_per_box"),
+        (("--proposals-per-box", "-1"), "num_distractors, proposals_per_box"),
+        (("--stride", "0"), "need 1 <= stride <= image_size < inf, got "
+                            "stride 0, image_size 128.0"),
+        (("--stride", "1000"), "got stride 1000, image_size 128.0"),
+        (("--image-size", "nan"), "got stride 4, image_size nan"),
+        (("--noise", "nan"), "noise magnitudes must be nonnegative and "
+                             "finite"),
+        (("--proposal-magnitude", "inf"), "noise magnitudes must be"),
+        (("--verbs", "fly"), "verbs must be one or more of carry, throw, "
+                             "sit, cut, stand, got ['fly']"),
+        (("--persons-per-scene", "50"), "could not place a person"),
+    ], ids=["negative_seed", "negative_distractors", "negative_proposals",
+            "zero_stride", "stride_beyond_image", "nan_image_size",
+            "nan_noise", "infinite_magnitude", "unknown_verb",
+            "crowded_scene"])
+    def test_synth(self, tmp_path, capsys, flags, detail):
+        """Each of these once raised, or (the negative counts) wrote
+        scenes without a word."""
+        err = self._config_err(capsys, [
+            "synth", "--out", str(tmp_path / "s"), "--num-scenes", "2",
+            *flags])
+        assert detail in err
+        assert not (tmp_path / "s" / "annotations.json").exists()
+
+
+def _numeric_flags():
+    """(command, flag, value) for every int or float key of every
+    subcommand, at 0 and -1, and a float key also at NaN and inf."""
+    for command, schema in _SCHEMAS.items():
+        for key, default in schema.items():
+            if type(default) not in (int, float):
+                continue
+            flag = "--" + key.replace("_", "-")
+            values = ("0", "-1") + (("nan", "inf") * (type(default) is float))
+            for value in values:
+                yield pytest.param(command, flag, value,
+                                   id=f"{command}{flag}={value}")
+
+
+@pytest.fixture(scope="module")
+def tiny(tmp_path_factory):
+    """A 3-scene world, a checkpoint trained on it and its predictions."""
+    tmp_path = tmp_path_factory.mktemp("tiny")
+    data = _synth(tmp_path, scenes=3)
+    run = _train(tmp_path, data, phases="2:0.001")
+    return data, run, _infer(tmp_path, data, run) / "predictions.jsonl"
+
+
+class TestEveryNumericFlag:
+    """No value of a numeric flag ends in a traceback: each command exits
+    0, 1 or 2, with nothing or one ``error: <kind>: `` line on stderr."""
+
+    @pytest.mark.filterwarnings("ignore:only .* offsets for k=")
+    @pytest.mark.parametrize("command, flag, value", _numeric_flags())
+    def test_value(self, tiny, tmp_path, capsys, command, flag, value):
+        data, run, preds = tiny
+        ckpt = ("--checkpoint", str(run / "checkpoint.bin"))
+        base = {
+            "synth": ("--num-scenes", "2", "--persons-per-scene", "1",
+                      "--num-distractors", "1"),
+            "train": (*_inputs(data), "--phases", "2:0.001",
+                      "--hidden-dim", "8", "--workers", "1"),
+            "infer": (*ckpt, *_inputs(data)),
+            "eval": ("--predictions", str(preds),
+                     "--annotations", str(data / "annotations.json")),
+            "baseline": (*ckpt, *_inputs(data), "--fit-annotations",
+                         str(data / "annotations.json")),
+        }[command]
+        argv = [command, "--out", str(tmp_path / "out"), *base, flag, value]
+        capsys.readouterr()
+        try:
+            code = _run(*argv)
+        except Exception as exc:  # what the shell would print as a traceback
+            pytest.fail(f"Traceback: {exc!r}")
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        assert err == "" or re.fullmatch(r"error: [a-z]+: [^\n]*\n", err), err
+        assert (err == "") == (code == 0)
 
 
 def _rewrite_checkpoint(src, dst, edit):

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from hoidet.density import (
+    DEFAULT_SIGMA,
     component_log_densities,
     gaussian_compat,
-    kmeans_compat,
     kmeans_offsets,
     mdn_nll_grad,
     mixture_compat,
@@ -15,6 +15,14 @@ from hoidet.density import (
     softmax,
     softplus,
 )
+
+
+def kmeans_compat(b_rel, centers, sigma=DEFAULT_SIGMA):
+    """The k-means baseline's compat, as the cascade scores it: the max
+    over the centers of the fixed-width compat."""
+    b = np.asarray(b_rel, dtype=np.float64)[..., None, :]
+    return np.max(gaussian_compat(b, np.reshape(centers, (-1, 4)), sigma),
+                  axis=-1)
 
 
 def mdn_nll(b_rel, weights, mus, sigmas) -> float:

@@ -87,8 +87,8 @@ class TestSyntheticProvider:
         fmap = make_map(rng.normal(size=(3, 8, 8)), stride=2.0)
         prov = SyntheticFeatureProvider({0: fmap}, pooled=3)
         box = Box(1, 1, 9, 9)
-        a = prov.pooled_feature(0, box)
-        b = prov.pooled_feature(0, box)
+        a = prov.pooled_matrix(0, [box])[0]
+        b = prov.pooled_matrix(0, [box])[0]
         assert a.tobytes() == b.tobytes()
         np.testing.assert_array_equal(a, roi_align(fmap, box, 3).values)
 

@@ -15,7 +15,7 @@ from hoidet.dataset import (
     _typed,
     synthetic_registry,
 )
-from hoidet.density import gaussian_compat, kmeans_compat, mixture_compat
+from hoidet.density import gaussian_compat, mixture_compat
 from hoidet.geometry import (
     Box,
     Detection,
@@ -36,6 +36,7 @@ from hoidet.inference import (
 from hoidet.model import HeadConfig, init_params
 from hoidet.trainer import from_synthetic
 from test_cli import _json_paths, _json_type
+from test_density import kmeans_compat
 from test_model import forward_interaction
 
 REGISTRY = synthetic_registry()
@@ -165,32 +166,42 @@ class TestDetectObjects:
         assert dets == []
 
 
+def _select_one(s_o, inter, compat):
+    """One group's index maximizing the product, None for no candidates:
+    :func:`select_object` over one group of all the candidates."""
+    if not len(s_o):
+        return None
+    return int(select_object(np.asarray(s_o)[None], np.asarray(inter)[None],
+                             np.asarray(compat)[None],
+                             np.array([len(s_o)]))[0])
+
+
 class TestSelectObject:
     def test_empty_none(self):
-        assert select_object(np.zeros(0), np.zeros(0), np.zeros(0)) is None
+        assert _select_one(np.zeros(0), np.zeros(0), np.zeros(0)) is None
 
     def test_singleton(self):
-        assert select_object(np.array([0.3]), np.array([0.5]),
-                             np.array([0.9])) == 0
+        assert _select_one(np.array([0.3]), np.array([0.5]),
+                           np.array([0.9])) == 0
 
     def test_near_target_wins(self):
         s_o = np.array([0.6, 0.6])
         inter = np.array([0.5, 0.5])
         g = np.array([gaussian_compat(np.zeros(4), np.zeros(4)),
                       gaussian_compat(np.full(4, 2.0), np.zeros(4))])
-        assert select_object(s_o, inter, g) == 0
+        assert _select_one(s_o, inter, g) == 0
 
     def test_product_arithmetic(self):
         s_o = np.array([0.9, 0.8])
         g = np.array([0.2, 0.9])
         inter = np.array([0.5, 0.5])
         # 0.8*0.9 = 0.72 beats 0.9*0.2 = 0.18
-        assert select_object(s_o, inter, g) == 1
+        assert _select_one(s_o, inter, g) == 1
 
     def test_tie_breaks_to_first(self):
         s_o = np.array([0.5, 0.5, 0.5])
         ones = np.ones(3)
-        assert select_object(s_o, ones, ones) == 0
+        assert _select_one(s_o, ones, ones) == 0
 
     def test_monotone_in_selected_score(self):
         rng = np.random.default_rng(404)
@@ -199,10 +210,10 @@ class TestSelectObject:
             s_o = rng.uniform(0.05, 1.0, n)
             inter = rng.uniform(0.05, 1.0, n)
             g = rng.uniform(0.05, 1.0, n)
-            j = select_object(s_o, inter, g)
+            j = _select_one(s_o, inter, g)
             boosted = s_o.copy()
             boosted[j] = min(1.0, boosted[j] * 1.5)
-            assert select_object(boosted, inter, g) == j
+            assert _select_one(boosted, inter, g) == j
 
 
 def _brute_force(scene_id, dets, provider, params, cfg, registry):
@@ -368,7 +379,8 @@ class TestInferCascade:
             if t.role == ROLE_NONE:
                 continue
             out = forward_human(
-                provider.pooled_feature(t.image_id, t.human.box), params, cfg)
+                provider.pooled_matrix(t.image_id, [t.human.box]), params,
+                cfg)
             a = REGISTRY.index(t.action, t.role)
             assert np.isclose(t.action_score, out.action_scores[0, a],
                               rtol=1e-12)
@@ -394,6 +406,45 @@ class TestInferCascade:
                               kmeans_compat(rel, centers[a], cfg.sigma))
             checked += 1
         assert checked > 0
+
+    @pytest.mark.parametrize("mode", ["fixed_sigma", "mdn_m2", "kmeans"])
+    def test_target_mean_is_the_scored_mean(self, small_world, mode):
+        """A fixed-width density's mean is the one whose compat the triplet
+        holds (a k-means action's nearest center), a mixture's the mean
+        of its heaviest component; untargeted triplets have none."""
+        from hoidet.model import forward_human
+
+        scenes, provider = small_world
+        cfg = _mk_cfg(provider, **(dict(use_mdn=True, density_M=2)
+                                   if mode == "mdn_m2" else {}))
+        params = init_params(cfg, 8)
+        rng = np.random.default_rng(9)
+        centers = None
+        if mode == "kmeans":
+            centers = {a: rng.normal(scale=0.5, size=(rng.integers(1, 4), 4))
+                       for a in range(len(REGISTRY))}
+        trips, _ = infer([s.scene_id for s in scenes for _ in s.proposals],
+                         [b for s in scenes for b in s.proposals], provider,
+                         params, cfg, REGISTRY, CATEGORIES,
+                         baseline_centers=centers)
+        targeted = [t for t in trips if t.object is not None]
+        assert targeted
+        assert all(t.target_mean is None for t in trips if t.object is None)
+        for t in targeted:
+            a = REGISTRY.index(t.action, t.role)
+            rel = np.array(encode_rel(t.object.box, t.human.box).as_tuple())
+            hum = forward_human(provider.pooled_matrix(
+                t.image_id, [t.human.box]), params, cfg)
+            if mode == "mdn_m2":
+                want = hum.mus[0, a, np.argmax(hum.weights[0, a])]
+                np.testing.assert_allclose(t.target_mean, want, atol=1e-12)
+                continue
+            if mode == "kmeans":
+                assert any(c.tolist() == t.target_mean for c in centers[a])
+            else:
+                np.testing.assert_allclose(t.target_mean, hum.mus[0, a, 0],
+                                           atol=1e-12)
+            assert gaussian_compat(rel, t.target_mean, cfg.sigma) == t.compat
 
 
 class TestPredictionIO:
