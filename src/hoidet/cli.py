@@ -636,10 +636,13 @@ def cmd_eval(cfg: dict) -> int:
     return 0
 
 
-def fit_baseline_centers(ds: Dataset, k: int, seed: int) -> dict:
+def fit_baseline_centers(ds: Dataset, k: int, seed: int,
+                         reduced: list | None = None) -> dict:
     """Per-action k-means over ground-truth relative offsets: each typed
     record's object box encoded relative to its person box, gathered
-    from the scenes' box arrays in file order."""
+    from the scenes' box arrays in file order. An action with n < k
+    offsets gets n centers, and when ``reduced`` is a list, its registry
+    entry and n are appended to it."""
     actions, targets, persons = [], [], []
     for scene in ds.scenes:
         for rec in scene.interactions:
@@ -655,8 +658,10 @@ def fit_baseline_centers(ds: Dataset, k: int, seed: int) -> dict:
         if entry.role == ROLE_NONE:
             continue
         rows = offsets[actions == a]
-        centers[a] = (kmeans_offsets(rows, k, seed=seed) if len(rows)
-                      else np.zeros((1, 4)))
+        if 0 < len(rows) < k and reduced is not None:
+            reduced.append((entry, len(rows)))
+        centers[a] = (kmeans_offsets(rows, min(k, len(rows)), seed=seed)
+                      if len(rows) else np.zeros((1, 4)))
     return centers
 
 
@@ -679,7 +684,11 @@ def cmd_baseline(cfg: dict) -> int:
         raise CliError("data", str(exc))
     ckpt, registry = _load_model(cfg["checkpoint"], fit_ds.registry,
                                  ds.categories, provider)
-    centers = fit_baseline_centers(fit_ds, k, seed)
+    reduced = []
+    centers = fit_baseline_centers(fit_ds, k, seed, reduced)
+    for entry, n in reduced:
+        print(f"action {entry.key}: only {n} offsets for k={k}; "
+              f"fit {n} centers")
     _write_json(os.path.join(out, "centers.json"), {
         "config": cfg,
         "centers": {str(a): c.tolist() for a, c in centers.items()},

@@ -2,14 +2,14 @@
 
 Label assignment follows the detection convention: proposals (which
 always include the ground-truth boxes) are matched to ground truth by
-IoU at 0.5. The object branch samples at most 64 boxes per image at a
-1:3 positive:negative ratio; when positives are scarce the negative
-count drops to three times the actual positives, preserving the ratio.
-The human-centric branch samples at most 16 person boxes; each carries
-a multi-hot action target over the registry entries (verb-level: both
-role entries of a dual-role verb light up together) and, per role
-entry with an annotated target object, the ground-truth relative
-offset measured from the sampled box. Interaction samples are
+IoU at 0.5. The object branch samples at most 64 boxes per image, a
+quarter of them positives and at most three negatives per positive
+taken, so that when positives are scarce the negative count drops
+with them. The human-centric branch samples at most 16 person boxes;
+each carries a multi-hot action target over the registry entries
+(verb-level: both role entries of a dual-role verb light up together)
+and, per role entry with an annotated target object, the ground-truth
+relative offset measured from the sampled box. Interaction samples are
 ground-truth pairs only.
 
 A scene's labels depend only on its fixed proposals and ground truth,
@@ -18,23 +18,31 @@ iteration 0 (as Fast R-CNN's roidb holds each image's matches and
 regression targets), and only for the scenes its schedule draws: it
 draws every iteration's picks first. A chunk of scenes is stacked into
 zero-padded arrays straight from the annotations' box arrays, and a
-proposal's match is the ``argmax`` of its row of one IoU block. A visit
-to a scene is then only the seeded shuffles of :func:`draw_samples` and
-row gathers from its table.
+proposal's match is the ``argmax`` of its row of one IoU block. A
+scene's rows are its proposals, then its ground-truth boxes; a human
+row is the proposal it was matched from, and a pair's ground-truth box
+is the first proposal with the same corners when there is one. A visit
+to a scene is then an index draw, :func:`_draw_rows`: its seeded
+shuffles pick object and human rows of the table.
 :func:`assign_labels` is the same path for one scene: its table, then
-the draw.
+the draw, then the rows' boxes and labels (:func:`draw_samples`).
 
 Each iteration draws the 16-image effective batch (8 workers x 2
 images, each image seeded by its (seed, iteration, worker, slot)) and
-takes one ``backward`` over all of it. The draws are laid out
-section-major, as a :class:`Batch`: the object rows of the 16 images,
-then their human rows, pair-human rows and pair-object rows, each
-section in image order. The provider pools all of them in one gather
-with a per-row scene id (as Fast R-CNN pools a mini-batch's RoIs in one
-RoI layer), so each branch's feature matrix is a slice of that gather,
-and a row of image i weighs 1/(16 n_i) for the image's n_i rows in that
-section: the objective is the mean over images of the per-image mean
-loss. Parameters, gradients and momentum are each one vector
+takes one ``backward`` over all of it. Before it runs a window of
+consecutive iterations, ``train`` draws the window's images and pools
+the distinct rows they name in one provider call with a per-row scene
+id (as Fast R-CNN pools a mini-batch's RoIs in one RoI layer); a
+window holds at most ``_WINDOW_BYTES`` of pooled rows. An iteration's
+:class:`Batch` is then row takes from those features and from the
+drawn tables' labels, laid out section-major: the object rows of the
+16 images, then their human rows, pair-human rows and pair-object
+rows, each section in image order. Pooling is row-local, so a window's
+features are those of pooling each image's boxes on each visit. Each
+branch's feature matrix is a slice of the batch's rows, and a row of
+image i weighs 1/(16 n_i) for the image's n_i rows in that section:
+the objective is the mean over images of the per-image mean loss.
+Parameters, gradients and momentum are each one vector
 (:class:`FlatTensors`), so zeroing the gradients is one fill, the SGD
 step works on the whole vector in place and each finite check is one
 ``isfinite`` pass that names the tensor only on failure. Training is
@@ -178,16 +186,18 @@ class LabelTable:
     """One scene's labels: everything a draw needs except the seeded
     sampling, fixed by the scene's proposals and ground truth.
 
-    Per proposal (row of ``boxes``): the class label (0 = background)
-    and the regression target toward the matched box (zero unless
-    positive). ``positives`` and ``negatives`` hold proposal indices in
-    ascending order; a proposal in neither overlaps an ignore region.
-    ``human_boxes`` are the proposals matching a person, in ascending
-    order, each with its person's action targets and, per role entry,
-    the offset of the entry's target object from the box and whether
-    one is defined (the first record wins on duplicate role records).
-    ``pair_boxes`` are the annotated (person, object) pairs in sorted
-    index order, with their action targets. The arrays are read-only.
+    The scene's rows (``boxes``) are its N proposals, then its
+    ground-truth boxes (persons, then objects). Per proposal: the class
+    label (0 = background) and the regression target toward the matched
+    box (zero unless positive). ``positives`` and ``negatives`` hold
+    proposal indices in ascending order; a proposal in neither overlaps
+    an ignore region. ``human_rows`` are the proposals matching a
+    person, in ascending order, each with its person's action targets
+    and, per role entry, the offset of the entry's target object from
+    the box and whether one is defined (the first record wins on
+    duplicate role records). ``pair_rows`` hold the person and object
+    row of each annotated pair, in sorted index order, with the pair's
+    action targets. The arrays are read-only.
     """
 
     boxes: np.ndarray
@@ -195,13 +205,24 @@ class LabelTable:
     reg_targets: np.ndarray
     positives: list
     negatives: list
-    human_boxes: np.ndarray
+    human_rows: np.ndarray
     action_targets: np.ndarray
     target_offsets: np.ndarray
     target_mask: np.ndarray
-    pair_boxes: np.ndarray
+    pair_rows: np.ndarray
     pair_targets: np.ndarray
 
+
+# train pools the distinct rows a window of consecutive iterations
+# draws in one (rows, feature_dim) float64 array of at most this many
+# bytes (a window of one iteration may hold more), so that the memory
+# it adds stays bounded however long the schedule and however many
+# scenes it draws: unbounded, a 2000-scene run's pooled rows took
+# 150 MB. A longer window only saves re-pooling the rows it shares
+# with the next one: 1000 iterations over 2000 scenes took 9.7 s
+# pooling every draw, 8.0 s in 8 MB windows, 7.9 s in 32 MB windows
+# and 7.2 s unbounded (one BLAS thread, 2 vCPUs)
+_WINDOW_BYTES = 32 << 20
 
 # label_tables matches the scenes in chunks, each as one zero-padded
 # (scenes, proposals, ground truth) IoU block of at most this many
@@ -278,7 +299,7 @@ def _label_chunk(scenes, registry: ActionRegistry, cat_index: dict,
     object_labels = _object_labels(scenes, cat_index)
     act = []  # (scene, person, entry) cells set by the records
     roles = {}  # (scene, person, entry) -> target object; first record wins
-    pairs, pair_rows, pair_cols = [], [], []  # pairs: (scene, person, object)
+    pairs, pair_target_rows, pair_cols = [], [], []  # (scene, person, object)
     for s, ann in enumerate(anns):
         pair_cats = {}
         for rec in ann.interactions:
@@ -290,13 +311,14 @@ def _label_chunk(scenes, registry: ActionRegistry, cat_index: dict,
                     (s, rec.person, registry.index(rec.action, rec.role)), o)
                 pair_cats.setdefault((rec.person, o), set()).update(cols)
         for key in sorted(pair_cats):
-            pair_rows += [len(pairs)] * len(pair_cats[key])
+            pair_target_rows += [len(pairs)] * len(pair_cats[key])
             pair_cols += pair_cats[key]
             pairs.append((s, *key))
 
     # the chunk as zero-padded arrays, each scene's ground truth its
-    # persons, then its objects, and at least one ground-truth column
-    # for argmax (a row of IoU 0, as a pad's, never matches: iou_pos > 0)
+    # persons, then its objects, and at least one proposal and one
+    # ground-truth column for argmax (a row of IoU 0, as a pad's, never
+    # matches: iou_pos > 0)
     n_prop = [len(ts.proposals) for ts in scenes]
     n_pers = np.array([len(ann.persons) for ann in anns], dtype=int)
     n_gt = n_pers + [len(ann.objects) for ann in anns]
@@ -310,7 +332,7 @@ def _label_chunk(scenes, registry: ActionRegistry, cat_index: dict,
     labels_gt[is_object] = object_labels
     ignored = np.zeros(is_person.shape, bool)
     ignored[is_object] = np.concatenate([ann.ignore for ann in anns])
-    props = np.zeros((len(scenes), max(n_prop, default=0), 4))
+    props = np.zeros((len(scenes), max(1, *n_prop), 4))
     for s, ts in enumerate(scenes):
         props[s, :n_prop[s]] = box_array(ts.proposals)
 
@@ -342,13 +364,19 @@ def _label_chunk(scenes, registry: ActionRegistry, cat_index: dict,
     offsets[rows, cols] = encode_rels(gt[hs[rows], targets[rows, cols]],
                                       props[hs[rows], hp[rows]])
     pairs = np.array(pairs, dtype=int).reshape(-1, 3)
-    pair_boxes = gt[pairs[:, :1], pairs[:, 1:]]
+    # a ground-truth box's row is the first proposal with its corners,
+    # if any, else its own row after the scene's proposals
+    real = np.arange(props.shape[1]) < np.array(n_prop)[:, None]
+    same = (props[:, :, None] == gt[:, None]).all(axis=3) & real[..., None]
+    gt_rows = np.where(same.any(axis=1), same.argmax(axis=1),
+                       np.array(n_prop)[:, None] + slot)
+    pair_rows = gt_rows[pairs[:, :1], pairs[:, 1:]]
     pair_targets = np.zeros((len(pairs), a))
-    pair_targets[pair_rows, pair_cols] = 1.0
+    pair_targets[pair_target_rows, pair_cols] = 1.0
 
-    human_boxes, action_targets = props[hs, hp], actions[hs, person]
-    for arr in (props, labels, reg_targets, human_boxes, action_targets,
-                offsets, target_mask, pair_boxes, pair_targets):
+    action_targets = actions[hs, person]
+    for arr in (labels, reg_targets, hp, action_targets, offsets,
+                target_mask, pair_rows, pair_targets):
         arr.flags.writeable = False
     # each scene's humans and pairs, in scene order
     h_at = np.searchsorted(hs, np.arange(len(scenes) + 1)).tolist()
@@ -356,49 +384,64 @@ def _label_chunk(scenes, registry: ActionRegistry, cat_index: dict,
     tables = []
     for s, n in enumerate(n_prop):
         h, q = slice(h_at[s], h_at[s + 1]), slice(q_at[s], q_at[s + 1])
+        boxes = np.concatenate((props[s, :n], gt[s, :n_gt[s]]))
+        boxes.flags.writeable = False
         tables.append(LabelTable(
-            boxes=props[s, :n], labels=labels[s, :n],
+            boxes=boxes, labels=labels[s, :n],
             reg_targets=reg_targets[s, :n],
             positives=np.flatnonzero(pos[s, :n]).tolist(),
             negatives=np.flatnonzero(neg[s, :n]).tolist(),
-            human_boxes=human_boxes[h], action_targets=action_targets[h],
+            human_rows=hp[h], action_targets=action_targets[h],
             target_offsets=offsets[h], target_mask=target_mask[h],
-            pair_boxes=pair_boxes[q], pair_targets=pair_targets[q]))
+            pair_rows=pair_rows[q], pair_targets=pair_targets[q]))
     return tables
 
 
-def draw_samples(table: LabelTable, quotas: Quotas, seed) -> SampleBoxes:
-    """One visit's samples from a scene's table.
+def _draw_rows(table: LabelTable, quotas: Quotas, seed):
+    """One visit's draw from a scene's table, as row indices: the
+    object section's proposal indices and the human section's indices
+    into the table's humans, both ascending.
 
     The generator seeded by ``seed`` shuffles the positives, the
     negatives and the humans, in that order. The object section takes
-    the first ``round(object_quota * pos_fraction)`` shuffled positives
-    and three negatives per positive taken; when positives are scarce
-    the negative count drops with them, preserving the 1:3 ratio. The
-    human section takes the first ``human_quota`` shuffled humans. Both
-    keep ascending proposal order. Interaction samples are all the
-    ground-truth pairs.
+    the first ``round(Q f)`` shuffled positives, for ``Q =
+    object_quota`` and ``f = pos_fraction``, and, for f > 0, the first
+    ``min(Q - p, round(p (1 - f) / f))`` shuffled negatives for the p
+    positives taken, so that it holds at most Q rows and at most the
+    quota's share of negatives; when positives are scarce the negative
+    count drops with them. The human section takes the first
+    ``human_quota`` shuffled humans.
     """
     rng = np.random.default_rng(seed)
     pos, neg = list(table.positives), list(table.negatives)
     rng.shuffle(pos)
     rng.shuffle(neg)
-    take_pos = pos[:int(round(quotas.object_quota * quotas.pos_fraction))]
-    chosen = np.array(sorted(take_pos + neg[:3 * len(take_pos)]), dtype=int)
-    humans = list(range(len(table.human_boxes)))
+    q, f = quotas.object_quota, quotas.pos_fraction
+    take_pos = pos[:int(round(q * f))]
+    p = len(take_pos)
+    take_neg = neg[:min(q - p, int(round(p * (1 - f) / f)))] if f else []
+    humans = list(range(len(table.human_rows)))
     rng.shuffle(humans)
-    rows = np.array(sorted(humans[:quotas.human_quota]), dtype=int)
-    labels = table.labels[chosen]
+    return (np.array(sorted(take_pos + take_neg), dtype=int),
+            np.array(sorted(humans[:quotas.human_quota]), dtype=int))
+
+
+def draw_samples(table: LabelTable, quotas: Quotas, seed) -> SampleBoxes:
+    """One visit's samples from a scene's table: the rows of
+    :func:`_draw_rows`, in ascending proposal order, and all the
+    ground-truth pairs."""
+    objects, humans = _draw_rows(table, quotas, seed)
+    labels = table.labels[objects]
     return SampleBoxes(
-        object_boxes=table.boxes[chosen],
+        object_boxes=table.boxes[objects],
         object_labels=labels,
-        object_reg_targets=table.reg_targets[chosen],
+        object_reg_targets=table.reg_targets[objects],
         object_reg_mask=labels > 0,
-        human_boxes=table.human_boxes[rows],
-        human_action_targets=table.action_targets[rows],
-        human_target_offsets=table.target_offsets[rows],
-        human_target_mask=table.target_mask[rows],
-        interaction_pairs=table.pair_boxes,
+        human_boxes=table.boxes[table.human_rows[humans]],
+        human_action_targets=table.action_targets[humans],
+        human_target_offsets=table.target_offsets[humans],
+        human_target_mask=table.target_mask[humans],
+        interaction_pairs=table.boxes[table.pair_rows],
         interaction_action_targets=table.pair_targets,
     )
 
@@ -412,51 +455,140 @@ def assign_labels(proposals, scene: SceneAnnotation, registry: ActionRegistry,
     return draw_samples(table, quotas, seed)
 
 
-def featurize_batch(draws, provider, scene_ids) -> Batch:
-    """The draws of k images, image ``i`` of scene ``scene_ids[i]``, as
-    one Batch: their boxes are laid out section-major (object, human,
-    pair-human and pair-object rows, each section in image order) and
-    pooled in one provider call with a per-row scene id, so each
-    section's features are a slice of that call's rows."""
-    sections = ([d.object_boxes for d in draws],
-                [d.human_boxes for d in draws],
-                [d.interaction_pairs[:, 0] for d in draws],
-                [d.interaction_pairs[:, 1] for d in draws])
-    counts = [np.array([len(b) for b in boxes], dtype=int)
-              for boxes in sections]
-    per_row = np.concatenate(counts)
-    feats = provider.pooled_matrix(
-        np.repeat(np.tile(scene_ids, len(sections)), per_row),
-        np.concatenate([b for boxes in sections for b in boxes]))
-    h, i, o = np.cumsum([c.sum() for c in counts[:3]]).tolist()
+def featurize(samples: SampleBoxes, provider, scene_id: int,
+              cfg: HeadConfig) -> ImageSamples:
+    """One image's samples with their pooled features: its object,
+    human, pair-human and pair-object boxes pooled in one provider
+    call, each section's features a slice of its rows."""
+    pairs = samples.interaction_pairs
+    sections = (samples.object_boxes, samples.human_boxes, pairs[:, 0],
+                pairs[:, 1])
+    feats = provider.pooled_matrix(scene_id, np.concatenate(sections))
+    h, i, o = np.cumsum([len(b) for b in sections[:3]]).tolist()
+    return ImageSamples(
+        object_feats=feats[:h],
+        object_labels=samples.object_labels,
+        object_reg_targets=samples.object_reg_targets,
+        object_reg_mask=samples.object_reg_mask,
+        human_feats=feats[h:i],
+        human_action_targets=samples.human_action_targets,
+        human_target_offsets=samples.human_target_offsets,
+        human_target_mask=samples.human_target_mask,
+        interaction_h_feats=feats[i:o],
+        interaction_o_feats=feats[o:],
+        interaction_action_targets=samples.interaction_action_targets,
+    )
 
-    def stacked(name):
-        return np.concatenate([getattr(d, name) for d in draws])
 
+class _Drawn:
+    """The drawn scenes' label tables end to end, so that a step's
+    labels and feature rows are takes: the rows (boxes) of table ``s``
+    follow those of tables ``0 .. s-1``, and likewise its proposal
+    labels (from ``label_at[s]`` on), its humans (from ``human_at[s]``
+    on) and its pairs (``pairs[s]``). ``proposal_rows``, ``human_rows``
+    and ``pair_rows`` give each proposal's, human's and pair's rows
+    among all the tables' rows, and ``scene_ids`` each row's scene."""
+
+    def __init__(self, tables: list, scene_ids):
+        def joined(name):
+            return np.concatenate([getattr(t, name) for t in tables])
+
+        def starts(name):
+            return np.cumsum([0] + [len(getattr(t, name)) for t in tables])
+
+        def shifted(arrays):  # table-local rows as rows of all tables
+            return np.concatenate([a + r for a, r in zip(arrays, row_at)])
+
+        self.tables = tables
+        row_at = starts("boxes")[:-1].tolist()
+        self.boxes = joined("boxes")
+        self.scene_ids = np.repeat(scene_ids, [len(t.boxes) for t in tables])
+        self.label_at, self.human_at = starts("labels"), starts("human_rows")
+        self.labels, self.reg_targets = joined("labels"), joined("reg_targets")
+        self.proposal_rows = shifted(np.arange(len(t.labels)) for t in tables)
+        self.human_rows = shifted(t.human_rows for t in tables)
+        self.action_targets = joined("action_targets")
+        self.target_offsets = joined("target_offsets")
+        self.target_mask = joined("target_mask")
+        pair_at = starts("pair_rows").tolist()
+        self.pairs = [np.arange(a, b) for a, b in zip(pair_at, pair_at[1:])]
+        self.pair_rows = shifted(t.pair_rows for t in tables)
+        self.pair_targets = joined("pair_targets")
+
+
+@dataclass
+class _Step:
+    """One iteration's draw: the proposal, human and pair indices of its
+    images' samples into a :class:`_Drawn`, each section in image
+    order, the per-image counts, and the feature rows of the object,
+    human, pair-human and pair-object sections, in that order."""
+
+    objects: np.ndarray
+    humans: np.ndarray
+    pairs: np.ndarray
+    counts: list
+    rows: np.ndarray
+
+
+def _draw_step(drawn: _Drawn, slots, quotas: Quotas, seeds) -> _Step:
+    """The draws of the images of tables ``slots``, image ``b`` seeded
+    by ``seeds[b]``, as one :class:`_Step`."""
+    sections = ([], [], [])
+    for s, seed in zip(slots, seeds):
+        objects, humans = _draw_rows(drawn.tables[s], quotas, seed)
+        sections[0].append(objects + drawn.label_at[s])
+        sections[1].append(humans + drawn.human_at[s])
+        sections[2].append(drawn.pairs[s])
+    counts = [np.array([len(x) for x in sec], dtype=int) for sec in sections]
+    objects, humans, pairs = (np.concatenate(sec) for sec in sections)
+    rows = np.concatenate((drawn.proposal_rows[objects],
+                           drawn.human_rows[humans],
+                           drawn.pair_rows[pairs].T.ravel()))
+    return _Step(objects, humans, pairs, counts, rows)
+
+
+def _windows(steps, num_rows: int, cap: int):
+    """The steps in consecutive windows whose feature rows hold at most
+    ``cap`` distinct rows between them (a step alone may hold more),
+    each with its sorted distinct rows."""
+    seen = np.zeros(num_rows, dtype=bool)
+    window, count = [], 0
+    for step in steps:
+        new = np.unique(step.rows[~seen[step.rows]])
+        if window and count + len(new) > cap:
+            yield window, np.flatnonzero(seen)
+            seen[:] = False
+            window, count, new = [], 0, np.unique(step.rows)
+        seen[new] = True
+        count += len(new)
+        window.append(step)
+    yield window, np.flatnonzero(seen)
+
+
+def _batch(drawn: _Drawn, step: _Step, feats: np.ndarray) -> Batch:
+    """A step's Batch, with ``feats`` the pooled features of its rows."""
+    h, i, o = np.cumsum([len(step.objects), len(step.humans),
+                         len(step.pairs)]).tolist()
+    labels = drawn.labels.take(step.objects)
     return Batch(
         ImageSamples(
             object_feats=feats[:h],
-            object_labels=stacked("object_labels"),
-            object_reg_targets=stacked("object_reg_targets"),
-            object_reg_mask=stacked("object_reg_mask"),
+            object_labels=labels,
+            object_reg_targets=drawn.reg_targets.take(step.objects, axis=0),
+            object_reg_mask=labels > 0,
             human_feats=feats[h:i],
-            human_action_targets=stacked("human_action_targets"),
-            human_target_offsets=stacked("human_target_offsets"),
-            human_target_mask=stacked("human_target_mask"),
+            human_action_targets=drawn.action_targets.take(step.humans,
+                                                           axis=0),
+            human_target_offsets=drawn.target_offsets.take(step.humans,
+                                                           axis=0),
+            human_target_mask=drawn.target_mask.take(step.humans, axis=0),
             interaction_h_feats=feats[i:o],
             interaction_o_feats=feats[o:],
-            interaction_action_targets=stacked("interaction_action_targets"),
+            interaction_action_targets=drawn.pair_targets.take(step.pairs,
+                                                               axis=0),
         ),
-        object_counts=counts[0], human_counts=counts[1],
-        pair_counts=counts[2])
-
-
-def featurize(samples: SampleBoxes, provider, scene_id: int,
-              cfg: HeadConfig) -> ImageSamples:
-    """One image's samples with their pooled features: the one-image
-    :func:`featurize_batch`."""
-    image, = featurize_batch([samples], provider, [scene_id])
-    return image
+        object_counts=step.counts[0], human_counts=step.counts[1],
+        pair_counts=step.counts[2])
 
 
 def _check_finite(tensors, cfg: HeadConfig, what: str) -> None:
@@ -497,10 +629,17 @@ def train(scenes, provider, cfg: HeadConfig, schedule: Schedule,
     for it, row in enumerate(picks):
         row[:] = np.random.default_rng((schedule.seed, it)).integers(
             0, len(scenes), size=len(row))
-    drawn = np.unique(picks).tolist()
-    tables = dict(zip(drawn, label_tables([scenes[i] for i in drawn],
-                                          registry, categories, quotas)))
-    scene_ids = np.array([ts.scene_id for ts in scenes])
+    drawn = np.unique(picks)
+    tables = _Drawn(label_tables([scenes[i] for i in drawn.tolist()],
+                                 registry, categories, quotas),
+                    [scenes[i].scene_id for i in drawn.tolist()])
+    slots = np.searchsorted(drawn, picks).tolist()
+    steps = (_draw_step(tables, row, quotas,
+                        [(schedule.seed, it, *divmod(b, per))
+                         for b in range(len(row))])
+             for it, row in enumerate(slots))
+    rates = [phase.lr for phase in schedule.phases
+             for _ in range(phase.iterations)]
     # parameters, gradients and velocity: one vector each, every named
     # tensor a view into it
     params = FlatTensors(init_params(cfg, schedule.seed) if params is None
@@ -513,13 +652,15 @@ def train(scenes, provider, cfg: HeadConfig, schedule: Schedule,
     actions_json = registry.to_json()
     it = 0
     try:
-        for phase in schedule.phases:
-            for _ in range(phase.iterations):
-                batch = featurize_batch(
-                    [draw_samples(tables[pick], quotas,
-                                  (schedule.seed, it, *divmod(b, per)))
-                     for b, pick in enumerate(picks[it].tolist())],
-                    provider, scene_ids[picks[it]])
+        for window, rows in _windows(
+                steps, len(tables.boxes),
+                max(1, _WINDOW_BYTES // (8 * max(cfg.feature_dim, 1)))):
+            pooled = provider.pooled_matrix(tables.scene_ids[rows],
+                                            tables.boxes[rows])
+            for step in window:
+                lr = rates[it]
+                batch = _batch(tables, step, pooled.take(
+                    np.searchsorted(rows, step.rows), axis=0))
                 grads.vector.fill(0.0)
                 try:
                     grads, rep = backward(batch, params, cfg, loss_weights,
@@ -527,14 +668,14 @@ def train(scenes, provider, cfg: HeadConfig, schedule: Schedule,
                 except FloatingPointError as exc:
                     raise TrainingDiverged(f"iteration {it}: {exc}") from exc
                 _check_finite(grads, cfg, f"iteration {it}: non-finite gradient")
-                sgd_step(params, grads, velocity, phase.lr,
-                         schedule.momentum, schedule.weight_decay)
+                sgd_step(params, grads, velocity, lr, schedule.momentum,
+                         schedule.weight_decay)
                 _check_finite(params, cfg, f"iteration {it}: non-finite parameter")
                 history.append(rep)
                 if log_fh:
                     vals = rep.as_dict()
                     log_fh.write(
-                        f"{it} {phase.lr:g} "
+                        f"{it} {lr:g} "
                         + " ".join(f"{vals[f]:.6f}" for f in LOG_FIELDS)
                         + "\n"
                     )

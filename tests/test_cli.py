@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import dataclasses
 import io
@@ -791,8 +792,35 @@ class TestEvalCommand:
         assert err.count("\n") == 1, err
 
 
-@pytest.mark.filterwarnings("ignore:only .* offsets for k=")
 class TestBaselineCommand:
+    def test_fewer_offsets_than_k_is_one_stdout_line(self, tmp_path, capfd):
+        """An action with fewer ground-truth offsets than ``--k`` is fit
+        with one center per offset and named on stdout; stderr stays
+        empty."""
+        out = tmp_path / "data"
+        assert _run("synth", "--out", str(out), "--num-scenes", "3",
+                    "--persons-per-scene", "1", "--num-distractors", "1") == 0
+        run = _train(tmp_path, out, phases="2:0.001")
+        capfd.readouterr()
+        code = _run("baseline", "--out", str(tmp_path / "base"), "--k", "3",
+                    "--checkpoint", str(run / "checkpoint.bin"),
+                    "--fit-annotations", str(out / "annotations.json"),
+                    *_inputs(out))
+        stdout, stderr = capfd.readouterr()
+        assert code == 0 and stderr == ""
+        centers = json.loads((tmp_path / "base" / "centers.json").read_text())
+        ds = load_annotations(out / "annotations.json", schema="hico_like")
+        offsets = collections.Counter(
+            ds.registry.index(rec.action, rec.role) for scene in ds.scenes
+            for rec in scene.interactions if rec.role != ROLE_NONE)
+        reduced = sorted((a, n) for a, n in offsets.items() if n < 3)
+        assert reduced
+        assert stdout.splitlines()[:-1] == [
+            f"action {ds.registry.entries[a].key}: only {n} offsets for "
+            f"k=3; fit {n} centers" for a, n in reduced]
+        for a, n in reduced:
+            assert len(centers["centers"][str(a)]) == n
+
     def test_fits_and_evaluates(self, tmp_path):
         data = _synth(tmp_path)
         run = _train(tmp_path, data)

@@ -128,7 +128,12 @@ def _reference_assign_labels(proposals, scene, registry, categories,
     rng.shuffle(pos_idx)
     rng.shuffle(neg_idx)
     take_pos = pos_idx[:pos_requested]
-    take_neg = neg_idx[: 3 * len(take_pos)]
+    # negatives in the quota's ratio to the positives taken, within the
+    # quota; none when the positive fraction is 0
+    f = quotas.pos_fraction
+    neg_wanted = (min(quotas.object_quota - len(take_pos),
+                      int(round(len(take_pos) * (1 - f) / f))) if f > 0 else 0)
+    take_neg = neg_idx[:neg_wanted]
     chosen = sorted(take_pos + take_neg)
 
     hum_idx = [i for i in range(n) if person_iou[i] >= quotas.iou_pos]
@@ -242,7 +247,8 @@ def labeled_scenes(draw):
     return scene, proposals
 
 
-QUOTAS = st.builds(Quotas, object_quota=st.sampled_from([4, 8, 64]),
+QUOTAS = st.builds(Quotas, object_quota=st.sampled_from([4, 6, 8, 64]),
+                   pos_fraction=st.sampled_from([0.0, 0.25, 0.5]),
                    human_quota=st.sampled_from([1, 2, 16]),
                    iou_pos=st.sampled_from([0.3, 0.5, 0.7]))
 
@@ -429,6 +435,97 @@ def test_training_draws_the_public_samples(monkeypatch):
                 assert np.all(g == w), field.name
 
 
+def _pooling_events(monkeypatch):
+    """Record, in call order, each ``pooled_matrix`` call's (scene id,
+    box) rows as ("pool", rows) and each ``backward`` as ("step", None)."""
+    events = []
+    real_pool, real_backward = SyntheticFeatureProvider.pooled_matrix, \
+        trainer.backward
+
+    def pooling(self, scene_id, boxes):
+        ids = np.broadcast_to(scene_id, (len(boxes),))
+        events.append(("pool", [(int(i), *b) for i, b in
+                                zip(ids, box_array(boxes).tolist())]))
+        return real_pool(self, scene_id, boxes)
+
+    def stepping(*args):
+        events.append(("step", None))
+        return real_backward(*args)
+
+    monkeypatch.setattr(SyntheticFeatureProvider, "pooled_matrix", pooling)
+    monkeypatch.setattr(trainer, "backward", stepping)
+    return events
+
+
+def _drawn_rows(scenes, schedule, it, quotas=Quotas()):
+    """The (scene id, box) rows iteration ``it`` of ``train`` draws, by
+    the one-scene public path."""
+    per, rows = schedule.images_per_step, set()
+    picks = np.random.default_rng((schedule.seed, it)).integers(
+        0, len(scenes), size=schedule.workers * per)
+    for b, pick in enumerate(picks.tolist()):
+        ts = scenes[pick]
+        s = assign_labels(ts.proposals, ts.annotation, REGISTRY, CATEGORIES,
+                          quotas, (schedule.seed, it, *divmod(b, per)))
+        for boxes in (s.object_boxes, s.human_boxes,
+                      s.interaction_pairs.reshape(-1, 4)):
+            rows.update((ts.scene_id, *b) for b in boxes.tolist())
+    return rows
+
+
+def _windows_of(events):
+    """Each window's pooled rows and the number of steps it ran."""
+    windows = []
+    for kind, rows in events:
+        if kind == "pool":
+            windows.append([rows, 0])
+        else:
+            windows[-1][1] += 1
+    return windows
+
+
+@pytest.mark.parametrize("cap_rows", [None, 140])
+def test_each_window_pools_each_drawn_row_once(monkeypatch, cap_rows):
+    """``train`` pools, once per window of consecutive iterations, every
+    distinct (scene, box) row the window's draws name and no other; a
+    window holds at most the cap's rows unless it is one iteration."""
+    scenes, provider, cfg = _sparse_world(num_scenes=12)
+    schedule = Schedule(phases=[Phase(4, 1e-2), Phase(3, 1e-3)], seed=1)
+    if cap_rows:
+        monkeypatch.setattr(trainer, "_WINDOW_BYTES",
+                            8 * cfg.feature_dim * cap_rows)
+    events = _pooling_events(monkeypatch)
+    train(scenes, provider, cfg, schedule, REGISTRY, CATEGORIES)
+    windows = _windows_of(events)
+    assert (len(windows) == 1) == (cap_rows is None)
+    it = 0
+    for rows, steps in windows:
+        assert len(rows) == len(set(rows))
+        assert set(rows) == set().union(*(
+            _drawn_rows(scenes, schedule, i) for i in range(it, it + steps)))
+        assert steps == 1 or not cap_rows or len(rows) <= cap_rows
+        it += steps
+    assert it == schedule.total_iterations
+
+
+def test_windows_of_any_size_train_alike(monkeypatch):
+    """A run split into three or more windows gives LossReports and
+    final parameters equal, bit for bit, to a one-window run."""
+    scenes, provider, cfg = _sparse_world(num_scenes=12)
+    schedule = Schedule(phases=[Phase(4, 1e-2), Phase(3, 1e-3)], seed=2)
+    want, want_history = train(scenes, provider, cfg, schedule, REGISTRY,
+                               CATEGORIES)
+    monkeypatch.setattr(trainer, "_WINDOW_BYTES", 8 * cfg.feature_dim * 140)
+    events = _pooling_events(monkeypatch)
+    got, history = train(scenes, provider, cfg, schedule, REGISTRY,
+                         CATEGORIES)
+    assert len(_windows_of(events)) >= 3
+    assert history == want_history
+    assert list(got) == list(want)
+    for name in want:
+        assert got[name].tobytes() == want[name].tobytes(), name
+
+
 def _sparse_world(num_scenes=40):
     """More scenes than a short schedule draws, and a head to train."""
     scenes, provider = from_synthetic(generate_synthetic(SynthConfig(
@@ -546,7 +643,7 @@ def test_training_step_equals_the_per_image_path(head):
                          CATEGORIES, loss_weights=weights)
 
     tables = label_tables(scenes, REGISTRY, CATEGORIES)
-    assert len(tables[-1].human_boxes) == len(tables[-1].pair_boxes) == 0
+    assert len(tables[-1].human_rows) == len(tables[-1].pair_rows) == 0
     params = init_params(cfg, schedule.seed)
     velocity = {name: np.zeros_like(p) for name, p in params.items()}
     per, it, drawn = schedule.images_per_step, 0, set()

@@ -155,6 +155,24 @@ class TestAssignLabels:
         assert int(out.object_reg_mask.sum()) == 16
         assert len(out.object_boxes) == 64
 
+    @pytest.mark.parametrize("quotas, n_pos, n_neg", [
+        (Quotas(), 16, 48),
+        (Quotas(object_quota=6), 2, 4),
+        (Quotas(pos_fraction=0.5), 30, 30),
+        (Quotas(pos_fraction=1.0), 30, 0),
+        (Quotas(pos_fraction=0.0), 0, 0),
+    ])
+    def test_section_keeps_quota_and_ratio(self, quotas, n_pos, n_neg):
+        # 30 positives, 200 negatives: negatives follow the positives
+        # taken in the quota's ratio, within the quota
+        pos = [_shifted(PERSON, dx) for dx in np.linspace(-2.0, 2.0, 30)]
+        props = pos + _far_negatives(200)
+        out = assign_labels(props, CUT_SCENE, REGISTRY, CATEGORIES, quotas,
+                            seed=1)
+        assert int(out.object_reg_mask.sum()) == n_pos
+        assert int((out.object_labels == 0).sum()) == n_neg
+        assert len(out.object_boxes) <= quotas.object_quota
+
     def test_labels_match_categories(self):
         props = [PERSON, KNIFE, APPLE] + _far_negatives(6)
         out = assign_labels(props, CUT_SCENE, REGISTRY, CATEGORIES, seed=0)
