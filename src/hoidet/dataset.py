@@ -17,10 +17,10 @@ Scenes are stored in one neutral JSON layout regardless of origin:
     }
 
 Converters from upstream dataset formats are expected to emit this layout;
-the engine never parses third-party formats directly. A loaded scene
-holds its boxes as arrays (see :class:`SceneAnnotation`); ``Box`` is
-used only where one box at a time is handled, as in the generator's
-rejection sampling and :func:`jitter_proposals`.
+the engine never parses third-party formats directly. The reader checks a
+file in one ordered pass, naming the first fault; each scene's boxes are
+views of one array per file (see :class:`SceneAnnotation`). ``Box`` is
+used one box at a time only, as in the generator and jitter_proposals.
 
 The synthetic generator builds scenes whose person appearance provably
 determines the target location: each person carries a latent code (action
@@ -36,13 +36,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import accumulate, chain, pairwise
 from typing import NamedTuple
 
 import numpy as np
 
 from .features import FeatureMap
-from .geometry import Box, box_array, clip_box, decode_rel, iou
+from .geometry import (BBOX_XFORM_CLIP, Box, box_array, clip_box, decode_rel,
+                       iou)
 
 ROLE_NONE = "none"
 ROLE_OBJECT = "object"
@@ -251,24 +251,20 @@ def _check_records(width: float, height: float, interactions, n_persons: int,
     if not (0 < width < math.inf and 0 < height < math.inf):
         raise AnnotationError(f"{where}: image size must be positive and "
                               f"finite, got {width} x {height}")
-    for j, rec in enumerate(interactions):
-        here = f"{where}.interactions[{j}]"
-        if not registry.has(rec.action, rec.role):
-            raise AnnotationError(
-                f"{here}: unknown action {rec.action!r} with role {rec.role!r}"
-            )
-        if not (0 <= rec.person < n_persons):
-            raise AnnotationError(f"{here}: person index {rec.person} out of range")
-        if rec.role == ROLE_NONE:
-            if rec.object is not None:
-                raise AnnotationError(
-                    f"{here}: role 'none' must not reference an object"
-                )
-        else:
-            if rec.object is None or not (0 <= rec.object < n_objects):
-                raise AnnotationError(
-                    f"{here}: object index {rec.object} out of range"
-                )
+    for j, (person, action, role, obj) in enumerate(interactions):
+        if not registry.has(action, role):
+            raise AnnotationError(f"{where}.interactions[{j}]: unknown action "
+                                  f"{action!r} with role {role!r}")
+        if not (0 <= person < n_persons):
+            raise AnnotationError(f"{where}.interactions[{j}]: person index "
+                                  f"{person} out of range")
+        if role == ROLE_NONE:
+            if obj is not None:
+                raise AnnotationError(f"{where}.interactions[{j}]: role "
+                                      f"'none' must not reference an object")
+        elif obj is None or not (0 <= obj < n_objects):
+            raise AnnotationError(f"{where}.interactions[{j}]: object index "
+                                  f"{obj} out of range")
 
 
 def _list_at(raw: dict, key: str, prefix: str = "") -> list:
@@ -277,97 +273,9 @@ def _list_at(raw: dict, key: str, prefix: str = "") -> list:
     return _typed(raw.get(key, []), list, prefix + key)
 
 
-def _bulk_scenes(raw: list, registry: ActionRegistry):
-    """The scenes of ``raw``, or None if any record fails a check.
-
-    Each check runs once over the same field of every scene, object or
-    interaction record of the file, and the boxes of every scene are
-    converted in one pass into one array: its person rows, then its
-    object rows. The checks are those of :func:`_scene_fault`."""
-    if not {dict}.issuperset(map(type, raw)):
-        return None
-    ids = [s.get("image_id") for s in raw]
-    sizes = [s.get(k) for k in ("width", "height") for s in raw]
-    persons, objects, records = lists = [
-        [s.get(k, []) for s in raw]
-        for k in ("persons", "objects", "interactions")]
-    if not ({int}.issuperset(map(type, ids))
-            and all(map(_INT64.__contains__, ids))
-            and len(set(ids)) == len(ids)
-            and _NUMBERS.issuperset(map(type, sizes))
-            and {list}.issuperset(map(type, chain.from_iterable(lists)))):
-        return None
-    objs = list(chain.from_iterable(objects))
-    recs = list(chain.from_iterable(records))
-    if not {dict}.issuperset(map(type, chain(objs, recs))):
-        return None
-    categories = [o.get("category") for o in objs]
-    ignore = [o.get("ignore", False) for o in objs]
-    rows = list(chain.from_iterable(persons)) + [o.get("box") for o in objs]
-    person = [r.get("person") for r in recs]
-    action = [r.get("action") for r in recs]
-    role = [r.get("role", ROLE_NONE) for r in recs]
-    target = [r.get("object") for r in recs]
-    # each record's scene's person and object counts
-    n_records = list(map(len, records))
-    rec_persons = np.repeat(list(map(len, persons)), n_records).tolist()
-    rec_objects = np.repeat(list(map(len, objects)), n_records).tolist()
-    if not ({str}.issuperset(map(type, chain(categories, action, role)))
-            and {bool}.issuperset(map(type, ignore))
-            and {list}.issuperset(map(type, rows))
-            and {4}.issuperset(map(len, rows))
-            and _NUMBERS.issuperset(map(type, chain.from_iterable(rows)))
-            and {int}.issuperset(map(type, person))
-            and {int, type(None)}.issuperset(map(type, target))
-            and all(map(registry.has, action, role))
-            and all(0 <= p < n for p, n in zip(person, rec_persons))
-            and all((o is None) if r == ROLE_NONE
-                    else (o is not None and 0 <= o < n)
-                    for r, o, n in zip(role, target, rec_objects))):
-        return None
-    try:
-        size = np.fromiter(sizes, np.float64, len(sizes))
-        boxes = np.fromiter(chain.from_iterable(rows), np.float64,
-                            4 * len(rows)).reshape(-1, 4)
-    except OverflowError:
-        return None
-    if not (np.all((0 < size) & (size < math.inf))
-            and np.all((boxes[:, 2] > boxes[:, 0])
-                       & (boxes[:, 3] > boxes[:, 1]))):
-        return None
-    p_at = list(accumulate(map(len, persons), initial=0))
-    o_at = list(accumulate(map(len, objects), initial=0))
-    r_at = list(accumulate(n_records, initial=0))
-    object_boxes = boxes[p_at[-1]:]
-    flags = np.array(ignore, dtype=bool)
-    interactions = list(map(Interaction, person, action, role, target))
-    widths, heights = size[:len(raw)].tolist(), size[len(raw):].tolist()
-    return [SceneAnnotation(image_id, w, h, boxes[p0:p1], object_boxes[o0:o1],
-                            categories[o0:o1], interactions[r0:r1],
-                            flags[o0:o1])
-            for image_id, w, h, (p0, p1), (o0, o1), (r0, r1) in zip(
-                ids, widths, heights, pairwise(p_at), pairwise(o_at),
-                pairwise(r_at))]
-
-
-def _first_fault(raw: list, registry: ActionRegistry):
-    """Raise the AnnotationError of the first fault of the "scenes" list
-    ``raw``, read record by record in file order; :func:`_bulk_scenes`
-    has found that it holds one."""
-    first = {}
-    for i, scene in enumerate(raw):
-        image_id = _scene_fault(scene, registry, f"scenes[{i}]")
-        j = first.setdefault(image_id, i)
-        if j != i:
-            raise AnnotationError(f"scenes[{i}]: image_id {image_id} "
-                                  f"repeats scenes[{j}]")
-    raise AssertionError("the bulk and record-by-record annotation checks "
-                         "disagree")
-
-
-def _check_box(raw, where: str):
-    """AnnotationError naming ``where`` unless ``raw`` is a list of four
-    numbers with positive width and height."""
+def _check_box(raw, where: str) -> list:
+    """The corners of ``raw`` as floats if it is a list of four numbers
+    with positive width and height, else AnnotationError naming ``where``."""
     try:
         if type(raw) is not list or not _NUMBERS.issuperset(map(type, raw)):
             raise ValueError("expected a list of numbers")
@@ -375,52 +283,98 @@ def _check_box(raw, where: str):
         Box(x1, y1, x2, y2)
     except (OverflowError, ValueError) as exc:
         raise AnnotationError(f"{where}: invalid box {raw!r} ({exc})")
+    return [x1, y1, x2, y2]
 
 
-def _scene_fault(raw, registry: ActionRegistry, where: str) -> int:
-    """The image id of one raw scene, checked record by record in file
-    order; AnnotationError naming its first fault, if it has one."""
-    _typed(raw, dict, where)
+def _interaction(raw, where: str, k: int) -> Interaction:
+    """Interaction record ``k`` of scene ``where``: taken as it stands
+    when its fields have their types, else read field by field, which
+    raises the AnnotationError of its first fault."""
+    if type(raw) is dict:
+        person, action, role, obj = rec = Interaction(
+            raw.get("person"), raw.get("action"), raw.get("role", ROLE_NONE),
+            raw.get("object"))
+        if (type(person) is int and type(action) is type(role) is str
+                and (obj is None or (type(obj) is int and obj >= 0))):
+            return rec
+    here = f"{where}.interactions[{k}]"
     try:
-        image_id = _typed(raw["image_id"], int, f"{where}.image_id")
-        width = float(_typed(raw["width"], float, f"{where}.width"))
-        height = float(_typed(raw["height"], float, f"{where}.height"))
-    except (KeyError, OverflowError) as exc:
-        raise AnnotationError(f"{where}: bad header fields ({exc})")
-    if image_id not in _INT64:
-        raise AnnotationError(f"{where}.image_id: {image_id} is outside "
-                              f"the int64 range")
-    persons = _list_at(raw, "persons", f"{where}.")
-    for i, box in enumerate(persons):
-        _check_box(box, f"{where}.persons[{i}]")
-    objects = _list_at(raw, "objects", f"{where}.")
-    for i, o in enumerate(objects):
-        here = f"{where}.objects[{i}]"
-        if "category" not in _typed(o, dict, here):
-            raise AnnotationError(f"{here}: missing category")
-        _check_box(o.get("box"), here)
-        _typed(o["category"], str, f"{here}.category")
-        _typed(o.get("ignore", False), bool, f"{here}.ignore")
-    interactions = []
-    for i, r in enumerate(_list_at(raw, "interactions", f"{where}.")):
-        here = f"{where}.interactions[{i}]"
+        obj = _typed(raw, dict, here).get("object")
+        rec = Interaction(
+            person=_typed(raw["person"], int, f"{here}.person"),
+            action=_typed(raw["action"], str, f"{here}.action"),
+            role=_typed(raw.get("role", ROLE_NONE), str, f"{here}.role"),
+            object=None if obj is None else _typed(obj, int, f"{here}.object"))
+    except KeyError as exc:
+        raise AnnotationError(f"{here}: malformed record ({exc})")
+    if rec.object is not None and rec.object < 0:
+        raise AnnotationError(f"{here}: object index {rec.object} out of range")
+    return rec
+
+
+def _read_scenes(raw: list, registry: ActionRegistry) -> list:
+    """The scenes of the "scenes" list ``raw``, checked one by one in
+    file order; AnnotationError naming the first fault met. A box of four
+    floats with positive width and height is taken as it stands, any
+    other re-read by :func:`_check_box`. Each scene's person boxes, then
+    its object boxes, join one array that every scene holds views of."""
+    rows, categories, ignore, heads, first = [], [], [], [], {}
+    for i, scene in enumerate(raw):
+        where = f"scenes[{i}]"
+        _typed(scene, dict, where)
         try:
-            obj = _typed(r, dict, here).get("object")
-            rec = Interaction(
-                person=_typed(r["person"], int, f"{here}.person"),
-                action=_typed(r["action"], str, f"{here}.action"),
-                role=_typed(r.get("role", ROLE_NONE), str, f"{here}.role"),
-                object=None if obj is None else _typed(obj, int,
-                                                       f"{here}.object"),
-            )
-        except KeyError as exc:
-            raise AnnotationError(f"{here}: malformed record ({exc})")
-        if rec.object is not None and rec.object < 0:
-            raise AnnotationError(f"{here}: object index {rec.object} out of range")
-        interactions.append(rec)
-    _check_records(width, height, interactions, len(persons), len(objects),
-                   registry, where)
-    return image_id
+            image_id = _typed(scene["image_id"], int, f"{where}.image_id")
+            width = float(_typed(scene["width"], float, f"{where}.width"))
+            height = float(_typed(scene["height"], float, f"{where}.height"))
+        except (KeyError, OverflowError) as exc:
+            raise AnnotationError(f"{where}: bad header fields ({exc})")
+        if image_id not in _INT64:
+            raise AnnotationError(f"{where}.image_id: {image_id} is outside "
+                                  f"the int64 range")
+        # persons rows[p:o], objects rows[o:e], categories and flags from c
+        p = len(rows)
+        for k, box in enumerate(_list_at(scene, "persons", f"{where}.")):
+            if not (type(box) is list and len(box) == 4
+                    and type(box[0]) is type(box[1]) is type(box[2])
+                    is type(box[3]) is float
+                    and box[2] > box[0] and box[3] > box[1]):
+                box = _check_box(box, f"{where}.persons[{k}]")
+            rows.append(box)
+        o, c = len(rows), len(categories)
+        for k, obj in enumerate(_list_at(scene, "objects", f"{where}.")):
+            box, category, flag = ((obj.get("box"), obj.get("category"),
+                                    obj.get("ignore", False))
+                                   if type(obj) is dict else (None,) * 3)
+            if not (type(box) is list and len(box) == 4
+                    and type(box[0]) is type(box[1]) is type(box[2])
+                    is type(box[3]) is float
+                    and box[2] > box[0] and box[3] > box[1]
+                    and type(category) is str and type(flag) is bool):
+                here = f"{where}.objects[{k}]"
+                if "category" not in _typed(obj, dict, here):
+                    raise AnnotationError(f"{here}: missing category")
+                box = _check_box(box, here)
+                _typed(category, str, f"{here}.category")
+                _typed(flag, bool, f"{here}.ignore")
+            rows.append(box)
+            categories.append(category)
+            ignore.append(flag)
+        interactions = [_interaction(r, where, k) for k, r in enumerate(
+            _list_at(scene, "interactions", f"{where}."))]
+        _check_records(width, height, interactions, o - p, len(rows) - o,
+                       registry, where)
+        j = first.setdefault(image_id, i)
+        if j != i:
+            raise AnnotationError(f"{where}: image_id {image_id} "
+                                  f"repeats scenes[{j}]")
+        heads.append((image_id, width, height, p, o, len(rows), c,
+                      interactions))
+    boxes = np.array(rows, np.float64).reshape(-1, 4)
+    flags = np.array(ignore, bool)
+    return [SceneAnnotation(image_id, width, height, boxes[p:o], boxes[o:e],
+                            categories[c:c + e - o], interactions,
+                            flags[c:c + e - o])
+            for image_id, width, height, p, o, e, c, interactions in heads]
 
 
 @dataclass
@@ -438,10 +392,8 @@ def load_annotations(path, schema: str = "vcoco_like") -> Dataset:
     annotation as exhaustive; "hico_like" requires an explicit registry and
     tolerates per-object ignore flags for non-exhaustive annotation.
 
-    The scenes are checked and converted in bulk by :func:`_bulk_scenes`.
-    If some record fails a check, :func:`_first_fault` reads them record
-    by record, in file order, and raises the AnnotationError of the
-    first fault it meets, naming the record.
+    The scenes are read by :func:`_read_scenes` in one pass, in file
+    order; the AnnotationError of the first fault met names its record.
     """
     if schema not in ("vcoco_like", "hico_like"):
         raise AnnotationError(f"unknown schema {schema!r}")
@@ -461,10 +413,7 @@ def load_annotations(path, schema: str = "vcoco_like") -> Dataset:
         raise AnnotationError(f"{path}: hico_like files must declare actions")
     categories = [_typed(c, str, f"categories[{i}]")
                   for i, c in enumerate(_list_at(raw, "categories"))]
-    raw_scenes = _list_at(raw, "scenes")
-    scenes = _bulk_scenes(raw_scenes, registry)
-    if scenes is None:
-        _first_fault(raw_scenes, registry)
+    scenes = _read_scenes(_list_at(raw, "scenes"), registry)
     if not categories:
         categories = sorted({c for s in scenes for c in s.categories})
     if schema == "vcoco_like":
@@ -597,6 +546,11 @@ class SyntheticScene:
     seed: int
 
 
+# Feature cells per side of a synthetic map: every scene's map is held to
+# the end of the command, and its 14 float64 channels take 112 MiB at 1024.
+MAX_GRID_CELLS = 1024
+
+
 @dataclass
 class SynthConfig:
     num_scenes: int = 40
@@ -632,6 +586,9 @@ class SynthConfig:
             raise ValueError(f"need 1 <= stride <= image_size < inf, got "
                              f"stride {self.stride}, image_size "
                              f"{self.image_size}")
+        if int(round(self.image_size)) // self.stride > MAX_GRID_CELLS:
+            raise ValueError(f"image_size / stride exceeds {MAX_GRID_CELLS} "
+                             f"feature cells per side")
         known = synthetic_registry().verbs
         if not self.verbs or any(v not in known for v in self.verbs):
             raise ValueError(f"verbs must be one or more of "
@@ -685,21 +642,20 @@ def _place_person(rng, cfg: SynthConfig, code: PersonCode, registry, existing):
         if not _inside(person, size):
             continue
         targets = []
-        ok = True
         for entry in typed:
             off = latent_offset(code.verb, entry.role, code.pose)
             off = off + rng.uniform(-cfg.noise, cfg.noise, size=4)
-            tbox = decode_rel(off, person)
+            try:
+                tbox = decode_rel(off, person)
+            except ValueError:  # corners too large to stay apart
+                break
             if not _inside(tbox, size):
-                ok = False
                 break
             targets.append((entry, off, tbox))
-        if not ok:
-            continue
-        crowd = [person] + [t[2] for t in targets]
-        if any(iou(a, b) > 0.15 for a in crowd for b in existing):
-            continue
-        return person, targets
+        else:
+            crowd = [person] + [t[2] for t in targets]
+            if not any(iou(a, b) > 0.15 for a in crowd for b in existing):
+                return person, targets
     raise RuntimeError("could not place a person; loosen the scene config")
 
 
@@ -760,7 +716,10 @@ def generate_synthetic(cfg: SynthConfig):
                             continue
                         off = latent_offset(verb, entry.role, alt)
                         off = off + rng.uniform(-cfg.noise, cfg.noise, size=4)
-                        cbox = decode_rel(off, person)
+                        try:
+                            cbox = decode_rel(off, person)
+                        except ValueError:  # corners too large to stay apart
+                            continue
                         if not _inside(cbox, cfg.image_size):
                             continue
                         if any(iou(cbox, b) > 0.3 for b in placed):
@@ -823,8 +782,8 @@ def jitter_proposals(scene: SceneAnnotation, count: int, magnitude: float, seed)
             dx, dy, dw, dh = magnitude * rng.normal(size=4)
             cx = src.cx + dx * src.w
             cy = src.cy + dy * src.h
-            w = src.w * np.exp(dw)
-            h = src.h * np.exp(dh)
+            w = src.w * np.exp(min(max(dw, -BBOX_XFORM_CLIP), BBOX_XFORM_CLIP))
+            h = src.h * np.exp(min(max(dh, -BBOX_XFORM_CLIP), BBOX_XFORM_CLIP))
             out.append(
                 clip_box(
                     cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2,

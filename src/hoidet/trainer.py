@@ -44,9 +44,9 @@ image i weighs 1/(16 n_i) for the image's n_i rows in that section:
 the objective is the mean over images of the per-image mean loss.
 Parameters, gradients and momentum are each one vector
 (:class:`FlatTensors`), so zeroing the gradients is one fill, the SGD
-step works on the whole vector in place and each finite check is one
-``isfinite`` pass that names the tensor only on failure. Training is
-bit-reproducible given the seed.
+step works on the whole vector in place and each finite or range
+check reads the whole vector and names the tensor only on failure.
+Training is bit-reproducible given the seed.
 """
 
 from __future__ import annotations
@@ -598,6 +598,24 @@ def _check_finite(tensors, cfg: HeadConfig, what: str) -> None:
         raise TrainingDiverged(f"{what} {first_non_finite(tensors, cfg)}")
 
 
+# checkpoints hold float32, which would store a parameter of larger
+# magnitude as an infinity that loading then refuses
+_PARAM_LIMIT = float(np.finfo(np.float32).max)
+
+
+def _check_params(params, cfg: HeadConfig, it: int) -> None:
+    """TrainingDiverged naming the first parameter tensor that holds a
+    NaN, an infinity or a magnitude above ``_PARAM_LIMIT``, checked as
+    one vector."""
+    v = params.vector
+    if not (v.min() >= -_PARAM_LIMIT and v.max() <= _PARAM_LIMIT):
+        _check_finite(params, cfg, f"iteration {it}: non-finite parameter")
+        name = next(n for n, t in params.items()
+                    if (np.abs(t) > _PARAM_LIMIT).any())
+        raise TrainingDiverged(f"iteration {it}: parameter {name} exceeds "
+                               f"the float32 range")
+
+
 LOG_FIELDS = ("total", "object_cls_loss", "object_reg_loss", "action_cls_loss",
               "target_loc_loss", "interaction_cls_loss")
 
@@ -617,8 +635,9 @@ def train(scenes, provider, cfg: HeadConfig, schedule: Schedule,
     is never labelled. Raises AnnotationError before iteration 0 when
     there are no scenes or the categories cannot label every scene,
     drawn or not (see :func:`label_tables`), and TrainingDiverged with
-    the iteration index when the loss, a gradient or, after the step, a
-    parameter leaves the finite range; tensors are named.
+    the iteration index when the loss or a gradient leaves the finite
+    range or, after the step, a parameter leaves float32's (checkpoints
+    hold float32); tensors are named.
     """
     if not scenes:
         raise AnnotationError("training needs at least one scene")
@@ -652,37 +671,43 @@ def train(scenes, provider, cfg: HeadConfig, schedule: Schedule,
     actions_json = registry.to_json()
     it = 0
     try:
-        for window, rows in _windows(
-                steps, len(tables.boxes),
-                max(1, _WINDOW_BYTES // (8 * max(cfg.feature_dim, 1)))):
-            pooled = provider.pooled_matrix(tables.scene_ids[rows],
-                                            tables.boxes[rows])
-            for step in window:
-                lr = rates[it]
-                batch = _batch(tables, step, pooled.take(
-                    np.searchsorted(rows, step.rows), axis=0))
-                grads.vector.fill(0.0)
-                try:
-                    grads, rep = backward(batch, params, cfg, loss_weights,
-                                          grads)
-                except FloatingPointError as exc:
-                    raise TrainingDiverged(f"iteration {it}: {exc}") from exc
-                _check_finite(grads, cfg, f"iteration {it}: non-finite gradient")
-                sgd_step(params, grads, velocity, lr, schedule.momentum,
-                         schedule.weight_decay)
-                _check_finite(params, cfg, f"iteration {it}: non-finite parameter")
-                history.append(rep)
-                if log_fh:
-                    vals = rep.as_dict()
-                    log_fh.write(
-                        f"{it} {lr:g} "
-                        + " ".join(f"{vals[f]:.6f}" for f in LOG_FIELDS)
-                        + "\n"
-                    )
-                it += 1
-                if (checkpoint_path and checkpoint_every
-                        and it % checkpoint_every == 0):
-                    save_checkpoint(checkpoint_path, params, cfg, actions_json)
+        # the finite checks name every NaN and infinity, so numpy's
+        # own overflow warnings would only repeat them
+        with np.errstate(over="ignore", invalid="ignore"):
+            for window, rows in _windows(
+                    steps, len(tables.boxes),
+                    max(1, _WINDOW_BYTES // (8 * max(cfg.feature_dim, 1)))):
+                pooled = provider.pooled_matrix(tables.scene_ids[rows],
+                                                tables.boxes[rows])
+                for step in window:
+                    lr = rates[it]
+                    batch = _batch(tables, step, pooled.take(
+                        np.searchsorted(rows, step.rows), axis=0))
+                    grads.vector.fill(0.0)
+                    try:
+                        grads, rep = backward(batch, params, cfg,
+                                              loss_weights, grads)
+                    except FloatingPointError as exc:
+                        raise TrainingDiverged(
+                            f"iteration {it}: {exc}") from exc
+                    _check_finite(grads, cfg,
+                                  f"iteration {it}: non-finite gradient")
+                    sgd_step(params, grads, velocity, lr, schedule.momentum,
+                             schedule.weight_decay)
+                    _check_params(params, cfg, it)
+                    history.append(rep)
+                    if log_fh:
+                        vals = rep.as_dict()
+                        log_fh.write(
+                            f"{it} {lr:g} "
+                            + " ".join(f"{vals[f]:.6f}" for f in LOG_FIELDS)
+                            + "\n"
+                        )
+                    it += 1
+                    if (checkpoint_path and checkpoint_every
+                            and it % checkpoint_every == 0):
+                        save_checkpoint(checkpoint_path, params, cfg,
+                                        actions_json)
         if checkpoint_path:
             save_checkpoint(checkpoint_path, params, cfg, actions_json)
     finally:

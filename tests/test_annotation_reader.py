@@ -1,10 +1,12 @@
-"""The bulk annotation reader against a record-by-record reference.
+"""The one-pass annotation reader against a record-by-record reference.
 
-``load_annotations`` checks every scene, object and interaction record
-of a file in bulk and converts its boxes in one pass. The reader it
-replaced, kept here as the reference, built and checked one ``Box`` per
-box and one record at a time. Over files mutated at random, the two
-must agree: the same arrays, bit for bit, or the same error line.
+``load_annotations`` walks the scenes of a file once, in file order. It
+takes a box of four floats and a record of well-typed fields as they
+stand, re-reads anything else field by field to name its fault, and
+converts all boxes into one array at the end. The reference, an older
+reader kept here, builds and checks one ``Box`` per box and one typed
+record at a time. Over files mutated at random, the two must agree: the
+same arrays, bit for bit, or the same error line.
 """
 
 import copy
@@ -288,6 +290,42 @@ def test_bulk_reader_matches_the_record_reader(base_docs, scratch, data):
      "scenes[1]: image_id 0 repeats scenes[0]"),
     (lambda d: d["scenes"][0]["interactions"][0].__setitem__("person", 99),
      "scenes[0].interactions[0]: person index 99 out of range"),
+    # the image size is checked after the records' types
+    (lambda d: (d["scenes"][1].__setitem__("width", 0),
+                d["scenes"][1]["interactions"][0].__setitem__("person", "0")),
+     "scenes[1].interactions[0].person: expected an integer, got string"),
+    (lambda d: d["scenes"][2]["objects"][0].update(box=[1.0, 2.0, 0.5, 4.0],
+                                                    ignore="yes"),
+     "scenes[2].objects[0]: invalid box [1.0, 2.0, 0.5, 4.0] (degenerate "
+     "box"),
+    (lambda d: d["scenes"][0]["persons"].__setitem__(0, [0, 0, 10**400, 1]),
+     f"scenes[0].persons[0]: invalid box [0, 0, {10**400}, 1] (int too "
+     f"large to convert to float)"),
+    # boxes of four floats, degenerate along x or along y
+    (lambda d: d["scenes"][0]["persons"].__setitem__(0, [3.0, 1.0, 1.0, 4.0]),
+     "scenes[0].persons[0]: invalid box [3.0, 1.0, 1.0, 4.0] (degenerate"),
+    (lambda d: d["scenes"][0]["persons"].__setitem__(0, [1.0, 4.0, 3.0, 2.0]),
+     "scenes[0].persons[0]: invalid box [1.0, 4.0, 3.0, 2.0] (degenerate"),
+    (lambda d: d["scenes"][1]["objects"][1].__setitem__(
+        "box", [5.0, 1.0, 2.0, 3.0]),
+     "scenes[1].objects[1]: invalid box [5.0, 1.0, 2.0, 3.0] (degenerate"),
+    (lambda d: d["scenes"][1]["objects"][1].__setitem__(
+        "box", [1.0, 5.0, 2.0, 3.0]),
+     "scenes[1].objects[1]: invalid box [1.0, 5.0, 2.0, 3.0] (degenerate"),
+    (lambda d: d["scenes"][1]["objects"][0].__setitem__("ignore", "yes"),
+     "scenes[1].objects[0].ignore: expected a boolean, got string"),
+    (lambda d: d["scenes"][1]["objects"][0].__setitem__("category", 5),
+     "scenes[1].objects[0].category: expected a string, got integer"),
+    (lambda d: d["scenes"][0]["interactions"][0].__setitem__("action", 5),
+     "scenes[0].interactions[0].action: expected a string, got integer"),
+    (lambda d: d["scenes"][0]["interactions"][0].__setitem__("role", 5),
+     "scenes[0].interactions[0].role: expected a string, got integer"),
+    # a negative object index is a fault of the record as read, before
+    # the image size and the registry are checked
+    (lambda d: (d["scenes"][0].__setitem__("width", 0),
+                d["scenes"][0]["interactions"][0].update(action="fly",
+                                                         object=-1)),
+     "scenes[0].interactions[0]: object index -1 out of range"),
 ])
 def test_named_faults(base_docs, tmp_path, edit, message):
     doc = copy.deepcopy(base_docs[0])
@@ -300,6 +338,19 @@ def test_named_faults(base_docs, tmp_path, edit, message):
     with pytest.raises(AnnotationError) as ref:
         reference_load(path, "hico_like")
     assert str(ref.value) == str(err.value)
+
+
+def test_integer_boxes_load_as_their_floats(base_docs, tmp_path):
+    doc = copy.deepcopy(base_docs[0])
+    doc["scenes"][0]["persons"][0] = [1, 2, 30, 2**53 + 1]
+    doc["scenes"][1]["objects"][0]["box"] = [0, 0, 7, 9]
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps(doc))
+    got = load_annotations(path, "hico_like")
+    _assert_same(got, reference_load(path, "hico_like"))
+    assert got.scenes[0].persons[0].tolist() == [1.0, 2.0, 30.0,
+                                                 float(2**53 + 1)]
+    assert got.scenes[1].objects[0].tolist() == [0.0, 0.0, 7.0, 9.0]
 
 
 def test_scenes_share_one_box_array(base_docs, tmp_path):

@@ -234,19 +234,29 @@ class TestTrainCommand:
 
     def test_divergence_reported(self, tmp_path, capsys):
         data = _synth(tmp_path)
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            code = _run("train", "--out", str(tmp_path / "run"),
-                        "--annotations", str(data / "annotations.json"),
-                        "--features", str(data / "features.npz"),
-                        "--proposals", str(data / "proposals.json"),
-                        "--phases", "60:1000000.0", "--hidden-dim", "48",
-                        "--workers", "2")
+        code = _run("train", "--out", str(tmp_path / "run"),
+                    "--annotations", str(data / "annotations.json"),
+                    "--features", str(data / "features.npz"),
+                    "--proposals", str(data / "proposals.json"),
+                    "--phases", "60:1000000.0", "--hidden-dim", "48",
+                    "--workers", "2")
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: diverged:") and "iteration" in err
+        assert err.count("\n") == 1  # no numpy warning beside it
+
+    def test_parameters_beyond_float32_are_divergence(self, tmp_path, capsys):
+        """Finite in float64 but infinite once saved as float32: train
+        once wrote such a checkpoint with exit 0, which infer refused."""
+        data = _synth(tmp_path, scenes=3)
+        code = _run("train", "--out", str(tmp_path / "run"), *_inputs(data),
+                    "--phases", "2:0.001", "--hidden-dim", "8",
+                    "--momentum", "1e300")
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: diverged: iteration 1: parameter obj_fc1_w exceeds the "
+            "float32 range\n")
+        assert not (tmp_path / "run" / "checkpoint.bin").exists()
 
 
     def _train_on(self, tmp_path, capsys, edit):
@@ -1116,10 +1126,15 @@ class TestConfigValueErrors:
         (("--verbs", "fly"), "verbs must be one or more of carry, throw, "
                              "sit, cut, stand, got ['fly']"),
         (("--persons-per-scene", "50"), "could not place a person"),
+        # targets too far off for their corners to stay apart
+        (("--noise", "1e300"), "could not place a person"),
+        # refused before any map is allocated
+        (("--image-size", "1e308"), "exceeds 1024 feature cells per side"),
+        (("--image-size", "4100"), "exceeds 1024 feature cells per side"),
     ], ids=["negative_seed", "negative_distractors", "negative_proposals",
             "zero_stride", "stride_beyond_image", "nan_image_size",
             "nan_noise", "infinite_magnitude", "unknown_verb",
-            "crowded_scene"])
+            "crowded_scene", "huge_noise", "huge_image", "grid_too_wide"])
     def test_synth(self, tmp_path, capsys, flags, detail):
         """Each of these once raised, or (the negative counts) wrote
         scenes without a word."""
@@ -1128,6 +1143,14 @@ class TestConfigValueErrors:
             *flags])
         assert detail in err
         assert not (tmp_path / "s" / "annotations.json").exists()
+
+
+def test_synth_huge_proposal_jitter_is_clamped(tmp_path, capsys):
+    """The log size jitter is clamped as decode_rel clamps it, so exp
+    cannot overflow and print a numpy warning."""
+    assert _run("synth", "--out", str(tmp_path / "s"), "--num-scenes", "1",
+                "--proposal-magnitude", "1e300") == 0
+    assert capsys.readouterr().err == ""
 
 
 def _numeric_flags():

@@ -511,6 +511,26 @@ class TestTrainLoop:
                   REGISTRY, CATEGORIES)
         assert str(err.value) == "iteration 2: non-finite parameter mu_b"
 
+    def test_parameter_beyond_float32_is_named(self, synth, monkeypatch):
+        """Finite in float64, but a checkpoint would hold it as inf."""
+        scenes, provider, cfg = synth
+        real, calls = trainer.sgd_step, []
+
+        def overflowing(params, *args):
+            real(params, *args)
+            calls.append(None)
+            if len(calls) == 3:
+                params["mu_b"][0] = -1e39
+            return params, args[1]
+
+        monkeypatch.setattr(trainer, "sgd_step", overflowing)
+        with pytest.raises(TrainingDiverged) as err:
+            train(scenes, provider, cfg,
+                  Schedule(phases=[Phase(4, 1e-3)], seed=3),
+                  REGISTRY, CATEGORIES)
+        assert str(err.value) == ("iteration 2: parameter mu_b exceeds the "
+                                  "float32 range")
+
     def test_loss_log_is_parseable(self, synth, tmp_path):
         scenes, provider, cfg = synth
         log = tmp_path / "loss.log"
