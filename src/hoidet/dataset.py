@@ -19,8 +19,7 @@ Scenes are stored in one neutral JSON layout regardless of origin:
 Converters from upstream dataset formats are expected to emit this layout;
 the engine never parses third-party formats directly. The reader checks a
 file in one ordered pass, naming the first fault; each scene's boxes are
-views of one array per file (see :class:`SceneAnnotation`). ``Box`` is
-used one box at a time only, as in the generator and jitter_proposals.
+views of one array per file (see :class:`SceneAnnotation`).
 
 The synthetic generator builds scenes whose person appearance provably
 determines the target location: each person carries a latent code (action
@@ -28,7 +27,12 @@ one-hot plus a 2-d pose vector) painted into the feature map inside the
 person box, and every interaction target is placed at a fixed affine
 function of that code plus bounded uniform noise. Pooling features over
 the person box therefore recovers exactly the information needed to
-regress the target offset.
+regress the target offset. Each scene draws from its own
+``default_rng((seed, scene))`` stream the doubles that one
+``Generator.uniform``, ``choice`` or ``normal`` call per draw would, but
+through cheaper calls. The generator and jitter_proposals hold boxes as
+corner tuples and arrays, and build ``Box`` only for the proposals they
+return.
 """
 
 from __future__ import annotations
@@ -41,8 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .features import FeatureMap
-from .geometry import (BBOX_XFORM_CLIP, Box, box_array, clip_box, decode_rel,
-                       iou)
+from .geometry import BBOX_XFORM_CLIP, Box, clip_boxes, decode_corners
 
 ROLE_NONE = "none"
 ROLE_OBJECT = "object"
@@ -109,15 +112,14 @@ class ActionRegistry:
                 raise AnnotationError(f"duplicate registry entry {e.name}/{e.role}")
             seen[(e.name, e.role)] = i
         self._index = seen
-        for name in {e.name for e in self.entries}:
-            roles = [e.role for e in self.entries if e.name == name]
-            if ROLE_NONE in roles and len(roles) > 1:
-                raise AnnotationError(
-                    f"verb {name!r} mixes role 'none' with typed roles"
-                )
         self._by_name = {}
         for e in self.entries:
             self._by_name.setdefault(e.name, []).append(e)
+        for name, specs in self._by_name.items():  # verbs in entry order
+            if len(specs) > 1 and any(e.role == ROLE_NONE for e in specs):
+                raise AnnotationError(
+                    f"verb {name!r} mixes role 'none' with typed roles"
+                )
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -609,52 +611,92 @@ def synth_channel_layout():
     }
 
 
-def _paint(data: np.ndarray, box: Box, stride: int, channel_values, pad: float = 1.0):
-    """Write constant channel values into the feature cells under a box,
-    padded by a margin so slightly jittered proposals still read them."""
+def _paint(data: np.ndarray, box, stride: int, channel_values, pad: float = 1.0):
+    """Write constant channel values into the feature cells under the
+    corners ``box``, padded by a margin so slightly jittered proposals
+    still read them."""
     _, h, w = data.shape
-    x1 = max(int(np.floor(box.x1 / stride - pad)), 0)
-    y1 = max(int(np.floor(box.y1 / stride - pad)), 0)
-    x2 = min(int(np.ceil(box.x2 / stride + pad)), w)
-    y2 = min(int(np.ceil(box.y2 / stride + pad)), h)
+    x1, y1, x2, y2 = box
+    x1 = max(math.floor(x1 / stride - pad), 0)
+    y1 = max(math.floor(y1 / stride - pad), 0)
+    x2 = min(math.ceil(x2 / stride + pad), w)
+    y2 = min(math.ceil(y2 / stride + pad), h)
     for c, v in channel_values:
         data[c, y1:y2, x1:x2] = v
 
 
-def _inside(box: Box, size: float) -> bool:
-    """Whether ``box`` keeps a one-pixel margin inside a square image."""
-    return (box.x1 >= 1 and box.y1 >= 1
-            and box.x2 <= size - 1 and box.y2 <= size - 1)
+def _fits(box, size: float) -> bool:
+    """Whether the corners ``box`` stay apart and keep a one-pixel margin
+    inside a square image."""
+    x1, y1, x2, y2 = box
+    return 1 <= x1 < x2 <= size - 1 and 1 <= y1 < y2 <= size - 1
 
 
-def _place_person(rng, cfg: SynthConfig, code: PersonCode, registry, existing):
-    """Draw a person box such that every implied target box fits in the
-    image and overlaps existing boxes only lightly. Pure rejection
-    sampling; the latent offsets are bounded so a feasible draw exists."""
+def _overlaps(box, others, thresh: float) -> bool:
+    """Whether the corners ``box`` have an IoU above ``thresh`` with any
+    corners of ``others``, each IoU with the arithmetic of
+    :func:`geometry.iou`."""
+    x1, y1, x2, y2 = box
+    area = (x2 - x1) * (y2 - y1)
+    for bx1, by1, bx2, by2 in others:
+        iw = (x2 if x2 < bx2 else bx2) - (x1 if x1 > bx1 else bx1)
+        if iw > 0.0:
+            ih = (y2 if y2 < by2 else by2) - (y1 if y1 > by1 else by1)
+            if ih > 0.0:
+                inter = iw * ih
+                if inter / (area + (bx2 - bx1) * (by2 - by1) - inter) > thresh:
+                    return True
+    return False
+
+
+def _far(alt, pose) -> bool:
+    """Whether the pose ``alt`` lies 1.4 or more from ``pose`` (float
+    pairs) as ``np.linalg.norm`` measures it. Its dot product rounds
+    unlike Python's ``x*x + y*y`` (it fuses a multiply-add), but by far
+    less than 1e-9, so only a square that close to 1.96 needs it."""
+    d0, d1 = alt[0] - pose[0], alt[1] - pose[1]
+    square = d0 * d0 + d1 * d1
+    if abs(square - 1.96) > 1e-9:
+        return square > 1.96
+    d = np.array([d0, d1])
+    return not math.sqrt(d.dot(d)) < 1.4  # np.linalg.norm bit for bit
+
+
+# Every draw below takes the doubles ``Generator.uniform(lo, hi, k)`` and
+# ``Generator.choice(seq)`` would, as ``lo + (hi - lo) * rng.random(k)``
+# (numpy's own arithmetic) and ``seq[rng.integers(0, len(seq))]``, at a
+# fraction of the call cost; the streams stay those of the numpy calls.
+
+
+def _uniform(rng, lo: float, hi: float, k: int) -> np.ndarray:
+    """``rng.uniform(lo, hi, k)``, draw for draw."""
+    return lo + (hi - lo) * rng.random(k)
+
+
+def _place_person(rng, cfg: SynthConfig, offsets, existing):
+    """Draw a person box such that the target box of each latent offset
+    in ``offsets`` (``(entry, offset)`` pairs), plus noise, fits in the
+    image and overlaps the ``existing`` corners only lightly. Pure
+    rejection sampling; a draw whose corners round together fails, and
+    the latent offsets are bounded so a feasible draw exists."""
     size = cfg.image_size
-    typed = [e for e in registry.entries_for(code.verb) if e.role != ROLE_NONE]
+    lo = np.array([18.0, 30.0, 0.15 * size, 0.25 * size])
+    span = np.array([30.0, 44.0, 0.85 * size, 0.75 * size]) - lo
     for _ in range(500):
-        w = rng.uniform(18.0, 30.0)
-        h = rng.uniform(30.0, 44.0)
-        cx = rng.uniform(0.15 * size, 0.85 * size)
-        cy = rng.uniform(0.25 * size, 0.75 * size)
-        person = Box(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
-        if not _inside(person, size):
+        w, h, cx, cy = (lo + span * rng.random(4)).tolist()
+        person = (cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
+        if not _fits(person, size):
             continue
         targets = []
-        for entry in typed:
-            off = latent_offset(code.verb, entry.role, code.pose)
-            off = off + rng.uniform(-cfg.noise, cfg.noise, size=4)
-            try:
-                tbox = decode_rel(off, person)
-            except ValueError:  # corners too large to stay apart
+        for entry, base in offsets:
+            noise = _uniform(rng, -cfg.noise, cfg.noise, 4)
+            tbox = decode_corners((base + noise).tolist(), person)
+            if not _fits(tbox, size):
                 break
-            if not _inside(tbox, size):
-                break
-            targets.append((entry, off, tbox))
+            targets.append((entry, tbox))
         else:
-            crowd = [person] + [t[2] for t in targets]
-            if not any(iou(a, b) > 0.15 for a in crowd for b in existing):
+            if not any(_overlaps(b, existing, 0.15)
+                       for b in [person] + [t for _, t in targets]):
                 return person, targets
     raise RuntimeError("could not place a person; loosen the scene config")
 
@@ -664,7 +706,8 @@ def generate_synthetic(cfg: SynthConfig):
     registry = synthetic_registry()
     layout = synth_channel_layout()
     verbs = registry.verbs
-    grid = int(round(cfg.image_size)) // cfg.stride
+    size = cfg.image_size
+    grid = int(round(size)) // cfg.stride
     cat_index = {c: i for i, c in enumerate(SYNTH_CATEGORIES)}
     scenes = []
     for sid in range(cfg.num_scenes):
@@ -683,10 +726,13 @@ def generate_synthetic(cfg: SynthConfig):
                 (layout["category0"] + cat_index[cat], 1.0)], pad=0.5)
 
         for _ in range(cfg.persons_per_scene):
-            verb = str(rng.choice(list(cfg.verbs)))
-            pose = rng.uniform(-1.0, 1.0, size=2)
+            verb = str(cfg.verbs[rng.integers(0, len(cfg.verbs))])
+            pose = _uniform(rng, -1.0, 1.0, 2)
             code = PersonCode(verb=verb, pose=pose)
-            person, targets = _place_person(rng, cfg, code, registry, placed)
+            offsets = [(e, latent_offset(verb, e.role, pose))
+                       for e in registry.entries_for(verb)
+                       if e.role != ROLE_NONE]
+            person, targets = _place_person(rng, cfg, offsets, placed)
             pidx = len(persons)
             persons.append(person)
             codes.append(code)
@@ -696,7 +742,7 @@ def generate_synthetic(cfg: SynthConfig):
             vals.append((layout["pose0"], pose[0]))
             vals.append((layout["pose0"] + 1, pose[1]))
             _paint(data, person, cfg.stride, vals)
-            for entry, _off, tbox in targets:
+            for entry, tbox in targets:
                 interactions.append(
                     Interaction(person=pidx, action=entry.name, role=entry.role,
                                 object=len(objects))
@@ -706,47 +752,51 @@ def generate_synthetic(cfg: SynthConfig):
                 interactions.append(
                     Interaction(person=pidx, action=verb, role=ROLE_NONE, object=None)
                 )
-            for entry, _off, _tbox in targets:
+            own = pose.tolist()
+            for entry, _tbox in targets:
                 cat = _SYNTH_TARGET_CATEGORY[(entry.name, entry.role)]
                 for _ in range(cfg.confusers_per_target):
                     for _try in range(200):
-                        alt = rng.uniform(-1.0, 1.0, size=2)
+                        # _uniform(rng, -1.0, 1.0, 2) in Python floats, as
+                        # most tries end at the distance test
+                        u0, u1 = rng.random(2).tolist()
+                        alt = (-1.0 + 2.0 * u0, -1.0 + 2.0 * u1)
                         # far pose -> offset the density head must reject
-                        if np.linalg.norm(alt - pose) < 1.4:
+                        if not _far(alt, own):
                             continue
                         off = latent_offset(verb, entry.role, alt)
-                        off = off + rng.uniform(-cfg.noise, cfg.noise, size=4)
-                        try:
-                            cbox = decode_rel(off, person)
-                        except ValueError:  # corners too large to stay apart
-                            continue
-                        if not _inside(cbox, cfg.image_size):
-                            continue
-                        if any(iou(cbox, b) > 0.3 for b in placed):
-                            continue
-                        break
+                        off = off + _uniform(rng, -cfg.noise, cfg.noise, 4)
+                        cbox = decode_corners(off.tolist(), person)
+                        if _fits(cbox, size) and not _overlaps(cbox, placed,
+                                                               0.3):
+                            break
                     else:
                         continue
                     add_object(cbox, cat)
         for _ in range(cfg.num_distractors):
-            cat = str(rng.choice(SYNTH_CATEGORIES))
+            cat = SYNTH_CATEGORIES[rng.integers(0, len(SYNTH_CATEGORIES))]
             for _try in range(200):
-                w = rng.uniform(6.0, 24.0)
-                h = rng.uniform(6.0, 24.0)
-                cx = rng.uniform(w / 2 + 1, cfg.image_size - w / 2 - 1)
-                cy = rng.uniform(h / 2 + 1, cfg.image_size - h / 2 - 1)
-                dbox = Box(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
-                if all(iou(dbox, b) <= 0.3 for b in placed):
+                uw, uh, ux, uy = rng.random(4).tolist()
+                w = 6.0 + (24.0 - 6.0) * uw
+                h = 6.0 + (24.0 - 6.0) * uh
+                # centre bounds that keep the box in the image
+                x_lo, x_hi = w / 2 + 1, size - w / 2 - 1
+                y_lo, y_hi = h / 2 + 1, size - h / 2 - 1
+                cx = x_lo + (x_hi - x_lo) * ux
+                cy = y_lo + (y_hi - y_lo) * uy
+                dbox = (cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
+                if (dbox[2] > dbox[0] and dbox[3] > dbox[1]
+                        and not _overlaps(dbox, placed, 0.3)):
                     break
             else:
                 continue
             add_object(dbox, cat)
         ann = SceneAnnotation(
             image_id=sid,
-            width=cfg.image_size,
-            height=cfg.image_size,
-            persons=box_array(persons),
-            objects=box_array(objects),
+            width=size,
+            height=size,
+            persons=persons,
+            objects=objects,
             categories=categories,
             interactions=interactions,
         ).validate(registry, f"synthetic[{sid}]")
@@ -769,25 +819,27 @@ def generate_synthetic(cfg: SynthConfig):
 def jitter_proposals(scene: SceneAnnotation, count: int, magnitude: float, seed):
     """GT boxes plus `count` noisy copies each, standing in for a proposal
     stage. Center noise scales with box size; width and height get
-    log-space noise. Everything is clipped to the image."""
+    log-space noise. Everything is clipped to the image, an offset too
+    large for a float included."""
     if magnitude < 0:
         raise ValueError("magnitude must be nonnegative")
     rng = np.random.default_rng(seed)
-    sources = [Box(*row) for row in
-               np.concatenate([scene.persons, scene.objects]).tolist()]
+    src = np.concatenate([scene.persons, scene.objects])
+    # the doubles of one normal(size=4) call per copy, box by box
+    noise = rng.normal(size=(len(src), count, 4))
+    x1, y1, x2, y2 = src.T[..., None]
+    w, h = x2 - x1, y2 - y1
+    with np.errstate(over="ignore"):
+        dx, dy, dw, dh = np.moveaxis(magnitude * noise, -1, 0)
+        cx = (x1 + x2) / 2.0 + dx * w
+        cy = (y1 + y2) / 2.0 + dy * h
+    w = w * np.exp(np.clip(dw, -BBOX_XFORM_CLIP, BBOX_XFORM_CLIP))
+    h = h * np.exp(np.clip(dh, -BBOX_XFORM_CLIP, BBOX_XFORM_CLIP))
+    copies = clip_boxes(
+        np.stack([cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2], axis=-1),
+        scene.width, scene.height).tolist()
     out = []
-    for src in sources:
-        out.append(src)
-        for _ in range(count):
-            dx, dy, dw, dh = magnitude * rng.normal(size=4)
-            cx = src.cx + dx * src.w
-            cy = src.cy + dy * src.h
-            w = src.w * np.exp(min(max(dw, -BBOX_XFORM_CLIP), BBOX_XFORM_CLIP))
-            h = src.h * np.exp(min(max(dh, -BBOX_XFORM_CLIP), BBOX_XFORM_CLIP))
-            out.append(
-                clip_box(
-                    cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2,
-                    scene.width, scene.height,
-                )
-            )
+    for box, jittered in zip(src.tolist(), copies):
+        out.append(Box(*box))
+        out.extend(Box(*b) for b in jittered)
     return out

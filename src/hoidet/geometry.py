@@ -178,13 +178,23 @@ def decode_rel(t, b_h: Box) -> Box:
     """Inverse of :func:`encode_rel` while the log size ratios lie within
     +-``BBOX_XFORM_CLIP``; larger magnitudes are clamped to it. Accepts a
     RelOffset or any 4-sequence (tx, ty, tw, th)."""
-    if not isinstance(t, RelOffset):
-        t = RelOffset(*(float(v) for v in t))
-    cx = b_h.cx + t.tx * b_h.w
-    cy = b_h.cy + t.ty * b_h.h
-    w = b_h.w * math.exp(min(max(t.tw, -BBOX_XFORM_CLIP), BBOX_XFORM_CLIP))
-    h = b_h.h * math.exp(min(max(t.th, -BBOX_XFORM_CLIP), BBOX_XFORM_CLIP))
-    return Box(cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0)
+    if isinstance(t, RelOffset):
+        t = t.as_tuple()
+    return Box(*decode_corners([float(v) for v in t], b_h.as_tuple()))
+
+
+def decode_corners(t, b_h) -> tuple:
+    """:func:`decode_rel` of the 4-sequence ``t`` from the corners ``b_h``,
+    in Python floats, as a corner tuple; where ``decode_rel`` raises, the
+    corners round together (``x2 <= x1`` or ``y2 <= y1``)."""
+    x1, y1, x2, y2 = b_h
+    tx, ty, tw, th = t
+    w, h = x2 - x1, y2 - y1
+    cx = (x1 + x2) / 2.0 + tx * w
+    cy = (y1 + y2) / 2.0 + ty * h
+    w *= math.exp(min(max(tw, -BBOX_XFORM_CLIP), BBOX_XFORM_CLIP))
+    h *= math.exp(min(max(th, -BBOX_XFORM_CLIP), BBOX_XFORM_CLIP))
+    return (cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0)
 
 
 def decode_rels(t: np.ndarray, b_h: np.ndarray) -> np.ndarray:
@@ -213,13 +223,13 @@ def _per_element(fn, x: np.ndarray) -> np.ndarray:
                     dtype=np.float64).reshape(x.shape)
 
 
-def clip_box(x1: float, y1: float, x2: float, y2: float,
-             width: float, height: float,
-             min_size: float = 1e-3) -> Box:
-    """Clip corners to ``[0, width] x [0, height]``, keeping at least
-    ``min_size`` of extent so the result is a valid Box."""
-    x1 = min(max(x1, 0.0), width - min_size)
-    y1 = min(max(y1, 0.0), height - min_size)
-    x2 = min(max(x2, x1 + min_size), width)
-    y2 = min(max(y2, y1 + min_size), height)
-    return Box(x1, y1, x2, y2)
+def clip_boxes(b: np.ndarray, width: float, height: float,
+               min_size: float = 1e-3) -> np.ndarray:
+    """Clip (..., 4) corners to ``[0, width] x [0, height]``, keeping at
+    least ``min_size`` of extent where the coordinates are fine enough to
+    hold it."""
+    x1 = np.minimum(np.maximum(b[..., 0], 0.0), width - min_size)
+    y1 = np.minimum(np.maximum(b[..., 1], 0.0), height - min_size)
+    x2 = np.minimum(np.maximum(b[..., 2], x1 + min_size), width)
+    y2 = np.minimum(np.maximum(b[..., 3], y1 + min_size), height)
+    return np.stack([x1, y1, x2, y2], axis=-1)

@@ -7,6 +7,7 @@ import math
 import re
 import struct
 import tempfile
+import warnings
 import zipfile
 
 import numpy as np
@@ -1128,13 +1129,16 @@ class TestConfigValueErrors:
         (("--persons-per-scene", "50"), "could not place a person"),
         # targets too far off for their corners to stay apart
         (("--noise", "1e300"), "could not place a person"),
+        # a noise interval wider than the largest float
+        (("--noise", "1e308"), "could not place a person"),
         # refused before any map is allocated
         (("--image-size", "1e308"), "exceeds 1024 feature cells per side"),
         (("--image-size", "4100"), "exceeds 1024 feature cells per side"),
     ], ids=["negative_seed", "negative_distractors", "negative_proposals",
             "zero_stride", "stride_beyond_image", "nan_image_size",
             "nan_noise", "infinite_magnitude", "unknown_verb",
-            "crowded_scene", "huge_noise", "huge_image", "grid_too_wide"])
+            "crowded_scene", "huge_noise", "noise_range_overflows",
+            "huge_image", "grid_too_wide"])
     def test_synth(self, tmp_path, capsys, flags, detail):
         """Each of these once raised, or (the negative counts) wrote
         scenes without a word."""
@@ -1151,6 +1155,35 @@ def test_synth_huge_proposal_jitter_is_clamped(tmp_path, capsys):
     assert _run("synth", "--out", str(tmp_path / "s"), "--num-scenes", "1",
                 "--proposal-magnitude", "1e300") == 0
     assert capsys.readouterr().err == ""
+
+
+def test_synth_overflowing_jitter_is_clipped(tmp_path, capsys):
+    """A jittered offset that overflows is clipped to the image, as a
+    finite one beyond it is, with no numpy warning (three were printed):
+    every proposal lies in the image."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _run("synth", "--out", str(tmp_path / "s"), "--num-scenes",
+                    "1", "--proposal-magnitude", "1e308") == 0
+    assert capsys.readouterr().err == ""
+    doc = json.loads((tmp_path / "s" / "proposals.json").read_text())
+    boxes = np.array(doc["proposals"]["0"])
+    assert np.isfinite(boxes).all()
+    assert (boxes >= 0).all() and (boxes <= 128.0).all()
+    assert (boxes[:, 2:] > boxes[:, :2]).all()
+
+
+def test_synth_boxes_that_round_together_are_redrawn(tmp_path, capsys):
+    """At 1e17 floats lie 16 apart, so a narrow distractor's corners can
+    round together; that draw fails and is drawn again, as a target's
+    is, where it once ended in a traceback."""
+    assert _run("synth", "--out", str(tmp_path / "s"), "--num-scenes", "1",
+                "--image-size", "1e17", "--stride",
+                "100000000000000000") == 0
+    assert capsys.readouterr().err == ""
+    scene = load_annotations(tmp_path / "s" / "annotations.json").scenes[0]
+    boxes = np.concatenate([scene.persons, scene.objects])
+    assert (boxes[:, 2:] > boxes[:, :2]).all()
 
 
 def _numeric_flags():

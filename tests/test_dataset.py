@@ -1,9 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import hoidet
 from hoidet.dataset import (
     ActionRegistry,
     ActionSpec,
@@ -68,6 +72,26 @@ class TestRegistry:
             ActionSpec("a", "target")
         with pytest.raises(AnnotationError):
             ActionRegistry([ActionSpec("a", "none"), ActionSpec("a", "object")])
+
+    def test_mixed_roles_named_in_entry_order(self):
+        """Of two verbs that mix role 'none' with a typed role, the first
+        in entry order is named, whatever the string hash seed."""
+        src = os.path.dirname(os.path.dirname(hoidet.__file__))
+        code = ("from hoidet.dataset import ActionRegistry, ActionSpec\n"
+                "try:\n"
+                "    ActionRegistry([ActionSpec(n, r) for n in 'ab'\n"
+                "                    for r in ('none', 'object')])\n"
+                "except ValueError as exc:\n"
+                "    print(exc)\n")
+        for seed in range(1, 7):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed),
+                       PYTHONPATH=os.pathsep.join(
+                           [src, os.environ.get("PYTHONPATH", "")]))
+            out = subprocess.run([sys.executable, "-c", code], env=env,
+                                 capture_output=True, text=True,
+                                 check=True).stdout
+            assert out == ("verb 'a' mixes role 'none' with typed "
+                           "roles\n"), (seed, out)
 
     def test_json_round_trip(self):
         reg = default_registry()

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from hoidet.geometry import Box, Detection, RelOffset, clip_box, decode_rel, encode_rel, iou, nms
+from hoidet.geometry import (Box, Detection, RelOffset, clip_boxes, decode_corners,
+                             decode_rel, encode_rel, iou, nms)
 
 
 def random_box(rng, lo=0.0, hi=100.0, min_size=1.0, max_size=40.0):
@@ -155,6 +156,20 @@ class TestRelEncoding:
         small = decode_rel((0.0, 0.0, -800.0, -800.0), ref)
         assert small.w == pytest.approx(10.0 * 16.0 / 1000.0)
 
+    def test_decode_corners_are_decode_rel_corners(self):
+        rng = np.random.default_rng(14)
+        for _ in range(300):
+            b_h = random_box(rng)
+            t = rng.normal(size=4).tolist()
+            assert (decode_corners(t, b_h.as_tuple())
+                    == decode_rel(t, b_h).as_tuple())
+        # a 5-pixel target of a box at 1e17, where floats lie 16 apart
+        far = (1e17, 1e17, 1e17 + 64, 1e17 + 64)
+        x1, y1, x2, y2 = decode_corners((0.0, 0.0, -2.5, 0.0), far)
+        assert x1 == x2 and y1 < y2
+        with pytest.raises(ValueError, match="degenerate"):
+            decode_rel((0.0, 0.0, -2.5, 0.0), Box(*far))
+
     def test_round_trip_random(self):
         rng = np.random.default_rng(12)
         for _ in range(300):
@@ -167,14 +182,15 @@ class TestRelEncoding:
 
 class TestClipBox:
     def test_inside_untouched(self):
-        b = clip_box(1, 2, 3, 4, 10, 10)
-        assert b == Box(1, 2, 3, 4)
+        b = clip_boxes(np.array([1.0, 2.0, 3.0, 4.0]), 10, 10)
+        np.testing.assert_array_equal(b, [1, 2, 3, 4])
 
     def test_clips_and_stays_valid(self):
         rng = np.random.default_rng(13)
-        for _ in range(200):
-            x1, y1 = rng.uniform(-50, 150, 2)
-            x2, y2 = x1 + rng.uniform(-5, 60), y1 + rng.uniform(-5, 60)
-            b = clip_box(x1, y1, x2, y2, 100, 80)
-            assert 0 <= b.x1 < b.x2 <= 100
-            assert 0 <= b.y1 < b.y2 <= 80
+        x1, y1 = rng.uniform(-50, 150, (2, 200))
+        x2, y2 = x1 + rng.uniform(-5, 60, 200), y1 + rng.uniform(-5, 60, 200)
+        b = clip_boxes(np.stack([x1, y1, x2, y2], axis=-1), 100, 80)
+        assert b.shape == (200, 4)
+        for x1, y1, x2, y2 in b:
+            assert 0 <= x1 < x2 <= 100
+            assert 0 <= y1 < y2 <= 80
