@@ -10,7 +10,8 @@ ships next to) the effective config so a run is reproducible from its
 outputs alone. Only the invoked subcommand's flags are built. Errors
 print a single machine-parsable line ``error: <kind>: <message>`` on
 stderr and exit nonzero (2 for configuration problems, 1 for runtime
-failures).
+failures). Input readers raise ValueError for content they reject and
+let OSError through; ``_read`` alone turns either into that line.
 
 The training density mode decides the target-location term:
   fixed_sigma      one predicted center, fixed-width compatibility
@@ -83,6 +84,37 @@ def _config_error(message: str) -> CliError:
     return CliError("config", message, exit_code=2)
 
 
+def _read(what: str, read, *args, kind: str = "data", **kwargs):
+    """``read(*args, **kwargs)``; an OSError is an ``io`` error naming
+    ``what``, a ValueError a ``kind`` error with its message."""
+    try:
+        return read(*args, **kwargs)
+    except OSError as exc:
+        raise CliError("io", f"cannot read {what}: {exc}")
+    except ValueError as exc:
+        raise CliError(kind, str(exc), exit_code=2 if kind == "config" else 1)
+
+
+def _json_file(path, name: str):
+    """The JSON document in ``path``; any decode failure (deep nesting
+    and over-long integers too) is a ValueError naming ``name``."""
+    with open(path) as f:
+        try:
+            return json.load(f)
+        except (ValueError, RecursionError) as exc:
+            raise ValueError(f"{name} file is not valid JSON: {exc}") from None
+
+
+def _json_mapping(path, name: str):
+    """The items of the ``name`` mapping of a JSON file
+    ``{"<name>": {...}}``."""
+    doc = _json_file(path, name)
+    try:
+        return doc[name].items()
+    except (AttributeError, KeyError, TypeError):
+        raise ValueError(f"{name} file has no {name!r} mapping") from None
+
+
 def _field_default(field: dataclasses.Field):
     if field.default_factory is not dataclasses.MISSING:
         return field.default_factory()
@@ -152,13 +184,8 @@ def resolve_config(command: str, file_path, flag_values: dict) -> dict:
     schema = _SCHEMAS[command]
     cfg = dict(schema)
     if file_path is not None:
-        try:
-            with open(file_path) as fh:
-                raw = json.load(fh)
-        except OSError as exc:
-            raise CliError("io", f"cannot read config file: {exc}")
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise _config_error(f"config file is not valid JSON: {exc}")
+        raw = _read("config file", _json_file, file_path, "config",
+                    kind="config")
         if not isinstance(raw, dict):
             raise _config_error("config file must hold a JSON object")
         for key, value in raw.items():
@@ -268,9 +295,10 @@ def _npy_array(raw: bytes, headers: dict) -> np.ndarray:
 
 def read_feature_maps(path) -> dict:
     """Per-image maps of an ``.npz`` holding ``map_N`` arrays and their
-    ``stride_N`` scalars; malformed content is a ``data`` error, and so
-    are an ``N`` outside the int64 range and a member whose dtype is not
-    bool, integer or floating.
+    ``stride_N`` scalars; malformed content raises ValueError, and so do
+    an ``N`` outside the int64 range, two members naming one image
+    (``map_0`` and ``map_00``) and a member whose dtype is not bool,
+    integer or floating.
 
     The maps are held once, channel-last, in one float64 buffer, each
     map's data a (C, H, W) view of its block (see ``features.place``),
@@ -280,14 +308,12 @@ def read_feature_maps(path) -> dict:
     the buffer before the next is read, so no map is held twice."""
     try:
         z = np.load(path)
-    except OSError as exc:
-        raise CliError("io", f"cannot read feature maps: {exc}")
     except (ValueError, EOFError, zipfile.BadZipFile) as exc:
-        raise CliError("data", f"feature maps file is not an .npz archive: "
-                               f"{exc}")
+        raise ValueError(f"feature maps file is not an .npz archive: "
+                         f"{exc}") from None
     if not isinstance(z, np.lib.npyio.NpzFile):
-        raise CliError("data", "feature maps file is not an .npz archive")
-    maps, headers = {}, {}
+        raise ValueError("feature maps file is not an .npz archive")
+    maps, headers, first = {}, {}, {}
     with z:
         names, files = set(z.zip.namelist()), set(z.files)
         keys = [key for key in z.files if key.startswith("map_")]
@@ -312,13 +338,16 @@ def read_feature_maps(path) -> dict:
         for key in keys:
             try:
                 image_id = _image_id(key[4:])
+                if first.setdefault(image_id, key) != key:
+                    raise ValueError(f"image id {image_id} repeats "
+                                     f"{first[image_id]!r}")
                 stride = f"stride_{image_id}"
                 if stride not in files:
                     raise ValueError(f"no {stride} member")
                 fmap = FeatureMap(data=member(key),
                                   stride=float(member(stride)))
             except (ValueError, TypeError, zipfile.BadZipFile) as exc:
-                raise CliError("data", f"feature map {key!r}: {exc}")
+                raise ValueError(f"feature map {key!r}: {exc}") from None
             fmap.data = place(buffer, offset, fmap.data)
             offset += fmap.data.size
             maps[image_id] = fmap
@@ -349,32 +378,27 @@ def _image_id(text: str) -> int:
 
 def read_proposals(path) -> dict:
     """Per-image ``(N, 4)`` float64 box arrays of a ``proposals.json``;
-    malformed content is a ``data`` error, and so is an image id outside
-    the int64 range."""
-    try:
-        with open(path) as f:
-            doc = json.load(f)
-    except OSError as exc:
-        raise CliError("io", f"cannot read proposals: {exc}")
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise CliError("data", f"proposals file is not valid JSON: {exc}")
-    try:
-        items = doc["proposals"].items()
-    except (AttributeError, KeyError, TypeError):
-        raise CliError("data", "proposals file has no 'proposals' mapping")
-    out = {}
-    for i, rows in items:
+    malformed content raises ValueError, and so do an image id outside
+    the int64 range and two keys naming one image (``"0"`` and
+    ``"00"``)."""
+    out, first = {}, {}
+    for i, rows in _json_mapping(path, "proposals"):
         try:
-            out[_image_id(i)] = _box_rows(rows)
+            image_id = _image_id(i)
+            if first.setdefault(image_id, i) != i:
+                raise ValueError(f"image id {image_id} repeats key "
+                                 f"{first[image_id]!r}")
+            out[image_id] = _box_rows(rows)
         except (TypeError, ValueError, OverflowError) as exc:
-            raise CliError("data", f"proposals for image {i}: {exc}")
+            raise ValueError(f"proposals for image {i}: {exc}") from None
     return out
 
 
 def _box_rows(rows) -> np.ndarray:
     """(N, 4) array of a JSON list of ``[x1, y1, x2, y2]`` rows, checked
     in one pass: each row is a list of four numbers (not booleans), and
-    each box has positive width and height (so no NaN)."""
+    each box has finite corners and positive width and height (so no
+    NaN)."""
     if (type(rows) is not list or not {list}.issuperset(map(type, rows))
             or not {4}.issuperset(map(len, rows))
             or not _NUMBERS.issuperset(
@@ -383,9 +407,12 @@ def _box_rows(rows) -> np.ndarray:
                          "numbers")
     boxes = np.array(rows, dtype=np.float64).reshape(-1, 4)
     bad = np.flatnonzero(~((boxes[:, 2] > boxes[:, 0])
-                           & (boxes[:, 3] > boxes[:, 1])))
+                           & (boxes[:, 3] > boxes[:, 1])
+                           & np.isfinite(boxes).all(axis=1)))
     if len(bad):
-        raise ValueError(f"degenerate box: {tuple(boxes[bad[0]].tolist())}")
+        box = boxes[bad[0]]
+        what = "non-finite" if np.isinf(box).any() else "degenerate"
+        raise ValueError(f"{what} box: {tuple(box.tolist())}")
     return boxes
 
 
@@ -397,14 +424,10 @@ def _write_json(path, doc) -> None:
 def _load_world(cfg):
     """Annotations + feature maps + proposals -> evaluation-ready pieces."""
     _require(cfg, "annotations", "features", "proposals")
-    try:
-        ds = load_annotations(cfg["annotations"], schema=cfg["schema"])
-    except OSError as exc:
-        raise CliError("io", f"cannot read annotations: {exc}")
-    except ValueError as exc:
-        raise CliError("data", str(exc))
-    maps = read_feature_maps(cfg["features"])
-    proposals = read_proposals(cfg["proposals"])
+    ds = _read("annotations", load_annotations, cfg["annotations"],
+               schema=cfg["schema"])
+    maps = _read("feature maps", read_feature_maps, cfg["features"])
+    proposals = _read("proposals", read_proposals, cfg["proposals"])
     unmapped = sorted(set(proposals) - set(maps))
     if unmapped:
         raise CliError("data", f"proposals for image {unmapped[0]} have no "
@@ -485,14 +508,9 @@ def _load_model(path, registry: ActionRegistry, categories, provider):
     action count or object class count differs from the pooled width of
     ``provider``'s maps, the registry's length or that of
     ``categories``."""
-    try:
-        ckpt = load_checkpoint(path)
-        if ckpt.actions:
-            registry = ActionRegistry.from_json(ckpt.actions)
-    except OSError as exc:
-        raise CliError("io", f"cannot read checkpoint: {exc}")
-    except ValueError as exc:
-        raise CliError("data", str(exc))
+    ckpt = _read("checkpoint", load_checkpoint, path)
+    if ckpt.actions:
+        registry = _read("checkpoint", ActionRegistry.from_json, ckpt.actions)
     head = ckpt.config
     if provider.maps and head.feature_dim != provider.feature_dim:
         raise CliError("data", f"{path}: checkpoint feature_dim "
@@ -525,20 +543,9 @@ def _write_report(out, report, cfg) -> str:
 def _load_centers(path, registry: ActionRegistry):
     """Per-action-index (K, 4) cluster centers of a ``centers.json``, one
     entry for each action of ``registry`` that has a target; malformed
-    content is a ``data`` error."""
-    try:
-        with open(path) as f:
-            doc = json.load(f)
-    except OSError as exc:
-        raise CliError("io", f"cannot read centers: {exc}")
-    except ValueError as exc:
-        raise CliError("data", f"centers file is not valid JSON: {exc}")
-    try:
-        items = doc["centers"].items()
-    except (AttributeError, KeyError, TypeError):
-        raise CliError("data", "centers file has no 'centers' mapping")
+    content raises ValueError."""
     out = {}
-    for key, value in items:
+    for key, value in _json_mapping(path, "centers"):
         try:
             centers = np.asarray(value, dtype=np.float64)
             if (centers.ndim != 2 or centers.shape[0] < 1
@@ -552,11 +559,11 @@ def _load_centers(path, registry: ActionRegistry):
                                  "strings")
             out[int(key)] = centers
         except (TypeError, ValueError, OverflowError) as exc:
-            raise CliError("data", f"centers for action {key!r}: {exc}")
+            raise ValueError(f"centers for action {key!r}: {exc}") from None
     for a, entry in enumerate(registry):
         if entry.role != ROLE_NONE and a not in out:
-            raise CliError("data", f"centers file has no centers for action "
-                                   f"{a} ({entry.name}/{entry.role})")
+            raise ValueError(f"centers file has no centers for action {a} "
+                             f"({entry.name}/{entry.role})")
     return out
 
 
@@ -605,8 +612,8 @@ def cmd_infer(cfg: dict) -> int:
     ds, provider, proposals = _load_world(cfg)
     ckpt, registry = _load_model(cfg["checkpoint"], ds.registry,
                                  ds.categories, provider)
-    centers = (_load_centers(cfg["centers"], registry) if cfg["centers"]
-               else None)
+    centers = (_read("centers", _load_centers, cfg["centers"], registry)
+               if cfg["centers"] else None)
     pred_path, triplets = _run_inference(
         cfg, ds, provider, proposals, ckpt.params, ckpt.config, registry,
         centers, out)
@@ -620,13 +627,9 @@ def cmd_eval(cfg: dict) -> int:
     os.makedirs(out, exist_ok=True)
     _require(cfg, "predictions", "annotations")
     rule = _build(MatchRule, cfg)
-    try:
-        triplets = read_predictions(cfg["predictions"])
-        ds = load_annotations(cfg["annotations"], schema=cfg["schema"])
-    except OSError as exc:
-        raise CliError("io", str(exc))
-    except ValueError as exc:
-        raise CliError("data", str(exc))
+    triplets = _read("predictions", read_predictions, cfg["predictions"])
+    ds = _read("annotations", load_annotations, cfg["annotations"],
+               schema=cfg["schema"])
     try:
         report = evaluate_triplets(triplets, ds, rule,
                                    eleven_point=cfg["eleven_point"])
@@ -675,13 +678,8 @@ def cmd_baseline(cfg: dict) -> int:
     if seed < 0:
         raise _config_error(f"seed must be nonnegative, got {seed}")
     ds, provider, proposals = _load_world(cfg)
-    try:
-        fit_ds = load_annotations(cfg["fit_annotations"],
-                                  schema=cfg["schema"])
-    except OSError as exc:
-        raise CliError("io", f"cannot read fit annotations: {exc}")
-    except ValueError as exc:
-        raise CliError("data", str(exc))
+    fit_ds = _read("fit annotations", load_annotations,
+                   cfg["fit_annotations"], schema=cfg["schema"])
     ckpt, registry = _load_model(cfg["checkpoint"], fit_ds.registry,
                                  ds.categories, provider)
     reduced = []
@@ -732,11 +730,19 @@ def _add_flags(parser: argparse.ArgumentParser, schema: dict) -> None:
             parser.add_argument(flag, type=str, default=None)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose rejection of the command line is a
+    ``config`` error, not a usage block and ``SystemExit``."""
+
+    def error(self, message):
+        raise _config_error(message)
+
+
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The ``hoidet`` parser. Every subcommand is listed, but only
     ``command``'s flags are added when it names one: a command parses
     only its own flags, and building the others' is wasted work."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hoidet",
         description="human-object interaction detection toolkit")
     subs = parser.add_subparsers(dest="command", required=True)
@@ -749,8 +755,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
         cfg = resolve_config(args.command, args.config, {
             key: getattr(args, key) for key in _SCHEMAS[args.command]})
         return _COMMANDS[args.command](cfg)

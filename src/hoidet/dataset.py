@@ -63,6 +63,7 @@ class AnnotationError(ValueError):
 
 _NUMBERS = {float, int}  # the types of a JSON number (not of a boolean)
 _INT64 = range(-2**63, 2**63)  # image ids, which are held as int64 arrays
+_INF = float("inf")
 # JSON names of the types the loader checks for (float stands for any
 # number), and of the values it finds
 _EXPECTED = {list: "a list", dict: "an object", str: "a string",
@@ -276,13 +277,16 @@ def _list_at(raw: dict, key: str, prefix: str = "") -> list:
 
 
 def _check_box(raw, where: str) -> list:
-    """The corners of ``raw`` as floats if it is a list of four numbers
-    with positive width and height, else AnnotationError naming ``where``."""
+    """The corners of ``raw`` as floats if it is a list of four finite
+    numbers with positive width and height, else AnnotationError naming
+    ``where``."""
     try:
         if type(raw) is not list or not _NUMBERS.issuperset(map(type, raw)):
             raise ValueError("expected a list of numbers")
         x1, y1, x2, y2 = map(float, raw)
         Box(x1, y1, x2, y2)
+        if not all(map(math.isfinite, (x1, y1, x2, y2))):
+            raise ValueError("non-finite corner")
     except (OverflowError, ValueError) as exc:
         raise AnnotationError(f"{where}: invalid box {raw!r} ({exc})")
     return [x1, y1, x2, y2]
@@ -339,7 +343,8 @@ def _read_scenes(raw: list, registry: ActionRegistry) -> list:
             if not (type(box) is list and len(box) == 4
                     and type(box[0]) is type(box[1]) is type(box[2])
                     is type(box[3]) is float
-                    and box[2] > box[0] and box[3] > box[1]):
+                    and -_INF < box[0] < box[2] < _INF
+                    and -_INF < box[1] < box[3] < _INF):
                 box = _check_box(box, f"{where}.persons[{k}]")
             rows.append(box)
         o, c = len(rows), len(categories)
@@ -350,7 +355,8 @@ def _read_scenes(raw: list, registry: ActionRegistry) -> list:
             if not (type(box) is list and len(box) == 4
                     and type(box[0]) is type(box[1]) is type(box[2])
                     is type(box[3]) is float
-                    and box[2] > box[0] and box[3] > box[1]
+                    and -_INF < box[0] < box[2] < _INF
+                    and -_INF < box[1] < box[3] < _INF
                     and type(category) is str and type(flag) is bool):
                 here = f"{where}.objects[{k}]"
                 if "category" not in _typed(obj, dict, here):
@@ -402,8 +408,8 @@ def load_annotations(path, schema: str = "vcoco_like") -> Dataset:
     with open(path) as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise AnnotationError(f"{path}: not valid JSON ({exc})")
+        except (ValueError, RecursionError) as exc:
+            raise AnnotationError(f"{path}: not valid JSON ({exc})") from None
     version = _typed(raw, dict, f"{path}: top level").get("version")
     if isinstance(version, bool) or version != ANNOTATION_VERSION:
         raise AnnotationError(f"{path}: unsupported version {version!r}")

@@ -58,6 +58,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import (
+    _INF,
     _NUMBERS,
     PERSON_CATEGORY,
     ROLE_NONE,
@@ -435,9 +436,6 @@ def _det_json(d: Detection | None):
             "score": d.score}
 
 
-_INF = float("inf")
-
-
 def _finite(value, where: str) -> float:
     """A JSON number as a float; a non-number (a boolean too), NaN or an
     infinity raises ValueError naming ``where``."""
@@ -544,7 +542,7 @@ def _parse_line(line: str):
         obj, end = _DECODER.raw_decode(line)
         if end == len(line):
             return obj
-    except ValueError:
+    except (ValueError, RecursionError):
         pass
     return json.loads(line)
 
@@ -563,6 +561,7 @@ def read_predictions(path) -> list[ScoredTriplet]:
             except KeyError as exc:
                 raise ValueError(
                     f"predictions line {number}: missing key {exc}") from exc
-            except (TypeError, ValueError, OverflowError) as exc:
+            except (TypeError, ValueError, OverflowError,
+                    RecursionError) as exc:
                 raise ValueError(f"predictions line {number}: {exc}") from exc
     return out

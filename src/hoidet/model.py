@@ -736,7 +736,7 @@ def load_checkpoint(path) -> Checkpoint:
     (hlen,) = struct.unpack_from("<Q", raw, len(CHECKPOINT_MAGIC))
     try:
         header = json.loads(raw[off:off + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise CheckpointError(f"{path}: corrupt header ({exc})")
     off += hlen
     try:

@@ -48,7 +48,10 @@ def _box_from_json(raw, where):
         if type(raw) is not list or not _NUMBERS.issuperset(map(type, raw)):
             raise ValueError("expected a list of numbers")
         x1, y1, x2, y2 = map(float, raw)
-        return Box(x1, y1, x2, y2)
+        box = Box(x1, y1, x2, y2)
+        if not all(map(math.isfinite, (x1, y1, x2, y2))):
+            raise ValueError("non-finite corner")
+        return box
     except (OverflowError, ValueError) as exc:
         raise AnnotationError(f"{where}: invalid box {raw!r} ({exc})")
 

@@ -675,6 +675,21 @@ class TestEvalCommand:
         assert "mean" in text and "AP_role" in text
         assert text.endswith((out / "report.txt").read_text())
 
+    @pytest.mark.parametrize("missing", ["predictions", "annotations"])
+    def test_a_missing_input_is_one_io_line(self, annotated, tmp_path,
+                                            capsys, missing):
+        data, empty = annotated
+        paths = {"predictions": empty,
+                 "annotations": data / "annotations.json",
+                 missing: tmp_path / "nope"}
+        code = _run("eval", "--out", str(tmp_path / "ev"),
+                    "--predictions", str(paths["predictions"]),
+                    "--annotations", str(paths["annotations"]))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: io: cannot read {missing}: [Errno 2]")
+        assert err.count("\n") == 1
+
     def test_bad_rule_is_config_error(self, tmp_path, capsys):
         data = _synth(tmp_path)
         pred = self._gt_echo(data, tmp_path)
@@ -968,7 +983,6 @@ class TestConfigSchema:
         assert resolve_config("synth", None, {})["verbs"] == list(
             SynthConfig().verbs)
 
-    @pytest.mark.filterwarnings("ignore:only .* offsets for k=")
     def test_every_key_is_read(self, trained, tmp_path):
         data, run = trained
         inputs = {key: str(data / f"{key}.{ext}") for key, ext in (
@@ -1188,13 +1202,15 @@ def test_synth_boxes_that_round_together_are_redrawn(tmp_path, capsys):
 
 def _numeric_flags():
     """(command, flag, value) for every int or float key of every
-    subcommand, at 0 and -1, and a float key also at NaN and inf."""
+    subcommand, at 0, -1, NaN and -inf (which argparse reads as a
+    flag), an int key also at 0.5 and a float key also at inf."""
     for command, schema in _SCHEMAS.items():
         for key, default in schema.items():
             if type(default) not in (int, float):
                 continue
             flag = "--" + key.replace("_", "-")
-            values = ("0", "-1") + (("nan", "inf") * (type(default) is float))
+            values = ("0", "-1", "nan", "-inf",
+                      "inf" if type(default) is float else "0.5")
             for value in values:
                 yield pytest.param(command, flag, value,
                                    id=f"{command}{flag}={value}")
@@ -1213,7 +1229,6 @@ class TestEveryNumericFlag:
     """No value of a numeric flag ends in a traceback: each command exits
     0, 1 or 2, with nothing or one ``error: <kind>: `` line on stderr."""
 
-    @pytest.mark.filterwarnings("ignore:only .* offsets for k=")
     @pytest.mark.parametrize("command, flag, value", _numeric_flags())
     def test_value(self, tiny, tmp_path, capsys, command, flag, value):
         data, run, preds = tiny
@@ -1394,6 +1409,27 @@ class TestAnnotationsFile:
         code, err = _run_on_annotations(command, annotated, path)
         assert code == 1
         assert err == f"error: data: {message.format(path=path)}\n"
+
+    @pytest.mark.parametrize("command", ["eval", "train"])
+    @pytest.mark.parametrize("where, corners", [
+        ("persons[0]", "[1.0, 1.0, 1e400, 5.0]"),
+        ("persons[0]", "[-Infinity, 1.0, 4.0, 5.0]"),
+        ("objects[0]", "[1.0, 1.0, 4.0, Infinity]"),
+    ], ids=["person_1e400", "person_minus_infinity", "object_infinity"])
+    def test_an_infinite_corner(self, annotated, tmp_path, command, where,
+                                corners):
+        data, _ = annotated
+        doc = json.loads((data / "annotations.json").read_text())
+        if where == "persons[0]":
+            doc["scenes"][0]["persons"][0] = "@box"
+        else:
+            doc["scenes"][0]["objects"][0]["box"] = "@box"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc).replace('"@box"', corners))
+        code, err = _run_on_annotations(command, annotated, path)
+        assert code == 1
+        assert err == (f"error: data: scenes[0].{where}: invalid box "
+                       f"{json.loads(corners)!r} (non-finite corner)\n")
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -1616,6 +1652,30 @@ class TestProposalsFile:
         assert err == (f"error: data: proposals for image {image}: "
                        f"degenerate box: {tuple(rows[j])}\n")
 
+    @pytest.mark.parametrize("corners, box", [
+        ("[0, 0, 1e400, 10]", "(0.0, 0.0, inf, 10.0)"),
+        ("[-Infinity, 0, 10, 10]", "(-inf, 0.0, 10.0, 10.0)"),
+        ("[0, 0, 10, Infinity]", "(0.0, 0.0, 10.0, inf)"),
+    ], ids=["1e400", "minus_infinity", "infinity"])
+    def test_an_infinite_corner(self, trained, corners, box):
+        doc = self._doc(trained)
+        doc["proposals"]["1"][0] = "@box"
+        path = trained[1].parent / "edited_proposals.json"
+        path.write_text(json.dumps(doc).replace('"@box"', corners))
+        code, err = _infer_with(trained, proposals=path)
+        assert code == 1
+        assert err == (f"error: data: proposals for image 1: non-finite "
+                       f"box: {box}\n")
+
+    @pytest.mark.parametrize("key", ["00", " 0", "+0"])
+    def test_two_keys_for_one_image(self, trained, key):
+        doc = self._doc(trained)
+        doc["proposals"][key] = doc["proposals"]["0"]
+        code, err = self._infer_on(trained, doc)
+        assert code == 1
+        assert err == (f"error: data: proposals for image {key}: image id 0 "
+                       f"repeats key '0'\n")
+
     def test_an_empty_list_is_legal(self, trained):
         doc = self._doc(trained)
         doc["proposals"]["1"] = []
@@ -1705,6 +1765,17 @@ class TestFeatureMapsArchive:
         _write_members(bad, members)
         _one_data_line(*_infer_with(trained, features=bad),
                        "error: data: feature map 'map_")
+
+    def test_two_members_for_one_image(self, trained, tmp_path):
+        with np.load(trained[0] / "features.npz") as z:
+            arrays = dict(z)
+        arrays["map_00"] = arrays["map_0"]
+        bad = tmp_path / "repeated.npz"
+        np.savez(bad, **arrays)
+        code, err = _infer_with(trained, features=bad)
+        assert code == 1
+        assert err == ("error: data: feature map 'map_00': image id 0 "
+                       "repeats 'map_0'\n")
 
     @pytest.mark.parametrize("version", [(2, 0), (3, 0)])
     def test_members_of_later_versions_read(self, trained, tmp_path,
@@ -1820,6 +1891,49 @@ class TestCheckpointAndCentersDamage:
         self._infer(fitted, bytes(raw), centers)
 
 
+# documents no JSON input decodes: nested deeper than the decoder
+# recurses, an integer past Python's 4300-digit limit, a byte that is not
+# UTF-8, and a document cut short
+_UNDECODABLE = {
+    "deep_nesting": b"[" * 100_000,
+    "long_integer": b'{"x": ' + b"9" * 5000 + b"}",
+    "not_utf8": b'{"x": "\xff"}',
+    "truncated": b'{"x": [1, 2',
+}
+
+
+@pytest.mark.parametrize("damage", list(_UNDECODABLE))
+@pytest.mark.parametrize("name", ["config", "annotations", "proposals",
+                                  "centers", "predictions", "checkpoint"])
+def test_an_undecodable_json_input_is_one_error_line(fitted, tmp_path, name,
+                                                     damage):
+    """Each JSON input (the checkpoint's header for a checkpoint) ends
+    in one ``data`` line, or ``config`` line for the config file."""
+    data, checkpoint, centers = fitted
+    raw = _UNDECODABLE[damage]
+    if name == "checkpoint":
+        raw = checkpoint.read_bytes()[:8] + struct.pack("<Q", len(raw)) + raw
+    bad = tmp_path / "bad"
+    bad.write_bytes(raw)
+    paths = {"checkpoint": checkpoint, "centers": centers,
+             "annotations": data / "annotations.json",
+             "features": data / "features.npz",
+             "proposals": data / "proposals.json", name: bad}
+    argv = {"config": ["synth", "--config", str(bad)],
+            "predictions": ["eval", "--predictions", str(bad),
+                            "--annotations", str(paths["annotations"])]}.get(
+        name, ["infer", *(arg for key, path in paths.items()
+                          for arg in ("--" + key, str(path)))])
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = _run(*argv, "--out", str(tmp_path / "out"))
+    err = err.getvalue()
+    kind = "config" if name == "config" else "data"
+    assert code == (2 if name == "config" else 1), err
+    assert err.startswith(f"error: {kind}: ") and err.count("\n") == 1, err
+
+
 _MAP_SHAPES = st.tuples(st.integers(1, 3), st.integers(1, 5),
                         st.integers(1, 5))
 _CORNER = st.floats(-100, 100) | st.integers(-100, 100)
@@ -1900,10 +2014,29 @@ class TestCliSurface:
         for flag in foreign:
             if any(own.startswith(flag) for own in flags):
                 continue  # an abbreviation of one of the command's flags
-            with pytest.raises(SystemExit) as stop:
-                main([command, flag, "1"])
-            assert stop.value.code == 2, flag
+            assert main([command, flag, "1"]) == 2, flag
             assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["train", "--workers", "nan"],
+         "argument --workers: invalid int value: 'nan'"),
+        (["train", "--hidden-dim", "0.5"],
+         "argument --hidden-dim: invalid int value: '0.5'"),
+        (["train", "--sigma", "-inf"],
+         "argument --sigma: expected one argument"),
+        (["train", "--no-such-flag"],
+         "unrecognized arguments: --no-such-flag"),
+        (["retrain"], "argument command: invalid choice: 'retrain'"),
+        ([], "the following arguments are required: command"),
+    ], ids=["nan_int", "fractional_int", "minus_inf", "unknown_flag",
+            "unknown_command", "no_command"])
+    def test_a_rejected_command_line_is_one_config_line(self, argv, message,
+                                                        capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: config: {message}")
+        assert captured.err.count("\n") == 1
 
     def test_top_level_help_lists_every_subcommand(self, capsys):
         text = self._help(["--help"], capsys)
