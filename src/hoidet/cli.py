@@ -355,15 +355,15 @@ def read_feature_maps(path) -> dict:
 
 
 def write_proposals(path, proposals: dict, config: dict) -> None:
-    """Write ``proposals.json`` as the bytes ``json.dump`` writes. Each
-    image's boxes are encoded and written on their own, so the document
-    is never held whole."""
+    """Write ``proposals.json`` as the bytes ``json.dump`` writes, from
+    each image's ``(N, 4)`` box array. Each image's boxes are encoded
+    and written on their own, so the document is never held whole."""
     encode = json.JSONEncoder().encode
     with open(path, "w") as f:
         f.write(f'{{"config": {encode(config)}, "proposals": {{')
         for k, (i, boxes) in enumerate(proposals.items()):
             f.write(f'{", " if k else ""}{encode(str(i))}: '
-                    f'{encode([list(b.as_tuple()) for b in boxes])}')
+                    f'{encode(boxes.tolist())}')
         f.write("}}\n")
 
 
@@ -476,7 +476,7 @@ def cmd_train(cfg: dict) -> int:
     for ann in ds.scenes:
         if ann.image_id not in proposals:
             raise CliError("data", f"no proposals for image {ann.image_id}")
-        scenes.append(TrainScene(ann.image_id, ann, proposals[ann.image_id]))
+        scenes.append(TrainScene(ann, proposals[ann.image_id]))
     head_cfg = _build(HeadConfig, cfg, feature_dim=provider.feature_dim,
                       num_actions=len(ds.registry),
                       num_object_classes=len(ds.categories),
@@ -543,10 +543,18 @@ def _write_report(out, report, cfg) -> str:
 def _load_centers(path, registry: ActionRegistry):
     """Per-action-index (K, 4) cluster centers of a ``centers.json``, one
     entry for each action of ``registry`` that has a target; malformed
-    content raises ValueError."""
-    out = {}
+    content raises ValueError, and so do a key that names no action of
+    ``registry`` and two keys naming one action (``"0"`` and ``"00"``)."""
+    out, first = {}, {}
     for key, value in _json_mapping(path, "centers"):
         try:
+            action = int(key)
+            if first.setdefault(action, key) != key:
+                raise ValueError(f"action {action} repeats key "
+                                 f"{first[action]!r}")
+            if action not in range(len(registry)):
+                raise ValueError(f"no action {action} among the "
+                                 f"{len(registry)} actions of the registry")
             centers = np.asarray(value, dtype=np.float64)
             if (centers.ndim != 2 or centers.shape[0] < 1
                     or centers.shape[1] != 4):
@@ -557,7 +565,7 @@ def _load_centers(path, registry: ActionRegistry):
             if not all(_NUMBERS.issuperset(map(type, row)) for row in value):
                 raise ValueError("entries must be numbers, not booleans or "
                                  "strings")
-            out[int(key)] = centers
+            out[action] = centers
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"centers for action {key!r}: {exc}") from None
     for a, entry in enumerate(registry):
@@ -661,10 +669,10 @@ def fit_baseline_centers(ds: Dataset, k: int, seed: int,
         if entry.role == ROLE_NONE:
             continue
         rows = offsets[actions == a]
-        if 0 < len(rows) < k and reduced is not None:
-            reduced.append((entry, len(rows)))
-        centers[a] = (kmeans_offsets(rows, min(k, len(rows)), seed=seed)
-                      if len(rows) else np.zeros((1, 4)))
+        centers[a] = (kmeans_offsets(rows, k, seed=seed) if len(rows)
+                      else np.zeros((1, 4)))
+        if len(rows) and len(centers[a]) < k and reduced is not None:
+            reduced.append((entry, len(centers[a])))
     return centers
 
 

@@ -30,9 +30,9 @@ the person box therefore recovers exactly the information needed to
 regress the target offset. Each scene draws from its own
 ``default_rng((seed, scene))`` stream the doubles that one
 ``Generator.uniform``, ``choice`` or ``normal`` call per draw would, but
-through cheaper calls. The generator and jitter_proposals hold boxes as
-corner tuples and arrays, and build ``Box`` only for the proposals they
-return.
+through cheaper calls. The generator holds boxes as corner tuples and
+arrays, and a scene's proposals are one ``(N, 4)`` corner array
+(:func:`jitter_proposals`); it builds no ``Box``.
 """
 
 from __future__ import annotations
@@ -550,8 +550,7 @@ class SyntheticScene:
     annotation: SceneAnnotation
     codes: list
     feature_map: FeatureMap
-    proposals: list
-    seed: int
+    proposals: np.ndarray  # (N, 4) corners, as jitter_proposals returns
 
 
 # Feature cells per side of a synthetic map: every scene's map is held to
@@ -816,7 +815,6 @@ def generate_synthetic(cfg: SynthConfig):
                 codes=codes,
                 feature_map=FeatureMap(data=data, stride=float(cfg.stride)),
                 proposals=props,
-                seed=cfg.seed,
             )
         )
     return scenes
@@ -824,9 +822,12 @@ def generate_synthetic(cfg: SynthConfig):
 
 def jitter_proposals(scene: SceneAnnotation, count: int, magnitude: float, seed):
     """GT boxes plus `count` noisy copies each, standing in for a proposal
-    stage. Center noise scales with box size; width and height get
-    log-space noise. Everything is clipped to the image, an offset too
-    large for a float included."""
+    stage, as an ``(N, 4)`` float64 corner array: each ground-truth box
+    (persons, then objects), then its copies. Center noise scales with
+    box size; width and height get log-space noise. Everything is
+    clipped to the image, an offset too large for a float included; a
+    copy whose corners then round together is a RuntimeError naming the
+    scene."""
     if magnitude < 0:
         raise ValueError("magnitude must be nonnegative")
     rng = np.random.default_rng(seed)
@@ -843,9 +844,11 @@ def jitter_proposals(scene: SceneAnnotation, count: int, magnitude: float, seed)
     h = h * np.exp(np.clip(dh, -BBOX_XFORM_CLIP, BBOX_XFORM_CLIP))
     copies = clip_boxes(
         np.stack([cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2], axis=-1),
-        scene.width, scene.height).tolist()
-    out = []
-    for box, jittered in zip(src.tolist(), copies):
-        out.append(Box(*box))
-        out.extend(Box(*b) for b in jittered)
-    return out
+        scene.width, scene.height)
+    if not ((copies[..., 2] > copies[..., 0])
+            & (copies[..., 3] > copies[..., 1])).all():  # NaN too
+        raise RuntimeError(f"scene {scene.image_id}: a jittered proposal's "
+                           f"corners round together; lower image_size or "
+                           f"proposal_magnitude")
+    # each ground-truth box, then its copies
+    return np.concatenate([src[:, None], copies], axis=1).reshape(-1, 4)

@@ -31,8 +31,6 @@ offset and many go through the same arithmetic and give the same bits.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 DEFAULT_SIGMA = 0.3
@@ -170,8 +168,8 @@ def kmeans_offsets(offsets: np.ndarray, k: int, seed: int,
                    max_iter: int = 100) -> np.ndarray:
     """Lloyd's algorithm on 4-d offsets with k-means++ style seeding.
 
-    Returns (k', 4) centers where k' = min(k, len(offsets)); a reduced
-    k is reported with a warning. The clustering objective (sum of
+    Returns (k', 4) centers where k' = min(k, len(offsets)); the caller
+    reports a reduced k. The clustering objective (sum of
     squared distances to assigned centers) is non-increasing across
     iterations by construction of the two Lloyd steps.
     """
@@ -181,9 +179,7 @@ def kmeans_offsets(offsets: np.ndarray, k: int, seed: int,
         raise ValueError("k-means needs at least one offset")
     if k < 1:
         raise ValueError("k must be positive")
-    if n < k:
-        warnings.warn(f"only {n} offsets for k={k}; reducing k to {n}")
-        k = n
+    k = min(k, n)
     rng = np.random.default_rng(seed)
 
     # k-means++ seeding: first center uniform, then proportional to

@@ -549,14 +549,17 @@ def _parse_line(line: str):
 
 def read_predictions(path) -> list[ScoredTriplet]:
     """Triplets of a predictions file, one JSON object per line; blank
-    lines are skipped. A line that is not JSON, lacks a key or holds a
-    value of the wrong type raises ValueError naming the line (1-based)."""
+    lines are skipped. A line that is not UTF-8 or not JSON, lacks a key
+    or holds a value of the wrong type raises ValueError naming the line
+    (1-based). Each line ends at ``\n`` (JSON Lines); ``\r\n`` endings
+    are stripped with the other surrounding whitespace."""
     out, seen = [], {}
-    with open(path) as f:
-        for number, line in enumerate(map(str.strip, f), 1):
-            if not line:
-                continue
+    with open(path, "rb") as f:
+        for number, raw in enumerate(f, 1):
             try:
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
                 out.append(triplet_from_json(_parse_line(line), seen))
             except KeyError as exc:
                 raise ValueError(

@@ -23,6 +23,9 @@ call it; ``backward`` adds only the losses and their gradients.
 ``backward`` takes a :class:`Batch`, every image's rows stacked section
 by section, and runs each branch once over its section's rows.
 
+Parameters are :class:`FlatTensors` (named views of one vector), as
+:func:`init_params` and :func:`load_checkpoint` return them.
+
 Numeric conventions: parameters are float64 in memory and float32 in
 checkpoint files; logits are clamped to +-30 before exponentiation and
 probabilities to [1e-7, 1 - 1e-7], with gradients defined as zero in
@@ -172,16 +175,17 @@ def _param_specs(cfg: HeadConfig):
     return specs
 
 
-def init_params(cfg: HeadConfig, seed: int = 0):
+def init_params(cfg: HeadConfig, seed: int = 0) -> FlatTensors:
+    """Zero biases, weights uniform in +-1/sqrt(fan-in) (x 0.01 for heads)."""
     rng = np.random.default_rng(seed)
-    params = {}
-    for name, shape, kind in _param_specs(cfg):
-        if kind == "bias":
-            params[name] = np.zeros(shape)
-        else:
+    specs = _param_specs(cfg)
+    params = FlatTensors({name: np.zeros(shape) for name, shape, _ in specs},
+                         values=False)
+    for name, shape, kind in specs:
+        if kind != "bias":
             bound = 1.0 / np.sqrt(shape[0])
             w = rng.uniform(-bound, bound, size=shape)
-            params[name] = w * 0.01 if kind == "head" else w
+            params[name][...] = w * 0.01 if kind == "head" else w
     return params
 
 
@@ -666,20 +670,16 @@ def backward(batch, params, cfg: HeadConfig,
     return grads, report
 
 
-def sgd_step(params, grads, velocity, lr, momentum=0.9, weight_decay=0.0001):
-    """v <- momentum v + g + wd p;  p <- p - lr v, in place: on arrays,
-    or on dicts of same-named tensors, as one step on the vectors when
-    all three are FlatTensors of one layout."""
-    if isinstance(params, dict):
-        if (all(isinstance(t, FlatTensors) for t in (grads, velocity))
-                and isinstance(params, FlatTensors)
-                and list(params) == list(grads) == list(velocity)):
-            sgd_step(params.vector, grads.vector, velocity.vector, lr,
-                     momentum, weight_decay)
-            return params, velocity
-        for name in params:
-            sgd_step(params[name], grads[name], velocity[name], lr,
-                     momentum, weight_decay)
+def sgd_step(params, grads, velocity, lr, momentum, weight_decay):
+    """v <- momentum v + g + wd p;  p <- p - lr v, in place, on three
+    arrays or on the vectors of three FlatTensors of one layout
+    (ValueError when their tensor names differ)."""
+    if isinstance(params, FlatTensors):
+        if not list(params) == list(grads) == list(velocity):
+            raise ValueError("sgd_step needs parameters, gradients and "
+                             "velocity with the same tensor names")
+        sgd_step(params.vector, grads.vector, velocity.vector, lr,
+                 momentum, weight_decay)
         return params, velocity
     velocity *= momentum
     velocity += grads
@@ -696,7 +696,7 @@ init_velocity = zero_grads  # the momentum buffers start at zero too
 
 @dataclass
 class Checkpoint:
-    params: dict
+    params: FlatTensors
     config: HeadConfig
     actions: list | None
 
@@ -752,16 +752,17 @@ def load_checkpoint(path) -> Checkpoint:
                 or not all(type(n) is int and n >= 0 for n in shape)):
             raise CheckpointError(f"{path}: malformed header (tensor {name} "
                                   f"has shape {json.dumps(shape)})")
-    params = {}
+    stored = {}
     for name, shape in specs:
         size = math.prod(shape)
         nbytes = size * 4
         if off + nbytes > len(raw):
             raise CheckpointError(f"{path}: truncated tensor {name}")
-        arr = np.frombuffer(raw, dtype="<f4", count=size, offset=off)
-        params[name] = arr.astype(np.float64).reshape(shape)
+        stored[name] = np.frombuffer(raw, dtype="<f4", count=size,
+                                     offset=off).reshape(shape)
         off += nbytes
     if off != len(raw):
         raise CheckpointError(f"{path}: trailing bytes after payload")
+    params = FlatTensors(stored)  # float64, widened exactly
     check_params(params, cfg)
     return Checkpoint(params=params, config=cfg, actions=header.get("actions"))

@@ -25,7 +25,7 @@ is the first proposal with the same corners when there is one. A visit
 to a scene is then an index draw, :func:`_draw_rows`: its seeded
 shuffles pick object and human rows of the table.
 :func:`assign_labels` is the same path for one scene: its table, then
-the draw, then the rows' boxes and labels (:func:`draw_samples`).
+the draw, then the rows' boxes and labels.
 
 Each iteration draws the 16-image effective batch (8 workers x 2
 images, each image seeded by its (seed, iteration, worker, slot)) and
@@ -43,9 +43,10 @@ branch's feature matrix is a slice of the batch's rows, and a row of
 image i weighs 1/(16 n_i) for the image's n_i rows in that section:
 the objective is the mean over images of the per-image mean loss.
 Parameters, gradients and momentum are each one vector
-(:class:`FlatTensors`), so zeroing the gradients is one fill, the SGD
-step works on the whole vector in place and each finite or range
-check reads the whole vector and names the tensor only on failure.
+(:class:`FlatTensors`, as :func:`init_params` returns), so zeroing the
+gradients is one fill, the SGD step works on the whole vector in place
+and each finite or range check reads the whole vector and names the
+tensor only on failure.
 Training is bit-reproducible given the seed.
 """
 
@@ -143,21 +144,23 @@ class Schedule:
 
 @dataclass
 class TrainScene:
-    """One training image: its annotation and its ``(N, 4)`` array of
-    proposal corners (a list of ``Box`` is accepted as well)."""
+    """One training image: its annotation and its ``(N, 4)`` float64
+    array of proposal corners. Its id is the annotation's, so that it
+    pools its own scene's map."""
 
-    scene_id: int
     annotation: SceneAnnotation
     proposals: np.ndarray
+
+    @property
+    def scene_id(self) -> int:
+        return self.annotation.image_id
 
 
 def from_synthetic(scenes):
     """Adapt generated scenes into (TrainScene list, feature provider)."""
     from .features import SyntheticFeatureProvider
 
-    train_scenes = [
-        TrainScene(s.annotation.image_id, s.annotation, s.proposals) for s in scenes
-    ]
+    train_scenes = [TrainScene(s.annotation, s.proposals) for s in scenes]
     provider = SyntheticFeatureProvider(
         {s.annotation.image_id: s.feature_map for s in scenes}
     )
@@ -334,7 +337,7 @@ def _label_chunk(scenes, registry: ActionRegistry, cat_index: dict,
     ignored[is_object] = np.concatenate([ann.ignore for ann in anns])
     props = np.zeros((len(scenes), max(1, *n_prop), 4))
     for s, ts in enumerate(scenes):
-        props[s, :n_prop[s]] = box_array(ts.proposals)
+        props[s, :n_prop[s]] = ts.proposals
 
     overlap = box_iou(props[:, :, None], gt[:, None])
     best = np.where(ignored[:, None], 0.0, overlap)
@@ -426,10 +429,14 @@ def _draw_rows(table: LabelTable, quotas: Quotas, seed):
             np.array(sorted(humans[:quotas.human_quota]), dtype=int))
 
 
-def draw_samples(table: LabelTable, quotas: Quotas, seed) -> SampleBoxes:
-    """One visit's samples from a scene's table: the rows of
-    :func:`_draw_rows`, in ascending proposal order, and all the
-    ground-truth pairs."""
+def assign_labels(proposals, scene: SceneAnnotation, registry: ActionRegistry,
+                  categories, quotas: Quotas = Quotas(), seed=0) -> SampleBoxes:
+    """Match proposals (an ``(N, 4)`` array or a ``Box`` list) to ground
+    truth and sample the three sections: the one-scene
+    :func:`label_tables`, then the rows of :func:`_draw_rows`, in
+    ascending proposal order, and all the ground-truth pairs."""
+    table, = label_tables([TrainScene(scene, box_array(proposals))],
+                          registry, categories, quotas)
     objects, humans = _draw_rows(table, quotas, seed)
     labels = table.labels[objects]
     return SampleBoxes(
@@ -444,15 +451,6 @@ def draw_samples(table: LabelTable, quotas: Quotas, seed) -> SampleBoxes:
         interaction_pairs=table.boxes[table.pair_rows],
         interaction_action_targets=table.pair_targets,
     )
-
-
-def assign_labels(proposals, scene: SceneAnnotation, registry: ActionRegistry,
-                  categories, quotas: Quotas = Quotas(), seed=0) -> SampleBoxes:
-    """Match proposals to ground truth and sample the three sections: the
-    one-scene :func:`label_tables`, then :func:`draw_samples`."""
-    table, = label_tables([TrainScene(scene.image_id, scene, proposals)],
-                          registry, categories, quotas)
-    return draw_samples(table, quotas, seed)
 
 
 def featurize(samples: SampleBoxes, provider, scene_id: int,
@@ -660,9 +658,9 @@ def train(scenes, provider, cfg: HeadConfig, schedule: Schedule,
     rates = [phase.lr for phase in schedule.phases
              for _ in range(phase.iterations)]
     # parameters, gradients and velocity: one vector each, every named
-    # tensor a view into it
-    params = FlatTensors(init_params(cfg, schedule.seed) if params is None
-                         else params)
+    # tensor a view into it; a caller's parameters are copied, not moved
+    params = (init_params(cfg, schedule.seed) if params is None
+              else FlatTensors(params))
     grads, velocity = zero_grads(params), zero_grads(params)
     history = []
     log_fh = open(log_path, "w") if log_path else None

@@ -331,8 +331,9 @@ def test_cascade_matches_pair_by_pair_reference(crowd, variant):
         obj = forward_object(provider.pooled_matrix(ts.scene_id, ts.proposals),
                              params, cfg)
         dets = detect_objects(obj.probs, obj.deltas, ts.proposals, CATEGORIES)
-        assert dets == _reference_detect(obj.probs, obj.deltas, ts.proposals,
-                                         CATEGORIES)
+        assert dets == _reference_detect(
+            obj.probs, obj.deltas, [Box(*r) for r in ts.proposals.tolist()],
+            CATEGORIES)
         assert sum(d.category == PERSON_CATEGORY for d in dets) >= 2
         stats = InferStats()
         got = score_detections(ts.scene_id, dets, provider, params, cfg,

@@ -167,15 +167,28 @@ class TestSynthCommand:
             json.dump(json.loads(raw), dumped, **options)
             assert raw == dumped.getvalue() + "\n", name
 
-    @pytest.mark.parametrize("proposals", [{}, {3: [Box(1, 2, 3, 4)]}])
+    @pytest.mark.parametrize("proposals", [{}, {3: np.array([[1., 2, 3, 4]])}])
     def test_small_proposals_files_are_those_of_json_dump(self, tmp_path,
                                                           proposals):
         path = tmp_path / "proposals.json"
         write_proposals(path, proposals, {"seed": 1})
         want = {"config": {"seed": 1},
-                "proposals": {str(i): [list(b.as_tuple()) for b in boxes]
+                "proposals": {str(i): boxes.tolist()
                               for i, boxes in proposals.items()}}
         assert path.read_text() == json.dumps(want) + "\n"
+
+    def test_a_degenerate_jittered_proposal_is_config_error(self, tmp_path,
+                                                            capsys):
+        """At 1e17 a box's corners are 16 apart at best, so a wide jitter
+        makes copies whose corners round together; the same scenes at
+        the default magnitude are written."""
+        argv = ("synth", "--out", str(tmp_path / "x"), "--num-scenes", "2",
+                "--image-size", "1e17", "--stride", "1000000000000000")
+        assert _run(*argv, "--proposal-magnitude", "5") == 2
+        assert capsys.readouterr().err == (
+            "error: config: scene 0: a jittered proposal's corners round "
+            "together; lower image_size or proposal_magnitude\n")
+        assert _run(*argv) == 0
 
     def test_bad_value_is_config_error(self, tmp_path, capsys):
         code = _run("synth", "--out", str(tmp_path / "x"),
@@ -816,6 +829,28 @@ class TestEvalCommand:
         assert code == 1, (number, path, new)
         assert err.startswith(f"error: data: predictions line {number}: ")
         assert err.count("\n") == 1, err
+
+    def test_a_line_that_is_not_utf8_is_named(self, tmp_path, capsys):
+        data = _synth(tmp_path)
+        pred = self._gt_echo(data, tmp_path)
+        lines = pred.read_bytes().splitlines()
+        lines[3] = lines[3][:1] + b"\xff" + lines[3][1:]
+        pred.write_bytes(b"\n".join(lines) + b"\n")
+        code = _run("eval", "--out", str(tmp_path / "ev"),
+                    "--predictions", str(pred),
+                    "--annotations", str(data / "annotations.json"))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: data: predictions line 4: 'utf-8' codec can't decode "
+            "byte 0xff in position 1: invalid start byte\n")
+
+    def test_crlf_endings_and_blank_lines_read_as_before(self, tmp_path):
+        data = _synth(tmp_path)
+        pred = self._gt_echo(data, tmp_path)
+        lines = pred.read_bytes().splitlines()
+        spaced = tmp_path / "spaced.jsonl"
+        spaced.write_bytes(b"\r\n\r\n".join(lines) + b"\r\n \n")
+        assert read_predictions(spaced) == read_predictions(pred)
 
 
 class TestBaselineCommand:
@@ -1889,6 +1924,32 @@ class TestCheckpointAndCentersDamage:
                        | st.integers(0, len(raw) - 1))
         raw[at] ^= data.draw(st.integers(1, 255))
         self._infer(fitted, bytes(raw), centers)
+
+
+@pytest.mark.parametrize("key, message", [
+    ("00", "centers for action '00': action 0 repeats key '0'"),
+    (" 0", "centers for action ' 0': action 0 repeats key '0'"),
+    ("-1", "centers for action '-1': no action -1 among the 6 actions of "
+           "the registry"),
+    ("6", "centers for action '6': no action 6 among the 6 actions of the "
+          "registry"),
+], ids=["leading_zero", "leading_space", "negative", "past_the_end"])
+def test_each_centers_key_names_its_own_action(fitted, tmp_path, capsys, key,
+                                               message):
+    """A key that repeats another's action, or names no action of the
+    registry, is a data error: it neither silently replaces the other
+    key's centers nor is silently ignored."""
+    data, checkpoint, centers = fitted
+    doc = json.loads(centers.read_text())
+    doc["centers"][key] = [[9, 9, 9, 9]]
+    bad = tmp_path / "centers.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = _run("infer", "--out", str(tmp_path / "out"),
+                "--checkpoint", str(checkpoint), "--centers", str(bad),
+                *_inputs(data))
+    assert code == 1
+    assert capsys.readouterr().err == f"error: data: {message}\n"
 
 
 # documents no JSON input decodes: nested deeper than the decoder

@@ -219,7 +219,7 @@ class TestSyntheticScenes:
         for sa, sb in zip(a, b):
             assert_same_scene(sa.annotation, sb.annotation)
             np.testing.assert_array_equal(sa.feature_map.data, sb.feature_map.data)
-            assert sa.proposals == sb.proposals
+            assert sa.proposals.tobytes() == sb.proposals.tobytes()
 
     def test_noiseless_offsets_exact(self):
         cfg = SynthConfig(num_scenes=6, persons_per_scene=2, noise=0.0, seed=3)
@@ -350,7 +350,8 @@ class TestJitterProposals:
         )
 
     def test_zero_magnitude_copies(self):
-        props = jitter_proposals(self.scene(), count=3, magnitude=0.0, seed=4)
+        props = [Box(*r) for r in jitter_proposals(
+            self.scene(), count=3, magnitude=0.0, seed=4).tolist()]
         assert len(props) == 8
         for i, src in enumerate([Box(40, 40, 80, 120), Box(90, 60, 130, 100)]):
             for p in props[i * 4:(i + 1) * 4]:
@@ -358,7 +359,8 @@ class TestJitterProposals:
 
     def test_outputs_inside_image(self):
         scene = self.scene()
-        props = jitter_proposals(scene, count=50, magnitude=0.8, seed=1)
+        props = [Box(*r) for r in jitter_proposals(
+            scene, count=50, magnitude=0.8, seed=1).tolist()]
         for p in props:
             assert 0 <= p.x1 < p.x2 <= scene.width
             assert 0 <= p.y1 < p.y2 <= scene.height
@@ -369,7 +371,8 @@ class TestJitterProposals:
         scene = self.scene()
         vals = []
         for seed in range(50):
-            props = jitter_proposals(scene, count=20, magnitude=0.1, seed=seed)
+            props = [Box(*r) for r in jitter_proposals(
+                scene, count=20, magnitude=0.1, seed=seed).tolist()]
             sources = ([Box(*scene.persons[0])] * 21
                        + [Box(*scene.objects[0])] * 21)
             # each source's own copy leads its group of 21

@@ -424,7 +424,8 @@ class TestInferCascade:
             centers = {a: rng.normal(scale=0.5, size=(rng.integers(1, 4), 4))
                        for a in range(len(REGISTRY))}
         trips, _ = infer([s.scene_id for s in scenes for _ in s.proposals],
-                         [b for s in scenes for b in s.proposals], provider,
+                         [Box(*r) for s in scenes
+                          for r in s.proposals.tolist()], provider,
                          params, cfg, REGISTRY, CATEGORIES,
                          baseline_centers=centers)
         targeted = [t for t in trips if t.object is not None]

@@ -8,6 +8,7 @@ from hoidet.model import (
     Checkpoint,
     CheckpointError,
     ConfigError,
+    FlatTensors,
     HeadConfig,
     ImageSamples,
     LossWeights,
@@ -431,36 +432,44 @@ def test_training_loss_is_the_loss_of_the_inference_outputs(variant):
 
 class TestSgdStep:
     def test_fixed_point(self):
-        params = {"w": np.array([1.0, -2.0])}
+        params = FlatTensors({"w": np.array([1.0, -2.0])})
         vel = init_velocity(params)
         sgd_step(params, zero_grads(params), vel, lr=0.5, momentum=0.9,
                  weight_decay=0.0)
         np.testing.assert_array_equal(params["w"], [1.0, -2.0])
 
     def test_plain_step(self):
-        params = {"w": np.array([1.0])}
+        params = FlatTensors({"w": np.array([1.0])})
         vel = init_velocity(params)
-        sgd_step(params, {"w": np.array([1.0])}, vel, lr=0.001, momentum=0.0,
-                 weight_decay=0.0)
+        sgd_step(params, FlatTensors({"w": np.array([1.0])}), vel, lr=0.001,
+                 momentum=0.0, weight_decay=0.0)
         np.testing.assert_allclose(params["w"], [0.999], rtol=1e-12)
 
     def test_weight_decay_only(self):
-        params = {"w": np.array([1.0])}
+        params = FlatTensors({"w": np.array([1.0])})
         vel = init_velocity(params)
-        sgd_step(params, {"w": np.array([0.0])}, vel, lr=0.001, momentum=0.9,
-                 weight_decay=0.0001)
+        sgd_step(params, FlatTensors({"w": np.array([0.0])}), vel, lr=0.001,
+                 momentum=0.9, weight_decay=0.0001)
         np.testing.assert_allclose(params["w"], [1.0 - 0.001 * 0.0001],
                                    rtol=1e-12)
 
     def test_momentum_accumulates(self):
-        params = {"w": np.array([0.0])}
+        params = FlatTensors({"w": np.array([0.0])})
         vel = init_velocity(params)
-        g = {"w": np.array([1.0])}
+        g = FlatTensors({"w": np.array([1.0])})
         sgd_step(params, g, vel, lr=1.0, momentum=0.5, weight_decay=0.0)
         sgd_step(params, g, vel, lr=1.0, momentum=0.5, weight_decay=0.0)
         # velocities 1 then 1.5; param = -(1 + 1.5)
         np.testing.assert_allclose(params["w"], [-2.5], rtol=1e-12)
         np.testing.assert_allclose(vel["w"], [1.5], rtol=1e-12)
+
+    def test_tensor_names_must_match(self):
+        params = FlatTensors({"w": np.array([1.0])})
+        with pytest.raises(ValueError, match="same tensor names"):
+            sgd_step(params, FlatTensors({"v": np.array([1.0])}),
+                     init_velocity(params), lr=1.0, momentum=0.0,
+                     weight_decay=0.0)
+        np.testing.assert_array_equal(params["w"], [1.0])
 
 
 class TestCheckpoint:

@@ -60,7 +60,6 @@ from hoidet.trainer import (
     Schedule,
     TrainScene,
     assign_labels,
-    draw_samples,
     featurize,
     from_synthetic,
     label_tables,
@@ -268,7 +267,8 @@ def test_assign_labels_matches_reference(scene_and_props, quotas, seed):
 def test_assign_labels_matches_reference_on_synthetic_scenes(config):
     for s in generate_synthetic(SynthConfig(**config)):
         for seed in range(3):
-            _check_assignment(s.proposals, s.annotation, Quotas(),
+            _check_assignment([Box(*r) for r in s.proposals.tolist()],
+                              s.annotation, Quotas(),
                               (seed, s.annotation.image_id))
 
 
@@ -313,7 +313,7 @@ def test_ignore_region_and_duplicate_role_records():
 
 
 def _train_scene(scene, proposals):
-    return TrainScene(scene.image_id, scene, proposals)
+    return TrainScene(scene, box_array(proposals))
 
 
 GHOST = _box(50.0, 12.0, 8.0, 8.0)
@@ -588,7 +588,7 @@ def test_undrawn_scene_with_unknown_category_fails_before_iteration_0(
         ann = scenes[i].annotation
         assert len(ann.categories) > 0
         kites = dataclasses.replace(ann, categories=["kite"] * len(ann.objects))
-        scenes[i] = TrainScene(ann.image_id, kites, scenes[i].proposals)
+        scenes[i] = TrainScene(kites, scenes[i].proposals)
 
     def no_iteration(*args):
         raise AssertionError("iteration 0 ran")
@@ -628,7 +628,7 @@ def test_training_step_equals_the_per_image_path(head):
     ann = scenes[0].annotation
     bare = dataclasses.replace(ann, image_id=99, persons=np.zeros((0, 4)),
                                interactions=[])
-    scenes.append(TrainScene(99, bare, scenes[0].proposals))
+    scenes.append(TrainScene(bare, scenes[0].proposals))
     provider = SyntheticFeatureProvider(
         {**provider.maps, 99: world[0].feature_map})
     kw = {"fixed_sigma": {}, "mdn_m2": dict(use_mdn=True, density_M=2),
@@ -652,8 +652,9 @@ def test_training_step_equals_the_per_image_path(head):
             picks = np.random.default_rng((schedule.seed, it)).integers(
                 0, len(scenes), size=schedule.workers * per)
             drawn.update(picks.tolist())
-            images = [featurize(draw_samples(
-                tables[pick], Quotas(), (schedule.seed, it, *divmod(b, per))),
+            images = [featurize(assign_labels(
+                scenes[pick].proposals, scenes[pick].annotation, REGISTRY,
+                CATEGORIES, Quotas(), (schedule.seed, it, *divmod(b, per))),
                 provider, scenes[pick].scene_id, cfg)
                 for b, pick in enumerate(picks)]
             grads, rep = backward(images, params, cfg, weights)

@@ -412,7 +412,7 @@ class TestFromSynthetic:
         assert [ts.scene_id for ts in scenes] == list(range(6))
         assert provider.feature_dim == 14 * 5 * 5
         for ts in scenes:
-            assert ts.proposals
+            assert len(ts.proposals)
             m = provider.pooled_matrix(ts.scene_id, ts.proposals[:2])
             assert m.shape == (2, provider.feature_dim)
 
