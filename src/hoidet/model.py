@@ -26,10 +26,18 @@ by section, and runs each branch once over its section's rows.
 Parameters are :class:`FlatTensors` (named views of one vector), as
 :func:`init_params` and :func:`load_checkpoint` return them.
 
-Numeric conventions: parameters are float64 in memory and float32 in
-checkpoint files; logits are clamped to +-30 before exponentiation and
-probabilities to [1e-7, 1 - 1e-7], with gradients defined as zero in
-the clamped regions.
+Numeric conventions: the functions compute in the dtype of the
+parameters they are given. Features are converted to it once, where a
+branch takes them, and every trunk product and gradient is in it; the
+small per-row head math (softmax, sigmoid, density terms) runs in
+float64 and is rounded to the parameters' dtype before it meets a
+trunk product. ``train`` holds its parameters, gradients and momentum
+in float32, the precision of checkpoint files; :func:`init_params` and
+:func:`load_checkpoint` return float64, so inference from a checkpoint
+runs in float64 (float32 inference changed predictions and, with
+float32 maps, lowered role AP; see README). Logits are clamped to +-30
+before exponentiation and probabilities to [1e-7, 1 - 1e-7], with
+gradients defined as zero in the clamped regions.
 """
 
 from __future__ import annotations
@@ -242,13 +250,19 @@ def _softmax_rows(logits):
     return softmax(np.clip(logits, -LOGIT_CLIP, LOGIT_CLIP))
 
 
-def _as_matrix(feats, dim):
-    arr = np.asarray(feats, dtype=np.float64)
+def _as_matrix(feats, dim, dtype=np.float64):
+    arr = np.asarray(feats, dtype=dtype)
     if arr.ndim == 1:
         arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[1] != dim:
         raise ConfigError(f"feature shape {arr.shape} incompatible with dim {dim}")
     return arr
+
+
+def _features(feats, params, cfg: HeadConfig):
+    """A branch's feature rows as a matrix in the parameters' dtype: the
+    one place where training rounds its float64 pooled rows."""
+    return _as_matrix(feats, cfg.feature_dim, _dtype(params))
 
 
 def _linear(x, params, name):
@@ -257,7 +271,10 @@ def _linear(x, params, name):
 
 def _linear_backward(d_out, x, params, grads, name):
     """Accumulate the gradients of layer ``name`` applied to ``x``, given
-    the gradient of its output; returns the gradient of ``x``."""
+    the gradient of its output; returns the gradient of ``x``. The
+    products run in ``x``'s dtype, which a float64 ``d_out`` would
+    otherwise widen."""
+    d_out = d_out.astype(x.dtype, copy=False)
     grads[f"{name}_w"] += x.T @ d_out
     grads[f"{name}_b"] += d_out.sum(axis=0)
     return d_out @ params[f"{name}_w"].T
@@ -346,13 +363,13 @@ class HumanOutput:
 
 
 def forward_object(feat, params, cfg: HeadConfig) -> ObjectOutput:
-    z2, _ = _trunk_forward(_as_matrix(feat, cfg.feature_dim), params, "obj")
+    z2, _ = _trunk_forward(_features(feat, params, cfg), params, "obj")
     logits, deltas = _object_head(z2, params, cfg)
     return ObjectOutput(probs=_softmax_rows(logits), deltas=deltas, hidden=z2)
 
 
 def forward_human(feat, params, cfg: HeadConfig) -> HumanOutput:
-    z2, _ = _trunk_forward(_as_matrix(feat, cfg.feature_dim), params, "hum")
+    z2, _ = _trunk_forward(_features(feat, params, cfg), params, "hum")
     logits, mus, wlogs, raws = _human_head(z2, params, cfg)
     scores = _clip_probs(logits)
     weights = sigmas = None
@@ -373,7 +390,7 @@ def interaction_human_logits(hidden, params, cfg: HeadConfig) -> np.ndarray:
 def interaction_object_logits(feat, params, cfg: HeadConfig):
     """Object-side per-RoI logits plus the trunk output (cached by
     callers for the concat_mlp pairing)."""
-    z2, _ = _trunk_forward(_as_matrix(feat, cfg.feature_dim), params, "int")
+    z2, _ = _trunk_forward(_features(feat, params, cfg), params, "int")
     return _side_logits(z2, params, cfg, "int_o"), z2
 
 
@@ -475,16 +492,19 @@ class Batch:
 
 
 class FlatTensors(dict):
-    """Named tensors, each a view into one contiguous float64 vector,
-    ``vector``, in insertion order, so that an operation on every
-    tensor is one operation on the vector. The views start as copies of
-    ``tensors``, or as zeros when ``values`` is false. Rebinding a name
-    detaches that tensor from the vector; write into the view instead."""
+    """Named tensors, each a view into one contiguous vector of
+    ``dtype``, ``vector``, in insertion order, so that an operation on
+    every tensor is one operation on the vector. The views start as
+    copies of ``tensors`` (rounded to ``dtype``), or as zeros when
+    ``values`` is false. Rebinding a name detaches that tensor from the
+    vector; write into the view instead."""
 
-    def __init__(self, tensors: dict, values: bool = True):
+    def __init__(self, tensors: dict, values: bool = True,
+                 dtype=np.float64):
         super().__init__()
         shapes = {name: np.shape(t) for name, t in tensors.items()}
-        self.vector = np.zeros(sum(math.prod(s) for s in shapes.values()))
+        self.vector = np.zeros(sum(math.prod(s) for s in shapes.values()),
+                               dtype=dtype)
         at = 0
         for name, shape in shapes.items():
             view = self.vector[at:at + math.prod(shape)].reshape(shape)
@@ -494,9 +514,17 @@ class FlatTensors(dict):
             at += view.size
 
 
+def _dtype(tensors):
+    """The dtype of named tensors, read from the first tensor rather
+    than from a vector, so that a plain dict serves as well as
+    FlatTensors."""
+    return next(iter(tensors.values())).dtype
+
+
 def zero_grads(params):
-    """Zero tensors shaped like ``params``, as FlatTensors."""
-    return FlatTensors(params, values=False)
+    """Zero tensors shaped like ``params``, in their dtype, as
+    FlatTensors."""
+    return FlatTensors(params, values=False, dtype=_dtype(params))
 
 
 def _row_weights(counts, k) -> np.ndarray:
@@ -514,7 +542,7 @@ def _bce_rows(p, targets) -> np.ndarray:
 def _backward_object(batch: Batch, params, cfg, grads, cls_scale,
                      reg_scale):
     samples = batch.rows
-    feats = _as_matrix(samples.object_feats, cfg.feature_dim)
+    feats = _features(samples.object_feats, params, cfg)
     n = len(feats)
     if n == 0:
         return 0.0, 0.0
@@ -550,7 +578,7 @@ def _backward_object(batch: Batch, params, cfg, grads, cls_scale,
 
 def _backward_human(batch: Batch, params, cfg, grads, act_scale, loc_scale):
     samples = batch.rows
-    feats = _as_matrix(samples.human_feats, cfg.feature_dim)
+    feats = _features(samples.human_feats, params, cfg)
     n = len(feats)
     if n == 0:
         return 0.0, 0.0
@@ -603,8 +631,8 @@ def _backward_human(batch: Batch, params, cfg, grads, act_scale, loc_scale):
 
 def _backward_interaction(batch: Batch, params, cfg, grads, scale):
     samples = batch.rows
-    feats_h = _as_matrix(samples.interaction_h_feats, cfg.feature_dim)
-    feats_o = _as_matrix(samples.interaction_o_feats, cfg.feature_dim)
+    feats_h = _features(samples.interaction_h_feats, params, cfg)
+    feats_o = _features(samples.interaction_o_feats, params, cfg)
     n = len(feats_h)
     if n == 0 or not cfg.use_interaction_branch:
         return 0.0

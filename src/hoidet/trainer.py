@@ -42,12 +42,16 @@ features are those of pooling each image's boxes on each visit. Each
 branch's feature matrix is a slice of the batch's rows, and a row of
 image i weighs 1/(16 n_i) for the image's n_i rows in that section:
 the objective is the mean over images of the per-image mean loss.
-Parameters, gradients and momentum are each one vector
-(:class:`FlatTensors`, as :func:`init_params` returns), so zeroing the
-gradients is one fill, the SGD step works on the whole vector in place
-and each finite or range check reads the whole vector and names the
-tensor only on failure.
-Training is bit-reproducible given the seed.
+Parameters, gradients and momentum are each one float32 vector
+(:class:`FlatTensors`), so zeroing the gradients is one fill, the SGD
+step works on the whole vector in place and each finite check reads
+the whole vector and names the tensor only on failure. Float32 is the
+precision checkpoints store, so every training product runs in it:
+``train`` rounds the float64 initial parameters once, and each branch
+rounds its float64 feature rows where it takes them. A parameter that
+leaves float32's range is an infinity, which the finite check names.
+Pooling and the window of pooled rows stay float64, as in inference.
+Training is bit-reproducible given the seed, under one BLAS thread.
 """
 
 from __future__ import annotations
@@ -596,24 +600,6 @@ def _check_finite(tensors, cfg: HeadConfig, what: str) -> None:
         raise TrainingDiverged(f"{what} {first_non_finite(tensors, cfg)}")
 
 
-# checkpoints hold float32, which would store a parameter of larger
-# magnitude as an infinity that loading then refuses
-_PARAM_LIMIT = float(np.finfo(np.float32).max)
-
-
-def _check_params(params, cfg: HeadConfig, it: int) -> None:
-    """TrainingDiverged naming the first parameter tensor that holds a
-    NaN, an infinity or a magnitude above ``_PARAM_LIMIT``, checked as
-    one vector."""
-    v = params.vector
-    if not (v.min() >= -_PARAM_LIMIT and v.max() <= _PARAM_LIMIT):
-        _check_finite(params, cfg, f"iteration {it}: non-finite parameter")
-        name = next(n for n, t in params.items()
-                    if (np.abs(t) > _PARAM_LIMIT).any())
-        raise TrainingDiverged(f"iteration {it}: parameter {name} exceeds "
-                               f"the float32 range")
-
-
 LOG_FIELDS = ("total", "object_cls_loss", "object_reg_loss", "action_cls_loss",
               "target_loc_loss", "interaction_cls_loss")
 
@@ -633,9 +619,12 @@ def train(scenes, provider, cfg: HeadConfig, schedule: Schedule,
     is never labelled. Raises AnnotationError before iteration 0 when
     there are no scenes or the categories cannot label every scene,
     drawn or not (see :func:`label_tables`), and TrainingDiverged with
-    the iteration index when the loss or a gradient leaves the finite
-    range or, after the step, a parameter leaves float32's (checkpoints
-    hold float32); tensors are named.
+    the iteration index when the loss, a gradient or, after the step, a
+    parameter is not finite; tensors are named. Training runs in
+    float32: the returned parameters are float32 FlatTensors, the
+    values a checkpoint stores. Model functions compute in their
+    parameters' dtype, so inference with them runs in float32, and with
+    a loaded checkpoint (widened to float64) in float64.
     """
     if not scenes:
         raise AnnotationError("training needs at least one scene")
@@ -657,10 +646,13 @@ def train(scenes, provider, cfg: HeadConfig, schedule: Schedule,
              for it, row in enumerate(slots))
     rates = [phase.lr for phase in schedule.phases
              for _ in range(phase.iterations)]
-    # parameters, gradients and velocity: one vector each, every named
-    # tensor a view into it; a caller's parameters are copied, not moved
-    params = (init_params(cfg, schedule.seed) if params is None
-              else FlatTensors(params))
+    # parameters, gradients and velocity: one float32 vector each, every
+    # named tensor a view into it; the initial parameters, or a caller's,
+    # are rounded once, into a copy (a value beyond float32 becomes an
+    # infinity, which the first step's checks name)
+    with np.errstate(over="ignore"):
+        params = FlatTensors(init_params(cfg, schedule.seed)
+                             if params is None else params, dtype=np.float32)
     grads, velocity = zero_grads(params), zero_grads(params)
     history = []
     log_fh = open(log_path, "w") if log_path else None
@@ -692,7 +684,8 @@ def train(scenes, provider, cfg: HeadConfig, schedule: Schedule,
                                   f"iteration {it}: non-finite gradient")
                     sgd_step(params, grads, velocity, lr, schedule.momentum,
                              schedule.weight_decay)
-                    _check_params(params, cfg, it)
+                    _check_finite(params, cfg,
+                                  f"iteration {it}: non-finite parameter")
                     history.append(rep)
                     if log_fh:
                         vals = rep.as_dict()

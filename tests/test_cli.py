@@ -260,16 +260,35 @@ class TestTrainCommand:
         assert err.count("\n") == 1  # no numpy warning beside it
 
     def test_parameters_beyond_float32_are_divergence(self, tmp_path, capsys):
-        """Finite in float64 but infinite once saved as float32: train
-        once wrote such a checkpoint with exit 0, which infer refused."""
+        """Finite in float64 but infinite in float32, the precision train
+        holds and checkpoints store: train once wrote such a checkpoint
+        with exit 0, which infer refused. The momentum itself rounds to
+        an infinity, so the first step's zero velocity times it is NaN."""
         data = _synth(tmp_path, scenes=3)
         code = _run("train", "--out", str(tmp_path / "run"), *_inputs(data),
                     "--phases", "2:0.001", "--hidden-dim", "8",
                     "--momentum", "1e300")
         assert code == 1
         assert capsys.readouterr().err == (
-            "error: diverged: iteration 1: parameter obj_fc1_w exceeds the "
-            "float32 range\n")
+            "error: diverged: iteration 0: non-finite parameter obj_fc1_w\n")
+        assert not (tmp_path / "run" / "checkpoint.bin").exists()
+
+    def test_features_beyond_float32_are_divergence(self, tmp_path, capsys):
+        """Map cells finite in float64 but beyond float32: the pooled
+        rows are infinities once training rounds them to its float32
+        parameters, and the first loss names that, with no warning."""
+        data = _synth(tmp_path, scenes=3)
+        with np.load(data / "features.npz") as z:
+            arrays = {key: np.full_like(value, 1e39)
+                      if key.startswith("map_") else value
+                      for key, value in z.items()}
+        np.savez(data / "features.npz", **arrays)
+        code = _run("train", "--out", str(tmp_path / "run"), *_inputs(data),
+                    "--phases", "2:0.001", "--hidden-dim", "8")
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: diverged: iteration 0: non-finite loss term "
+            "object_cls_loss\n")
         assert not (tmp_path / "run" / "checkpoint.bin").exists()
 
 

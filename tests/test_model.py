@@ -1,10 +1,12 @@
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
 
 from hoidet.density import mixture_compat, smooth_l1
 from hoidet.model import (
+    Batch,
     Checkpoint,
     CheckpointError,
     ConfigError,
@@ -26,6 +28,7 @@ from hoidet.model import (
     save_checkpoint,
     sgd_step,
     zero_grads,
+    _FEATURE_FIELDS,
 )
 
 
@@ -428,6 +431,49 @@ def test_training_loss_is_the_loss_of_the_inference_outputs(variant):
     for name, value in want.items():
         assert getattr(got, name) == pytest.approx(value, rel=1e-9, abs=0), \
             name
+
+
+def _with_features(batch: Batch, dtype) -> Batch:
+    """``batch`` with its feature rows converted to ``dtype``."""
+    rows = dataclasses.replace(batch.rows, **{
+        name: getattr(batch.rows, name).astype(dtype)
+        for name in _FEATURE_FIELDS})
+    return dataclasses.replace(batch, rows=rows)
+
+
+class TestPrecision:
+    """The model computes in the dtype of the parameters it is given."""
+
+    @pytest.mark.parametrize("variant", sorted(HEAD_VARIANTS))
+    def test_float32_parameters_give_float32_gradients(self, variant):
+        """Float64 features are rounded once, where a branch takes them:
+        the gradients equal those of features rounded beforehand."""
+        cfg = small_cfg(**HEAD_VARIANTS[variant])
+        params = FlatTensors(init_params(cfg, 53), dtype=np.float32)
+        batch = Batch.stack(random_batch(cfg, np.random.default_rng(53)),
+                            cfg.feature_dim)
+        assert batch.rows.object_feats.dtype == np.float64
+        grads, rep = backward(batch, params, cfg)
+        want, want_rep = backward(_with_features(batch, np.float32), params,
+                                  cfg)
+        assert grads.vector.dtype == np.float32
+        assert grads.vector.tobytes() == want.vector.tobytes()
+        assert rep == want_rep
+
+    @pytest.mark.parametrize("variant", sorted(HEAD_VARIANTS))
+    def test_float64_parameters_keep_float64(self, variant):
+        """Float32 features meet float64 parameters widened, exactly."""
+        cfg = small_cfg(**HEAD_VARIANTS[variant])
+        params = init_params(cfg, 59)
+        batch = _with_features(Batch.stack(
+            random_batch(cfg, np.random.default_rng(59)), cfg.feature_dim),
+            np.float32)
+        grads, rep = backward(batch, params, cfg)
+        want, want_rep = backward(_with_features(batch, np.float64), params,
+                                  cfg)
+        assert grads.vector.dtype == np.float64
+        assert grads.vector.tobytes() == want.vector.tobytes()
+        assert rep == want_rep
 
 
 class TestSgdStep:

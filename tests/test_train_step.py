@@ -619,7 +619,8 @@ def _per_tensor_sgd_step(params, grads, velocity, lr, momentum,
 def test_training_step_equals_the_per_image_path(head):
     """``train``'s step (one gather over the batch, stacked sections, a
     flat parameter vector) against one ``featurize`` per image, the
-    list form of ``backward`` and a per-tensor step: every LossReport
+    list form of ``backward`` and a per-tensor step, both in float32
+    from the float64 initial parameters rounded once: every LossReport
     and final parameter is the same, bit for bit."""
     world = generate_synthetic(SynthConfig(
         num_scenes=5, seed=4, persons_per_scene=2, num_distractors=3))
@@ -644,7 +645,8 @@ def test_training_step_equals_the_per_image_path(head):
 
     tables = label_tables(scenes, REGISTRY, CATEGORIES)
     assert len(tables[-1].human_rows) == len(tables[-1].pair_rows) == 0
-    params = init_params(cfg, schedule.seed)
+    params = {name: p.astype(np.float32)
+              for name, p in init_params(cfg, schedule.seed).items()}
     velocity = {name: np.zeros_like(p) for name, p in params.items()}
     per, it, drawn = schedule.images_per_step, 0, set()
     for phase in schedule.phases:

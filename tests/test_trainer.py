@@ -439,8 +439,10 @@ class TestTrainLoop:
         params, _ = train(scenes, provider, cfg,
                           Schedule(phases=[Phase(4, 0.0)], seed=3),
                           REGISTRY, CATEGORIES)
-        ref = init_params(cfg, 3)
-        assert all(np.array_equal(params[k], ref[k]) for k in ref)
+        ref = init_params(cfg, 3)  # float64, rounded once by train
+        assert params.vector.dtype == np.float32
+        assert all(np.array_equal(params[k], ref[k].astype(np.float32))
+                   for k in ref)
 
     def test_loss_trends_down(self, synth):
         scenes, provider, cfg = synth
@@ -512,7 +514,8 @@ class TestTrainLoop:
         assert str(err.value) == "iteration 2: non-finite parameter mu_b"
 
     def test_parameter_beyond_float32_is_named(self, synth, monkeypatch):
-        """Finite in float64, but a checkpoint would hold it as inf."""
+        """Finite in float64, but training holds float32 parameters, in
+        which it is an infinity."""
         scenes, provider, cfg = synth
         real, calls = trainer.sgd_step, []
 
@@ -528,8 +531,19 @@ class TestTrainLoop:
             train(scenes, provider, cfg,
                   Schedule(phases=[Phase(4, 1e-3)], seed=3),
                   REGISTRY, CATEGORIES)
-        assert str(err.value) == ("iteration 2: parameter mu_b exceeds the "
-                                  "float32 range")
+        assert str(err.value) == "iteration 2: non-finite parameter mu_b"
+
+    def test_given_parameter_beyond_float32_is_named(self, synth):
+        """A caller's float64 parameter beyond float32 rounds to an
+        infinity, without a warning, and the first step names it."""
+        scenes, provider, cfg = synth
+        params = init_params(cfg, 3)
+        params["act_b"][0] = 1e39
+        with pytest.raises(TrainingDiverged) as err:
+            train(scenes, provider, cfg,
+                  Schedule(phases=[Phase(2, 1e-3)], seed=3),
+                  REGISTRY, CATEGORIES, params=params)
+        assert str(err.value) == "iteration 0: non-finite parameter act_b"
 
     def test_loss_log_is_parseable(self, synth, tmp_path):
         scenes, provider, cfg = synth
@@ -547,6 +561,22 @@ class TestTrainLoop:
         assert [float(r[1]) for r in rows] == [1e-3] * 3 + [1e-4] * 2
         for r in rows:
             assert all(np.isfinite(float(v)) for v in r[2:])
+
+    def test_checkpoint_holds_the_trained_float32_parameters(self, synth,
+                                                             tmp_path):
+        """Training rounds to float32 once, at the start, so saving loses
+        nothing; loading widens to float64, the precision of inference."""
+        scenes, provider, cfg = synth
+        path = tmp_path / "ckpt.bin"
+        params, _ = train(scenes, provider, cfg,
+                          Schedule(phases=[Phase(3, 1e-3)], seed=3),
+                          REGISTRY, CATEGORIES, checkpoint_path=str(path))
+        ck = load_checkpoint(str(path))
+        assert params.vector.dtype == np.float32
+        assert ck.params.vector.dtype == np.float64
+        assert list(ck.params) == list(params)
+        assert (ck.params.vector.tobytes()
+                == params.vector.astype(np.float64).tobytes())
 
     def test_periodic_checkpoints(self, synth, tmp_path):
         scenes, provider, cfg = synth
