@@ -264,28 +264,34 @@ def write_feature_maps(path, maps: dict) -> None:
     np.savez(path, **arrays)
 
 
-def _npy_array(raw: bytes, headers: dict) -> np.ndarray:
-    """The array of one ``.npy`` member's bytes, viewed in place.
+def _npy_header(header: bytes, headers: dict) -> tuple:
+    """The shape, order and dtype of a version 1.0 ``.npy`` header, given
+    its bytes up to the payload; a malformed header raises ValueError.
 
-    ``headers`` maps each header already parsed (its bytes up to the
-    payload) to its shape, order and dtype: the members of a feature
-    file share a few headers, and parsing one is most of the cost of
-    reading a small member. Members of a format version other than
-    1.0, the one ``np.savez`` writes, go through
-    ``np.lib.format.read_array``. A malformed header, an object dtype or
-    a short payload raise ValueError."""
-    fp = io.BytesIO(raw)
-    if np.lib.format.read_magic(fp) != (1, 0):
-        return np.lib.format.read_array(io.BytesIO(raw), allow_pickle=False)
-    end = 10 + int.from_bytes(raw[8:10], "little")
-    header = raw[:end]
+    ``headers`` maps each header already parsed to them: the members of
+    a feature file share a few headers, and parsing one is most of the
+    cost of reading a small member."""
     if header not in headers:
+        fp = io.BytesIO(header)
+        np.lib.format.read_magic(fp)
         try:
             headers[header] = np.lib.format.read_array_header_1_0(fp)
         except (SyntaxError, tokenize.TokenError) as exc:
             # numpy retokenizes a header it cannot parse, which can raise
             raise ValueError(f"cannot parse .npy header: {exc}") from None
-    shape, fortran_order, dtype = headers[header]
+    return headers[header]
+
+
+def _npy_array(raw: bytes, headers: dict) -> np.ndarray:
+    """The array of one ``.npy`` member's bytes, viewed in place, its
+    header parsed by :func:`_npy_header`. Members of a format version
+    other than 1.0, the one ``np.savez`` writes, go through
+    ``np.lib.format.read_array``. A malformed header, an object dtype or
+    a short payload raise ValueError."""
+    if np.lib.format.read_magic(io.BytesIO(raw)) != (1, 0):
+        return np.lib.format.read_array(io.BytesIO(raw), allow_pickle=False)
+    end = 10 + int.from_bytes(raw[8:10], "little")
+    shape, fortran_order, dtype = _npy_header(raw[:end], headers)
     if dtype.hasobject:
         raise ValueError("Object arrays cannot be loaded when "
                          "allow_pickle=False")
@@ -302,10 +308,12 @@ def read_feature_maps(path) -> dict:
 
     The maps are held once, channel-last, in one float64 buffer, each
     map's data a (C, H, W) view of its block (see ``features.place``),
-    which a ``SyntheticFeatureProvider`` then pools from as it is. Each
-    member is read once through the archive (which checks its CRC),
-    viewed in place (see :func:`_npy_array`), checked and copied into
-    the buffer before the next is read, so no map is held twice."""
+    which a ``SyntheticFeatureProvider`` then pools from as it is. The
+    buffer holds one entry per map element, counted from the members'
+    headers, each read alone. Each member is then read once through the
+    archive (which checks its CRC), viewed in place (see
+    :func:`_npy_array`), checked and copied into the buffer before the
+    next is read, so no map is held twice."""
     try:
         z = np.load(path)
     except (ValueError, EOFError, zipfile.BadZipFile) as exc:
@@ -329,11 +337,25 @@ def read_feature_maps(path) -> dict:
                                  f"integer or floating")
             return array
 
-        # one entry per byte of the map members, so at least one per
-        # element whatever their dtype; only the entries written become
-        # resident
-        buffer = map_buffer(sum(z.zip.getinfo(name(key)).file_size
-                                for key in keys))
+        def elements(key):
+            # a map's element count, read from its header alone, and at
+            # most its byte count, as a valid member's is. A member of
+            # another format version, or whose header fails in any way,
+            # counts its bytes: a faulty one is refused in its turn
+            # below, so the first faulty member is still the one named
+            info = z.zip.getinfo(name(key))
+            try:
+                with z.zip.open(info) as f:
+                    head = f.read(10)
+                    head += f.read(int.from_bytes(head[8:10], "little"))
+                if head[6:8] == b"\x01\x00":
+                    return min(math.prod(_npy_header(head, headers)[0]),
+                               info.file_size)
+            except Exception:
+                pass
+            return info.file_size
+
+        buffer = map_buffer(sum(map(elements, keys)))
         offset = 0
         for key in keys:
             try:

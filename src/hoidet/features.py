@@ -77,7 +77,12 @@ class RoiFeature:
         self.values = np.asarray(self.values, dtype=np.float64).ravel()
 
 
-def roi_align(fmap: FeatureMap, box: Box, pooled: int = 7) -> RoiFeature:
+# the pooled resolution roi_align and the provider default to: a box
+# pools to a POOLED x POOLED grid of bins
+POOLED = 5
+
+
+def roi_align(fmap: FeatureMap, box: Box, pooled: int = POOLED) -> RoiFeature:
     """Pool one box of one map into a pooled x pooled grid, in the gather
     of :func:`_pool`."""
     cells = fmap.data.transpose(1, 2, 0).reshape(-1, fmap.channels)
@@ -229,7 +234,7 @@ class SyntheticFeatureProvider:
     ValueError.
     """
 
-    def __init__(self, maps: dict[int, FeatureMap], pooled: int = 5):
+    def __init__(self, maps: dict[int, FeatureMap], pooled: int = POOLED):
         channels = sorted({m.channels for m in maps.values()})
         if len(channels) > 1:
             raise ValueError(f"feature maps differ in channel count: "

@@ -74,6 +74,16 @@ class ConfigError(ValueError):
     pass
 
 
+def check_float32(**values) -> None:
+    """ConfigError naming the first of ``values`` beyond float32's largest
+    finite value: training runs in float32, where it is an infinity."""
+    limit = float(np.finfo(np.float32).max)
+    for name, value in values.items():
+        if value > limit:
+            raise ConfigError(f"{name} {value!r} is beyond float32's largest "
+                              f"value {limit!r}")
+
+
 @dataclass(frozen=True)
 class HeadConfig:
     feature_dim: int
@@ -116,6 +126,7 @@ class LossWeights:
     def __post_init__(self):
         if not all(0 <= w < math.inf for w in asdict(self).values()):
             raise ConfigError("loss weights must be nonnegative and finite")
+        check_float32(**asdict(self))
 
 
 @dataclass

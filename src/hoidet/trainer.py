@@ -13,19 +13,19 @@ relative offset measured from the sampled box. Interaction samples are
 ground-truth pairs only.
 
 A scene's labels depend only on its fixed proposals and ground truth,
-so ``train`` builds a scene's :class:`LabelTable` once, before
-iteration 0 (as Fast R-CNN's roidb holds each image's matches and
-regression targets), and only for the scenes its schedule draws: it
-draws every iteration's picks first. A chunk of scenes is stacked into
-zero-padded arrays straight from the annotations' box arrays, and a
-proposal's match is the ``argmax`` of its row of one IoU block. A
-scene's rows are its proposals, then its ground-truth boxes; a human
-row is the proposal it was matched from, and a pair's ground-truth box
-is the first proposal with the same corners when there is one. A visit
-to a scene is then an index draw, :func:`_draw_rows`: its seeded
-shuffles pick object and human rows of the table.
-:func:`assign_labels` is the same path for one scene: its table, then
-the draw, then the rows' boxes and labels.
+so ``train`` labels each scene once, before iteration 0 (as Fast
+R-CNN's roidb holds each image's matches and regression targets), and
+only the scenes its schedule draws: it draws every iteration's picks
+first. The drawn scenes' labels are one :class:`LabelTable` with global
+indices. Each chunk of scenes is stacked into zero-padded arrays
+straight from the annotations' box arrays, a proposal's match is the
+``argmax`` of its row of one IoU block, and the chunk's part of the
+table is written on from the chunks before it. A scene's rows are its
+proposals, then its ground-truth boxes (one that is also a proposal is
+that proposal's row). A visit to a scene is then an index draw,
+:func:`_draw_rows`: its seeded shuffles pick the scene's object and
+human entries of the table. :func:`assign_labels` is the same path for
+one scene: its table, then the draw, then the rows' boxes and labels.
 
 Each iteration draws the 16-image effective batch (8 workers x 2
 images, each image seeded by its (seed, iteration, worker, slot)) and
@@ -35,7 +35,7 @@ the distinct rows they name in one provider call with a per-row scene
 id (as Fast R-CNN pools a mini-batch's RoIs in one RoI layer); a
 window holds at most ``_WINDOW_BYTES`` of pooled rows. An iteration's
 :class:`Batch` is then row takes from those features and from the
-drawn tables' labels, laid out section-major: the object rows of the
+table's labels, laid out section-major: the object rows of the
 16 images, then their human rows, pair-human rows and pair-object
 rows, each section in image order. Pooling is row-local, so a window's
 features are those of pooling each image's boxes on each visit. Each
@@ -49,7 +49,8 @@ the whole vector and names the tensor only on failure. Float32 is the
 precision checkpoints store, so every training product runs in it:
 ``train`` rounds the float64 initial parameters once, and each branch
 rounds its float64 feature rows where it takes them. A parameter that
-leaves float32's range is an infinity, which the finite check names.
+leaves float32's range is an infinity, which the finite check names; a
+momentum, weight decay or rate beyond it is a ValueError.
 Pooling and the window of pooled rows stay float64, as in inference.
 Training is bit-reproducible given the seed, under one BLAS thread.
 """
@@ -75,6 +76,7 @@ from .model import (
     ImageSamples,
     LossWeights,
     backward,
+    check_float32,
     first_non_finite,
     init_params,
     save_checkpoint,
@@ -140,6 +142,8 @@ class Schedule:
                 and 0 <= self.weight_decay < math.inf):  # NaN too
             raise ValueError("momentum and weight_decay must be nonnegative "
                              "and finite")
+        check_float32(momentum=self.momentum, weight_decay=self.weight_decay,
+                      phases=max(p.lr for p in self.phases))
 
     @property
     def total_iterations(self) -> int:
@@ -190,34 +194,40 @@ class SampleBoxes:
 
 @dataclass
 class LabelTable:
-    """One scene's labels: everything a draw needs except the seeded
-    sampling, fixed by the scene's proposals and ground truth.
+    """The labels of a list of scenes: everything a draw needs except
+    the seeded sampling, fixed by the scenes' proposals and ground
+    truth. Every index is global, into the table's own arrays.
 
-    The scene's rows (``boxes``) are its N proposals, then its
-    ground-truth boxes (persons, then objects). Per proposal: the class
-    label (0 = background) and the regression target toward the matched
-    box (zero unless positive). ``positives`` and ``negatives`` hold
-    proposal indices in ascending order; a proposal in neither overlaps
-    an ignore region. ``human_rows`` are the proposals matching a
-    person, in ascending order, each with its person's action targets
-    and, per role entry, the offset of the entry's target object from
-    the box and whether one is defined (the first record wins on
-    duplicate role records). ``pair_rows`` hold the person and object
-    row of each annotated pair, in sorted index order, with the pair's
-    action targets. The arrays are read-only.
+    The rows (``boxes``, with ``scene_ids``) run scene by scene, a
+    scene's rows its N proposals, then its ground-truth boxes (persons,
+    then objects). Per proposal: its row, its class label (0 =
+    background) and the regression target toward the matched box (zero
+    unless positive). ``positives`` and ``negatives`` hold proposal
+    indices, ascending; a proposal in neither overlaps an ignore region.
+    ``human_rows`` are the rows of the proposals matching a person, each
+    with its person's action targets and, per role entry, the offset of
+    the entry's target object from the box and whether one is defined
+    (the first record wins on duplicate role records). ``pair_rows``
+    hold the person and object row of each annotated pair, in sorted
+    index order within a scene, with the pair's action targets. Scene
+    ``s``'s positives, negatives, humans and pairs start at ``at[s]``
+    and end at ``at[s + 1]``. The arrays are read-only.
     """
 
     boxes: np.ndarray
+    scene_ids: np.ndarray
+    proposal_rows: np.ndarray
     labels: np.ndarray
     reg_targets: np.ndarray
-    positives: list
-    negatives: list
+    positives: np.ndarray
+    negatives: np.ndarray
     human_rows: np.ndarray
     action_targets: np.ndarray
     target_offsets: np.ndarray
     target_mask: np.ndarray
     pair_rows: np.ndarray
     pair_targets: np.ndarray
+    at: np.ndarray
 
 
 # train pools the distinct rows a window of consecutive iterations
@@ -240,8 +250,8 @@ _CHUNK_PAIRS = 8192
 
 
 def label_tables(scenes, registry: ActionRegistry, categories,
-                 quotas: Quotas = Quotas()) -> list:
-    """The LabelTable of every TrainScene, built together.
+                 quotas: Quotas = Quotas()) -> LabelTable:
+    """The one LabelTable of a non-empty list of TrainScenes.
 
     categories lists the non-background class names and must contain
     "person" and every object's category (AnnotationError otherwise);
@@ -253,22 +263,34 @@ def label_tables(scenes, registry: ActionRegistry, categories,
     latter filled from the annotations' person and object arrays, and
     each match is an ``argmax`` along the ground-truth axis of one IoU
     block (a zero-area pad overlaps nothing); only the interaction
-    records are walked scene by scene. A scene's table does not depend
-    on the other scenes.
+    records are walked scene by scene. A chunk writes its rows and
+    proposals counted on from those of the chunks before it. A scene's
+    part of the table does not depend on the other scenes.
     """
     cat_index = _class_index(categories)
-    tables, chunk, p, g = [], [], 0, 1
+    chunks, p, g = [[]], 0, 1
     for ts in scenes:
         n_p = len(ts.proposals)
         n_g = len(ts.annotation.persons) + len(ts.annotation.objects)
-        if chunk and (len(chunk) + 1) * max(p, n_p) * max(g, n_g) > _CHUNK_PAIRS:
-            tables += _label_chunk(chunk, registry, cat_index, quotas.iou_pos)
-            chunk, p, g = [], 0, 1
-        chunk.append(ts)
+        if chunks[-1] and ((len(chunks[-1]) + 1) * max(p, n_p) * max(g, n_g)
+                           > _CHUNK_PAIRS):
+            chunks.append([])
+            p, g = 0, 1
+        chunks[-1].append(ts)
         p, g = max(p, n_p), max(g, n_g)
-    if chunk:
-        tables += _label_chunk(chunk, registry, cat_index, quotas.iou_pos)
-    return tables
+    parts, rows, proposals = [], 0, 0
+    for chunk in chunks:
+        parts.append(_label_chunk(chunk, registry, cat_index, quotas.iou_pos,
+                                  rows, proposals))
+        rows += len(parts[-1][0])
+        proposals += len(parts[-1][2])
+    *fields, counts = (np.concatenate(f) for f in zip(*parts))
+    at = np.zeros((len(counts) + 1, 4), dtype=int)
+    np.cumsum(counts, axis=0, out=at[1:])
+    table = LabelTable(*fields, at)
+    for arr in vars(table).values():
+        arr.flags.writeable = False
+    return table
 
 
 def _class_index(categories) -> dict:
@@ -296,8 +318,11 @@ def _object_labels(scenes, cat_index: dict) -> list:
 
 
 def _label_chunk(scenes, registry: ActionRegistry, cat_index: dict,
-                 iou_pos: float) -> list:
-    """:func:`label_tables` of one chunk of scenes."""
+                 iou_pos: float, rows: int, proposals: int) -> tuple:
+    """:func:`label_tables` of one chunk of scenes, whose first row and
+    first proposal are ``rows`` and ``proposals``: the LabelTable's
+    fields up to ``at``, then each scene's numbers of positives,
+    negatives, humans and pairs as an ``(S, 4)`` array."""
     a = len(registry)
     verb_cols = {verb: [registry.index(e.name, e.role)
                         for e in registry.entries_for(verb)]
@@ -326,10 +351,10 @@ def _label_chunk(scenes, registry: ActionRegistry, cat_index: dict,
     # persons, then its objects, and at least one proposal and one
     # ground-truth column for argmax (a row of IoU 0, as a pad's, never
     # matches: iou_pos > 0)
-    n_prop = [len(ts.proposals) for ts in scenes]
+    n_prop = np.array([len(ts.proposals) for ts in scenes], dtype=int)
     n_pers = np.array([len(ann.persons) for ann in anns], dtype=int)
     n_gt = n_pers + [len(ann.objects) for ann in anns]
-    slot = np.arange(max(1, n_gt.max(initial=0)))
+    slot = np.arange(max(1, n_gt.max()))
     is_person = slot < n_pers[:, None]
     is_object = ~is_person & (slot < n_gt[:, None])
     gt = np.zeros(is_person.shape + (4,))
@@ -339,17 +364,17 @@ def _label_chunk(scenes, registry: ActionRegistry, cat_index: dict,
     labels_gt[is_object] = object_labels
     ignored = np.zeros(is_person.shape, bool)
     ignored[is_object] = np.concatenate([ann.ignore for ann in anns])
-    props = np.zeros((len(scenes), max(1, *n_prop), 4))
-    for s, ts in enumerate(scenes):
-        props[s, :n_prop[s]] = ts.proposals
+    real = np.arange(max(1, n_prop.max())) < n_prop[:, None]
+    props = np.zeros(real.shape + (4,))
+    props[real] = np.concatenate([ts.proposals for ts in scenes])
 
     overlap = box_iou(props[:, :, None], gt[:, None])
     best = np.where(ignored[:, None], 0.0, overlap)
     best_j = best.argmax(axis=2)
     pos = best.max(axis=2) >= iou_pos
     # overlapping an ignore region: neither positive nor negative
-    neg = ~pos & (np.where(ignored[:, None], overlap, 0.0).max(axis=2)
-                  < iou_pos)
+    neg = real & ~pos & (np.where(ignored[:, None], overlap, 0.0).max(axis=2)
+                         < iou_pos)
     persons = np.where(slot < n_pers[:, None, None], overlap, 0.0)
     hs, hp = np.nonzero(persons.max(axis=2) >= iou_pos)
     person = persons.argmax(axis=2)[hs, hp]
@@ -366,71 +391,67 @@ def _label_chunk(scenes, registry: ActionRegistry, cat_index: dict,
     role_objects[tuple(role_keys.T)] = list(roles.values())
     targets = role_objects[hs, person]
     target_mask = targets >= 0
-    rows, cols = np.nonzero(target_mask)
+    cells, cols = np.nonzero(target_mask)
     offsets = np.zeros((len(hs), a, 4))
-    offsets[rows, cols] = encode_rels(gt[hs[rows], targets[rows, cols]],
-                                      props[hs[rows], hp[rows]])
+    offsets[cells, cols] = encode_rels(gt[hs[cells], targets[cells, cols]],
+                                       props[hs[cells], hp[cells]])
     pairs = np.array(pairs, dtype=int).reshape(-1, 3)
-    # a ground-truth box's row is the first proposal with its corners,
-    # if any, else its own row after the scene's proposals
-    real = np.arange(props.shape[1]) < np.array(n_prop)[:, None]
-    same = (props[:, :, None] == gt[:, None]).all(axis=3) & real[..., None]
-    gt_rows = np.where(same.any(axis=1), same.argmax(axis=1),
-                       np.array(n_prop)[:, None] + slot)
-    pair_rows = gt_rows[pairs[:, :1], pairs[:, 1:]]
     pair_targets = np.zeros((len(pairs), a))
     pair_targets[pair_target_rows, pair_cols] = 1.0
 
-    action_targets = actions[hs, person]
-    for arr in (labels, reg_targets, hp, action_targets, offsets,
-                target_mask, pair_rows, pair_targets):
-        arr.flags.writeable = False
-    # each scene's humans and pairs, in scene order
-    h_at = np.searchsorted(hs, np.arange(len(scenes) + 1)).tolist()
-    q_at = np.searchsorted(pairs[:, 0], np.arange(len(scenes) + 1)).tolist()
-    tables = []
-    for s, n in enumerate(n_prop):
-        h, q = slice(h_at[s], h_at[s + 1]), slice(q_at[s], q_at[s + 1])
-        boxes = np.concatenate((props[s, :n], gt[s, :n_gt[s]]))
-        boxes.flags.writeable = False
-        tables.append(LabelTable(
-            boxes=boxes, labels=labels[s, :n],
-            reg_targets=reg_targets[s, :n],
-            positives=np.flatnonzero(pos[s, :n]).tolist(),
-            negatives=np.flatnonzero(neg[s, :n]).tolist(),
-            human_rows=hp[h], action_targets=action_targets[h],
-            target_offsets=offsets[h], target_mask=target_mask[h],
-            pair_rows=pair_rows[q], pair_targets=pair_targets[q]))
-    return tables
+    # each scene's first row and first proposal in the table; a pair's
+    # person or object row is the first proposal of its scene with the
+    # box's corners, if any, else the box's own row after the proposals
+    n_rows = n_prop + n_gt
+    row_at = rows + np.cumsum(n_rows) - n_rows
+    local = np.arange(real.shape[1])
+    index = (proposals + np.cumsum(n_prop) - n_prop)[:, None] + local
+    ps, pg = pairs[:, :1], pairs[:, 1:]
+    same = ((props[pairs[:, 0], :, None] == gt[ps, pg][:, None]).all(axis=3)
+            & real[pairs[:, 0], :, None])
+    pair_rows = row_at[ps] + np.where(same.any(axis=1), same.argmax(axis=1),
+                                      n_prop[ps] + pg)
+    counts = np.stack((pos.sum(axis=1), neg.sum(axis=1),
+                       np.bincount(hs, minlength=len(scenes)),
+                       np.bincount(pairs[:, 0], minlength=len(scenes))),
+                      axis=1)
+    boxes = np.concatenate((props, gt), axis=1)[
+        np.concatenate((real, slot < n_gt[:, None]), axis=1)]
+    return (boxes, np.repeat([ts.scene_id for ts in scenes], n_rows),
+            (row_at[:, None] + local)[real], labels[real], reg_targets[real],
+            index[pos], index[neg], row_at[hs] + hp, actions[hs, person],
+            offsets, target_mask, pair_rows, pair_targets, counts)
 
 
-def _draw_rows(table: LabelTable, quotas: Quotas, seed):
-    """One visit's draw from a scene's table, as row indices: the
-    object section's proposal indices and the human section's indices
-    into the table's humans, both ascending.
+def _draw_rows(table: LabelTable, s: int, quotas: Quotas, seed):
+    """One visit's draw from scene ``s`` of the table: the object
+    section's proposal indices and the human section's human indices,
+    both ascending, and the indices of all the scene's pairs.
 
-    The generator seeded by ``seed`` shuffles the positives, the
-    negatives and the humans, in that order. The object section takes
-    the first ``round(Q f)`` shuffled positives, for ``Q =
-    object_quota`` and ``f = pos_fraction``, and, for f > 0, the first
-    ``min(Q - p, round(p (1 - f) / f))`` shuffled negatives for the p
-    positives taken, so that it holds at most Q rows and at most the
-    quota's share of negatives; when positives are scarce the negative
-    count drops with them. The human section takes the first
-    ``human_quota`` shuffled humans.
+    The generator seeded by ``seed`` shuffles the scene's positives,
+    negatives and humans, in that order. The object section takes the
+    first ``round(Q f)`` shuffled positives, for ``Q = object_quota``
+    and ``f = pos_fraction``, and, for f > 0, the first ``min(Q - p,
+    round(p (1 - f) / f))`` shuffled negatives for the p positives
+    taken, so that it holds at most Q rows and at most the quota's
+    share of negatives; when positives are scarce the negative count
+    drops with them. The human section takes the first ``human_quota``
+    shuffled humans.
     """
+    (p0, n0, h0, q0), (p1, n1, h1, q1) = table.at[s:s + 2].tolist()
+    pos, neg = table.positives[p0:p1].tolist(), table.negatives[n0:n1].tolist()
+    humans = list(range(h0, h1))
     rng = np.random.default_rng(seed)
-    pos, neg = list(table.positives), list(table.negatives)
     rng.shuffle(pos)
     rng.shuffle(neg)
+    rng.shuffle(humans)
     q, f = quotas.object_quota, quotas.pos_fraction
     take_pos = pos[:int(round(q * f))]
     p = len(take_pos)
-    take_neg = neg[:min(q - p, int(round(p * (1 - f) / f)))] if f else []
-    humans = list(range(len(table.human_rows)))
-    rng.shuffle(humans)
+    take_neg = neg[:min(q - p, int(round(p * (1 - f) / f))) if f else 0]
     return (np.array(sorted(take_pos + take_neg), dtype=int),
-            np.array(sorted(humans[:quotas.human_quota]), dtype=int))
+            np.array(sorted(humans[:quotas.human_quota]), dtype=int),
+            np.arange(q0, q1))
 
 
 def assign_labels(proposals, scene: SceneAnnotation, registry: ActionRegistry,
@@ -439,12 +460,12 @@ def assign_labels(proposals, scene: SceneAnnotation, registry: ActionRegistry,
     truth and sample the three sections: the one-scene
     :func:`label_tables`, then the rows of :func:`_draw_rows`, in
     ascending proposal order, and all the ground-truth pairs."""
-    table, = label_tables([TrainScene(scene, box_array(proposals))],
-                          registry, categories, quotas)
-    objects, humans = _draw_rows(table, quotas, seed)
+    table = label_tables([TrainScene(scene, box_array(proposals))],
+                         registry, categories, quotas)
+    objects, humans, pairs = _draw_rows(table, 0, quotas, seed)
     labels = table.labels[objects]
     return SampleBoxes(
-        object_boxes=table.boxes[objects],
+        object_boxes=table.boxes[table.proposal_rows[objects]],
         object_labels=labels,
         object_reg_targets=table.reg_targets[objects],
         object_reg_mask=labels > 0,
@@ -452,8 +473,8 @@ def assign_labels(proposals, scene: SceneAnnotation, registry: ActionRegistry,
         human_action_targets=table.action_targets[humans],
         human_target_offsets=table.target_offsets[humans],
         human_target_mask=table.target_mask[humans],
-        interaction_pairs=table.boxes[table.pair_rows],
-        interaction_action_targets=table.pair_targets,
+        interaction_pairs=table.boxes[table.pair_rows[pairs]],
+        interaction_action_targets=table.pair_targets[pairs],
     )
 
 
@@ -482,48 +503,12 @@ def featurize(samples: SampleBoxes, provider, scene_id: int,
     )
 
 
-class _Drawn:
-    """The drawn scenes' label tables end to end, so that a step's
-    labels and feature rows are takes: the rows (boxes) of table ``s``
-    follow those of tables ``0 .. s-1``, and likewise its proposal
-    labels (from ``label_at[s]`` on), its humans (from ``human_at[s]``
-    on) and its pairs (``pairs[s]``). ``proposal_rows``, ``human_rows``
-    and ``pair_rows`` give each proposal's, human's and pair's rows
-    among all the tables' rows, and ``scene_ids`` each row's scene."""
-
-    def __init__(self, tables: list, scene_ids):
-        def joined(name):
-            return np.concatenate([getattr(t, name) for t in tables])
-
-        def starts(name):
-            return np.cumsum([0] + [len(getattr(t, name)) for t in tables])
-
-        def shifted(arrays):  # table-local rows as rows of all tables
-            return np.concatenate([a + r for a, r in zip(arrays, row_at)])
-
-        self.tables = tables
-        row_at = starts("boxes")[:-1].tolist()
-        self.boxes = joined("boxes")
-        self.scene_ids = np.repeat(scene_ids, [len(t.boxes) for t in tables])
-        self.label_at, self.human_at = starts("labels"), starts("human_rows")
-        self.labels, self.reg_targets = joined("labels"), joined("reg_targets")
-        self.proposal_rows = shifted(np.arange(len(t.labels)) for t in tables)
-        self.human_rows = shifted(t.human_rows for t in tables)
-        self.action_targets = joined("action_targets")
-        self.target_offsets = joined("target_offsets")
-        self.target_mask = joined("target_mask")
-        pair_at = starts("pair_rows").tolist()
-        self.pairs = [np.arange(a, b) for a, b in zip(pair_at, pair_at[1:])]
-        self.pair_rows = shifted(t.pair_rows for t in tables)
-        self.pair_targets = joined("pair_targets")
-
-
 @dataclass
 class _Step:
     """One iteration's draw: the proposal, human and pair indices of its
-    images' samples into a :class:`_Drawn`, each section in image
-    order, the per-image counts, and the feature rows of the object,
-    human, pair-human and pair-object sections, in that order."""
+    images' samples into the LabelTable, each section in image order,
+    the per-image counts, and the feature rows of the object, human,
+    pair-human and pair-object sections, in that order."""
 
     objects: np.ndarray
     humans: np.ndarray
@@ -532,20 +517,19 @@ class _Step:
     rows: np.ndarray
 
 
-def _draw_step(drawn: _Drawn, slots, quotas: Quotas, seeds) -> _Step:
-    """The draws of the images of tables ``slots``, image ``b`` seeded
-    by ``seeds[b]``, as one :class:`_Step`."""
+def _draw_step(table: LabelTable, slots, quotas: Quotas, seeds) -> _Step:
+    """The draws of the images of the table's scenes ``slots``, image
+    ``b`` seeded by ``seeds[b]``, as one :class:`_Step`."""
     sections = ([], [], [])
     for s, seed in zip(slots, seeds):
-        objects, humans = _draw_rows(drawn.tables[s], quotas, seed)
-        sections[0].append(objects + drawn.label_at[s])
-        sections[1].append(humans + drawn.human_at[s])
-        sections[2].append(drawn.pairs[s])
+        for section, drawn in zip(sections,
+                                  _draw_rows(table, s, quotas, seed)):
+            section.append(drawn)
     counts = [np.array([len(x) for x in sec], dtype=int) for sec in sections]
     objects, humans, pairs = (np.concatenate(sec) for sec in sections)
-    rows = np.concatenate((drawn.proposal_rows[objects],
-                           drawn.human_rows[humans],
-                           drawn.pair_rows[pairs].T.ravel()))
+    rows = np.concatenate((table.proposal_rows[objects],
+                           table.human_rows[humans],
+                           table.pair_rows[pairs].T.ravel()))
     return _Step(objects, humans, pairs, counts, rows)
 
 
@@ -567,26 +551,26 @@ def _windows(steps, num_rows: int, cap: int):
     yield window, np.flatnonzero(seen)
 
 
-def _batch(drawn: _Drawn, step: _Step, feats: np.ndarray) -> Batch:
+def _batch(table: LabelTable, step: _Step, feats: np.ndarray) -> Batch:
     """A step's Batch, with ``feats`` the pooled features of its rows."""
     h, i, o = np.cumsum([len(step.objects), len(step.humans),
                          len(step.pairs)]).tolist()
-    labels = drawn.labels.take(step.objects)
+    labels = table.labels.take(step.objects)
     return Batch(
         ImageSamples(
             object_feats=feats[:h],
             object_labels=labels,
-            object_reg_targets=drawn.reg_targets.take(step.objects, axis=0),
+            object_reg_targets=table.reg_targets.take(step.objects, axis=0),
             object_reg_mask=labels > 0,
             human_feats=feats[h:i],
-            human_action_targets=drawn.action_targets.take(step.humans,
+            human_action_targets=table.action_targets.take(step.humans,
                                                            axis=0),
-            human_target_offsets=drawn.target_offsets.take(step.humans,
+            human_target_offsets=table.target_offsets.take(step.humans,
                                                            axis=0),
-            human_target_mask=drawn.target_mask.take(step.humans, axis=0),
+            human_target_mask=table.target_mask.take(step.humans, axis=0),
             interaction_h_feats=feats[i:o],
             interaction_o_feats=feats[o:],
-            interaction_action_targets=drawn.pair_targets.take(step.pairs,
+            interaction_action_targets=table.pair_targets.take(step.pairs,
                                                                axis=0),
         ),
         object_counts=step.counts[0], human_counts=step.counts[1],
@@ -636,11 +620,10 @@ def train(scenes, provider, cfg: HeadConfig, schedule: Schedule,
         row[:] = np.random.default_rng((schedule.seed, it)).integers(
             0, len(scenes), size=len(row))
     drawn = np.unique(picks)
-    tables = _Drawn(label_tables([scenes[i] for i in drawn.tolist()],
-                                 registry, categories, quotas),
-                    [scenes[i].scene_id for i in drawn.tolist()])
+    table = label_tables([scenes[i] for i in drawn.tolist()], registry,
+                         categories, quotas)
     slots = np.searchsorted(drawn, picks).tolist()
-    steps = (_draw_step(tables, row, quotas,
+    steps = (_draw_step(table, row, quotas,
                         [(schedule.seed, it, *divmod(b, per))
                          for b in range(len(row))])
              for it, row in enumerate(slots))
@@ -665,13 +648,13 @@ def train(scenes, provider, cfg: HeadConfig, schedule: Schedule,
         # own overflow warnings would only repeat them
         with np.errstate(over="ignore", invalid="ignore"):
             for window, rows in _windows(
-                    steps, len(tables.boxes),
+                    steps, len(table.boxes),
                     max(1, _WINDOW_BYTES // (8 * max(cfg.feature_dim, 1)))):
-                pooled = provider.pooled_matrix(tables.scene_ids[rows],
-                                                tables.boxes[rows])
+                pooled = provider.pooled_matrix(table.scene_ids[rows],
+                                                table.boxes[rows])
                 for step in window:
                     lr = rates[it]
-                    batch = _batch(tables, step, pooled.take(
+                    batch = _batch(table, step, pooled.take(
                         np.searchsorted(rows, step.rows), axis=0))
                     grads.vector.fill(0.0)
                     try:

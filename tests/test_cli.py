@@ -259,18 +259,32 @@ class TestTrainCommand:
         assert err.startswith("error: diverged:") and "iteration" in err
         assert err.count("\n") == 1  # no numpy warning beside it
 
-    def test_parameters_beyond_float32_are_divergence(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--momentum", "1e300", "momentum"),
+        ("--weight-decay", "1e300", "weight_decay"),
+        ("--phases", "2:1e300", "phases"),
+        ("--phases", "2:1e39", "phases"),
+        ("--phases", "1:0.001,1:1e39", "phases"),
+        ("--action-loss-weight", "1e300", "action_cls"),
+    ], ids=["momentum", "weight_decay", "rate", "rate_1e39", "second_rate",
+            "action_loss_weight"])
+    def test_parameters_beyond_float32_are_config_errors(
+            self, tmp_path, capsys, flag, value, name):
         """Finite in float64 but infinite in float32, the precision train
-        holds and checkpoints store: train once wrote such a checkpoint
-        with exit 0, which infer refused. The momentum itself rounds to
-        an infinity, so the first step's zero velocity times it is NaN."""
+        holds and checkpoints store: each such setting once ended in a
+        divergence that blamed a parameter or a gradient. It is refused
+        as a config error naming the setting and its value, before
+        training starts."""
         data = _synth(tmp_path, scenes=3)
+        capsys.readouterr()
         code = _run("train", "--out", str(tmp_path / "run"), *_inputs(data),
-                    "--phases", "2:0.001", "--hidden-dim", "8",
-                    "--momentum", "1e300")
-        assert code == 1
+                    "--phases", "2:0.001", "--hidden-dim", "8", flag, value)
+        assert code == 2
+        number = float(value.split(":")[-1])
         assert capsys.readouterr().err == (
-            "error: diverged: iteration 0: non-finite parameter obj_fc1_w\n")
+            f"error: config: {name} {number!r} is beyond float32's largest "
+            f"value {float(np.finfo(np.float32).max)!r}\n")
+        assert not (tmp_path / "run" / "loss.log").exists()
         assert not (tmp_path / "run" / "checkpoint.bin").exists()
 
     def test_features_beyond_float32_are_divergence(self, tmp_path, capsys):
@@ -2031,6 +2045,23 @@ def test_the_provider_pools_from_the_maps_as_read(trained):
         assert fmap.data is data[image_id]  # not copied again
         assert fmap.data.base is provider.buffer
         assert fmap.data.transpose(1, 2, 0).flags.c_contiguous
+
+
+@pytest.mark.parametrize("dtype", ["<f8", "<f4", "<i2", "|b1"])
+def test_the_buffer_holds_exactly_the_maps_elements(trained, tmp_path, dtype):
+    """The one buffer is sized from the members' headers: one entry per
+    map element, whatever the members' dtype, not one per member byte."""
+    with np.load(trained[0] / "features.npz") as z:
+        arrays = {key: value.astype(dtype) if key.startswith("map_")
+                  else value for key, value in z.items()}
+    np.savez(tmp_path / "f.npz", **arrays)
+    maps = read_feature_maps(tmp_path / "f.npz")
+    provider = SyntheticFeatureProvider(maps)
+    assert len(provider.buffer) == sum(
+        a.size for key, a in arrays.items() if key.startswith("map_"))
+    for image_id, fmap in maps.items():
+        assert fmap.data.base is provider.buffer
+        np.testing.assert_array_equal(fmap.data, arrays[f"map_{image_id}"])
 
 
 class TestReadersMatchNumpy:

@@ -8,10 +8,12 @@ kept here; only the summation order differs, so the two agree to a
 relative 1e-10. The row forms of the regression losses must equal their
 single-row calls bit for bit.
 
-Label assignment is a per-scene label table plus a seeded draw. Tables
-built for many scenes together must equal, bit for bit, the tables
-built one scene at a time, and what the training loop draws from them
-must equal the one-scene public path, ``featurize(assign_labels(...))``.
+Label assignment is one label table for many scenes plus a seeded draw
+per visit to a scene. Each scene's part of a table built for many
+scenes together, its indices made scene-local, must equal, bit for bit,
+the table built for that scene alone, and what the training loop draws
+from the table must equal the one-scene public path,
+``featurize(assign_labels(...))``.
 """
 
 import dataclasses
@@ -340,14 +342,60 @@ EDGE_SCENES = [
 ]
 
 
+def _scene_parts(table: LabelTable, scenes) -> list:
+    """Each scene's part of the LabelTable of ``scenes``, its indices
+    made scene-local: a one-scene LabelTable per scene."""
+    parts, row, prop = [], 0, 0
+    for s, ts in enumerate(scenes):
+        n_p = len(ts.proposals)
+        n_r = n_p + len(ts.annotation.persons) + len(ts.annotation.objects)
+        r, p = slice(row, row + n_r), slice(prop, prop + n_p)
+        (a0, b0, h0, q0), (a1, b1, h1, q1) = table.at[s:s + 2].tolist()
+        h = slice(h0, h1)
+        parts.append(LabelTable(
+            boxes=table.boxes[r], scene_ids=table.scene_ids[r],
+            proposal_rows=table.proposal_rows[p] - row,
+            labels=table.labels[p], reg_targets=table.reg_targets[p],
+            positives=table.positives[a0:a1] - prop,
+            negatives=table.negatives[b0:b1] - prop,
+            human_rows=table.human_rows[h] - row,
+            action_targets=table.action_targets[h],
+            target_offsets=table.target_offsets[h],
+            target_mask=table.target_mask[h],
+            pair_rows=table.pair_rows[q0:q1] - row,
+            pair_targets=table.pair_targets[q0:q1],
+            at=table.at[s:s + 2] - table.at[s]))
+        row, prop = row + n_r, prop + n_p
+    assert len(table.at) == len(scenes) + 1
+    assert (row, prop) == (len(table.boxes), len(table.labels))
+    assert table.at[-1].tolist() == [len(table.positives),
+                                     len(table.negatives),
+                                     len(table.human_rows),
+                                     len(table.pair_rows)]
+    return parts
+
+
+def _joined(parts: list) -> LabelTable:
+    """The LabelTable of the scenes of one-scene tables, in order, their
+    indices made global."""
+    rows = np.cumsum([0] + [len(t.boxes) for t in parts])
+    props = np.cumsum([0] + [len(t.labels) for t in parts])
+    shift = {"proposal_rows": rows, "human_rows": rows, "pair_rows": rows,
+             "positives": props, "negatives": props}
+    joined = {f.name: np.concatenate([
+        getattr(t, f.name) + shift[f.name][i] if f.name in shift
+        else getattr(t, f.name) for i, t in enumerate(parts)])
+        for f in dataclasses.fields(LabelTable) if f.name != "at"}
+    return LabelTable(**joined, at=np.concatenate((
+        np.zeros((1, 4), dtype=int),
+        np.cumsum([t.at[1] for t in parts], axis=0))))
+
+
 def _assert_same_table(got: LabelTable, want: LabelTable):
     for field in dataclasses.fields(LabelTable):
         g, w = getattr(got, field.name), getattr(want, field.name)
-        if isinstance(w, list):
-            assert g == w, field.name
-        else:
-            assert g.shape == w.shape and g.dtype == w.dtype, field.name
-            assert g.tobytes() == w.tobytes(), field.name
+        assert g.shape == w.shape and g.dtype == w.dtype, field.name
+        assert g.tobytes() == w.tobytes(), field.name
 
 
 @settings(max_examples=60, deadline=None)
@@ -360,10 +408,12 @@ def test_tables_built_together_equal_tables_built_alone(scenes, quotas,
     # small chunks put chunk boundaries between the scenes
     with mock.patch.object(trainer, "_CHUNK_PAIRS", chunk_pairs):
         together = label_tables(scenes, REGISTRY, CATEGORIES, quotas)
-    assert len(together) == len(scenes)
-    for ts, got in zip(scenes, together):
-        want, = label_tables([ts], REGISTRY, CATEGORIES, quotas)
+    for field in dataclasses.fields(LabelTable):
+        assert not getattr(together, field.name).flags.writeable, field.name
+    for ts, got in zip(scenes, _scene_parts(together, scenes)):
+        want = label_tables([ts], REGISTRY, CATEGORIES, quotas)
         _assert_same_table(got, want)
+    _assert_same_table(_joined(_scene_parts(together, scenes)), together)
 
 
 def test_chunks_keep_their_padded_block_within_bound(monkeypatch):
@@ -391,12 +441,13 @@ def test_chunks_keep_their_padded_block_within_bound(monkeypatch):
         block([ts]) for ts in small[:3])
     monkeypatch.setattr(trainer, "_label_chunk", recording)
     monkeypatch.setattr(trainer, "_CHUNK_PAIRS", bound)
-    tables = label_tables(scenes, REGISTRY, CATEGORIES)
+    table = label_tables(scenes, REGISTRY, CATEGORIES)
     assert [ts for chunk in chunks for ts in chunk] == scenes
+    assert len(chunks) > 1
     for chunk in chunks:
         assert len(chunk) == 1 or block(chunk) <= bound
-    for ts, got in zip(scenes, tables):
-        want, = label_tables([ts], REGISTRY, CATEGORIES)
+    for ts, got in zip(scenes, _scene_parts(table, scenes)):
+        want = label_tables([ts], REGISTRY, CATEGORIES)
         _assert_same_table(got, want)
 
 
@@ -564,8 +615,9 @@ def test_labelling_only_drawn_scenes_changes_nothing(monkeypatch):
     assert calls == [sorted(scenes[i].scene_id for i in drawn)]
 
     def every_scene(requested, *args):
-        tables = dict(zip(map(id, scenes), real(scenes, *args)))
-        return [tables[id(ts)] for ts in requested]
+        parts = dict(zip(map(id, scenes),
+                         _scene_parts(real(scenes, *args), scenes)))
+        return _joined([parts[id(ts)] for ts in requested])
 
     monkeypatch.setattr(trainer, "label_tables", every_scene)
     want, want_history = train(scenes, provider, cfg, schedule, REGISTRY,
@@ -643,8 +695,9 @@ def test_training_step_equals_the_per_image_path(head):
     got, history = train(scenes, provider, cfg, schedule, REGISTRY,
                          CATEGORIES, loss_weights=weights)
 
-    tables = label_tables(scenes, REGISTRY, CATEGORIES)
-    assert len(tables[-1].human_rows) == len(tables[-1].pair_rows) == 0
+    table = label_tables(scenes, REGISTRY, CATEGORIES)
+    # the last scene's humans and pairs start where they end
+    assert table.at[-2, 2:].tolist() == table.at[-1, 2:].tolist()
     params = {name: p.astype(np.float32)
               for name, p in init_params(cfg, schedule.seed).items()}
     velocity = {name: np.zeros_like(p) for name, p in params.items()}
