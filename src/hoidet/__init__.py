@@ -33,7 +33,7 @@ from .inference import (
     write_predictions,
 )
 from .model import HeadConfig, init_params, load_checkpoint, save_checkpoint
-from .trainer import Quotas, Schedule, TrainingDiverged, train
+from .trainer import Schedule, TrainingDiverged, train
 
 __version__ = "0.1.0"
 
@@ -47,7 +47,6 @@ __all__ = [
     "HeadConfig",
     "InferenceConfig",
     "MatchRule",
-    "Quotas",
     "RelOffset",
     "Schedule",
     "ScoredTriplet",

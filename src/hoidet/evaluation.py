@@ -74,37 +74,26 @@ class _GtRecord:
     consumed: bool = False
 
 
-def _role_gt_index(ds: Dataset):
-    """(verb, role) -> image_id -> ground-truth records."""
-    table = {}
+def _gt_index(ds: Dataset):
+    """(verb, role) -> image_id -> ground-truth records, and verb ->
+    image_id -> one record per distinct acting person, each list in the
+    scene's record order."""
+    roles, agents = {}, {}
     for scene in ds.scenes:
         persons, objects = scene.persons.tolist(), scene.objects.tolist()
-        for rec in scene.interactions:
-            if rec.role == ROLE_NONE:
-                continue
-            table.setdefault((rec.action, rec.role), {}).setdefault(
-                scene.image_id, []
-            ).append(_GtRecord(Box(*persons[rec.person]),
-                               Box(*objects[rec.object]),
-                               scene.categories[rec.object]))
-    return table
-
-
-def _agent_gt_index(ds: Dataset):
-    """verb -> image_id -> one record per distinct acting person."""
-    table = {}
-    for scene in ds.scenes:
-        persons = scene.persons.tolist()
         seen = set()
         for rec in scene.interactions:
-            key = (rec.action, rec.person)
-            if key in seen:
-                continue
-            seen.add(key)
-            table.setdefault(rec.action, {}).setdefault(
-                scene.image_id, []
-            ).append(_GtRecord(Box(*persons[rec.person]), None, None))
-    return table
+            human = Box(*persons[rec.person])
+            if (rec.action, rec.person) not in seen:
+                seen.add((rec.action, rec.person))
+                agents.setdefault(rec.action, {}).setdefault(
+                    scene.image_id, []).append(_GtRecord(human, None, None))
+            if rec.role != ROLE_NONE:
+                roles.setdefault((rec.action, rec.role), {}).setdefault(
+                    scene.image_id, []
+                ).append(_GtRecord(human, Box(*objects[rec.object]),
+                                   scene.categories[rec.object]))
+    return roles, agents
 
 
 def match_triplets(preds, gts_by_image, rule: MatchRule = MatchRule(),
@@ -173,25 +162,19 @@ def average_precision(flags, gt_count: int,
     return float(np.sum((r[steps + 1] - r[steps]) * p[steps + 1]))
 
 
-def _sorted_preds(preds):
-    return [preds[i] for i in
-            sorted(range(len(preds)), key=lambda i: (-preds[i].score, i))]
-
-
 def agent_candidates(triplets) -> dict:
-    """verb -> detections deduped per (image, human box), best score."""
+    """verb -> detections deduped per (image, human box), best score,
+    in the order each (image, human box) first appears."""
     best = {}
     for t in triplets:
         score = t.s_h * t.action_score
         key = (t.action, t.image_id, t.human.box.as_tuple())
-        cur = best.get(key)
-        if cur is None or score > cur[0]:
-            best[key] = (score, t)
+        if key not in best or score > best[key].score:
+            best[key] = _AgentPred(image_id=t.image_id, human=t.human,
+                                   score=score)
     out = {}
-    for (verb, _, _), (score, t) in sorted(
-            best.items(), key=lambda kv: (kv[0][0], -kv[1][0])):
-        out.setdefault(verb, []).append(
-            _AgentPred(image_id=t.image_id, human=t.human, score=score))
+    for (verb, _, _), pred in best.items():
+        out.setdefault(verb, []).append(pred)
     return out
 
 
@@ -204,9 +187,11 @@ class _AgentPred:
 
 def _score_entry(action: str, role: str, preds, gts, rule: MatchRule,
                  eleven_point: bool, agent: bool) -> EntryResult:
-    """Match one entry's predictions, best first, against its ground truth."""
+    """Match one entry's predictions, best first (ties in input order),
+    against its ground truth."""
     gt_count = sum(len(v) for v in gts.values())
-    flags = match_triplets(_sorted_preds(preds), gts, rule, agent=agent)
+    flags = match_triplets(sorted(preds, key=lambda p: -p.score), gts, rule,
+                           agent=agent)
     return EntryResult(action=action, role=role,
                        ap=average_precision(flags, gt_count, eleven_point),
                        tp=int(sum(flags)), fp=int(len(flags) - sum(flags)),
@@ -223,13 +208,12 @@ def evaluate_triplets(triplets, ds: Dataset, rule: MatchRule = MatchRule(),
                 f"prediction action {t.action!r}/{t.role!r} not in registry")
         by_entry.setdefault((t.action, t.role), []).append(t)
 
-    role_gts = _role_gt_index(ds)
+    role_gts, agent_gts = _gt_index(ds)
     role_entries = [
         _score_entry(e.name, e.role, by_entry.get((e.name, e.role), []),
                      role_gts.get((e.name, e.role), {}), rule, eleven_point,
                      agent=False)
         for e in registry if e.role != ROLE_NONE]
-    agent_gts = _agent_gt_index(ds)
     agent_preds = agent_candidates(triplets)
     agent_entries = [
         _score_entry(verb, "agent", agent_preds.get(verb, []),

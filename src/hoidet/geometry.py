@@ -23,6 +23,8 @@ import numpy as np
 # wild regression output cannot overflow exp or collapse a box
 BBOX_XFORM_CLIP = math.log(1000.0 / 16.0)
 
+MIN_SIZE = 1e-3  # the least extent clip_boxes keeps of a box
+
 
 @dataclass(frozen=True)
 class Box:
@@ -223,13 +225,12 @@ def _per_element(fn, x: np.ndarray) -> np.ndarray:
                     dtype=np.float64).reshape(x.shape)
 
 
-def clip_boxes(b: np.ndarray, width: float, height: float,
-               min_size: float = 1e-3) -> np.ndarray:
+def clip_boxes(b: np.ndarray, width: float, height: float) -> np.ndarray:
     """Clip (..., 4) corners to ``[0, width] x [0, height]``, keeping at
-    least ``min_size`` of extent where the coordinates are fine enough to
+    least ``MIN_SIZE`` of extent where the coordinates are fine enough to
     hold it."""
-    x1 = np.minimum(np.maximum(b[..., 0], 0.0), width - min_size)
-    y1 = np.minimum(np.maximum(b[..., 1], 0.0), height - min_size)
-    x2 = np.minimum(np.maximum(b[..., 2], x1 + min_size), width)
-    y2 = np.minimum(np.maximum(b[..., 3], y1 + min_size), height)
+    x1 = np.minimum(np.maximum(b[..., 0], 0.0), width - MIN_SIZE)
+    y1 = np.minimum(np.maximum(b[..., 1], 0.0), height - MIN_SIZE)
+    x2 = np.minimum(np.maximum(b[..., 2], x1 + MIN_SIZE), width)
+    y2 = np.minimum(np.maximum(b[..., 3], y1 + MIN_SIZE), height)
     return np.stack([x1, y1, x2, y2], axis=-1)

@@ -1,11 +1,12 @@
-"""Multi-task training: label assignment, sampling quotas, and the loop.
+"""Multi-task training: label assignment, box sampling, and the loop.
 
 Label assignment follows the detection convention: proposals (which
 always include the ground-truth boxes) are matched to ground truth by
-IoU at 0.5. The object branch samples at most 64 boxes per image, a
-quarter of them positives and at most three negatives per positive
-taken, so that when positives are scarce the negative count drops
-with them. The human-centric branch samples at most 16 person boxes;
+IoU at ``IOU_POS`` = 0.5. The object branch samples at most 64 boxes
+per image: at most ``POSITIVES`` = 16 positives and
+``NEGATIVES_PER_POSITIVE`` = 3 negatives per positive taken, so that
+when positives are scarce the negative count drops with them. The
+human-centric branch samples at most ``HUMANS`` = 16 person boxes;
 each carries a multi-hot action target over the registry entries
 (verb-level: both role entries of a dual-role verb light up together)
 and, per role entry with an annotated target object, the ground-truth
@@ -89,23 +90,11 @@ class TrainingDiverged(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class Quotas:
-    object_quota: int = 64
-    pos_fraction: float = 0.25
-    human_quota: int = 16
-    iou_pos: float = 0.5
-
-    def __post_init__(self):
-        if not 0 < self.iou_pos <= 1:
-            raise ValueError(f"iou_pos must be in (0, 1], got {self.iou_pos}")
-        if not 0 <= self.pos_fraction <= 1:
-            raise ValueError(
-                f"pos_fraction must be in [0, 1], got {self.pos_fraction}")
-        if not (self.object_quota >= 0 and self.human_quota >= 0):
-            raise ValueError(
-                f"quotas must be >= 0, got object_quota={self.object_quota}, "
-                f"human_quota={self.human_quota}")
+# Fast R-CNN's image-centric sampling rule (see the module docstring)
+IOU_POS = 0.5
+POSITIVES = 16
+NEGATIVES_PER_POSITIVE = 3
+HUMANS = 16
 
 
 @dataclass(frozen=True)
@@ -249,8 +238,7 @@ _WINDOW_BYTES = 32 << 20
 _CHUNK_PAIRS = 8192
 
 
-def label_tables(scenes, registry: ActionRegistry, categories,
-                 quotas: Quotas = Quotas()) -> LabelTable:
+def label_tables(scenes, registry: ActionRegistry, categories) -> LabelTable:
     """The one LabelTable of a non-empty list of TrainScenes.
 
     categories lists the non-background class names and must contain
@@ -258,7 +246,7 @@ def label_tables(scenes, registry: ActionRegistry, categories,
     class index = list position + 1, background 0. A proposal matches
     the first ground-truth box of highest IoU (ignore regions excluded),
     and its person match likewise among the persons; a match at IoU >=
-    ``quotas.iou_pos`` makes it positive, or a human. A chunk of scenes
+    ``IOU_POS`` makes it positive, or a human. A chunk of scenes
     is stacked into zero-padded proposal and ground-truth arrays, the
     latter filled from the annotations' person and object arrays, and
     each match is an ``argmax`` along the ground-truth axis of one IoU
@@ -280,8 +268,7 @@ def label_tables(scenes, registry: ActionRegistry, categories,
         p, g = max(p, n_p), max(g, n_g)
     parts, rows, proposals = [], 0, 0
     for chunk in chunks:
-        parts.append(_label_chunk(chunk, registry, cat_index, quotas.iou_pos,
-                                  rows, proposals))
+        parts.append(_label_chunk(chunk, registry, cat_index, rows, proposals))
         rows += len(parts[-1][0])
         proposals += len(parts[-1][2])
     *fields, counts = (np.concatenate(f) for f in zip(*parts))
@@ -318,7 +305,7 @@ def _object_labels(scenes, cat_index: dict) -> list:
 
 
 def _label_chunk(scenes, registry: ActionRegistry, cat_index: dict,
-                 iou_pos: float, rows: int, proposals: int) -> tuple:
+                 rows: int, proposals: int) -> tuple:
     """:func:`label_tables` of one chunk of scenes, whose first row and
     first proposal are ``rows`` and ``proposals``: the LabelTable's
     fields up to ``at``, then each scene's numbers of positives,
@@ -350,7 +337,7 @@ def _label_chunk(scenes, registry: ActionRegistry, cat_index: dict,
     # the chunk as zero-padded arrays, each scene's ground truth its
     # persons, then its objects, and at least one proposal and one
     # ground-truth column for argmax (a row of IoU 0, as a pad's, never
-    # matches: iou_pos > 0)
+    # matches: IOU_POS > 0)
     n_prop = np.array([len(ts.proposals) for ts in scenes], dtype=int)
     n_pers = np.array([len(ann.persons) for ann in anns], dtype=int)
     n_gt = n_pers + [len(ann.objects) for ann in anns]
@@ -371,12 +358,12 @@ def _label_chunk(scenes, registry: ActionRegistry, cat_index: dict,
     overlap = box_iou(props[:, :, None], gt[:, None])
     best = np.where(ignored[:, None], 0.0, overlap)
     best_j = best.argmax(axis=2)
-    pos = best.max(axis=2) >= iou_pos
+    pos = best.max(axis=2) >= IOU_POS
     # overlapping an ignore region: neither positive nor negative
     neg = real & ~pos & (np.where(ignored[:, None], overlap, 0.0).max(axis=2)
-                         < iou_pos)
+                         < IOU_POS)
     persons = np.where(slot < n_pers[:, None, None], overlap, 0.0)
-    hs, hp = np.nonzero(persons.max(axis=2) >= iou_pos)
+    hs, hp = np.nonzero(persons.max(axis=2) >= IOU_POS)
     person = persons.argmax(axis=2)[hs, hp]
 
     labels = np.where(pos, np.take_along_axis(labels_gt, best_j, axis=1), 0)
@@ -423,20 +410,16 @@ def _label_chunk(scenes, registry: ActionRegistry, cat_index: dict,
             offsets, target_mask, pair_rows, pair_targets, counts)
 
 
-def _draw_rows(table: LabelTable, s: int, quotas: Quotas, seed):
+def _draw_rows(table: LabelTable, s: int, seed):
     """One visit's draw from scene ``s`` of the table: the object
     section's proposal indices and the human section's human indices,
     both ascending, and the indices of all the scene's pairs.
 
     The generator seeded by ``seed`` shuffles the scene's positives,
     negatives and humans, in that order. The object section takes the
-    first ``round(Q f)`` shuffled positives, for ``Q = object_quota``
-    and ``f = pos_fraction``, and, for f > 0, the first ``min(Q - p,
-    round(p (1 - f) / f))`` shuffled negatives for the p positives
-    taken, so that it holds at most Q rows and at most the quota's
-    share of negatives; when positives are scarce the negative count
-    drops with them. The human section takes the first ``human_quota``
-    shuffled humans.
+    first ``POSITIVES`` shuffled positives and the first
+    ``NEGATIVES_PER_POSITIVE`` shuffled negatives per positive taken;
+    the human section takes the first ``HUMANS`` shuffled humans.
     """
     (p0, n0, h0, q0), (p1, n1, h1, q1) = table.at[s:s + 2].tolist()
     pos, neg = table.positives[p0:p1].tolist(), table.negatives[n0:n1].tolist()
@@ -445,24 +428,22 @@ def _draw_rows(table: LabelTable, s: int, quotas: Quotas, seed):
     rng.shuffle(pos)
     rng.shuffle(neg)
     rng.shuffle(humans)
-    q, f = quotas.object_quota, quotas.pos_fraction
-    take_pos = pos[:int(round(q * f))]
-    p = len(take_pos)
-    take_neg = neg[:min(q - p, int(round(p * (1 - f) / f))) if f else 0]
+    take_pos = pos[:POSITIVES]
+    take_neg = neg[:NEGATIVES_PER_POSITIVE * len(take_pos)]
     return (np.array(sorted(take_pos + take_neg), dtype=int),
-            np.array(sorted(humans[:quotas.human_quota]), dtype=int),
+            np.array(sorted(humans[:HUMANS]), dtype=int),
             np.arange(q0, q1))
 
 
 def assign_labels(proposals, scene: SceneAnnotation, registry: ActionRegistry,
-                  categories, quotas: Quotas = Quotas(), seed=0) -> SampleBoxes:
+                  categories, seed=0) -> SampleBoxes:
     """Match proposals (an ``(N, 4)`` array or a ``Box`` list) to ground
     truth and sample the three sections: the one-scene
     :func:`label_tables`, then the rows of :func:`_draw_rows`, in
     ascending proposal order, and all the ground-truth pairs."""
     table = label_tables([TrainScene(scene, box_array(proposals))],
-                         registry, categories, quotas)
-    objects, humans, pairs = _draw_rows(table, 0, quotas, seed)
+                         registry, categories)
+    objects, humans, pairs = _draw_rows(table, 0, seed)
     labels = table.labels[objects]
     return SampleBoxes(
         object_boxes=table.boxes[table.proposal_rows[objects]],
@@ -517,13 +498,12 @@ class _Step:
     rows: np.ndarray
 
 
-def _draw_step(table: LabelTable, slots, quotas: Quotas, seeds) -> _Step:
+def _draw_step(table: LabelTable, slots, seeds) -> _Step:
     """The draws of the images of the table's scenes ``slots``, image
     ``b`` seeded by ``seeds[b]``, as one :class:`_Step`."""
     sections = ([], [], [])
     for s, seed in zip(slots, seeds):
-        for section, drawn in zip(sections,
-                                  _draw_rows(table, s, quotas, seed)):
+        for section, drawn in zip(sections, _draw_rows(table, s, seed)):
             section.append(drawn)
     counts = [np.array([len(x) for x in sec], dtype=int) for sec in sections]
     objects, humans, pairs = (np.concatenate(sec) for sec in sections)
@@ -590,7 +570,7 @@ LOG_FIELDS = ("total", "object_cls_loss", "object_reg_loss", "action_cls_loss",
 
 def train(scenes, provider, cfg: HeadConfig, schedule: Schedule,
           registry: ActionRegistry, categories,
-          quotas: Quotas = Quotas(), loss_weights: LossWeights = LossWeights(),
+          loss_weights: LossWeights = LossWeights(),
           params=None, log_path=None, checkpoint_path=None,
           checkpoint_every: int = 0):
     """Run the schedule; returns (params, LossReport history).
@@ -621,10 +601,9 @@ def train(scenes, provider, cfg: HeadConfig, schedule: Schedule,
             0, len(scenes), size=len(row))
     drawn = np.unique(picks)
     table = label_tables([scenes[i] for i in drawn.tolist()], registry,
-                         categories, quotas)
+                         categories)
     slots = np.searchsorted(drawn, picks).tolist()
-    steps = (_draw_step(table, row, quotas,
-                        [(schedule.seed, it, *divmod(b, per))
+    steps = (_draw_step(table, row, [(schedule.seed, it, *divmod(b, per))
                          for b in range(len(row))])
              for it, row in enumerate(slots))
     rates = [phase.lr for phase in schedule.phases

@@ -22,7 +22,6 @@ from hoidet.geometry import Box, box_array, encode_rel, iou
 from hoidet.model import HeadConfig, init_params, load_checkpoint
 from hoidet.trainer import (
     Phase,
-    Quotas,
     SampleBoxes,
     Schedule,
     TrainScene,
@@ -119,22 +118,6 @@ class TestSchedule:
             Schedule(workers=0)
 
 
-class TestQuotas:
-    def test_defaults_and_bounds_accepted(self):
-        Quotas()
-        Quotas(object_quota=0, pos_fraction=0.0, human_quota=0, iou_pos=1.0)
-        Quotas(pos_fraction=1.0, iou_pos=1e-9)
-
-    @pytest.mark.parametrize("bad", [
-        dict(iou_pos=0.0), dict(iou_pos=-0.5), dict(iou_pos=1.5),
-        dict(iou_pos=float("nan")), dict(pos_fraction=-0.1),
-        dict(pos_fraction=1.1), dict(object_quota=-5), dict(human_quota=-1),
-    ], ids=lambda bad: "{}={}".format(*next(iter(bad.items()))))
-    def test_invalid_rejected(self, bad):
-        with pytest.raises(ValueError, match=next(iter(bad))):
-            Quotas(**bad)
-
-
 class TestAssignLabels:
     def test_ratio_follows_scarce_positives(self):
         # 10 boxes on the GT, 100 clear negatives: requested 16 positives
@@ -149,29 +132,16 @@ class TestAssignLabels:
         assert int((out.object_labels == 0).sum()) == 30
 
     def test_quota_caps_rich_image(self):
+        # the 30 shifted person boxes are all positives and all humans:
+        # 16 positives are taken, three negatives per positive taken, and
+        # 16 humans
         pos = [_shifted(PERSON, dx) for dx in np.linspace(-2.0, 2.0, 30)]
         props = pos + _far_negatives(200)
         out = assign_labels(props, CUT_SCENE, REGISTRY, CATEGORIES, seed=1)
         assert int(out.object_reg_mask.sum()) == 16
+        assert int((out.object_labels == 0).sum()) == 48
         assert len(out.object_boxes) == 64
-
-    @pytest.mark.parametrize("quotas, n_pos, n_neg", [
-        (Quotas(), 16, 48),
-        (Quotas(object_quota=6), 2, 4),
-        (Quotas(pos_fraction=0.5), 30, 30),
-        (Quotas(pos_fraction=1.0), 30, 0),
-        (Quotas(pos_fraction=0.0), 0, 0),
-    ])
-    def test_section_keeps_quota_and_ratio(self, quotas, n_pos, n_neg):
-        # 30 positives, 200 negatives: negatives follow the positives
-        # taken in the quota's ratio, within the quota
-        pos = [_shifted(PERSON, dx) for dx in np.linspace(-2.0, 2.0, 30)]
-        props = pos + _far_negatives(200)
-        out = assign_labels(props, CUT_SCENE, REGISTRY, CATEGORIES, quotas,
-                            seed=1)
-        assert int(out.object_reg_mask.sum()) == n_pos
-        assert int((out.object_labels == 0).sum()) == n_neg
-        assert len(out.object_boxes) <= quotas.object_quota
+        assert len(out.human_boxes) == 16
 
     def test_labels_match_categories(self):
         props = [PERSON, KNIFE, APPLE] + _far_negatives(6)
@@ -374,7 +344,7 @@ class TestFeaturize:
         scenes, provider, cfg = synth
         ts = scenes[0]
         samples = featurize(assign_labels(ts.proposals, ts.annotation,
-                                          REGISTRY, CATEGORIES, Quotas(), 0),
+                                          REGISTRY, CATEGORIES, seed=0),
                             provider, ts.scene_id, cfg)
         a, d = cfg.num_actions, cfg.feature_dim
         n_o = len(samples.object_labels)
