@@ -143,6 +143,20 @@ class TestAssignLabels:
         assert len(out.object_boxes) == 64
         assert len(out.human_boxes) == 16
 
+    @pytest.mark.parametrize("quotas, n_pos, n_neg", [
+        ((trainer.POSITIVES, trainer.NEGATIVES_PER_POSITIVE), 16, 48),
+    ])
+    def test_section_keeps_quota_and_ratio(self, quotas, n_pos, n_neg):
+        # 30 positives, 200 negatives: negatives follow the positives
+        # taken in the fixed ratio, within the section's size
+        positives, negatives_per_positive = quotas
+        pos = [_shifted(PERSON, dx) for dx in np.linspace(-2.0, 2.0, 30)]
+        props = pos + _far_negatives(200)
+        out = assign_labels(props, CUT_SCENE, REGISTRY, CATEGORIES, seed=1)
+        assert int(out.object_reg_mask.sum()) == n_pos
+        assert int((out.object_labels == 0).sum()) == n_neg
+        assert len(out.object_boxes) <= positives * (1 + negatives_per_positive)
+
     def test_labels_match_categories(self):
         props = [PERSON, KNIFE, APPLE] + _far_negatives(6)
         out = assign_labels(props, CUT_SCENE, REGISTRY, CATEGORIES, seed=0)
