@@ -31,13 +31,14 @@ parameters they are given. Features are converted to it once, where a
 branch takes them, and every trunk product and gradient is in it; the
 small per-row head math (softmax, sigmoid, density terms) runs in
 float64 and is rounded to the parameters' dtype before it meets a
-trunk product. ``train`` holds its parameters, gradients and momentum
-in float32, the precision of checkpoint files; :func:`init_params` and
-:func:`load_checkpoint` return float64, so inference from a checkpoint
-runs in float64 (float32 inference changed predictions and, with
-float32 maps, lowered role AP; see README). Logits are clamped to +-30
-before exponentiation and probabilities to [1e-7, 1 - 1e-7], with
-gradients defined as zero in the clamped regions.
+trunk product. Float32 is the precision of checkpoint files:
+``train`` holds its parameters, gradients and momentum in it, and
+:func:`load_checkpoint` returns the stored float32 values, so inference
+from a checkpoint runs in float32 and scores as the parameters
+``train`` returned do; :func:`init_params` returns float64. Logits
+are clamped to +-30 before exponentiation and probabilities to
+[1e-7, 1 - 1e-7], with gradients defined as zero in the clamped
+regions.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ from .density import (
 
 LOGIT_CLIP = 30.0
 PROB_EPS = 1e-7
+FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 CHECKPOINT_MAGIC = b"HOICKPT1"
 CHECKPOINT_VERSION = 1
@@ -77,11 +79,10 @@ class ConfigError(ValueError):
 def check_float32(**values) -> None:
     """ConfigError naming the first of ``values`` beyond float32's largest
     finite value: training runs in float32, where it is an infinity."""
-    limit = float(np.finfo(np.float32).max)
     for name, value in values.items():
-        if value > limit:
+        if value > FLOAT32_MAX:
             raise ConfigError(f"{name} {value!r} is beyond float32's largest "
-                              f"value {limit!r}")
+                              f"value {FLOAT32_MAX!r}")
 
 
 @dataclass(frozen=True)
@@ -741,8 +742,18 @@ class Checkpoint:
 
 
 def save_checkpoint(path, params, cfg: HeadConfig, actions=None) -> None:
+    """Write ``params`` in float32; a ConfigError, before anything is
+    written, when :func:`check_params` refuses them or a value is beyond
+    float32's range, where the file could only hold an infinity."""
     check_params(params, cfg)
     names = [name for name, _, _ in _param_specs(cfg)]
+    with np.errstate(over="ignore"):
+        stored = [np.ascontiguousarray(params[n], dtype="<f4") for n in names]
+    for n, t in zip(names, stored):
+        if not np.isfinite(t).all():
+            value = float(params[n][~np.isfinite(t)][0])
+            raise ConfigError(f"parameter {n} holds {value!r}, beyond "
+                              f"float32's largest value {FLOAT32_MAX!r}")
     header = {
         "format_version": CHECKPOINT_VERSION,
         "config": asdict(cfg),
@@ -754,8 +765,8 @@ def save_checkpoint(path, params, cfg: HeadConfig, actions=None) -> None:
     buf.write(CHECKPOINT_MAGIC)
     buf.write(struct.pack("<Q", len(blob)))
     buf.write(blob)
-    for n in names:
-        buf.write(np.ascontiguousarray(params[n], dtype="<f4").tobytes())
+    for t in stored:
+        buf.write(t.tobytes())
     with open(path, "wb") as fh:
         fh.write(buf.getvalue())
 
@@ -765,8 +776,10 @@ class CheckpointError(ValueError):
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Parameters, head config and action registry of a checkpoint file;
-    a file this function cannot read as one is a CheckpointError."""
+    """Parameters (float32 FlatTensors, the stored values), head config
+    and action registry of a checkpoint file; a file this function
+    cannot read as one, or whose tensors :func:`check_params` refuses,
+    is a CheckpointError naming it."""
     with open(path, "rb") as fh:
         raw = fh.read()
     off = len(CHECKPOINT_MAGIC) + 8
@@ -802,6 +815,9 @@ def load_checkpoint(path) -> Checkpoint:
         off += nbytes
     if off != len(raw):
         raise CheckpointError(f"{path}: trailing bytes after payload")
-    params = FlatTensors(stored)  # float64, widened exactly
-    check_params(params, cfg)
+    params = FlatTensors(stored, dtype=np.float32)
+    try:
+        check_params(params, cfg)
+    except ConfigError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
     return Checkpoint(params=params, config=cfg, actions=header.get("actions"))

@@ -586,9 +586,9 @@ def train(scenes, provider, cfg: HeadConfig, schedule: Schedule,
     the iteration index when the loss, a gradient or, after the step, a
     parameter is not finite; tensors are named. Training runs in
     float32: the returned parameters are float32 FlatTensors, the
-    values a checkpoint stores. Model functions compute in their
-    parameters' dtype, so inference with them runs in float32, and with
-    a loaded checkpoint (widened to float64) in float64.
+    values a checkpoint stores and ``load_checkpoint`` returns. Model
+    functions compute in their parameters' dtype, so inference runs in
+    float32 with either, and scores alike.
     """
     if not scenes:
         raise AnnotationError("training needs at least one scene")

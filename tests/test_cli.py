@@ -1337,8 +1337,16 @@ def _rewrite_checkpoint(src, dst, edit):
                     + raw[16 + hlen:])
 
 
+def _with_first_value(raw, value):
+    """Checkpoint bytes ``raw`` with the first value it stores replaced
+    by ``value``."""
+    at = 16 + struct.unpack_from("<Q", raw, 8)[0]
+    return raw[:at] + struct.pack("<f", value) + raw[at + 4:]
+
+
 class TestCheckpointFile:
-    """Every malformed checkpoint ends in one ``data`` error line."""
+    """Every malformed checkpoint ends in one ``data`` error line; a
+    tensor fault names the file."""
 
     @pytest.mark.parametrize("write, detail", [
         (lambda src, dst: _rewrite_checkpoint(
@@ -1373,10 +1381,17 @@ class TestCheckpointFile:
         (lambda src, dst: _rewrite_checkpoint(
             src, dst, lambda h: h["config"].update(density_M=True)),
          "error: data: all dimensions must be integers\n"),
+        # as many values as it should hold, in the wrong shape
+        (lambda src, dst: _rewrite_checkpoint(
+            src, dst, lambda h: h["tensors"][0]["shape"].reverse()),
+         "/bad.bin: parameter obj_fc1_w has shape (48, "),
+        (lambda src, dst: dst.write_bytes(
+            _with_first_value(src.read_bytes(), math.inf)),
+         "/bad.bin: parameter obj_fc1_w contains non-finite values\n"),
     ], ids=["unknown_config_key", "missing_config_key", "no_tensors",
             "short_file", "action_not_an_object", "infinite_dimension",
             "negative_dimension", "nan_sigma", "infinite_sigma_floor",
-            "boolean_dimension"])
+            "boolean_dimension", "transposed_tensor", "infinite_value"])
     def test_malformed(self, trained, tmp_path, capsys, write, detail):
         data, run = trained
         bad = tmp_path / "bad.bin"

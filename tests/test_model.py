@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -559,6 +560,24 @@ class TestCheckpoint:
         path.write_bytes(data[:-5])
         with pytest.raises(CheckpointError, match="truncated|trailing"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [1e39, -1e39])
+    def test_value_beyond_float32_is_refused_before_writing(self, tmp_path,
+                                                           value):
+        """A float64 value that float32 cannot hold would be written as
+        an infinity, which no load accepts."""
+        cfg = small_cfg()
+        params = init_params(cfg, 0)
+        params["act_b"][1] = value
+        path = tmp_path / "model.ckpt"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError) as info:
+                save_checkpoint(path, params, cfg, None)
+        assert str(info.value) == (
+            f"parameter act_b holds {value!r}, beyond float32's largest "
+            f"value {float(np.finfo(np.float32).max)!r}")
+        assert not path.exists()
 
 
 class TestParamChecks:

@@ -19,6 +19,7 @@ from hoidet.dataset import (
     synthetic_registry,
 )
 from hoidet.geometry import Box, box_array, encode_rel, iou
+from hoidet.inference import infer
 from hoidet.model import HeadConfig, init_params, load_checkpoint
 from hoidet.trainer import (
     Phase,
@@ -549,7 +550,7 @@ class TestTrainLoop:
     def test_checkpoint_holds_the_trained_float32_parameters(self, synth,
                                                              tmp_path):
         """Training rounds to float32 once, at the start, so saving loses
-        nothing; loading widens to float64, the precision of inference."""
+        nothing, and loading returns the same float32 values."""
         scenes, provider, cfg = synth
         path = tmp_path / "ckpt.bin"
         params, _ = train(scenes, provider, cfg,
@@ -557,10 +558,31 @@ class TestTrainLoop:
                           REGISTRY, CATEGORIES, checkpoint_path=str(path))
         ck = load_checkpoint(str(path))
         assert params.vector.dtype == np.float32
-        assert ck.params.vector.dtype == np.float64
+        assert ck.params.vector.dtype == np.float32
         assert list(ck.params) == list(params)
-        assert (ck.params.vector.tobytes()
-                == params.vector.astype(np.float64).tobytes())
+        assert ck.params.vector.tobytes() == params.vector.tobytes()
+
+    def test_trained_and_loaded_parameters_infer_alike(self, synth,
+                                                       tmp_path):
+        """The parameters ``train`` returns and those its checkpoint
+        loads are the same float32 bits, and the cascade scores every
+        scene with them to equal triplets."""
+        scenes, provider, cfg = synth
+        path = tmp_path / "ckpt.bin"
+        params, _ = train(scenes, provider, cfg,
+                          Schedule(phases=[Phase(20, 1e-3)], seed=3),
+                          REGISTRY, CATEGORIES, checkpoint_path=str(path))
+        loaded = load_checkpoint(str(path)).params
+        assert params.vector.dtype == loaded.vector.dtype == np.float32
+        assert loaded.vector.tobytes() == params.vector.tobytes()
+        ids = np.repeat([ts.scene_id for ts in scenes],
+                        [len(ts.proposals) for ts in scenes])
+        boxes = np.concatenate([ts.proposals for ts in scenes])
+        trained, _ = infer(ids, boxes, provider, params, cfg, REGISTRY,
+                           CATEGORIES)
+        assert trained
+        assert infer(ids, boxes, provider, loaded, cfg, REGISTRY,
+                     CATEGORIES)[0] == trained
 
     def test_periodic_checkpoints(self, synth, tmp_path):
         scenes, provider, cfg = synth
