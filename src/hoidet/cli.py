@@ -314,15 +314,18 @@ def read_feature_maps(path) -> dict:
     archive (which checks its CRC), viewed in place (see
     :func:`_npy_array`), checked and copied into the buffer before the
     next is read, so no map is held twice."""
-    try:
-        z = np.load(path)
-    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
-        raise ValueError(f"feature maps file is not an .npz archive: "
-                         f"{exc}") from None
-    if not isinstance(z, np.lib.npyio.NpzFile):
-        raise ValueError("feature maps file is not an .npz archive")
     maps, headers, first = {}, {}, {}
-    with z:
+    # opened here, so that it is closed whatever np.load makes of it:
+    # given a path, np.load leaves the file open when it starts like a
+    # zip but is not one
+    with open(path, "rb") as fh:
+        try:
+            z = np.load(fh)
+        except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+            raise ValueError(f"feature maps file is not an .npz archive: "
+                             f"{exc}") from None
+        if not isinstance(z, np.lib.npyio.NpzFile):
+            raise ValueError("feature maps file is not an .npz archive")
         names, files = set(z.zip.namelist()), set(z.files)
         keys = [key for key in z.files if key.startswith("map_")]
 

@@ -14,9 +14,9 @@ scene's id, are pooled in one call of a vectorised bilinear gather that
 reads whole ``C``-value cells, 64 boxes at a time (as Fast R-CNN's RoI
 layer pools a mini-batch's RoIs over ``(batch index, box)`` rows);
 :func:`roi_align` is the same gather for one box of one map. The
-provider memoizes nothing. Training pools each distinct row of a
-scene's label table (a proposal or ground-truth box) once per window
-of iterations and takes its batches' rows from those features;
+provider memoizes nothing. Training pools each distinct row its
+draws name from its label table (a proposal or ground-truth box) once
+per run and takes its batches' rows from those features;
 inference still pools every box afresh, since almost every decoded box
 is new and a memo would only add its lookups and grow with every box.
 """

@@ -272,8 +272,9 @@ def _as_matrix(feats, dim, dtype=np.float64):
 
 
 def _features(feats, params, cfg: HeadConfig):
-    """A branch's feature rows as a matrix in the parameters' dtype: the
-    one place where training rounds its float64 pooled rows."""
+    """A branch's feature rows as a matrix in the parameters' dtype
+    (inference's float64 pooled rows are rounded here; training's are
+    float32 already)."""
     return _as_matrix(feats, cfg.feature_dim, _dtype(params))
 
 
@@ -778,8 +779,9 @@ class CheckpointError(ValueError):
 def load_checkpoint(path) -> Checkpoint:
     """Parameters (float32 FlatTensors, the stored values), head config
     and action registry of a checkpoint file; a file this function
-    cannot read as one, or whose tensors :func:`check_params` refuses,
-    is a CheckpointError naming it."""
+    cannot read as one, or whose header config or tensors
+    :class:`HeadConfig` or :func:`check_params` refuses, is a
+    CheckpointError naming it."""
     with open(path, "rb") as fh:
         raw = fh.read()
     off = len(CHECKPOINT_MAGIC) + 8
@@ -799,6 +801,8 @@ def load_checkpoint(path) -> Checkpoint:
         specs = [(str(t["name"]), t["shape"]) for t in header["tensors"]]
     except (AttributeError, KeyError, TypeError) as exc:
         raise CheckpointError(f"{path}: malformed header ({exc!r})")
+    except ConfigError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
     for name, shape in specs:
         if (type(shape) is not list
                 or not all(type(n) is int and n >= 0 for n in shape)):

@@ -30,30 +30,34 @@ one scene: its table, then the draw, then the rows' boxes and labels.
 
 Each iteration draws the 16-image effective batch (8 workers x 2
 images, each image seeded by its (seed, iteration, worker, slot)) and
-takes one ``backward`` over all of it. Before it runs a window of
-consecutive iterations, ``train`` draws the window's images and pools
-the distinct rows they name in one provider call with a per-row scene
-id (as Fast R-CNN pools a mini-batch's RoIs in one RoI layer); a
-window holds at most ``_WINDOW_BYTES`` of pooled rows. An iteration's
-:class:`Batch` is then row takes from those features and from the
-table's labels, laid out section-major: the object rows of the
-16 images, then their human rows, pair-human rows and pair-object
-rows, each section in image order. Pooling is row-local, so a window's
-features are those of pooling each image's boxes on each visit. Each
-branch's feature matrix is a slice of the batch's rows, and a row of
-image i weighs 1/(16 n_i) for the image's n_i rows in that section:
-the objective is the mean over images of the per-image mean loss.
-Parameters, gradients and momentum are each one float32 vector
-(:class:`FlatTensors`), so zeroing the gradients is one fill, the SGD
-step works on the whole vector in place and each finite check reads
-the whole vector and names the tensor only on failure. Float32 is the
-precision checkpoints store, so every training product runs in it:
-``train`` rounds the float64 initial parameters once, and each branch
-rounds its float64 feature rows where it takes them. A parameter that
-leaves float32's range is an infinity, which the finite check names; a
-momentum, weight decay or rate beyond it is a ValueError.
-Pooling and the window of pooled rows stay float64, as in inference.
-Training is bit-reproducible given the seed, under one BLAS thread.
+takes one ``backward`` over all of it. ``train`` draws every
+iteration's images before iteration 0 and pools each distinct row they
+name once, with a per-row scene id (as Fast R-CNN pools a mini-batch's
+RoIs in one RoI layer), into one float32 table indexed by label-table
+row. It pools in float64 blocks of ``_POOL_ROWS`` rows, each rounded
+into the table, whose zeroed rows are written only where drawn: the
+memory this adds is the run's distinct drawn rows at 4 x
+``feature_dim`` bytes each (never more than the drawn scenes' rows),
+plus one float64 block. An iteration's :class:`Batch` is then row
+takes from that table and from the label table, laid out
+section-major: the object rows of the 16 images, then their human
+rows, pair-human rows and pair-object rows, each section in image
+order. Pooling is row-local, so the table's rows are those of
+pooling each image's boxes on each visit. Each branch's feature matrix
+is a slice of the batch's rows, and a row of image i weighs
+1/(16 n_i) for the image's n_i rows in that section: the objective is
+the mean over images of the per-image mean loss. Parameters, gradients
+and momentum are each one float32 vector (:class:`FlatTensors`), so
+zeroing the gradients is one fill, the SGD step works on the whole
+vector in place and each finite check reads the whole vector and names
+the tensor only on failure. Float32 is the precision checkpoints
+store, so every training product runs in it: ``train`` rounds the
+float64 initial parameters once, and its pooled rows as it stores
+them. A parameter that leaves float32's range is an infinity, which
+the finite check names, and a pooled value beyond it ends the first
+step in a non-finite loss; a momentum, weight decay or rate beyond it
+is a ValueError. Pooling stays float64, as in inference. Training is
+bit-reproducible given the seed, under one BLAS thread.
 """
 
 from __future__ import annotations
@@ -219,16 +223,11 @@ class LabelTable:
     at: np.ndarray
 
 
-# train pools the distinct rows a window of consecutive iterations
-# draws in one (rows, feature_dim) float64 array of at most this many
-# bytes (a window of one iteration may hold more), so that the memory
-# it adds stays bounded however long the schedule and however many
-# scenes it draws: unbounded, a 2000-scene run's pooled rows took
-# 150 MB. A longer window only saves re-pooling the rows it shares
-# with the next one: 1000 iterations over 2000 scenes took 9.7 s
-# pooling every draw, 8.0 s in 8 MB windows, 7.9 s in 32 MB windows
-# and 7.2 s unbounded (one BLAS thread, 2 vCPUs)
-_WINDOW_BYTES = 32 << 20
+# train pools its drawn rows in blocks of this many, each a float64
+# (rows, feature_dim) array rounded into the float32 table, so that the
+# float64 it holds is one block (2.8 MB at 350-wide rows) however many
+# rows the run draws
+_POOL_ROWS = 1024
 
 # label_tables matches the scenes in chunks, each as one zero-padded
 # (scenes, proposals, ground truth) IoU block of at most this many
@@ -513,24 +512,6 @@ def _draw_step(table: LabelTable, slots, seeds) -> _Step:
     return _Step(objects, humans, pairs, counts, rows)
 
 
-def _windows(steps, num_rows: int, cap: int):
-    """The steps in consecutive windows whose feature rows hold at most
-    ``cap`` distinct rows between them (a step alone may hold more),
-    each with its sorted distinct rows."""
-    seen = np.zeros(num_rows, dtype=bool)
-    window, count = [], 0
-    for step in steps:
-        new = np.unique(step.rows[~seen[step.rows]])
-        if window and count + len(new) > cap:
-            yield window, np.flatnonzero(seen)
-            seen[:] = False
-            window, count, new = [], 0, np.unique(step.rows)
-        seen[new] = True
-        count += len(new)
-        window.append(step)
-    yield window, np.flatnonzero(seen)
-
-
 def _batch(table: LabelTable, step: _Step, feats: np.ndarray) -> Batch:
     """A step's Batch, with ``feats`` the pooled features of its rows."""
     h, i, o = np.cumsum([len(step.objects), len(step.humans),
@@ -603,9 +584,9 @@ def train(scenes, provider, cfg: HeadConfig, schedule: Schedule,
     table = label_tables([scenes[i] for i in drawn.tolist()], registry,
                          categories)
     slots = np.searchsorted(drawn, picks).tolist()
-    steps = (_draw_step(table, row, [(schedule.seed, it, *divmod(b, per))
+    steps = [_draw_step(table, row, [(schedule.seed, it, *divmod(b, per))
                          for b in range(len(row))])
-             for it, row in enumerate(slots))
+             for it, row in enumerate(slots)]
     rates = [phase.lr for phase in schedule.phases
              for _ in range(phase.iterations)]
     # parameters, gradients and velocity: one float32 vector each, every
@@ -621,46 +602,39 @@ def train(scenes, provider, cfg: HeadConfig, schedule: Schedule,
     if log_fh:
         log_fh.write("iteration lr " + " ".join(LOG_FIELDS) + "\n")
     actions_json = registry.to_json()
-    it = 0
     try:
         # the finite checks name every NaN and infinity, so numpy's
         # own overflow warnings would only repeat them
         with np.errstate(over="ignore", invalid="ignore"):
-            for window, rows in _windows(
-                    steps, len(table.boxes),
-                    max(1, _WINDOW_BYTES // (8 * max(cfg.feature_dim, 1)))):
-                pooled = provider.pooled_matrix(table.scene_ids[rows],
-                                                table.boxes[rows])
-                for step in window:
-                    lr = rates[it]
-                    batch = _batch(table, step, pooled.take(
-                        np.searchsorted(rows, step.rows), axis=0))
-                    grads.vector.fill(0.0)
-                    try:
-                        grads, rep = backward(batch, params, cfg,
-                                              loss_weights, grads)
-                    except FloatingPointError as exc:
-                        raise TrainingDiverged(
-                            f"iteration {it}: {exc}") from exc
-                    _check_finite(grads, cfg,
-                                  f"iteration {it}: non-finite gradient")
-                    sgd_step(params, grads, velocity, lr, schedule.momentum,
-                             schedule.weight_decay)
-                    _check_finite(params, cfg,
-                                  f"iteration {it}: non-finite parameter")
-                    history.append(rep)
-                    if log_fh:
-                        vals = rep.as_dict()
-                        log_fh.write(
-                            f"{it} {lr:g} "
-                            + " ".join(f"{vals[f]:.6f}" for f in LOG_FIELDS)
-                            + "\n"
-                        )
-                    it += 1
-                    if (checkpoint_path and checkpoint_every
-                            and it % checkpoint_every == 0):
-                        save_checkpoint(checkpoint_path, params, cfg,
-                                        actions_json)
+            pooled = np.zeros((len(table.boxes), cfg.feature_dim), np.float32)
+            rows = np.unique(np.concatenate([step.rows for step in steps]))
+            for at in range(0, len(rows), _POOL_ROWS):
+                block = rows[at:at + _POOL_ROWS]
+                pooled[block] = provider.pooled_matrix(table.scene_ids[block],
+                                                       table.boxes[block])
+            for it, (step, lr) in enumerate(zip(steps, rates)):
+                batch = _batch(table, step, pooled.take(step.rows, axis=0))
+                grads.vector.fill(0.0)
+                try:
+                    grads, rep = backward(batch, params, cfg, loss_weights,
+                                          grads)
+                except FloatingPointError as exc:
+                    raise TrainingDiverged(f"iteration {it}: {exc}") from exc
+                _check_finite(grads, cfg,
+                              f"iteration {it}: non-finite gradient")
+                sgd_step(params, grads, velocity, lr, schedule.momentum,
+                         schedule.weight_decay)
+                _check_finite(params, cfg,
+                              f"iteration {it}: non-finite parameter")
+                history.append(rep)
+                if log_fh:
+                    vals = rep.as_dict()
+                    log_fh.write(f"{it} {lr:g} "
+                                 + " ".join(f"{vals[f]:.6f}" for f in LOG_FIELDS)
+                                 + "\n")
+                if (checkpoint_path and checkpoint_every
+                        and (it + 1) % checkpoint_every == 0):
+                    save_checkpoint(checkpoint_path, params, cfg, actions_json)
         if checkpoint_path:
             save_checkpoint(checkpoint_path, params, cfg, actions_json)
     finally:

@@ -1345,8 +1345,8 @@ def _with_first_value(raw, value):
 
 
 class TestCheckpointFile:
-    """Every malformed checkpoint ends in one ``data`` error line; a
-    tensor fault names the file."""
+    """Every malformed checkpoint ends in one ``data`` error line that
+    names the file."""
 
     @pytest.mark.parametrize("write, detail", [
         (lambda src, dst: _rewrite_checkpoint(
@@ -1373,14 +1373,14 @@ class TestCheckpointFile:
          "malformed header (tensor obj_fc1_w has shape [-1])\n"),
         (lambda src, dst: _rewrite_checkpoint(
             src, dst, lambda h: h["config"].update(sigma=float("nan"))),
-         "error: data: sigma values must be positive and finite\n"),
+         "/bad.bin: sigma values must be positive and finite\n"),
         (lambda src, dst: _rewrite_checkpoint(
             src, dst, lambda h: h["config"].update(sigma_floor=math.inf)),
-         "error: data: sigma values must be positive and finite\n"),
+         "/bad.bin: sigma values must be positive and finite\n"),
         # density_M = 1 passes every shape check as true does
         (lambda src, dst: _rewrite_checkpoint(
             src, dst, lambda h: h["config"].update(density_M=True)),
-         "error: data: all dimensions must be integers\n"),
+         "/bad.bin: all dimensions must be integers\n"),
         # as many values as it should hold, in the wrong shape
         (lambda src, dst: _rewrite_checkpoint(
             src, dst, lambda h: h["tensors"][0]["shape"].reverse()),
