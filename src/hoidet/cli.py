@@ -33,6 +33,7 @@ import os
 import sys
 import tokenize
 import zipfile
+import zlib
 
 import numpy as np
 
@@ -60,7 +61,7 @@ from .features import (
     map_buffer,
     place,
 )
-from .geometry import decode_rel, encode_rels
+from .geometry import COORD_LIMIT, decode_rel, encode_rels
 from .inference import (
     InferenceConfig,
     infer,
@@ -282,21 +283,40 @@ def _npy_header(header: bytes, headers: dict) -> tuple:
     return headers[header]
 
 
-def _npy_array(raw: bytes, headers: dict) -> np.ndarray:
-    """The array of one ``.npy`` member's bytes, viewed in place, its
-    header parsed by :func:`_npy_header`. Members of a format version
-    other than 1.0, the one ``np.savez`` writes, go through
-    ``np.lib.format.read_array``. A malformed header, an object dtype or
-    a short payload raise ValueError."""
-    if np.lib.format.read_magic(io.BytesIO(raw)) != (1, 0):
+def _npy_array(raw, headers: dict) -> np.ndarray:
+    """The array of one ``.npy`` member's bytes (any bytes-like object),
+    viewed in place, its header parsed by :func:`_npy_header`. Members
+    of a format version other than 1.0, the one ``np.savez`` writes, go
+    through ``np.lib.format.read_array``. A malformed header, an object
+    dtype or a short payload raise ValueError."""
+    if raw[:8] != b"\x93NUMPY\x01\x00":
         return np.lib.format.read_array(io.BytesIO(raw), allow_pickle=False)
     end = 10 + int.from_bytes(raw[8:10], "little")
-    shape, fortran_order, dtype = _npy_header(raw[:end], headers)
+    shape, fortran_order, dtype = _npy_header(bytes(raw[:end]), headers)
     if dtype.hasobject:
         raise ValueError("Object arrays cannot be loaded when "
                          "allow_pickle=False")
     array = np.frombuffer(raw, dtype, count=math.prod(shape), offset=end)
     return array.reshape(shape, order="F" if fortran_order else "C")
+
+
+def _member_start(fd: int, entry: zipfile.ZipInfo, encoding: str) -> int:
+    """Where a member's data start, its local header checked as
+    ``ZipFile.open`` checks it."""
+    head = os.pread(fd, 30, entry.header_offset)
+    if len(head) < 30:
+        raise zipfile.BadZipFile("Truncated file header")
+    if head[:4] != b"PK\x03\x04":
+        raise zipfile.BadZipFile("Bad magic number for file header")
+    name = os.pread(fd, int.from_bytes(head[26:28], "little"),
+                    entry.header_offset + 30)
+    if name.decode("utf-8" if head[7] & 8 else encoding) != (
+            entry.orig_filename):
+        raise zipfile.BadZipFile(f"File name in directory "
+                                 f"{entry.orig_filename!r} and header "
+                                 f"{name!r} differ.")
+    return (entry.header_offset + 30 + len(name)
+            + int.from_bytes(head[28:30], "little"))
 
 
 def read_feature_maps(path) -> dict:
@@ -310,11 +330,13 @@ def read_feature_maps(path) -> dict:
     map's data a (C, H, W) view of its block (see ``features.place``),
     which a ``SyntheticFeatureProvider`` then pools from as it is. The
     buffer holds one entry per map element, counted from the members'
-    headers, each read alone. Each member is then read once through the
-    archive (which checks its CRC), viewed in place (see
-    :func:`_npy_array`), checked and copied into the buffer before the
-    next is read, so no map is held twice."""
-    maps, headers, first = {}, {}, {}
+    local and ``.npy`` headers, read at the central directory's offsets.
+    Each member is then read once: a stored one into a scratch buffer
+    (one reused for every map), its CRC checked and its array viewed in
+    place (see :func:`_npy_array`), a deflated one through
+    ``ZipFile.read``; each map is checked and copied into the buffer
+    before the next is read."""
+    maps, headers, first, starts = {}, {}, {}, {}
     # opened here, so that it is closed whatever np.load makes of it:
     # given a path, np.load leaves the file open when it starts like a
     # zip but is not one
@@ -328,37 +350,59 @@ def read_feature_maps(path) -> dict:
             raise ValueError("feature maps file is not an .npz archive")
         names, files = set(z.zip.namelist()), set(z.files)
         keys = [key for key in z.files if key.startswith("map_")]
+        fd, encoding = fh.fileno(), z.zip.metadata_encoding or "cp437"
+        length = os.fstat(fd).st_size  # no buffer for a member is larger
 
-        def name(key):
-            # the archive name np.load would read for key
-            return key if key in names else key + ".npy"
+        def entry(key):
+            # the archive entry np.load would read for key
+            return z.zip.getinfo(key if key in names else key + ".npy")
 
-        def member(key):
-            array = _npy_array(z.zip.read(name(key)), headers)
+        def elements(key):
+            # a map's element count, read from its headers alone, and at
+            # most its byte count, as a valid member's is. Any other
+            # member, or one whose headers fail in any way, counts its
+            # bytes: a faulty one is refused in its turn below, so the
+            # first faulty member is still the one named
+            e = entry(key)
+            if e.compress_type == zipfile.ZIP_STORED:
+                try:
+                    starts[key] = start = _member_start(fd, e, encoding)
+                    head = os.pread(fd, 10, start)
+                    head += os.pread(fd, int.from_bytes(head[8:10], "little"),
+                                     start + 10)
+                    if head[6:8] == b"\x01\x00":
+                        return min(math.prod(_npy_header(head, headers)[0]),
+                                   e.file_size)
+                except (OSError, TypeError, ValueError, zipfile.BadZipFile):
+                    pass
+            return e.file_size
+
+        def member(key, scratch=None):
+            # key's array; a stored member is read into scratch (a new
+            # buffer when None), which the array then views
+            e = entry(key)
+            if e.compress_type != zipfile.ZIP_STORED:
+                raw = z.zip.read(e)
+            else:
+                start = starts.get(key) or _member_start(fd, e, encoding)
+                raw = memoryview(bytearray(min(e.file_size, length))
+                                 if scratch is None else scratch)
+                raw = raw[:e.file_size]
+                if os.preadv(fd, [raw], start) < e.file_size:
+                    raise zipfile.BadZipFile(f"Truncated data for file "
+                                             f"{e.filename!r}")
+                if zlib.crc32(raw) != e.CRC:
+                    raise zipfile.BadZipFile(f"Bad CRC-32 for file "
+                                             f"{e.filename!r}")
+            array = _npy_array(raw, headers)
             if array.dtype.kind not in "biuf":
                 raise ValueError(f"{key}: dtype {array.dtype} is not bool, "
                                  f"integer or floating")
             return array
 
-        def elements(key):
-            # a map's element count, read from its header alone, and at
-            # most its byte count, as a valid member's is. A member of
-            # another format version, or whose header fails in any way,
-            # counts its bytes: a faulty one is refused in its turn
-            # below, so the first faulty member is still the one named
-            info = z.zip.getinfo(name(key))
-            try:
-                with z.zip.open(info) as f:
-                    head = f.read(10)
-                    head += f.read(int.from_bytes(head[8:10], "little"))
-                if head[6:8] == b"\x01\x00":
-                    return min(math.prod(_npy_header(head, headers)[0]),
-                               info.file_size)
-            except Exception:
-                pass
-            return info.file_size
-
         buffer = map_buffer(sum(map(elements, keys)))
+        scratch = bytearray(max((min(entry(key).file_size, length)
+                                 for key in keys), default=0))
         offset = 0
         for key in keys:
             try:
@@ -369,7 +413,7 @@ def read_feature_maps(path) -> dict:
                 stride = f"stride_{image_id}"
                 if stride not in files:
                     raise ValueError(f"no {stride} member")
-                fmap = FeatureMap(data=member(key),
+                fmap = FeatureMap(data=member(key, scratch),
                                   stride=float(member(stride)))
             except (ValueError, TypeError, zipfile.BadZipFile) as exc:
                 raise ValueError(f"feature map {key!r}: {exc}") from None
@@ -422,8 +466,8 @@ def read_proposals(path) -> dict:
 def _box_rows(rows) -> np.ndarray:
     """(N, 4) array of a JSON list of ``[x1, y1, x2, y2]`` rows, checked
     in one pass: each row is a list of four numbers (not booleans), and
-    each box has finite corners and positive width and height (so no
-    NaN)."""
+    each box has corners of magnitude at most ``COORD_LIMIT`` and
+    positive width and height (so no NaN)."""
     if (type(rows) is not list or not {list}.issuperset(map(type, rows))
             or not {4}.issuperset(map(len, rows))
             or not _NUMBERS.issuperset(
@@ -433,10 +477,12 @@ def _box_rows(rows) -> np.ndarray:
     boxes = np.array(rows, dtype=np.float64).reshape(-1, 4)
     bad = np.flatnonzero(~((boxes[:, 2] > boxes[:, 0])
                            & (boxes[:, 3] > boxes[:, 1])
-                           & np.isfinite(boxes).all(axis=1)))
+                           & (np.abs(boxes) <= COORD_LIMIT).all(axis=1)))
     if len(bad):
         box = boxes[bad[0]]
-        what = "non-finite" if np.isinf(box).any() else "degenerate"
+        what = ("non-finite" if np.isinf(box).any()
+                else "degenerate" if not (box[2] > box[0] and box[3] > box[1])
+                else f"out-of-range (|corner| > {COORD_LIMIT:g})")
         raise ValueError(f"{what} box: {tuple(box.tolist())}")
     return boxes
 

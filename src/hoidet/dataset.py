@@ -45,7 +45,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .features import FeatureMap
-from .geometry import BBOX_XFORM_CLIP, Box, clip_boxes, decode_corners
+from .geometry import (BBOX_XFORM_CLIP, COORD_LIMIT, Box, clip_boxes,
+                       decode_corners)
 
 ROLE_NONE = "none"
 ROLE_OBJECT = "object"
@@ -278,8 +279,8 @@ def _list_at(raw: dict, key: str, prefix: str = "") -> list:
 
 def _check_box(raw, where: str) -> list:
     """The corners of ``raw`` as floats if it is a list of four finite
-    numbers with positive width and height, else AnnotationError naming
-    ``where``."""
+    numbers of magnitude at most ``COORD_LIMIT`` with positive width and
+    height, else AnnotationError naming ``where``."""
     try:
         if type(raw) is not list or not _NUMBERS.issuperset(map(type, raw)):
             raise ValueError("expected a list of numbers")
@@ -287,6 +288,8 @@ def _check_box(raw, where: str) -> list:
         Box(x1, y1, x2, y2)
         if not all(map(math.isfinite, (x1, y1, x2, y2))):
             raise ValueError("non-finite corner")
+        if max(map(abs, (x1, y1, x2, y2))) > COORD_LIMIT:
+            raise ValueError(f"|corner| > {COORD_LIMIT:g}")
     except (OverflowError, ValueError) as exc:
         raise AnnotationError(f"{where}: invalid box {raw!r} ({exc})")
     return [x1, y1, x2, y2]
@@ -321,9 +324,10 @@ def _interaction(raw, where: str, k: int) -> Interaction:
 def _read_scenes(raw: list, registry: ActionRegistry) -> list:
     """The scenes of the "scenes" list ``raw``, checked one by one in
     file order; AnnotationError naming the first fault met. A box of four
-    floats with positive width and height is taken as it stands, any
-    other re-read by :func:`_check_box`. Each scene's person boxes, then
-    its object boxes, join one array that every scene holds views of."""
+    floats within ``COORD_LIMIT`` with positive width and height is taken
+    as it stands, any other re-read by :func:`_check_box`. Each scene's
+    person boxes, then its object boxes, join one array that every scene
+    holds views of."""
     rows, categories, ignore, heads, first = [], [], [], [], {}
     for i, scene in enumerate(raw):
         where = f"scenes[{i}]"
@@ -343,8 +347,8 @@ def _read_scenes(raw: list, registry: ActionRegistry) -> list:
             if not (type(box) is list and len(box) == 4
                     and type(box[0]) is type(box[1]) is type(box[2])
                     is type(box[3]) is float
-                    and -_INF < box[0] < box[2] < _INF
-                    and -_INF < box[1] < box[3] < _INF):
+                    and -COORD_LIMIT <= box[0] < box[2] <= COORD_LIMIT
+                    and -COORD_LIMIT <= box[1] < box[3] <= COORD_LIMIT):
                 box = _check_box(box, f"{where}.persons[{k}]")
             rows.append(box)
         o, c = len(rows), len(categories)
@@ -355,8 +359,8 @@ def _read_scenes(raw: list, registry: ActionRegistry) -> list:
             if not (type(box) is list and len(box) == 4
                     and type(box[0]) is type(box[1]) is type(box[2])
                     is type(box[3]) is float
-                    and -_INF < box[0] < box[2] < _INF
-                    and -_INF < box[1] < box[3] < _INF
+                    and -COORD_LIMIT <= box[0] < box[2] <= COORD_LIMIT
+                    and -COORD_LIMIT <= box[1] < box[3] <= COORD_LIMIT
                     and type(category) is str and type(flag) is bool):
                 here = f"{where}.objects[{k}]"
                 if "category" not in _typed(obj, dict, here):

@@ -4,9 +4,13 @@ import dataclasses
 import io
 import json
 import math
+import os
 import re
 import struct
+import subprocess
+import sys
 import tempfile
+import tracemalloc
 import warnings
 import zipfile
 
@@ -14,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hoidet
 from hoidet.cli import (
     _COMMANDS,
     _SCHEMAS,
@@ -598,6 +603,14 @@ class TestFeatureMapsFile:
         err = self._infer_err(tmp_path, capsys, self._edited(edit))
         assert err == ("error: data: feature map 'map_0': stride must be "
                        "positive and finite, got 0.0\n")
+
+    def test_subnormal_stride(self, tmp_path, capsys):
+        """A stride so small that box corners divided by it overflow."""
+        def edit(arrays):
+            arrays["stride_0"] = np.array(1e-320)
+        err = self._infer_err(tmp_path, capsys, self._edited(edit))
+        assert err == ("error: data: feature map 'map_0': stride must be at "
+                       "least 1e-150, got 1e-320\n")
 
     @pytest.mark.parametrize("command", ["train", "infer"])
     def test_maps_of_different_channel_counts(self, tmp_path, capsys,
@@ -1501,6 +1514,16 @@ class TestAnnotationsFile:
     ], ids=["person_1e400", "person_minus_infinity", "object_infinity"])
     def test_an_infinite_corner(self, annotated, tmp_path, command, where,
                                 corners):
+        code, err = self._with_box(annotated, tmp_path, command, where,
+                                   corners)
+        assert code == 1
+        assert err == (f"error: data: scenes[0].{where}: invalid box "
+                       f"{json.loads(corners)!r} (non-finite corner)\n")
+
+    @staticmethod
+    def _with_box(annotated, tmp_path, command, where, corners):
+        """Exit code and stderr of ``command`` on annotations whose box
+        ``where`` of scene 0 is the JSON text ``corners``."""
         data, _ = annotated
         doc = json.loads((data / "annotations.json").read_text())
         if where == "persons[0]":
@@ -1509,10 +1532,21 @@ class TestAnnotationsFile:
             doc["scenes"][0]["objects"][0]["box"] = "@box"
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc).replace('"@box"', corners))
-        code, err = _run_on_annotations(command, annotated, path)
+        return _run_on_annotations(command, annotated, path)
+
+    @pytest.mark.parametrize("command", ["eval", "train"])
+    @pytest.mark.parametrize("where, corners", [
+        ("persons[0]", "[1.0, 1.0, 1e300, 5.0]"),
+        ("objects[0]", "[-1e151, 1.0, 4.0, 5.0]"),
+        ("objects[0]", "[1, 1, 4, %d]" % 10**200),
+    ], ids=["person_1e300", "object_minus_1e151", "object_integer_1e200"])
+    def test_a_corner_beyond_the_limit(self, annotated, tmp_path, command,
+                                       where, corners):
+        code, err = self._with_box(annotated, tmp_path, command, where,
+                                   corners)
         assert code == 1
         assert err == (f"error: data: scenes[0].{where}: invalid box "
-                       f"{json.loads(corners)!r} (non-finite corner)\n")
+                       f"{json.loads(corners)!r} (|corner| > 1e+150)\n")
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -1750,6 +1784,38 @@ class TestProposalsFile:
         assert err == (f"error: data: proposals for image 1: non-finite "
                        f"box: {box}\n")
 
+    @pytest.mark.parametrize("command", ["infer", "train"])
+    @pytest.mark.parametrize("corners, box", [
+        ("[0, 0, 1e308, 1e308]", "(0.0, 0.0, 1e+308, 1e+308)"),
+        ("[-1e151, 0, 10, 10]", "(-1e+151, 0.0, 10.0, 10.0)"),
+        ("[0, 0, 1e150, 1e150]", None),
+    ], ids=["1e308", "minus_1e151", "at_the_limit"])
+    def test_a_corner_beyond_the_limit(self, trained, tmp_path, command,
+                                       corners, box):
+        """Corners beyond ``COORD_LIMIT`` are refused, so that no box
+        area, IoU or feature-map coordinate overflows; one at the limit
+        runs without a numpy warning."""
+        data, run = trained
+        doc = self._doc(trained)
+        doc["proposals"]["1"][0] = "@box"
+        path = tmp_path / "proposals.json"
+        path.write_text(json.dumps(doc).replace('"@box"', corners))
+        extra = (["--checkpoint", str(run / "checkpoint.bin")]
+                 if command == "infer" else
+                 ["--phases", "2:0.001", "--workers", "1"])
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = _run(command, "--out", str(tmp_path / "o"),
+                        *_inputs(data)[:4], "--proposals", str(path), *extra)
+        if box is None:
+            assert (code, err.getvalue()) == (0, "")
+        else:
+            assert code == 1
+            assert err.getvalue() == (
+                f"error: data: proposals for image 1: out-of-range "
+                f"(|corner| > 1e+150) box: {box}\n")
+
     @pytest.mark.parametrize("key", ["00", " 0", "+0"])
     def test_two_keys_for_one_image(self, trained, key):
         doc = self._doc(trained)
@@ -1875,6 +1941,114 @@ class TestFeatureMapsArchive:
         for image_id, fmap in want.items():
             np.testing.assert_array_equal(got[image_id].data, fmap.data)
             assert got[image_id].stride == fmap.stride
+
+
+    def test_a_compressed_archive_reads_as_a_stored_one(self, trained,
+                                                         tmp_path):
+        path = trained[0] / "features.npz"
+        with np.load(path) as z:
+            np.savez_compressed(tmp_path / "c.npz", **z)
+        want, got = read_feature_maps(path), read_feature_maps(
+            tmp_path / "c.npz")
+        assert sorted(got) == sorted(want)
+        for image_id, fmap in want.items():
+            np.testing.assert_array_equal(got[image_id].data, fmap.data)
+            assert got[image_id].stride == fmap.stride
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_a_flipped_local_header_byte(self, trained, data):
+        """A flipped byte in a field of a member's local header that the
+        reader reads: the signature, the name and extra field lengths,
+        or the name (the other fields repeat the central directory's).
+        The first member's signature is also the file's, by which
+        ``np.load`` tells an archive."""
+        path = trained[0] / "features.npz"
+        raw = bytearray(path.read_bytes())
+        with zipfile.ZipFile(path) as z:
+            info = data.draw(st.sampled_from(z.infolist()))
+        at = info.header_offset
+        names = int.from_bytes(raw[at + 26:at + 28], "little")
+        at += data.draw(st.sampled_from(
+            [*range(4), *range(26, 30 + names)]))
+        raw[at] ^= data.draw(st.integers(1, 255))
+        bad = trained[1].parent / "flipped_header.npz"
+        bad.write_bytes(bytes(raw))
+        _one_data_line(*_infer_with(trained, features=bad),
+                       "error: data: feature maps file is not an .npz "
+                       "archive" if at < 4 else
+                       f"error: data: feature map 'map_"
+                       f"{info.filename.split('_')[1][:-4]}': ")
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_a_member_beyond_the_end_of_the_file(self, trained, data):
+        """A central directory whose member starts too near the end of
+        the file for its local header, or claims more bytes than the
+        file holds: a short read is the member's data error."""
+        path = trained[0] / "features.npz"
+        raw = bytearray(path.read_bytes())
+        with zipfile.ZipFile(path) as z:
+            infos = z.infolist()
+            at = z.start_dir
+        info = data.draw(st.sampled_from(infos))
+        for other in infos[:infos.index(info)]:
+            at += 46 + sum(struct.unpack("<HHH", raw[at + 28:at + 34]))
+        if data.draw(st.booleans()):  # the local header's offset
+            offset = data.draw(st.integers(len(raw) - 29, len(raw)))
+            raw[at + 42:at + 46] = struct.pack("<I", offset)
+        else:  # the stored and compressed sizes
+            size = len(raw) + data.draw(st.integers(0, 2 ** 20))
+            raw[at + 20:at + 28] = struct.pack("<II", size, size)
+        bad = trained[1].parent / "beyond.npz"
+        bad.write_bytes(bytes(raw))
+        _one_data_line(*_infer_with(trained, features=bad),
+                       f"error: data: feature map 'map_"
+                       f"{info.filename.split('_')[1][:-4]}': Truncated ")
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_the_first_of_two_faulty_members_is_named(self, trained, data):
+        """Maps are read in archive order, each before its stride, so a
+        file with two faulty members ends in the error it would end in
+        with only the first of them faulty."""
+        members = _members(trained[0] / "features.npz")
+        order = [name for key in members if key.startswith("map_")
+                 for name in (key, "stride_" + key[4:])]
+        pair = data.draw(st.lists(st.sampled_from(order), min_size=2,
+                                  max_size=2, unique=True))
+        first, second = sorted(pair, key=order.index)
+        faulty = {name: _corrupt_header(
+            members[name], data.draw(st.sampled_from(
+                ["magic", "version", "truncated", "unparsable", "object"])),
+            data.draw) for name in (first, second)}
+        errors = []
+        for faults in (faulty, {first: faulty[first]}):
+            bad = trained[1].parent / "two_faults.npz"
+            _write_members(bad, {**members, **faults})
+            errors.append(_infer_with(trained, features=bad))
+        assert errors[0] == errors[1]
+        _one_data_line(*errors[0], f"error: data: feature map "
+                                   f"'map_{first.split('_')[1][:-4]}': ")
+
+    def test_the_reader_holds_about_one_member(self, tmp_path):
+        """Besides the buffer, which is not a heap block, the reader
+        holds about one member at a time, not the file."""
+        rng = np.random.default_rng(0)
+        arrays = {}
+        for i in range(40):
+            arrays[f"map_{i}"] = rng.normal(size=(8, 64, 64))
+            arrays[f"stride_{i}"] = np.array(8.0)
+        np.savez(tmp_path / "f.npz", **arrays)
+        member = arrays["map_0"].nbytes
+        tracemalloc.start()
+        try:
+            maps = read_feature_maps(tmp_path / "f.npz")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(maps) == 40
+        assert peak < 3 * member, (peak, member)
 
 
 @pytest.fixture(scope="module")
@@ -2167,3 +2341,14 @@ class TestCliSurface:
     def test_top_level_help_lists_every_subcommand(self, capsys):
         text = self._help(["--help"], capsys)
         assert "{" + ",".join(_SCHEMAS) + "}" in text
+
+    def test_python_m_hoidet_runs_the_command_line(self):
+        src = os.path.dirname(os.path.dirname(hoidet.__file__))
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, path] if path else [src]))
+        done = subprocess.run([sys.executable, "-m", "hoidet", "--help"],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("usage: hoidet ")
