@@ -300,23 +300,34 @@ def _npy_array(raw, headers: dict) -> np.ndarray:
     return array.reshape(shape, order="F" if fortran_order else "C")
 
 
-def _member_start(fd: int, entry: zipfile.ZipInfo, encoding: str) -> int:
-    """Where a member's data start, its local header checked as
-    ``ZipFile.open`` checks it."""
+def _stored_start(fd: int, entry: zipfile.ZipInfo) -> int | None:
+    """Where a stored member's data start in the archive open as ``fd``,
+    if its local header is one that ``ZipFile.open`` reads without fault
+    or question (not encrypted, its name the central directory's, read
+    as zipfile reads it when given no metadata encoding, as ``np.load``
+    gives none); else None, and the member is left to zipfile."""
     head = os.pread(fd, 30, entry.header_offset)
-    if len(head) < 30:
-        raise zipfile.BadZipFile("Truncated file header")
-    if head[:4] != b"PK\x03\x04":
-        raise zipfile.BadZipFile("Bad magic number for file header")
     name = os.pread(fd, int.from_bytes(head[26:28], "little"),
                     entry.header_offset + 30)
-    if name.decode("utf-8" if head[7] & 8 else encoding) != (
-            entry.orig_filename):
-        raise zipfile.BadZipFile(f"File name in directory "
-                                 f"{entry.orig_filename!r} and header "
-                                 f"{name!r} differ.")
-    return (entry.header_offset + 30 + len(name)
-            + int.from_bytes(head[28:30], "little"))
+    try:
+        if (len(head) < 30 or head[:4] != b"PK\x03\x04"
+                or entry.compress_type != zipfile.ZIP_STORED
+                or entry.compress_size != entry.file_size
+                # encrypted, patched or strongly encrypted
+                or entry.flag_bits & 0x61
+                or name != entry.orig_filename.encode(
+                    "utf-8" if head[7] & 8 else "cp437")):
+            return None
+    except UnicodeEncodeError:
+        return None
+    start = (entry.header_offset + 30 + len(name)
+             + int.from_bytes(head[28:30], "little"))
+    # zipfile versions that record where each entry must end refuse a
+    # member whose data overlap the next entry
+    end = getattr(entry, "_end_offset", None)
+    if end is not None and start + entry.compress_size > end:
+        return None
+    return start
 
 
 def read_feature_maps(path) -> dict:
@@ -329,14 +340,15 @@ def read_feature_maps(path) -> dict:
     The maps are held once, channel-last, in one float64 buffer, each
     map's data a (C, H, W) view of its block (see ``features.place``),
     which a ``SyntheticFeatureProvider`` then pools from as it is. The
-    buffer holds one entry per map element, counted from the members'
-    local and ``.npy`` headers, read at the central directory's offsets.
-    Each member is then read once: a stored one into a scratch buffer
-    (one reused for every map), its CRC checked and its array viewed in
-    place (see :func:`_npy_array`), a deflated one through
-    ``ZipFile.read``; each map is checked and copied into the buffer
-    before the next is read."""
-    maps, headers, first, starts = {}, {}, {}, {}
+    buffer holds one entry per element of each stored map, counted from
+    its local and ``.npy`` headers (read at the central directory's
+    offset), and one per byte of any other map member. Each member is
+    then read once: a stored one into a scratch buffer (one reused for
+    every map) and its CRC checked, any other, or one that fails there,
+    through ``ZipFile.read``, which names the fault. Its array is viewed
+    in place (see :func:`_npy_array`), checked and copied into the
+    buffer before the next member is read."""
+    maps, headers, first = {}, {}, {}
     # opened here, so that it is closed whatever np.load makes of it:
     # given a path, np.load leaves the file open when it starts like a
     # zip but is not one
@@ -350,7 +362,7 @@ def read_feature_maps(path) -> dict:
             raise ValueError("feature maps file is not an .npz archive")
         names, files = set(z.zip.namelist()), set(z.files)
         keys = [key for key in z.files if key.startswith("map_")]
-        fd, encoding = fh.fileno(), z.zip.metadata_encoding or "cp437"
+        fd = fh.fileno()
         length = os.fstat(fd).st_size  # no buffer for a member is larger
 
         def entry(key):
@@ -358,42 +370,41 @@ def read_feature_maps(path) -> dict:
             return z.zip.getinfo(key if key in names else key + ".npy")
 
         def elements(key):
-            # a map's element count, read from its headers alone, and at
-            # most its byte count, as a valid member's is. Any other
-            # member, or one whose headers fail in any way, counts its
-            # bytes: a faulty one is refused in its turn below, so the
-            # first faulty member is still the one named
+            # a stored map's element count, read from its headers alone,
+            # and at most its byte count, as a valid member's is. Any
+            # other member, or one whose headers fail in any way, counts
+            # its bytes: a faulty one is refused in its turn below, so
+            # the first faulty member is still the one named
             e = entry(key)
-            if e.compress_type == zipfile.ZIP_STORED:
+            start = _stored_start(fd, e)
+            if start is not None:
+                head = os.pread(fd, 10, start)
+                head += os.pread(fd, int.from_bytes(head[8:10], "little"),
+                                 start + 10)
                 try:
-                    starts[key] = start = _member_start(fd, e, encoding)
-                    head = os.pread(fd, 10, start)
-                    head += os.pread(fd, int.from_bytes(head[8:10], "little"),
-                                     start + 10)
                     if head[6:8] == b"\x01\x00":
                         return min(math.prod(_npy_header(head, headers)[0]),
                                    e.file_size)
-                except (OSError, TypeError, ValueError, zipfile.BadZipFile):
+                except (TypeError, ValueError):
                     pass
             return e.file_size
 
         def member(key, scratch=None):
-            # key's array; a stored member is read into scratch (a new
-            # buffer when None), which the array then views
+            # key's array, viewing scratch (a new buffer when None) if
+            # the member is read there
             e = entry(key)
-            if e.compress_type != zipfile.ZIP_STORED:
-                raw = z.zip.read(e)
-            else:
-                start = starts.get(key) or _member_start(fd, e, encoding)
+            start = _stored_start(fd, e)
+            if start is not None:
                 raw = memoryview(bytearray(min(e.file_size, length))
                                  if scratch is None else scratch)
                 raw = raw[:e.file_size]
-                if os.preadv(fd, [raw], start) < e.file_size:
+            if (start is None or os.preadv(fd, [raw], start) < e.file_size
+                    or zlib.crc32(raw) != e.CRC):
+                try:
+                    raw = z.zip.read(e)
+                except EOFError:  # the file ends within the member
                     raise zipfile.BadZipFile(f"Truncated data for file "
-                                             f"{e.filename!r}")
-                if zlib.crc32(raw) != e.CRC:
-                    raise zipfile.BadZipFile(f"Bad CRC-32 for file "
-                                             f"{e.filename!r}")
+                                             f"{e.filename!r}") from None
             array = _npy_array(raw, headers)
             if array.dtype.kind not in "biuf":
                 raise ValueError(f"{key}: dtype {array.dtype} is not bool, "

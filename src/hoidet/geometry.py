@@ -25,9 +25,10 @@ BBOX_XFORM_CLIP = math.log(1000.0 / 16.0)
 
 MIN_SIZE = 1e-3  # the least extent clip_boxes keeps of a box
 
-# the largest corner magnitude the input readers accept: boxes within it
-# have finite areas and IoUs, and finite feature-map coordinates on a map
-# of stride at least 1 / COORD_LIMIT (the least stride FeatureMap takes)
+# the largest corner magnitude the proposals and annotations readers
+# accept: boxes within it have finite areas and IoUs, and finite
+# feature-map coordinates on a map of stride at least 1 / COORD_LIMIT
+# (the least stride FeatureMap takes)
 COORD_LIMIT = 1e150
 
 

@@ -2253,6 +2253,21 @@ def test_the_buffer_holds_exactly_the_maps_elements(trained, tmp_path, dtype):
         np.testing.assert_array_equal(fmap.data, arrays[f"map_{image_id}"])
 
 
+def test_a_deflated_map_counts_its_bytes(trained, tmp_path):
+    """A deflated map member is not sized from its headers: it takes one
+    buffer entry per uncompressed byte (eight per float64 element), and
+    the entries past the maps are never written."""
+    with np.load(trained[0] / "features.npz") as z:
+        np.savez_compressed(tmp_path / "c.npz", **z)
+    with zipfile.ZipFile(tmp_path / "c.npz") as z:
+        size = sum(info.file_size for info in z.infolist()
+                   if info.filename.startswith("map_"))
+    maps = read_feature_maps(tmp_path / "c.npz")
+    provider = SyntheticFeatureProvider(maps)
+    assert len(provider.buffer) == size
+    assert 8 * sum(fmap.data.size for fmap in maps.values()) < size
+
+
 class TestReadersMatchNumpy:
     """On valid files the readers give what ``np.load`` and ``Box``
     parsing give."""
