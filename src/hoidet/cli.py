@@ -411,7 +411,7 @@ def read_feature_maps(path) -> dict:
                                  f"integer or floating")
             return array
 
-        buffer = map_buffer(sum(map(elements, keys)))
+        buffer = map_buffer((sum(map(elements, keys)),))
         scratch = bytearray(max((min(entry(key).file_size, length)
                                  for key in keys), default=0))
         offset = 0

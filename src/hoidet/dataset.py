@@ -32,7 +32,11 @@ regress the target offset. Each scene draws from its own
 ``Generator.uniform``, ``choice`` or ``normal`` call per draw would, but
 through cheaper calls. The generator holds boxes as corner tuples and
 arrays, and a scene's proposals are one ``(N, 4)`` corner array
-(:func:`jitter_proposals`); it builds no ``Box``.
+(:func:`jitter_proposals`); it builds no ``Box``. Nor does it hold a
+feature map: a scene keeps the writes that paint its map as one small
+array of paint rows, and each access of its ``feature_map`` paints a
+fresh map from them (see :class:`SyntheticScene`), so a map exists only
+where a caller consumes it.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .features import FeatureMap
+from .features import FeatureMap, map_buffer
 from .geometry import (BBOX_XFORM_CLIP, COORD_LIMIT, Box, clip_boxes,
                        decode_corners)
 
@@ -551,14 +555,38 @@ class PersonCode:
 
 @dataclass
 class SyntheticScene:
+    """A generated scene: its annotation, each person's latent code, its
+    proposals, and the paint of its feature map of ``shape`` (channels,
+    cells, cells) at ``stride`` pixels per cell.
+
+    ``paint`` holds one float64 row per write of :func:`_paint`, in
+    order: channel, first and end cell row, first and end cell column,
+    value. The scene holds no map: each access of ``feature_map`` paints
+    a fresh, zeroed one from those rows, the same bytes every time, into
+    a :func:`features.map_buffer`. A 14-channel 32 x 32 map is below
+    glibc's mmap threshold, so a feature file's worth painted at once
+    would otherwise grow the malloc heap, which keeps the freed maps
+    resident while any later block sits above them (26 MB through a
+    whole ``train`` benchmark run)."""
+
     annotation: SceneAnnotation
     codes: list
-    feature_map: FeatureMap
     proposals: np.ndarray  # (N, 4) corners, as jitter_proposals returns
+    paint: np.ndarray  # (K, 6) paint rows
+    shape: tuple
+    stride: int
+
+    @property
+    def feature_map(self) -> FeatureMap:
+        data = map_buffer(self.shape)
+        _paint(data, self.paint)
+        return FeatureMap(data=data, stride=float(self.stride))
 
 
-# Feature cells per side of a synthetic map: every scene's map is held to
-# the end of the command, and its 14 float64 channels take 112 MiB at 1024.
+# Feature cells per side of a synthetic map. A scene holds only its paint
+# rows; maps are held whole only while ``synth`` writes its feature file
+# (every scene's at once) and inside a provider, and 14 float64 channels
+# take 112 MiB per map at 1024.
 MAX_GRID_CELLS = 1024
 
 
@@ -620,18 +648,26 @@ def synth_channel_layout():
     }
 
 
-def _paint(data: np.ndarray, box, stride: int, channel_values, pad: float = 1.0):
-    """Write constant channel values into the feature cells under the
-    corners ``box``, padded by a margin so slightly jittered proposals
-    still read them."""
-    _, h, w = data.shape
+def _paint_rows(rows: list, box, stride: int, grid: int, channel_values,
+                pad: float = 1.0) -> None:
+    """Append to ``rows`` the paint rows (see :class:`SyntheticScene`)
+    that write constant channel values into the cells of a ``grid``-cell
+    square map under the corners ``box``, padded by a margin so slightly
+    jittered proposals still read them."""
     x1, y1, x2, y2 = box
     x1 = max(math.floor(x1 / stride - pad), 0)
     y1 = max(math.floor(y1 / stride - pad), 0)
-    x2 = min(math.ceil(x2 / stride + pad), w)
-    y2 = min(math.ceil(y2 / stride + pad), h)
-    for c, v in channel_values:
-        data[c, y1:y2, x1:x2] = v
+    x2 = min(math.ceil(x2 / stride + pad), grid)
+    y2 = min(math.ceil(y2 / stride + pad), grid)
+    rows.extend((c, y1, y2, x1, x2, v) for c, v in channel_values)
+
+
+def _paint(data: np.ndarray, paint: np.ndarray) -> None:
+    """Write the paint rows ``paint`` into the (C, H, W) map ``data``, in
+    order, so a later row overwrites the cells it shares with an earlier
+    one."""
+    for c, y1, y2, x1, x2, v in paint.tolist():
+        data[int(c), int(y1):int(y2), int(x1):int(x2)] = v
 
 
 def _fits(box, size: float) -> bool:
@@ -717,20 +753,21 @@ def generate_synthetic(cfg: SynthConfig):
     verbs = registry.verbs
     size = cfg.image_size
     grid = int(round(size)) // cfg.stride
+    shape = (layout["total"], grid, grid)
     cat_index = {c: i for i, c in enumerate(SYNTH_CATEGORIES)}
     scenes = []
     for sid in range(cfg.num_scenes):
         rng = np.random.default_rng((cfg.seed, sid))
-        data = np.zeros((layout["total"], grid, grid))
+        paint = []
         persons, objects, categories, interactions, codes = [], [], [], [], []
         placed = []
 
         def add_object(box, cat):
-            """Record an object, mark its box placed, and paint it."""
+            """Record an object, mark its box placed, and record its paint."""
             objects.append(box)
             categories.append(cat)
             placed.append(box)
-            _paint(data, box, cfg.stride, [
+            _paint_rows(paint, box, cfg.stride, grid, [
                 (layout["object"], 1.0),
                 (layout["category0"] + cat_index[cat], 1.0)], pad=0.5)
 
@@ -750,7 +787,7 @@ def generate_synthetic(cfg: SynthConfig):
             vals.append((layout["verb0"] + verbs.index(verb), 1.0))
             vals.append((layout["pose0"], pose[0]))
             vals.append((layout["pose0"] + 1, pose[1]))
-            _paint(data, person, cfg.stride, vals)
+            _paint_rows(paint, person, cfg.stride, grid, vals)
             for entry, tbox in targets:
                 interactions.append(
                     Interaction(person=pidx, action=entry.name, role=entry.role,
@@ -817,8 +854,10 @@ def generate_synthetic(cfg: SynthConfig):
             SyntheticScene(
                 annotation=ann,
                 codes=codes,
-                feature_map=FeatureMap(data=data, stride=float(cfg.stride)),
                 proposals=props,
+                paint=np.array(paint, dtype=np.float64),
+                shape=shape,
+                stride=cfg.stride,
             )
         )
     return scenes

@@ -181,8 +181,10 @@ def _corners(c: np.ndarray, size):
             np.minimum(np.maximum(lo + 1, 0), size - 1), u - lo)
 
 
-def map_buffer(size: int) -> np.ndarray:
-    """A zeroed float64 vector of ``size`` entries, for channel-last maps.
+def map_buffer(shape: tuple, dtype=np.float64) -> np.ndarray:
+    """A zeroed array of ``shape`` and ``dtype``, for a command's large
+    tables (channel-last maps, training's pooled features) and for each
+    painted synthetic map.
 
     Its memory is a private anonymous memory map of its own rather than
     a malloc block: freeing a malloc block this large raises glibc's
@@ -194,11 +196,14 @@ def map_buffer(size: int) -> np.ndarray:
     23 MB maps of the ``train`` benchmark workload faulted 496 times,
     not 5,610). Where the kernel refuses the advice, the map keeps
     small pages."""
-    memory = mmap.mmap(-1, 8 * max(size, 1), flags=mmap.MAP_PRIVATE)
+    dtype = np.dtype(dtype)
+    count = math.prod(shape)
+    memory = mmap.mmap(-1, dtype.itemsize * max(count, 1),
+                       flags=mmap.MAP_PRIVATE)
     if hasattr(mmap, "MADV_HUGEPAGE"):
         with contextlib.suppress(OSError):
             memory.madvise(mmap.MADV_HUGEPAGE)
-    return np.frombuffer(memory, np.float64, count=size)
+    return np.frombuffer(memory, dtype, count=count).reshape(shape)
 
 
 def place(buffer: np.ndarray, offset: int, data: np.ndarray) -> np.ndarray:
@@ -226,7 +231,7 @@ def _buffer_of(maps: list) -> tuple[np.ndarray, list]:
         if all(o % maps[0].channels == 0 for o in start):
             return base, start
     sizes = [m.data.size for m in maps]
-    vector = map_buffer(sum(sizes))
+    vector = map_buffer((sum(sizes),))
     offsets = np.cumsum([0] + sizes)[:-1].tolist()
     for m, offset in zip(maps, offsets):
         m.data = place(vector, offset, m.data)

@@ -66,7 +66,8 @@ from .dataset import (
     _typed,
 )
 from .density import gaussian_compat, mixture_compat
-from .geometry import Box, Detection, box_array, decode_rels, encode_rels, nms
+from .geometry import (COORD_LIMIT, Box, Detection, box_array, decode_rels,
+                       encode_rels, nms)
 from .model import (
     HeadConfig,
     forward_human,
@@ -455,14 +456,19 @@ def _det_from_json(obj, where: str, seen: dict) -> Detection:
                          f"{json.dumps(box)}")
     # the box is checked before the category, so that a detection with
     # both faults is named by its box; one comparison chain passes the
-    # finite boxes of positive extent; the corners become floats (an
+    # boxes of positive extent within COORD_LIMIT (as the proposals and
+    # annotations readers keep them); the corners become floats (an
     # integer too large for one is an OverflowError)
     x1, y1, x2, y2 = box
-    if not (-_INF < x1 < x2 < _INF and -_INF < y1 < y2 < _INF):
+    if not (-COORD_LIMIT <= x1 < x2 <= COORD_LIMIT
+            and -COORD_LIMIT <= y1 < y2 <= COORD_LIMIT):
         if any(type(v) is float and not -_INF < v < _INF for v in box):
             raise ValueError(f"{where}.box: expected finite numbers, got "
                              f"{json.dumps(box)}")
         Box(*box)  # raises the degenerate-box error
+        if max(map(abs, map(float, box))) > COORD_LIMIT:
+            raise ValueError(f"{where}.box: |corner| > {COORD_LIMIT:g}, "
+                             f"got {json.dumps(box)}")
     box = list(map(float, box))
     category = _typed(obj["category"], str, where + ".category")
     score = _finite(obj["score"], where + ".score")

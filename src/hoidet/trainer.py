@@ -35,14 +35,15 @@ iteration's images before iteration 0 and pools each distinct row they
 name once, with a per-row scene id (as Fast R-CNN pools a mini-batch's
 RoIs in one RoI layer), into one float32 table indexed by label-table
 row. It pools in float64 blocks of ``_POOL_ROWS`` rows, each rounded
-into the table, whose zeroed rows are written only where drawn: the
-memory this adds is the run's distinct drawn rows at 4 x
-``feature_dim`` bytes each (never more than the drawn scenes' rows),
-plus one float64 block. An iteration's :class:`Batch` is then row
-takes from that table and from the label table, laid out
-section-major: the object rows of the 16 images, then their human
-rows, pair-human rows and pair-object rows, each section in image
-order. Pooling is row-local, so the table's rows are those of
+into the table. The table is a :func:`features.map_buffer`, outside the
+malloc heap, so freeing it leaves no raised mmap threshold behind. Its
+zeroed rows are written only where drawn: the memory this adds is the
+run's distinct drawn rows at 4 x ``feature_dim`` bytes each (never more
+than the drawn scenes' rows), plus one float64 block. An iteration's
+:class:`Batch` is then row takes from that table and from the label
+table, laid out section-major: the object rows of the 16 images, then
+their human rows, pair-human rows and pair-object rows, each section in
+image order. Pooling is row-local, so the table's rows are those of
 pooling each image's boxes on each visit. Each branch's feature matrix
 is a slice of the batch's rows, and a row of image i weighs
 1/(16 n_i) for the image's n_i rows in that section: the objective is
@@ -73,6 +74,7 @@ from .dataset import (
     AnnotationError,
     SceneAnnotation,
 )
+from .features import map_buffer
 from .geometry import box_array, box_iou, encode_rels
 from .model import (
     Batch,
@@ -606,7 +608,8 @@ def train(scenes, provider, cfg: HeadConfig, schedule: Schedule,
         # the finite checks name every NaN and infinity, so numpy's
         # own overflow warnings would only repeat them
         with np.errstate(over="ignore", invalid="ignore"):
-            pooled = np.zeros((len(table.boxes), cfg.feature_dim), np.float32)
+            pooled = map_buffer((len(table.boxes), cfg.feature_dim),
+                                np.float32)
             rows = np.unique(np.concatenate([step.rows for step in steps]))
             for at in range(0, len(rows), _POOL_ROWS):
                 block = rows[at:at + _POOL_ROWS]

@@ -788,10 +788,18 @@ class TestEvalCommand:
         (lambda obj: {**obj, "human": {**obj["human"], "box": [
             -10 ** 400, -10 ** 400, 10 ** 400, 10 ** 400]}},
          "int too large to convert to float"),
+        # corners beyond COORD_LIMIT, whose box area would overflow
+        (lambda obj: {**obj, "human": {**obj["human"],
+                                       "box": [0, 0, 1e300, 1e300]}},
+         "human.box: |corner| > 1e+150, got [0, 0, 1e+300, 1e+300]\n"),
+        (lambda obj: {**obj, "human": {**obj["human"],
+                                       "box": [-1e151, 0.0, 1.0, 1.0]}},
+         "human.box: |corner| > 1e+150, got [-1e+151, 0.0, 1.0, 1.0]\n"),
     ], ids=["missing_key", "wrong_type", "overflow", "int_overflow",
             "not_json", "string_image_id", "boolean_score", "integer_action",
             "null_human", "three_box_numbers", "boolean_box_entry",
-            "line_is_a_list", "box_int_overflow"])
+            "line_is_a_list", "box_int_overflow", "box_beyond_the_limit",
+            "box_below_the_limit"])
     def test_malformed_line_is_data_error(self, tmp_path, capsys, corrupt,
                                           detail):
         data = _synth(tmp_path)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -220,6 +221,25 @@ class TestSyntheticScenes:
             assert_same_scene(sa.annotation, sb.annotation)
             np.testing.assert_array_equal(sa.feature_map.data, sb.feature_map.data)
             assert sa.proposals.tobytes() == sb.proposals.tobytes()
+
+    def test_scenes_hold_paint_rows_not_maps(self):
+        """200 criterion-5 scenes held 23.2 MB while each kept its dense
+        (14, 32, 32) float64 map; their paint rows take a small part of
+        that, and each access paints the same map afresh."""
+        cfg = SynthConfig(num_scenes=200, persons_per_scene=1,
+                          num_distractors=5, confusers_per_target=1)
+        tracemalloc.start()
+        try:
+            scenes = generate_synthetic(cfg)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 3e6
+        first, second = scenes[0].feature_map, scenes[0].feature_map
+        assert first.data is not second.data
+        assert first.data.shape == (synth_channel_layout()["total"], 32, 32)
+        assert first.data.tobytes() == second.data.tobytes()
+        assert first.stride == second.stride == 4.0
 
     def test_noiseless_offsets_exact(self):
         cfg = SynthConfig(num_scenes=6, persons_per_scene=2, noise=0.0, seed=3)

@@ -4,6 +4,7 @@ and builds a ``Box`` per draw. The library draws the same doubles through
 cheaper calls, so every scene must come out equal, field by field."""
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from hoidet.dataset import (
     PersonCode,
     SceneAnnotation,
     SynthConfig,
-    SyntheticScene,
     _far,
     _SYNTH_TARGET_CATEGORY,
     generate_synthetic,
@@ -29,6 +29,15 @@ from hoidet.geometry import BBOX_XFORM_CLIP, Box, box_array, decode_rel, iou
 
 CROWDED = dict(persons_per_scene=4, num_distractors=10, confusers_per_target=1)
 SPARSE = dict(persons_per_scene=1, num_distractors=5, confusers_per_target=1)
+
+
+class _ReferenceScene(NamedTuple):
+    """The reference's scene: the attributes ``SyntheticScene`` offers,
+    its map painted once, as the generator once held it."""
+    annotation: SceneAnnotation
+    codes: list
+    feature_map: FeatureMap
+    proposals: list  # Box per proposal
 
 
 def _reference_paint(data, box: Box, stride, channel_values, pad=1.0):
@@ -156,7 +165,7 @@ def _reference_generate(cfg: SynthConfig):
                               categories, interactions)
         props = _reference_jitter(ann, cfg.proposals_per_box,
                                   cfg.proposal_magnitude, (cfg.seed, sid, 1))
-        scenes.append(SyntheticScene(ann, codes, FeatureMap(
+        scenes.append(_ReferenceScene(ann, codes, FeatureMap(
             data, float(cfg.stride)), props))
     return scenes
 
