@@ -54,14 +54,14 @@ from .dataset import (
     synthetic_registry,
 )
 from .density import kmeans_offsets
-from .evaluation import MatchRule, evaluate_triplets, report_json, report_text
+from .evaluation import MatchRule, evaluate_triplets, report_text
 from .features import (
     FeatureMap,
     SyntheticFeatureProvider,
     map_buffer,
     place,
 )
-from .geometry import COORD_LIMIT, decode_rel, encode_rels
+from .geometry import COORD_LIMIT, decode_corners, encode_rels
 from .inference import (
     InferenceConfig,
     infer,
@@ -369,14 +369,18 @@ def read_feature_maps(path) -> dict:
             # the archive entry np.load would read for key
             return z.zip.getinfo(key if key in names else key + ".npy")
 
-        def elements(key):
+        def stored(key):
+            # key, its entry, and where its data start if the fast read
+            # takes it (see _stored_start)
+            e = entry(key)
+            return key, e, _stored_start(fd, e)
+
+        def elements(e, start):
             # a stored map's element count, read from its headers alone,
             # and at most its byte count, as a valid member's is. Any
             # other member, or one whose headers fail in any way, counts
             # its bytes: a faulty one is refused in its turn below, so
             # the first faulty member is still the one named
-            e = entry(key)
-            start = _stored_start(fd, e)
             if start is not None:
                 head = os.pread(fd, 10, start)
                 head += os.pread(fd, int.from_bytes(head[8:10], "little"),
@@ -389,11 +393,9 @@ def read_feature_maps(path) -> dict:
                     pass
             return e.file_size
 
-        def member(key, scratch=None):
+        def member(key, e, start, scratch=None):
             # key's array, viewing scratch (a new buffer when None) if
             # the member is read there
-            e = entry(key)
-            start = _stored_start(fd, e)
             if start is not None:
                 raw = memoryview(bytearray(min(e.file_size, length))
                                  if scratch is None else scratch)
@@ -411,11 +413,13 @@ def read_feature_maps(path) -> dict:
                                  f"integer or floating")
             return array
 
-        buffer = map_buffer((sum(map(elements, keys)),))
-        scratch = bytearray(max((min(entry(key).file_size, length)
-                                 for key in keys), default=0))
+        members = [stored(key) for key in keys]  # each local header read once
+        buffer = map_buffer((sum(elements(e, start)
+                                 for _, e, start in members),))
+        scratch = bytearray(max((min(e.file_size, length)
+                                 for _, e, _ in members), default=0))
         offset = 0
-        for key in keys:
+        for key, e, start in members:
             try:
                 image_id = _image_id(key[4:])
                 if first.setdefault(image_id, key) != key:
@@ -424,8 +428,8 @@ def read_feature_maps(path) -> dict:
                 stride = f"stride_{image_id}"
                 if stride not in files:
                     raise ValueError(f"no {stride} member")
-                fmap = FeatureMap(data=member(key, scratch),
-                                  stride=float(member(stride)))
+                fmap = FeatureMap(data=member(key, e, start, scratch),
+                                  stride=float(member(*stored(stride))))
             except (ValueError, TypeError, zipfile.BadZipFile) as exc:
                 raise ValueError(f"feature map {key!r}: {exc}") from None
             fmap.data = place(buffer, offset, fmap.data)
@@ -618,15 +622,16 @@ def _write_report(out, report, cfg) -> str:
     with open(os.path.join(out, "report.txt"), "w") as f:
         f.write(text)
     _write_json(os.path.join(out, "report.json"),
-                {**report_json(report), "config": cfg})
+                {**dataclasses.asdict(report), "config": cfg})
     return text
 
 
 def _load_centers(path, registry: ActionRegistry):
     """Per-action-index (K, 4) cluster centers of a ``centers.json``, one
     entry for each action of ``registry`` that has a target; malformed
-    content raises ValueError, and so do a key that names no action of
-    ``registry`` and two keys naming one action (``"0"`` and ``"00"``)."""
+    content raises ValueError, and so do an entry beyond ``COORD_LIMIT``
+    in magnitude, a key that names no action of ``registry`` and two keys
+    naming one action (``"0"`` and ``"00"``)."""
     out, first = {}, {}
     for key, value in _json_mapping(path, "centers"):
         try:
@@ -644,6 +649,9 @@ def _load_centers(path, registry: ActionRegistry):
                                  f"shape {centers.shape}")
             if not np.all(np.isfinite(centers)):
                 raise ValueError("non-finite entry")
+            if np.abs(centers).max() > COORD_LIMIT:
+                raise ValueError(f"out-of-range entry (|entry| > "
+                                 f"{COORD_LIMIT:g})")
             if not all(_NUMBERS.issuperset(map(type, row)) for row in value):
                 raise ValueError("entries must be numbers, not booleans or "
                                  "strings")
@@ -658,6 +666,9 @@ def _load_centers(path, registry: ActionRegistry):
 
 
 def _overlay_entry(t):
+    """One triplet of ``overlay.json``. Its target hint is the density
+    mean decoded as corners, which may round together for a mean far out
+    (``decode_corners``), so no ``Box`` is built from it."""
     entry = {
         "action": t.action,
         "role": t.role,
@@ -668,7 +679,7 @@ def _overlay_entry(t):
         entry["object_box"] = list(t.object.box.as_tuple())
         entry["object_category"] = t.object.category
         entry["target_hint_box"] = list(
-            decode_rel(t.target_mean, t.human.box).as_tuple())
+            decode_corners(t.target_mean, t.human.box.as_tuple()))
     return entry
 
 

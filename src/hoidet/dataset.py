@@ -33,10 +33,9 @@ regress the target offset. Each scene draws from its own
 through cheaper calls. The generator holds boxes as corner tuples and
 arrays, and a scene's proposals are one ``(N, 4)`` corner array
 (:func:`jitter_proposals`); it builds no ``Box``. Nor does it hold a
-feature map: a scene keeps the writes that paint its map as one small
-array of paint rows, and each access of its ``feature_map`` paints a
-fresh map from them (see :class:`SyntheticScene`), so a map exists only
-where a caller consumes it.
+feature map: each access of a scene's ``feature_map`` paints a fresh map
+from its boxes and codes (see :class:`SyntheticScene`), so a map exists
+only where a caller consumes it.
 """
 
 from __future__ import annotations
@@ -555,38 +554,50 @@ class PersonCode:
 
 @dataclass
 class SyntheticScene:
-    """A generated scene: its annotation, each person's latent code, its
-    proposals, and the paint of its feature map of ``shape`` (channels,
-    cells, cells) at ``stride`` pixels per cell.
+    """A generated scene: its annotation, each person's latent code and
+    its proposals, with feature maps at ``stride`` pixels per cell.
 
-    ``paint`` holds one float64 row per write of :func:`_paint`, in
-    order: channel, first and end cell row, first and end cell column,
-    value. The scene holds no map: each access of ``feature_map`` paints
-    a fresh, zeroed one from those rows, the same bytes every time, into
-    a :func:`features.map_buffer`. A 14-channel 32 x 32 map is below
-    glibc's mmap threshold, so a feature file's worth painted at once
-    would otherwise grow the malloc heap, which keeps the freed maps
+    The scene holds no map: each access of ``feature_map`` paints a
+    fresh, zeroed one from the annotation and codes, the same bytes every
+    time, into a :func:`features.map_buffer`. A 14-channel 32 x 32 map is
+    below glibc's mmap threshold, so a feature file's worth painted at
+    once would otherwise grow the malloc heap, which keeps the freed maps
     resident while any later block sits above them (26 MB through a
     whole ``train`` benchmark run)."""
 
     annotation: SceneAnnotation
     codes: list
     proposals: np.ndarray  # (N, 4) corners, as jitter_proposals returns
-    paint: np.ndarray  # (K, 6) paint rows
-    shape: tuple
     stride: int
 
     @property
     def feature_map(self) -> FeatureMap:
-        data = map_buffer(self.shape)
-        _paint(data, self.paint)
-        return FeatureMap(data=data, stride=float(self.stride))
+        """Every person in index order, marker, verb and pose padded by a
+        cell, then every object, marker and category padded by half a
+        cell. That gives the bytes of painting in generation order (each
+        person, then the objects placed with it, distractors last)
+        because persons write only the person, verb and pose channels
+        and objects only the object and category channels, so each
+        channel sees its writes in generation order, and every value but
+        pose, which only persons write, is 1.0."""
+        ann, stride = self.annotation, self.stride
+        grid = int(round(ann.width)) // stride
+        data = map_buffer((_LAYOUT["total"], grid, grid))
+        for box, code in zip(ann.persons.tolist(), self.codes):
+            pose = code.pose.tolist()
+            _paint(data, box, stride, 1.0, [
+                (_LAYOUT["person"], 1.0), (_VERB_CHANNEL[code.verb], 1.0),
+                (_LAYOUT["pose0"], pose[0]), (_LAYOUT["pose0"] + 1, pose[1])])
+        for box, category in zip(ann.objects.tolist(), ann.categories):
+            _paint(data, box, stride, 0.5, [
+                (_LAYOUT["object"], 1.0), (_CATEGORY_CHANNEL[category], 1.0)])
+        return FeatureMap(data=data, stride=float(stride))
 
 
-# Feature cells per side of a synthetic map. A scene holds only its paint
-# rows; maps are held whole only while ``synth`` writes its feature file
-# (every scene's at once) and inside a provider, and 14 float64 channels
-# take 112 MiB per map at 1024.
+# Feature cells per side of a synthetic map. A scene holds no map; maps
+# are held whole only while ``synth`` writes its feature file (every
+# scene's at once) and inside a provider, and 14 float64 channels take
+# 112 MiB per map at 1024.
 MAX_GRID_CELLS = 1024
 
 
@@ -648,26 +659,28 @@ def synth_channel_layout():
     }
 
 
-def _paint_rows(rows: list, box, stride: int, grid: int, channel_values,
-                pad: float = 1.0) -> None:
-    """Append to ``rows`` the paint rows (see :class:`SyntheticScene`)
-    that write constant channel values into the cells of a ``grid``-cell
-    square map under the corners ``box``, padded by a margin so slightly
-    jittered proposals still read them."""
+# the layout, and each verb's and category's channel, for every painted map
+_LAYOUT = synth_channel_layout()
+_VERB_CHANNEL = {v: _LAYOUT["verb0"] + i
+                 for i, v in enumerate(synthetic_registry().verbs)}
+_CATEGORY_CHANNEL = {c: _LAYOUT["category0"] + i
+                     for i, c in enumerate(SYNTH_CATEGORIES)}
+
+
+def _paint(data: np.ndarray, box, stride: int, pad: float,
+           channel_values) -> None:
+    """Write constant channel values into the cells of the (C, H, W) map
+    ``data`` under the corners ``box``, padded by ``pad`` cells so
+    slightly jittered proposals still read them. The first cells are
+    clamped at 0, as a negative slice start would wrap; the end cells
+    clip on their own."""
     x1, y1, x2, y2 = box
     x1 = max(math.floor(x1 / stride - pad), 0)
     y1 = max(math.floor(y1 / stride - pad), 0)
-    x2 = min(math.ceil(x2 / stride + pad), grid)
-    y2 = min(math.ceil(y2 / stride + pad), grid)
-    rows.extend((c, y1, y2, x1, x2, v) for c, v in channel_values)
-
-
-def _paint(data: np.ndarray, paint: np.ndarray) -> None:
-    """Write the paint rows ``paint`` into the (C, H, W) map ``data``, in
-    order, so a later row overwrites the cells it shares with an earlier
-    one."""
-    for c, y1, y2, x1, x2, v in paint.tolist():
-        data[int(c), int(y1):int(y2), int(x1):int(x2)] = v
+    x2 = math.ceil(x2 / stride + pad)
+    y2 = math.ceil(y2 / stride + pad)
+    for c, v in channel_values:
+        data[c, y1:y2, x1:x2] = v
 
 
 def _fits(box, size: float) -> bool:
@@ -749,27 +762,18 @@ def _place_person(rng, cfg: SynthConfig, offsets, existing):
 def generate_synthetic(cfg: SynthConfig):
     """Deterministic scene synthesis: same config and seed, same scenes."""
     registry = synthetic_registry()
-    layout = synth_channel_layout()
-    verbs = registry.verbs
     size = cfg.image_size
-    grid = int(round(size)) // cfg.stride
-    shape = (layout["total"], grid, grid)
-    cat_index = {c: i for i, c in enumerate(SYNTH_CATEGORIES)}
     scenes = []
     for sid in range(cfg.num_scenes):
         rng = np.random.default_rng((cfg.seed, sid))
-        paint = []
         persons, objects, categories, interactions, codes = [], [], [], [], []
         placed = []
 
         def add_object(box, cat):
-            """Record an object, mark its box placed, and record its paint."""
+            """Record an object and mark its box placed."""
             objects.append(box)
             categories.append(cat)
             placed.append(box)
-            _paint_rows(paint, box, cfg.stride, grid, [
-                (layout["object"], 1.0),
-                (layout["category0"] + cat_index[cat], 1.0)], pad=0.5)
 
         for _ in range(cfg.persons_per_scene):
             verb = str(cfg.verbs[rng.integers(0, len(cfg.verbs))])
@@ -783,11 +787,6 @@ def generate_synthetic(cfg: SynthConfig):
             persons.append(person)
             codes.append(code)
             placed.append(person)
-            vals = [(layout["person"], 1.0)]
-            vals.append((layout["verb0"] + verbs.index(verb), 1.0))
-            vals.append((layout["pose0"], pose[0]))
-            vals.append((layout["pose0"] + 1, pose[1]))
-            _paint_rows(paint, person, cfg.stride, grid, vals)
             for entry, tbox in targets:
                 interactions.append(
                     Interaction(person=pidx, action=entry.name, role=entry.role,
@@ -855,8 +854,6 @@ def generate_synthetic(cfg: SynthConfig):
                 annotation=ann,
                 codes=codes,
                 proposals=props,
-                paint=np.array(paint, dtype=np.float64),
-                shape=shape,
                 stride=cfg.stride,
             )
         )

@@ -261,21 +261,3 @@ def report_text(report: APReport) -> str:
         lines.append("no ground truth (excluded from means): "
                      + ", ".join(skipped))
     return "\n".join(lines) + "\n"
-
-
-def report_json(report: APReport) -> dict:
-    def _entry(e):
-        return {"action": e.action, "role": e.role, "ap": e.ap,
-                "tp": e.tp, "fp": e.fp, "gt_count": e.gt_count}
-
-    return {
-        "rule": {"iou_thresh": report.rule.iou_thresh,
-                 "require_object_category":
-                     report.rule.require_object_category},
-        "eleven_point": report.eleven_point,
-        "role_entries": [_entry(e) for e in report.role_entries],
-        "agent_entries": [_entry(e) for e in report.agent_entries],
-        "mean_role_ap": report.mean_role_ap,
-        "mean_agent_ap": report.mean_agent_ap,
-    }
-

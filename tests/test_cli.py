@@ -43,7 +43,7 @@ from hoidet.dataset import (
 )
 from hoidet.density import DEFAULT_SIGMA
 from hoidet.features import SyntheticFeatureProvider
-from hoidet.geometry import Box, box_array, decode_rel
+from hoidet.geometry import COORD_LIMIT, Box, box_array, decode_rel
 from hoidet.inference import infer, read_predictions
 from hoidet.model import load_checkpoint
 
@@ -407,6 +407,44 @@ class TestCentersFile:
         assert code == 1
         assert err.startswith("error: data: " + message)
         assert err.count("\n") == 1
+
+    def _infer_with(self, world, capsys, tx, *extra):
+        """Exit code and stderr of ``infer --centers`` with one center per
+        typed action, each at ``tx`` and otherwise zero."""
+        tmp, data, run = world
+        path = tmp / "centers.json"
+        path.write_text(json.dumps({"centers": {
+            str(a): [[tx, 0.0, 0.0, 0.0]]
+            for a, e in enumerate(synthetic_registry())
+            if e.role != ROLE_NONE}}))
+        capsys.readouterr()
+        code = _run("infer", "--out", str(tmp / "o"),
+                    "--checkpoint", str(run / "checkpoint.bin"),
+                    *_inputs(data), "--centers", str(path), *extra)
+        return code, capsys.readouterr().err
+
+    def test_entry_beyond_coord_limit(self, world, capsys):
+        """An entry of 1e200 overflowed the compatibility's squared
+        distance; beyond ``COORD_LIMIT`` it is one data line naming the
+        action."""
+        code, err = self._infer_with(world, capsys, 1e200)
+        assert code == 1
+        assert err == ("error: data: centers for action '0': out-of-range "
+                       "entry (|entry| > 1e+150)\n")
+
+    def test_far_hint_is_written_as_corners(self, world, capsys):
+        """A center at the bound is taken, and ``--overlay`` writes its
+        hint as the decoded corners, which round together so far out,
+        where building a ``Box`` of them raised."""
+        tmp, _, _ = world
+        code, err = self._infer_with(world, capsys, COORD_LIMIT, "--overlay")
+        assert (code, err) == (0, "")
+        images = json.loads((tmp / "o" / "overlay.json").read_text())
+        hints = [e["target_hint_box"] for rows in images["images"].values()
+                 for e in rows if "object_box" in e]
+        assert hints
+        for x1, y1, x2, y2 in hints:
+            assert x1 == x2 > COORD_LIMIT and y2 > y1
 
 
 class TestInferCommand:

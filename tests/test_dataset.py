@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import os
@@ -17,6 +18,7 @@ from hoidet.dataset import (
     Interaction,
     SceneAnnotation,
     SynthConfig,
+    SyntheticScene,
     SYNTH_CATEGORIES,
     default_registry,
     generate_synthetic,
@@ -222,10 +224,11 @@ class TestSyntheticScenes:
             np.testing.assert_array_equal(sa.feature_map.data, sb.feature_map.data)
             assert sa.proposals.tobytes() == sb.proposals.tobytes()
 
-    def test_scenes_hold_paint_rows_not_maps(self):
-        """200 criterion-5 scenes held 23.2 MB while each kept its dense
-        (14, 32, 32) float64 map; their paint rows take a small part of
-        that, and each access paints the same map afresh."""
+    def test_scenes_hold_boxes_and_codes_not_maps(self):
+        """A scene holds its annotation, codes, proposals and stride, and
+        no map: 200 criterion-5 scenes held 23.2 MB while each kept its
+        dense (14, 32, 32) float64 map. Each access paints the same map
+        afresh."""
         cfg = SynthConfig(num_scenes=200, persons_per_scene=1,
                           num_distractors=5, confusers_per_target=1)
         tracemalloc.start()
@@ -235,6 +238,10 @@ class TestSyntheticScenes:
         finally:
             tracemalloc.stop()
         assert held < 3e6
+        assert [f.name for f in dataclasses.fields(SyntheticScene)] == [
+            "annotation", "codes", "proposals", "stride"]
+        assert set(vars(scenes[0])) == {"annotation", "codes", "proposals",
+                                        "stride"}
         first, second = scenes[0].feature_map, scenes[0].feature_map
         assert first.data is not second.data
         assert first.data.shape == (synth_channel_layout()["total"], 32, 32)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -23,7 +24,6 @@ from hoidet.evaluation import (
     average_precision,
     evaluate_triplets,
     match_triplets,
-    report_json,
     report_text,
 )
 from hoidet.geometry import Box, Detection, iou, nms
@@ -425,7 +425,7 @@ class TestReportOutput:
     def test_json_round_trip(self, synth_dataset):
         report = evaluate_triplets(_gt_echo_triplets(synth_dataset),
                                    synth_dataset)
-        doc = json.loads(json.dumps(report_json(report)))
+        doc = json.loads(json.dumps(dataclasses.asdict(report)))
         assert doc["mean_role_ap"] == 1.0
         assert len(doc["role_entries"]) == sum(
             1 for e in REGISTRY if e.role != ROLE_NONE)
