@@ -11,7 +11,8 @@ outputs alone. Only the invoked subcommand's flags are built. Errors
 print a single machine-parsable line ``error: <kind>: <message>`` on
 stderr and exit nonzero (2 for configuration problems, 1 for runtime
 failures). Input readers raise ValueError for content they reject and
-let OSError through; ``_read`` alone turns either into that line.
+let OSError through; ``_read`` alone turns either into that line, and
+``main`` any other OSError, met making or writing the output directory.
 
 The training density mode decides the target-location term:
   fixed_sigma      one predicted center, fixed-width compatibility
@@ -460,22 +461,30 @@ def _image_id(text: str) -> int:
     return image_id
 
 
+def _keyed_mapping(path, name: str, parse, noun: str, read,
+                   prefix: str) -> dict:
+    """``read(value)`` of each entry of a JSON file's ``name`` mapping, by
+    ``parse(key)``; ValueError when two keys parse alike (``"0"`` and
+    ``"00"``) or an entry fails, prefixed by ``prefix.format(key)``."""
+    out, first = {}, {}
+    for key, value in _json_mapping(path, name):
+        try:
+            k = parse(key)
+            if first.setdefault(k, key) != key:
+                raise ValueError(f"{noun} {k} repeats key {first[k]!r}")
+            out[k] = read(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"{prefix.format(key)}: {exc}") from None
+    return out
+
+
 def read_proposals(path) -> dict:
     """Per-image ``(N, 4)`` float64 box arrays of a ``proposals.json``;
     malformed content raises ValueError, and so do an image id outside
     the int64 range and two keys naming one image (``"0"`` and
     ``"00"``)."""
-    out, first = {}, {}
-    for i, rows in _json_mapping(path, "proposals"):
-        try:
-            image_id = _image_id(i)
-            if first.setdefault(image_id, i) != i:
-                raise ValueError(f"image id {image_id} repeats key "
-                                 f"{first[image_id]!r}")
-            out[image_id] = _box_rows(rows)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"proposals for image {i}: {exc}") from None
-    return out
+    return _keyed_mapping(path, "proposals", _image_id, "image id",
+                          _box_rows, "proposals for image {}")
 
 
 def _box_rows(rows) -> np.ndarray:
@@ -527,7 +536,6 @@ def _load_world(cfg):
 
 def cmd_synth(cfg: dict) -> int:
     out = cfg["out"]
-    os.makedirs(out, exist_ok=True)
     try:
         scenes = generate_synthetic(_build(SynthConfig, cfg))
     except RuntimeError as exc:  # a scene its people do not fit in
@@ -547,7 +555,6 @@ def cmd_synth(cfg: dict) -> int:
 
 def cmd_train(cfg: dict) -> int:
     out = cfg["out"]
-    os.makedirs(out, exist_ok=True)
     mode = cfg["density_mode"]
     if mode not in DENSITY_MODES:
         raise _config_error(
@@ -632,37 +639,36 @@ def _load_centers(path, registry: ActionRegistry):
     content raises ValueError, and so do an entry beyond ``COORD_LIMIT``
     in magnitude, a key that names no action of ``registry`` and two keys
     naming one action (``"0"`` and ``"00"``)."""
-    out, first = {}, {}
-    for key, value in _json_mapping(path, "centers"):
-        try:
-            action = int(key)
-            if first.setdefault(action, key) != key:
-                raise ValueError(f"action {action} repeats key "
-                                 f"{first[action]!r}")
-            if action not in range(len(registry)):
-                raise ValueError(f"no action {action} among the "
-                                 f"{len(registry)} actions of the registry")
-            centers = np.asarray(value, dtype=np.float64)
-            if (centers.ndim != 2 or centers.shape[0] < 1
-                    or centers.shape[1] != 4):
-                raise ValueError(f"need a (K, 4) array with K >= 1, got "
-                                 f"shape {centers.shape}")
-            if not np.all(np.isfinite(centers)):
-                raise ValueError("non-finite entry")
-            if np.abs(centers).max() > COORD_LIMIT:
-                raise ValueError(f"out-of-range entry (|entry| > "
-                                 f"{COORD_LIMIT:g})")
-            if not all(_NUMBERS.issuperset(map(type, row)) for row in value):
-                raise ValueError("entries must be numbers, not booleans or "
-                                 "strings")
-            out[action] = centers
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"centers for action {key!r}: {exc}") from None
+    def action(key):
+        a = int(key)
+        if a not in range(len(registry)):
+            raise ValueError(f"no action {a} among the {len(registry)} "
+                             f"actions of the registry")
+        return a
+
+    out = _keyed_mapping(path, "centers", action, "action", _center_rows,
+                         "centers for action {!r}")
     for a, entry in enumerate(registry):
         if entry.role != ROLE_NONE and a not in out:
             raise ValueError(f"centers file has no centers for action {a} "
                              f"({entry.name}/{entry.role})")
     return out
+
+
+def _center_rows(value) -> np.ndarray:
+    """The (K, 4) array, K >= 1, of a JSON list of number rows, each
+    entry finite and of magnitude at most ``COORD_LIMIT``."""
+    centers = np.asarray(value, dtype=np.float64)
+    if centers.ndim != 2 or centers.shape[0] < 1 or centers.shape[1] != 4:
+        raise ValueError(f"need a (K, 4) array with K >= 1, got shape "
+                         f"{centers.shape}")
+    if not np.all(np.isfinite(centers)):
+        raise ValueError("non-finite entry")
+    if np.abs(centers).max() > COORD_LIMIT:
+        raise ValueError(f"out-of-range entry (|entry| > {COORD_LIMIT:g})")
+    if not all(_NUMBERS.issuperset(map(type, row)) for row in value):
+        raise ValueError("entries must be numbers, not booleans or strings")
+    return centers
 
 
 def _overlay_entry(t):
@@ -708,7 +714,6 @@ def _run_inference(cfg, ds, provider, proposals, params, head_cfg,
 
 def cmd_infer(cfg: dict) -> int:
     out = cfg["out"]
-    os.makedirs(out, exist_ok=True)
     _require(cfg, "checkpoint")
     ds, provider, proposals = _load_world(cfg)
     ckpt, registry = _load_model(cfg["checkpoint"], ds.registry,
@@ -725,7 +730,6 @@ def cmd_infer(cfg: dict) -> int:
 
 def cmd_eval(cfg: dict) -> int:
     out = cfg["out"]
-    os.makedirs(out, exist_ok=True)
     _require(cfg, "predictions", "annotations")
     rule = _build(MatchRule, cfg)
     triplets = _read("predictions", read_predictions, cfg["predictions"])
@@ -771,7 +775,6 @@ def fit_baseline_centers(ds: Dataset, k: int, seed: int,
 
 def cmd_baseline(cfg: dict) -> int:
     out = cfg["out"]
-    os.makedirs(out, exist_ok=True)
     _require(cfg, "checkpoint", "fit_annotations")
     k, seed = cfg["k"], cfg["seed"]
     if k < 1:
@@ -860,7 +863,11 @@ def main(argv=None) -> int:
         args = build_parser(argv[0] if argv else None).parse_args(argv)
         cfg = resolve_config(args.command, args.config, {
             key: getattr(args, key) for key in _SCHEMAS[args.command]})
-        return _COMMANDS[args.command](cfg)
+        try:
+            os.makedirs(cfg["out"], exist_ok=True)
+            return _COMMANDS[args.command](cfg)
+        except OSError as exc:  # a read's OSError is _read's io error
+            raise CliError("io", f"cannot write to {cfg['out']}: {exc}")
     except CliError as exc:
         print(f"error: {exc.kind}: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -49,7 +49,7 @@ import numpy as np
 
 from .features import FeatureMap, map_buffer
 from .geometry import (BBOX_XFORM_CLIP, COORD_LIMIT, Box, clip_boxes,
-                       decode_corners)
+                       corners_in_limit, decode_corners)
 
 ROLE_NONE = "none"
 ROLE_OBJECT = "object"
@@ -349,9 +349,7 @@ def _read_scenes(raw: list, registry: ActionRegistry) -> list:
         for k, box in enumerate(_list_at(scene, "persons", f"{where}.")):
             if not (type(box) is list and len(box) == 4
                     and type(box[0]) is type(box[1]) is type(box[2])
-                    is type(box[3]) is float
-                    and -COORD_LIMIT <= box[0] < box[2] <= COORD_LIMIT
-                    and -COORD_LIMIT <= box[1] < box[3] <= COORD_LIMIT):
+                    is type(box[3]) is float and corners_in_limit(box)):
                 box = _check_box(box, f"{where}.persons[{k}]")
             rows.append(box)
         o, c = len(rows), len(categories)
@@ -361,9 +359,7 @@ def _read_scenes(raw: list, registry: ActionRegistry) -> list:
                                    if type(obj) is dict else (None,) * 3)
             if not (type(box) is list and len(box) == 4
                     and type(box[0]) is type(box[1]) is type(box[2])
-                    is type(box[3]) is float
-                    and -COORD_LIMIT <= box[0] < box[2] <= COORD_LIMIT
-                    and -COORD_LIMIT <= box[1] < box[3] <= COORD_LIMIT
+                    is type(box[3]) is float and corners_in_limit(box)
                     and type(category) is str and type(flag) is bool):
                 here = f"{where}.objects[{k}]"
                 if "category" not in _typed(obj, dict, here):
@@ -480,70 +476,55 @@ def _scene_json(s: SceneAnnotation) -> dict:
 
 # --- synthetic scenes ----------------------------------------------------
 
-# Verb set small enough to train on a desk yet covering every role shape:
-# plain object, plain instrument, dual-role, and no-object.
-_SYNTH_ENTRIES = [
-    ("carry", ROLE_OBJECT),
-    ("throw", ROLE_OBJECT),
-    ("sit", ROLE_INSTRUMENT),
-    ("cut", ROLE_INSTRUMENT),
-    ("cut", ROLE_OBJECT),
-    ("stand", ROLE_NONE),
-]
+class _Target(NamedTuple):
+    """A typed role entry's target: a ``category`` object at the offset
+    ``base + pose_gain @ pose`` from its person."""
 
-SYNTH_CATEGORIES = ["parcel", "ball", "bench", "knife", "apple"]
+    category: str
+    base: np.ndarray
+    pose_gain: np.ndarray
 
-# category of the target object per typed role entry
-_SYNTH_TARGET_CATEGORY = {
-    ("carry", ROLE_OBJECT): "parcel",
-    ("throw", ROLE_OBJECT): "ball",
-    ("sit", ROLE_INSTRUMENT): "bench",
-    ("cut", ROLE_INSTRUMENT): "knife",
-    ("cut", ROLE_OBJECT): "apple",
+
+# The synthetic registry, in order, with each entry's target (None for a
+# verb with no object). The verbs are few enough to train on a desk yet
+# cover every role shape: plain object, plain instrument, dual-role, and
+# no-object. Bases are distinct per role entry and qualitatively
+# sensible (carried objects at the hand, thrown objects out in front,
+# seats below, knife at the hand with the food slightly ahead); pose
+# perturbs them in a bounded, invertible way.
+_SYNTH_ACTIONS = {
+    ("carry", ROLE_OBJECT): _Target(
+        "parcel", np.array([0.45, 0.10, -0.90, -1.10]),
+        np.array([[0.25, 0.0], [0.0, 0.15], [0.10, 0.0], [0.0, 0.10]])),
+    ("throw", ROLE_OBJECT): _Target(
+        "ball", np.array([1.20, -0.30, -1.00, -1.20]),
+        np.array([[0.25, 0.10], [-0.15, 0.0], [0.0, 0.10], [0.10, 0.0]])),
+    ("sit", ROLE_INSTRUMENT): _Target(
+        "bench", np.array([0.00, 0.55, 0.25, -0.60]),
+        np.array([[0.20, 0.0], [0.0, 0.12], [-0.10, 0.10], [0.0, 0.08]])),
+    ("cut", ROLE_INSTRUMENT): _Target(
+        "knife", np.array([0.35, 0.05, -1.30, -1.50]),
+        np.array([[0.15, -0.10], [0.08, 0.0], [0.0, 0.12], [0.10, 0.0]])),
+    ("cut", ROLE_OBJECT): _Target(
+        "apple", np.array([0.15, 0.35, -1.00, -1.10]),
+        np.array([[-0.12, 0.15], [0.10, 0.0], [0.12, 0.0], [0.0, 0.10]])),
+    ("stand", ROLE_NONE): None,
 }
 
-# Latent map: offset = base + pose_gain @ pose. Bases are distinct per
-# role entry and qualitatively sensible (carried objects at the hand,
-# thrown objects out in front, seats below, knife at the hand with the
-# food slightly ahead); pose perturbs them in a bounded, invertible way.
-_SYNTH_BASE = {
-    ("carry", ROLE_OBJECT): np.array([0.45, 0.10, -0.90, -1.10]),
-    ("throw", ROLE_OBJECT): np.array([1.20, -0.30, -1.00, -1.20]),
-    ("sit", ROLE_INSTRUMENT): np.array([0.00, 0.55, 0.25, -0.60]),
-    ("cut", ROLE_INSTRUMENT): np.array([0.35, 0.05, -1.30, -1.50]),
-    ("cut", ROLE_OBJECT): np.array([0.15, 0.35, -1.00, -1.10]),
-}
-
-_SYNTH_POSE_GAIN = {
-    ("carry", ROLE_OBJECT): np.array(
-        [[0.25, 0.0], [0.0, 0.15], [0.10, 0.0], [0.0, 0.10]]
-    ),
-    ("throw", ROLE_OBJECT): np.array(
-        [[0.25, 0.10], [-0.15, 0.0], [0.0, 0.10], [0.10, 0.0]]
-    ),
-    ("sit", ROLE_INSTRUMENT): np.array(
-        [[0.20, 0.0], [0.0, 0.12], [-0.10, 0.10], [0.0, 0.08]]
-    ),
-    ("cut", ROLE_INSTRUMENT): np.array(
-        [[0.15, -0.10], [0.08, 0.0], [0.0, 0.12], [0.10, 0.0]]
-    ),
-    ("cut", ROLE_OBJECT): np.array(
-        [[-0.12, 0.15], [0.10, 0.0], [0.12, 0.0], [0.0, 0.10]]
-    ),
-}
+SYNTH_CATEGORIES = [t.category for t in _SYNTH_ACTIONS.values() if t]
 
 
 def synthetic_registry() -> ActionRegistry:
-    return ActionRegistry(ActionSpec(n, r) for n, r in _SYNTH_ENTRIES)
+    return ActionRegistry(ActionSpec(n, r) for n, r in _SYNTH_ACTIONS)
 
 
 def latent_offset(verb: str, role: str, pose: np.ndarray) -> np.ndarray:
     """The noiseless target offset implied by a person's latent code."""
-    key = (verb, role)
-    if key not in _SYNTH_BASE:
+    target = _SYNTH_ACTIONS.get((verb, role))
+    if target is None:
         raise KeyError(f"no latent map for {verb}/{role}")
     pose = np.asarray(pose, dtype=np.float64)
-    return _SYNTH_BASE[key] + _SYNTH_POSE_GAIN[key] @ pose
+    return target.base + target.pose_gain @ pose
 
 
 @dataclass(frozen=True)
@@ -792,14 +773,15 @@ def generate_synthetic(cfg: SynthConfig):
                     Interaction(person=pidx, action=entry.name, role=entry.role,
                                 object=len(objects))
                 )
-                add_object(tbox, _SYNTH_TARGET_CATEGORY[(entry.name, entry.role)])
+                add_object(tbox,
+                           _SYNTH_ACTIONS[entry.name, entry.role].category)
             if not targets:
                 interactions.append(
                     Interaction(person=pidx, action=verb, role=ROLE_NONE, object=None)
                 )
             own = pose.tolist()
             for entry, _tbox in targets:
-                cat = _SYNTH_TARGET_CATEGORY[(entry.name, entry.role)]
+                cat = _SYNTH_ACTIONS[entry.name, entry.role].category
                 for _ in range(cfg.confusers_per_target):
                     for _try in range(200):
                         # _uniform(rng, -1.0, 1.0, 2) in Python floats, as

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import COORD_LIMIT, Box, box_array
+from .geometry import COORD_LIMIT, FLOAT32_MAX, Box, box_array
 
 
 @dataclass
@@ -38,6 +38,7 @@ class FeatureMap:
     """Dense per-image feature tensor of shape (channels, height, width).
 
     ``stride`` is the number of image pixels covered by one feature cell.
+    Each cell must be finite and within float32's range, the heads'.
     """
 
     data: np.ndarray
@@ -54,8 +55,13 @@ class FeatureMap:
         if self.stride < 1 / COORD_LIMIT:
             raise ValueError(f"stride must be at least {1 / COORD_LIMIT:g}, "
                              f"got {self.stride}")
-        if not np.isfinite(self.data).all():
+        # min and max fill no mask, unlike isfinite; NaN fails the test
+        lo, hi = float(self.data.min()), float(self.data.max())
+        if not -math.inf < lo <= hi < math.inf:
             raise ValueError("feature map contains non-finite entries")
+        if max(-lo, hi) > FLOAT32_MAX:
+            raise ValueError(f"entry {lo if -lo > hi else hi!r} is beyond "
+                             f"float32's largest value {FLOAT32_MAX!r}")
 
     @property
     def channels(self) -> int:
@@ -72,7 +78,7 @@ class FeatureMap:
 
 @dataclass
 class RoiFeature:
-    """Flattened pooled feature of length channels * pooled * pooled."""
+    """Flattened pooled feature of length channels * POOLED * POOLED."""
 
     values: np.ndarray
     out_of_bounds: bool = False
@@ -81,19 +87,18 @@ class RoiFeature:
         self.values = np.asarray(self.values, dtype=np.float64).ravel()
 
 
-# the pooled resolution roi_align and the provider default to: a box
-# pools to a POOLED x POOLED grid of bins
+# the pooled resolution: a box pools to a POOLED x POOLED grid of bins
 POOLED = 5
 
 
-def roi_align(fmap: FeatureMap, box: Box, pooled: int = POOLED) -> RoiFeature:
-    """Pool one box of one map into a pooled x pooled grid, in the gather
+def roi_align(fmap: FeatureMap, box: Box) -> RoiFeature:
+    """Pool one box of one map into a POOLED x POOLED grid, in the gather
     of :func:`_pool`."""
     cells = fmap.data.transpose(1, 2, 0).reshape(-1, fmap.channels)
     values, outside = _pool(
         cells, np.array([box.as_tuple()], dtype=np.float64),
         np.zeros(1, dtype=int), np.full(1, fmap.height),
-        np.full(1, fmap.width), np.full(1, float(fmap.stride)), pooled)
+        np.full(1, fmap.width), np.full(1, float(fmap.stride)))
     return RoiFeature(values[0], out_of_bounds=bool(outside[0]))
 
 
@@ -102,7 +107,7 @@ def roi_align(fmap: FeatureMap, box: Box, pooled: int = POOLED) -> RoiFeature:
 _POOL_BLOCK = 64
 
 
-def _pool(cells, boxes, origin, height, width, stride, pooled):
+def _pool(cells, boxes, origin, height, width, stride):
     """Pool (N, 4) boxes, one bilinear sample per bin, in one vectorised
     gather run a block of boxes at a time.
 
@@ -115,12 +120,10 @@ def _pool(cells, boxes, origin, height, width, stride, pooled):
     border cell. The bins of a box form a separable grid, so the corner
     indices and blend fractions are computed per axis and broadcast,
     and each corner read fetches a whole cell of C values. Returns the
-    (N, C * pooled * pooled) channel-major features and an (N,)
+    (N, C * POOLED * POOLED) channel-major features and an (N,)
     ``out_of_bounds`` mask: a box entirely outside its map yields an
     all-zero row.
     """
-    if pooled < 1:
-        raise ValueError("pooled resolution must be >= 1")
     f = boxes / stride[:, None]
     outside = ((f[:, 2] <= 0) | (f[:, 3] <= 0) | (f[:, 0] >= width)
                | (f[:, 1] >= height))
@@ -131,9 +134,9 @@ def _pool(cells, boxes, origin, height, width, stride, pooled):
     y1 = np.maximum(f[:, 1], 0.0)
     x2 = np.minimum(f[:, 2], width)
     y2 = np.minimum(f[:, 3], height)
-    steps = np.arange(pooled) + 0.5
-    cx = x1[:, None] + steps * ((x2 - x1) / pooled)[:, None]
-    cy = y1[:, None] + steps * ((y2 - y1) / pooled)[:, None]
+    steps = np.arange(POOLED) + 0.5
+    cx = x1[:, None] + steps * ((x2 - x1) / POOLED)[:, None]
+    cy = y1[:, None] + steps * ((y2 - y1) / POOLED)[:, None]
     # bin (i, j) of a box sits at (cx[j], cy[i]): y on axis 1, x on 2,
     # channels on 3
     left, right, fx = _corners(cx, width[:, None])
@@ -143,7 +146,7 @@ def _pool(cells, boxes, origin, height, width, stride, pooled):
     lower = (origin[:, None] + lower * width[:, None])[:, :, None]
     fx, fy = fx[:, None, :, None], fy[:, :, None, None]
     gx = 1 - fx
-    size = cells.shape[1] * pooled * pooled
+    size = cells.shape[1] * POOLED * POOLED
     rows = np.empty((len(f), size))
     # a block of boxes at a time, so that the (boxes, P, P, C) temporaries
     # stay small however many boxes a call pools
@@ -163,7 +166,7 @@ def _pool(cells, boxes, origin, height, width, stride, pooled):
         top *= 1 - fy[b]
         bot *= fy[b]
         top += bot
-        rows[b].reshape(-1, cells.shape[1], pooled, pooled)[...] = (
+        rows[b].reshape(-1, cells.shape[1], POOLED, POOLED)[...] = (
             top.transpose(0, 3, 1, 2))
     if inside.all():
         return rows, outside
@@ -251,15 +254,14 @@ class SyntheticFeatureProvider:
     ValueError.
     """
 
-    def __init__(self, maps: dict[int, FeatureMap], pooled: int = POOLED):
+    def __init__(self, maps: dict[int, FeatureMap]):
         channels = sorted({m.channels for m in maps.values()})
         if len(channels) > 1:
             raise ValueError(f"feature maps differ in channel count: "
                              f"{', '.join(map(str, channels))}")
         self.maps = maps
-        self.pooled = pooled
         c = channels[0] if channels else 0
-        self.feature_dim = c * pooled * pooled
+        self.feature_dim = c * POOLED * POOLED
         self._ids = np.array(sorted(maps), dtype=np.int64)
         ordered = [maps[i] for i in self._ids.tolist()]
         self.buffer, offsets = _buffer_of(ordered)
@@ -284,4 +286,4 @@ class SyntheticFeatureProvider:
             raise KeyError(ids[~known][0].item())
         return _pool(self._cells, boxes, self._origin[slot],
                      self._height[slot], self._width[slot],
-                     self._stride[slot], self.pooled)[0]
+                     self._stride[slot])[0]

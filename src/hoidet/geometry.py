@@ -31,6 +31,17 @@ MIN_SIZE = 1e-3  # the least extent clip_boxes keeps of a box
 # (the least stride FeatureMap takes)
 COORD_LIMIT = 1e150
 
+# the largest finite float32, the precision of the heads and checkpoints
+FLOAT32_MAX = float(np.finfo(np.float32).max)
+
+
+def corners_in_limit(box) -> bool:
+    """Whether numbers ``(x1, y1, x2, y2)`` have positive width and height
+    and magnitudes at most ``COORD_LIMIT`` (NaN fails): a box to keep."""
+    x1, y1, x2, y2 = box
+    return (-COORD_LIMIT <= x1 < x2 <= COORD_LIMIT
+            and -COORD_LIMIT <= y1 < y2 <= COORD_LIMIT)
+
 
 @dataclass(frozen=True)
 class Box:

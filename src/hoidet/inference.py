@@ -66,8 +66,8 @@ from .dataset import (
     _typed,
 )
 from .density import gaussian_compat, mixture_compat
-from .geometry import (COORD_LIMIT, Box, Detection, box_array, decode_rels,
-                       encode_rels, nms)
+from .geometry import (COORD_LIMIT, Box, Detection, box_array,
+                       corners_in_limit, decode_rels, encode_rels, nms)
 from .model import (
     HeadConfig,
     forward_human,
@@ -455,13 +455,9 @@ def _det_from_json(obj, where: str, seen: dict) -> Detection:
         raise ValueError(f"{where}.box: expected a list of 4 numbers, got "
                          f"{json.dumps(box)}")
     # the box is checked before the category, so that a detection with
-    # both faults is named by its box; one comparison chain passes the
-    # boxes of positive extent within COORD_LIMIT (as the proposals and
-    # annotations readers keep them); the corners become floats (an
+    # both faults is named by its box; the corners become floats (an
     # integer too large for one is an OverflowError)
-    x1, y1, x2, y2 = box
-    if not (-COORD_LIMIT <= x1 < x2 <= COORD_LIMIT
-            and -COORD_LIMIT <= y1 < y2 <= COORD_LIMIT):
+    if not corners_in_limit(box):
         if any(type(v) is float and not -_INF < v < _INF for v in box):
             raise ValueError(f"{where}.box: expected finite numbers, got "
                              f"{json.dumps(box)}")

@@ -61,10 +61,10 @@ from .density import (
     softmax,
     softplus,
 )
+from .geometry import FLOAT32_MAX
 
 LOGIT_CLIP = 30.0
 PROB_EPS = 1e-7
-FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 CHECKPOINT_MAGIC = b"HOICKPT1"
 CHECKPOINT_VERSION = 1
@@ -712,20 +712,17 @@ def backward(batch, params, cfg: HeadConfig,
 
 
 def sgd_step(params, grads, velocity, lr, momentum, weight_decay):
-    """v <- momentum v + g + wd p;  p <- p - lr v, in place, on three
-    arrays or on the vectors of three FlatTensors of one layout
-    (ValueError when their tensor names differ)."""
-    if isinstance(params, FlatTensors):
-        if not list(params) == list(grads) == list(velocity):
-            raise ValueError("sgd_step needs parameters, gradients and "
-                             "velocity with the same tensor names")
-        sgd_step(params.vector, grads.vector, velocity.vector, lr,
-                 momentum, weight_decay)
-        return params, velocity
-    velocity *= momentum
-    velocity += grads
-    velocity += weight_decay * params
-    params -= lr * velocity
+    """v <- momentum v + g + wd p;  p <- p - lr v, in place, on the
+    vectors of three FlatTensors of one layout (ValueError when their
+    tensor names differ)."""
+    if not list(params) == list(grads) == list(velocity):
+        raise ValueError("sgd_step needs parameters, gradients and "
+                         "velocity with the same tensor names")
+    p, v = params.vector, velocity.vector
+    v *= momentum
+    v += grads.vector
+    v += weight_decay * p
+    p -= lr * v
     return params, velocity
 
 

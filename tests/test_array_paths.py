@@ -24,7 +24,8 @@ from hoidet.dataset import (
     synthetic_registry,
 )
 from hoidet.density import gaussian_compat, mixture_compat
-from hoidet.features import FeatureMap, SyntheticFeatureProvider, roi_align
+from hoidet.features import (POOLED, FeatureMap, SyntheticFeatureProvider,
+                             roi_align)
 from hoidet.geometry import Box, Detection, box_array, encode_rel, iou, nms
 from hoidet.inference import (
     InferenceConfig,
@@ -53,9 +54,11 @@ TARGETED = [a for a, e in enumerate(REGISTRY) if e.role != ROLE_NONE]
 # --- RoI pooling -------------------------------------------------------------
 
 
-def _reference_roi_align(fmap: FeatureMap, box: Box, pooled: int):
+def _reference_roi_align(fmap: FeatureMap, box: Box):
     """One box at a time: Python-float box arithmetic, then one bilinear
-    sample per bin center, border cells replicated."""
+    sample per bin center of a POOLED x POOLED grid, border cells
+    replicated."""
+    pooled = POOLED
     fx1, fy1 = box.x1 / fmap.stride, box.y1 / fmap.stride
     fx2, fy2 = box.x2 / fmap.stride, box.y2 / fmap.stride
     size = fmap.channels * pooled * pooled
@@ -100,26 +103,25 @@ def test_batched_pooling_matches_one_box_roi_align(boxes, data):
     repeats = data.draw(st.lists(st.integers(0, len(boxes) - 1), max_size=4))
     boxes = boxes + [boxes[i] for i in repeats]
     warm = data.draw(st.integers(0, len(boxes)))
-    pooled = data.draw(st.integers(1, 4))
-    want = [_reference_roi_align(FMAP, b, pooled) for b in boxes]
+    want = [_reference_roi_align(FMAP, b) for b in boxes]
     rows = np.stack([w[0] for w in want])
 
-    prov = SyntheticFeatureProvider({0: FMAP}, pooled=pooled)
+    prov = SyntheticFeatureProvider({0: FMAP})
     prov.pooled_matrix(0, boxes[:warm])  # an earlier call changes nothing
     np.testing.assert_array_equal(prov.pooled_matrix(0, boxes), rows)
-    fresh = SyntheticFeatureProvider({0: FMAP}, pooled=pooled)
+    fresh = SyntheticFeatureProvider({0: FMAP})
     np.testing.assert_array_equal(fresh.pooled_matrix(0, box_array(boxes)),
                                   rows)
     for b, (row, outside) in zip(boxes, want):
-        got = roi_align(FMAP, b, pooled)
+        got = roi_align(FMAP, b)
         np.testing.assert_array_equal(got.values, row)
         assert got.out_of_bounds == outside
     ids = data.draw(st.lists(st.sampled_from(sorted(MAPS)),
                              min_size=len(boxes), max_size=len(boxes)))
-    multi = SyntheticFeatureProvider(MAPS, pooled=pooled)
+    multi = SyntheticFeatureProvider(MAPS)
     np.testing.assert_array_equal(
         multi.pooled_matrix(np.array(ids), boxes),
-        np.stack([_reference_roi_align(MAPS[i], b, pooled)[0]
+        np.stack([_reference_roi_align(MAPS[i], b)[0]
                   for i, b in zip(ids, boxes)]))
 
 
@@ -129,10 +131,10 @@ def test_pooling_covers_each_kind_of_box():
              Box(21.0, 2.0, 30.0, 9.0),   # right of the map
              Box(-9.0, -9.0, -1.0, -1.0),  # above and left of it
              Box(7.1, 7.2, 7.3, 7.25)]    # inside one cell
-    prov = SyntheticFeatureProvider({0: FMAP}, pooled=3)
+    prov = SyntheticFeatureProvider({0: FMAP})
     got = prov.pooled_matrix(0, boxes + boxes[:2])
     for row, b in zip(got, boxes + boxes[:2]):
-        np.testing.assert_array_equal(row, _reference_roi_align(FMAP, b, 3)[0])
+        np.testing.assert_array_equal(row, _reference_roi_align(FMAP, b)[0])
     assert not got[2].any() and not got[3].any()
     assert got[4].any()
 

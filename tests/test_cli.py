@@ -292,25 +292,6 @@ class TestTrainCommand:
         assert not (tmp_path / "run" / "loss.log").exists()
         assert not (tmp_path / "run" / "checkpoint.bin").exists()
 
-    def test_features_beyond_float32_are_divergence(self, tmp_path, capsys):
-        """Map cells finite in float64 but beyond float32: the pooled
-        rows are infinities once training rounds them to its float32
-        parameters, and the first loss names that, with no warning."""
-        data = _synth(tmp_path, scenes=3)
-        with np.load(data / "features.npz") as z:
-            arrays = {key: np.full_like(value, 1e39)
-                      if key.startswith("map_") else value
-                      for key, value in z.items()}
-        np.savez(data / "features.npz", **arrays)
-        code = _run("train", "--out", str(tmp_path / "run"), *_inputs(data),
-                    "--phases", "2:0.001", "--hidden-dim", "8")
-        assert code == 1
-        assert capsys.readouterr().err == (
-            "error: diverged: iteration 0: non-finite loss term "
-            "object_cls_loss\n")
-        assert not (tmp_path / "run" / "checkpoint.bin").exists()
-
-
     def _train_on(self, tmp_path, capsys, edit):
         """Exit code and stderr of a train run on edited annotations."""
         data = _synth(tmp_path)
@@ -746,6 +727,82 @@ class TestImageIdRange:
         _one_data_line(code, err, line)
 
 
+class TestOutputDirectory:
+    """An output directory that cannot be made or written ends each
+    command in one ``io`` line, not a traceback."""
+
+    @pytest.mark.parametrize("command", list(_COMMANDS))
+    def test_out_naming_an_existing_file(self, trained, tmp_path, capsys,
+                                         command):
+        data, run = trained
+        ckpt = str(run / "checkpoint.bin")
+        flags = {"synth": [],
+                 "train": ["--phases", "2:0.001", *_inputs(data)],
+                 "infer": ["--checkpoint", ckpt, *_inputs(data)],
+                 "eval": ["--predictions", str(tmp_path / "p.jsonl"),
+                          "--annotations", str(data / "annotations.json")],
+                 "baseline": ["--checkpoint", ckpt, "--fit-annotations",
+                              str(data / "annotations.json"),
+                              *_inputs(data)]}[command]
+        out = tmp_path / "taken"
+        out.write_text("")
+        capsys.readouterr()
+        code = _run(command, "--out", str(out), *flags)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: io: cannot write to {out}: ")
+        assert err.count("\n") == 1
+
+    def test_out_below_a_file(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "sub"
+        assert _run("synth", "--out", str(out), "--num-scenes", "1") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: io: cannot write to {out}: ")
+        assert err.count("\n") == 1
+
+    def test_an_output_that_cannot_be_written(self, trained, tmp_path,
+                                              capsys):
+        data, run = trained
+        out = tmp_path / "o"
+        (out / "predictions.jsonl").mkdir(parents=True)
+        code = _run("infer", "--out", str(out), "--checkpoint",
+                    str(run / "checkpoint.bin"), *_inputs(data))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: io: cannot write to {out}: ")
+        assert str(out / "predictions.jsonl") in err
+        assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["train", "infer", "baseline"])
+def test_a_map_cell_beyond_float32_is_one_data_line(trained, tmp_path,
+                                                    capsys, command):
+    """A map cell finite in float64 but beyond float32, the precision
+    the heads run in, is refused as the maps are read. Inference once
+    overflowed casting it to float32 and wrote triplets, and training
+    once diverged at iteration 0 with a non-finite loss."""
+    data, run = trained
+    with np.load(data / "features.npz") as z:
+        arrays = dict(z)
+    arrays["map_0"][0, 5, 5] = 1e39
+    features = tmp_path / "features.npz"
+    np.savez(features, **arrays)
+    ckpt = str(run / "checkpoint.bin")
+    flags = {"train": ["--phases", "2:0.001"],
+             "infer": ["--checkpoint", ckpt],
+             "baseline": ["--checkpoint", ckpt, "--fit-annotations",
+                          str(data / "annotations.json")]}[command]
+    out = tmp_path / "o"
+    capsys.readouterr()
+    code = _run(command, "--out", str(out), *flags, *_inputs(data),
+                "--features", str(features))
+    _one_data_line(code, capsys.readouterr().err, (
+        f"error: data: feature map 'map_0': entry 1e+39 is beyond "
+        f"float32's largest value {float(np.finfo(np.float32).max)!r}\n"))
+    assert os.listdir(out) == []
+
+
 class TestEvalCommand:
     def _gt_echo(self, data, tmp_path):
         from hoidet.inference import write_predictions
@@ -1126,6 +1183,7 @@ class TestConfigSchema:
                           "fit_annotations": inputs["annotations"]}),
         ]
         for command, flags in runs:
+            (tmp_path / command).mkdir()  # main makes it for a command
             cfg = _ReadLog(resolve_config(
                 command, None, {**flags, "out": str(tmp_path / command)}))
             assert _COMMANDS[command](cfg) == 0

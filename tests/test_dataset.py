@@ -29,7 +29,7 @@ from hoidet.dataset import (
     synth_channel_layout,
     synthetic_registry,
 )
-from hoidet.features import roi_align
+from hoidet.features import POOLED, roi_align
 from hoidet.geometry import Box, encode_rel, iou
 
 
@@ -339,8 +339,9 @@ class TestSyntheticScenes:
         for sc in generate_synthetic(cfg):
             person = Box(*sc.annotation.persons[0])
             code = sc.codes[0]
-            pooled = roi_align(sc.feature_map, person, pooled=3).values
-            center = pooled.reshape(-1, 3, 3)[:, 1, 1]
+            pooled = roi_align(sc.feature_map, person).values
+            center = pooled.reshape(-1, POOLED, POOLED)[:, POOLED // 2,
+                                                        POOLED // 2]
             assert center[layout["person"]] == 1.0
             verb_hot = center[layout["verb0"]:layout["verb0"] + len(verbs)]
             assert verbs[int(np.argmax(verb_hot))] == code.verb

@@ -17,7 +17,7 @@ from hoidet.dataset import (
     SceneAnnotation,
     SynthConfig,
     _far,
-    _SYNTH_TARGET_CATEGORY,
+    _SYNTH_ACTIONS,
     generate_synthetic,
     jitter_proposals,
     latent_offset,
@@ -122,12 +122,12 @@ def _reference_generate(cfg: SynthConfig):
             for entry, tbox in targets:
                 interactions.append(Interaction(pidx, entry.name, entry.role,
                                                 len(objects)))
-                add_object(tbox, _SYNTH_TARGET_CATEGORY[(entry.name,
-                                                         entry.role)])
+                add_object(tbox, _SYNTH_ACTIONS[entry.name,
+                                                entry.role].category)
             if not targets:
                 interactions.append(Interaction(pidx, verb, ROLE_NONE, None))
             for entry, _tbox in targets:
-                cat = _SYNTH_TARGET_CATEGORY[(entry.name, entry.role)]
+                cat = _SYNTH_ACTIONS[entry.name, entry.role].category
                 for _ in range(cfg.confusers_per_target):
                     for _try in range(200):
                         alt = rng.uniform(-1.0, 1.0, size=2)
